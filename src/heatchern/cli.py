@@ -2,7 +2,8 @@
 
 Subcommands load operator data from JSON, run one computation, and write
 a JSON (or CSV) result with a provenance block.  Exit codes: 0 success,
-1 validation failure, 2 numerical non-convergence, 3 I/O or schema error.
+1 validation failure, 2 numerical non-convergence or a request over the
+block-order budget, 3 I/O or schema error.
 """
 
 from __future__ import annotations
@@ -41,8 +42,14 @@ from .serialization import (
     split_from_json,
     triple_from_json,
 )
-from .split import SplitTriple, coupling_sweep, split_pairing, validate_split
-from .triples import validate_triple
+from .split import (
+    SplitTriple,
+    coupling_sweep,
+    require_valid_split,
+    split_pairing,
+    validate_split,
+)
+from .triples import require_valid, validate_triple
 
 _VALIDATION_ERRORS = (ValidationFailure, PairingInputInvalid, NotHermitian,
                       PNotFixed, ZeroMomentumViolation)
@@ -125,19 +132,9 @@ def _cmd_validate(args):
     return 0 if rep.passed else 1
 
 
-def _require_triple(doc: dict):
-    t = triple_from_json(doc.get("triple", doc))
-    rep = validate_triple(t)
-    if not rep.passed:
-        raise ValidationFailure(
-            "triple fails validation:\n" + "\n".join(str(c) for c in rep.failures),
-            report=rep,
-        )
-    return t
-
-
 def _cmd_index(args):
-    t = _require_triple(_load_json(args.input))
+    doc = _load_json(args.input)
+    t = require_valid(triple_from_json(doc.get("triple", doc)))
     values = [equivariant_index(t, g) for g in range(len(t.group))]
     _emit(
         args,
@@ -152,7 +149,7 @@ def _cmd_index(args):
 
 def _cmd_pair(args):
     doc = _load_json(args.input)
-    t = _require_triple(doc)
+    t = require_valid(triple_from_json(doc.get("triple", doc)))
     inp = _pairing_input(doc, t.dim, args.group_index)
     res = pairing(
         t, inp, quad_nodes=args.quad_nodes, max_level=args.max_level, tol=args.tol
@@ -178,7 +175,7 @@ def _cmd_pair(args):
 
 def _cmd_jlo(args):
     doc = _load_json(args.input)
-    t = _require_triple(doc)
+    t = require_valid(triple_from_json(doc.get("triple", doc)))
     if "tuple" not in doc:
         raise DimensionMismatch("input JSON is missing key 'tuple'")
     mats = [matrix_from_json(m) for m in doc["tuple"]]
@@ -211,7 +208,7 @@ def _cmd_jlo(args):
 
 def _cmd_sweep(args):
     doc = _load_json(args.input)
-    t = _require_triple(doc)
+    t = require_valid(triple_from_json(doc.get("triple", doc)))
     if "q" not in doc:
         raise DimensionMismatch("input JSON is missing key 'q' (linear family)")
     q = matrix_from_json(doc["q"])
@@ -241,7 +238,7 @@ def _cmd_sweep(args):
 
 def _cmd_beta_scan(args):
     doc = _load_json(args.input)
-    t = _require_triple(doc)
+    t = require_valid(triple_from_json(doc.get("triple", doc)))
     inp = _pairing_input(doc, t.dim, args.group_index)
     betas = _parse_list(args.beta_list)
     tab = beta_independence(t, inp, betas, quad_nodes=args.quad_nodes, tol=args.tol)
@@ -261,7 +258,7 @@ def _cmd_beta_scan(args):
 
 def _cmd_endpoint(args):
     doc = _load_json(args.input)
-    t = _require_triple(doc)
+    t = require_valid(triple_from_json(doc.get("triple", doc)))
     for key in ("q", "regularizer"):
         if key not in doc:
             raise DimensionMismatch(f"input JSON is missing key {key!r}")
@@ -291,21 +288,9 @@ def _cmd_endpoint(args):
     return 0
 
 
-def _require_split(doc: dict) -> SplitTriple:
-    s = split_from_json(doc.get("split", doc))
-    rep = validate_split(s)
-    if not rep.passed:
-        raise ValidationFailure(
-            "split triple fails validation:\n"
-            + "\n".join(str(c) for c in rep.failures),
-            report=rep,
-        )
-    return s
-
-
 def _cmd_split_pair(args):
     doc = _load_json(args.input)
-    s = _require_split(doc)
+    s = require_valid_split(split_from_json(doc.get("split", doc)))
     inp = _pairing_input(doc, s.dim, args.group_index)
     res = split_pairing(
         s, inp, quad_nodes=args.quad_nodes, max_level=args.max_level, tol=args.tol
@@ -330,7 +315,7 @@ def _cmd_split_pair(args):
 
 def _cmd_coupling_sweep(args):
     doc = _load_json(args.input)
-    s = _require_split(doc)
+    s = require_valid_split(split_from_json(doc.get("split", doc)))
     if "q2_tilde" not in doc:
         raise DimensionMismatch("input JSON is missing key 'q2_tilde'")
     qt2 = matrix_from_json(doc["q2_tilde"])

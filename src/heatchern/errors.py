@@ -22,7 +22,7 @@ class Overflow(HeatChernError):
 
 
 class ComplexityCap(HeatChernError):
-    """The exact tuple sum would exceed the configured term budget."""
+    """A block exponential would exceed the block-order budget."""
 
 
 class ClassViolation(HeatChernError):

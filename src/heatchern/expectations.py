@@ -3,13 +3,26 @@
 The central object is
 
     <x_0, ..., x_n; g>_n = integral over the simplex s_0+...+s_n = beta of
-        Tr(gamma U(g) x_0 e^{-s_0 Q^2} x_1 e^{-s_1 Q^2} ... x_n e^{-s_n Q^2})
+        Tr(gamma U(g) x_0 e^{-s_0 H} x_1 e^{-s_1 H} ... x_n e^{-s_n H})
 
-evaluated exactly by diagonalizing Q^2: the simplex integral of each
-eigenvalue tuple is a confluent divided difference of the exponential
-(``simplex_exp``), and the trace becomes a sum over index tuples.  A
-seeded Monte-Carlo quadrature over the simplex provides an independent
-route at every instance.
+with H = Q^2 (or the split Hamiltonian).  The simplex integral
+e^{-s_0 H} x_1 ... x_n e^{-s_n H} is the (0, n) block of exp(beta M), where
+M is block upper-bidiagonal with -H on the diagonal blocks and x_1..x_n on
+the superdiagonal (Van Loan, IEEE TAC 23, 1978); block (0, k) gives level k
+with the first k vertices, so one exponential yields every level at once.
+M is built in the eigenbasis of H and conditioned twice:
+
+- shift: the diagonal is -beta (lambda - lambda_min), and the result is
+  multiplied back by e^{-beta lambda_min}, so small expectations keep
+  their relative accuracy;
+- balance: the superdiagonal is beta c x_j and block k is divided by
+  c^k, with c = max(1, n / (e beta max_j ||x_j||)).  Without it the deep
+  blocks, of size (beta ||x||)^k / k!, carry only the absolute accuracy
+  of the largest block.
+
+The cost is one exponential of order (n+1) dim; ``MAX_BLOCK_ORDER`` bounds
+it before anything is allocated.  A seeded Monte-Carlo quadrature over the
+simplex provides an independent route at every instance.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponent, ComplexityCap, DimensionMismatch
-from .linalg import as_matrix, opnorm, simplex_exp
+from .linalg import as_matrix, expm, opnorm, simplex_exp
 from .triples import (
     SpectralTriple,
     VertexType,
@@ -31,7 +44,6 @@ from .triples import (
 __all__ = [
     "VertexSet",
     "ExpectationValue",
-    "HeatEngine",
     "beta_fn",
     "heat_expectation",
     "expectation_value",
@@ -43,7 +55,10 @@ __all__ = [
     "bounded_vertex_bound",
 ]
 
-_CHUNK = 1 << 18
+# Largest block order (n+1)*dim of one exponential.  A complex matrix of
+# this order takes 64 MiB and expm holds about seven at once, which stays
+# well inside a 2 GiB address space.
+MAX_BLOCK_ORDER = 2048
 
 
 def beta_fn(etas) -> float:
@@ -99,259 +114,7 @@ class ExpectationValue:
             raise ValueError("estimated_error must be nonnegative")
 
 
-class HeatEngine:
-    """Exact and Monte-Carlo evaluation bound to one eigendecomposition.
-
-    ``lam``/``basis`` diagonalize the positive generator of the heat
-    semigroup (Q^2, or the split Hamiltonian).  Divided-difference values
-    are cached per sorted eigenvalue-index tuple, so repeated evaluations
-    against the same generator (cochain sweeps, coboundary sums) stay
-    cheap.
-    """
-
-    def __init__(self, lam: np.ndarray, basis: np.ndarray):
-        self.lam = np.asarray(lam, dtype=float)
-        self.basis = as_matrix(basis, "basis")
-        self.dim = self.lam.size
-        self._dd_cache: dict = {}
-
-    @classmethod
-    def for_triple(cls, t: SpectralTriple) -> "HeatEngine":
-        if getattr(t, "_engine", None) is None:
-            lam, v = t.heat_data()
-            t._engine = cls(lam, v)
-        return t._engine
-
-    def to_eigenbasis(self, m: np.ndarray) -> np.ndarray:
-        return self.basis.conj().T @ m @ self.basis
-
-    def _weights(self, keys: np.ndarray, n: int, beta: float) -> np.ndarray:
-        uk, inv = np.unique(keys, return_inverse=True)
-        vals = np.empty(uk.size)
-        cache = self._dd_cache
-        lam = self.lam
-        dim = self.dim
-        for i, key in enumerate(uk):
-            ck = (beta, n, int(key))
-            v = cache.get(ck)
-            if v is None:
-                kk = int(key)
-                idx = np.empty(n + 1, dtype=int)
-                for pos in range(n, -1, -1):
-                    idx[pos] = kk % dim
-                    kk //= dim
-                v = simplex_exp(lam[idx], beta)
-                cache[ck] = v
-            vals[i] = v
-        return vals[inv]
-
-    def exact(
-        self,
-        front: np.ndarray,
-        rest: list[np.ndarray],
-        beta: float = 1.0,
-        term_budget: int = 10**8,
-    ) -> tuple[complex, float]:
-        """Tuple sum for Tr(front e^{-s_0 H} rest_1 e^{-s_1 H} ...).
-
-        ``front`` and ``rest`` are given in the original basis; ``front``
-        already includes the grading and group factors.  Returns the value
-        and a kernel-accuracy error estimate.
-        """
-        n = len(rest)
-        dim = self.dim
-        total = dim ** (n + 1)
-        if total > term_budget:
-            raise ComplexityCap(
-                f"dim^(n+1) = {dim}^{n + 1} = {total} exceeds budget {term_budget}"
-            )
-        mats = [self.to_eigenbasis(front)] + [self.to_eigenbasis(m) for m in rest]
-        acc = 0.0 + 0.0j
-        acc_abs = 0.0
-        for start in range(0, total, _CHUNK):
-            flat = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-            idx = np.empty((n + 1, flat.size), dtype=np.int64)
-            rem = flat
-            for pos in range(n, -1, -1):
-                idx[pos] = rem % dim
-                rem = rem // dim
-            prod = mats[0][idx[0], idx[1 % (n + 1)]].copy()
-            for j in range(1, n + 1):
-                prod *= mats[j][idx[j], idx[(j + 1) % (n + 1)]]
-            # the weight is symmetric in all n+1 indices
-            srt = np.sort(idx, axis=0)
-            keys = np.zeros(flat.size, dtype=np.int64)
-            for row in srt:
-                keys = keys * dim + row
-            w = self._weights(keys, n, beta)
-            acc += complex((prod * w).sum())
-            acc_abs += float(np.abs(prod * w).sum())
-        return acc, 1e-13 * acc_abs
-
-    def _dd_counts(self, counts: np.ndarray, beta: float) -> np.ndarray:
-        """Simplex weights for a batch of eigenindex count vectors.
-
-        Small eigenvalue spreads take a vectorized route through complete
-        homogeneous symmetric functions: with nodes shifted to z >= 0,
-
-            weight = beta^n e^{-beta lam_min} sum_j (-1)^j h_j(z) / (n+j)!
-
-        which the prefix recurrence for h_j evaluates stably (all inputs
-        nonnegative).  Large spreads fall back to the bidiagonal matrix
-        exponential per row.
-        """
-        m, _ = counts.shape
-        k = int(counts[0].sum())  # common multiset size
-        n = k - 1
-        lam = self.lam
-        out = np.empty(m)
-        nodes = np.empty((m, k))
-        for i in range(m):
-            nodes[i] = np.repeat(lam, counts[i])
-        mn = nodes.min(axis=1)
-        z = beta * (nodes - mn[:, None])
-        zmax = float(z.max()) if z.size else 0.0
-        if zmax <= 8.0:
-            terms = 14 + int(math.ceil(3.0 * zmax))
-            # h_j over growing prefixes; ascending j uses the already
-            # updated h_{j-1} at the current prefix
-            hmat = np.zeros((terms + 1, m))
-            hmat[0] = 1.0
-            for pos in range(k):
-                zp = z[:, pos]
-                for j in range(1, terms + 1):
-                    hmat[j] += zp * hmat[j - 1]
-            total = np.zeros(m)
-            for j in range(terms + 1):
-                coeff = ((-1.0) ** j) * math.exp(
-                    n * math.log(beta) - math.lgamma(n + j + 1.0)
-                )
-                total += coeff * hmat[j]
-            out[:] = total * np.exp(-beta * mn)
-            return out
-        cache = self._dd_cache
-        for i in range(m):
-            key = tuple(int(c) for c in counts[i])
-            ck = (beta, key)
-            v = cache.get(ck)
-            if v is None:
-                v = simplex_exp(nodes[i], beta)
-                cache[ck] = v
-            out[i] = v
-        return out
-
-    def repeated_series_iter(
-        self,
-        front: np.ndarray,
-        x: np.ndarray,
-        beta: float = 1.0,
-        state_budget: int = 2 * 10**6,
-    ):
-        """Yield <front-vertex, x, x, ..., x>_n for n = 0, 1, 2, ...
-
-        Exploits the identical trailing vertices: ordered closed index
-        walks are grouped by the multiset of eigenindices they visit,
-        which fixes the simplex weight, and the walk sums grow by a
-        vectorized dynamic program over multisets.  Cost is governed by
-        the number of multisets, not dim^(n+1).
-        """
-        a = self.to_eigenbasis(front)
-        xe = self.to_eigenbasis(x)
-        dim = self.dim
-        eye = np.eye(dim, dtype=np.int64)
-        yield complex(
-            np.sum(np.diag(a) * self._dd_counts(eye, beta))
-        )
-        # size-2 states: counts vector -> (start, current) amplitude matrix
-        cand = (eye[:, None, :] + eye[None, :, :]).reshape(dim * dim, dim)
-        counts, inv = np.unique(cand, axis=0, return_inverse=True)
-        states = np.zeros((counts.shape[0], dim, dim), dtype=complex)
-        flat = np.arange(dim * dim)
-        np.add.at(states, (inv, flat // dim, flat % dim), a.reshape(-1))
-        total_states = counts.shape[0]
-        size = 2
-        while True:
-            p = states @ xe
-            dd = self._dd_counts(counts, beta)
-            yield complex(np.einsum("mii,m->", p, dd))
-            # grow every multiset by one index l, moving amplitude into
-            # the (start, l) slots
-            m = counts.shape[0]
-            cand = (counts[:, None, :] + eye[None, :, :]).reshape(m * dim, dim)
-            new_counts, inv = np.unique(cand, axis=0, return_inverse=True)
-            new_states = np.zeros((new_counts.shape[0], dim, dim), dtype=complex)
-            cols = np.tile(np.arange(dim), m)
-            vals = np.swapaxes(p, 1, 2).reshape(m * dim, dim)
-            np.add.at(
-                new_states,
-                (inv[:, None], np.arange(dim)[None, :], cols[:, None]),
-                vals,
-            )
-            counts, states = new_counts, new_states
-            total_states += counts.shape[0]
-            size += 1
-            if total_states > state_budget:
-                raise ComplexityCap(
-                    f"multiset states {total_states} exceed budget "
-                    f"{state_budget} at level {size - 1}"
-                )
-
-    def repeated_series(
-        self,
-        front: np.ndarray,
-        x: np.ndarray,
-        max_n: int,
-        beta: float = 1.0,
-        state_budget: int = 2 * 10**6,
-    ) -> list[complex]:
-        """<front-vertex, x, x, ..., x>_n for every n = 0..max_n."""
-        out = []
-        it = self.repeated_series_iter(front, x, beta, state_budget)
-        for _ in range(max_n + 1):
-            out.append(next(it))
-        return out
-
-    def quadrature(
-        self,
-        front: np.ndarray,
-        rest: list[np.ndarray],
-        beta: float = 1.0,
-        samples: int = 200_000,
-        seed: int = 0,
-    ) -> tuple[complex, float]:
-        """Monte-Carlo over the simplex; error is three standard errors.
-
-        Simplex points are normalized i.i.d. exponentials (uniform on the
-        unit simplex), scaled to the beta-plane.
-        """
-        n = len(rest)
-        rng = np.random.default_rng(seed)
-        mats = [self.to_eigenbasis(front)] + [self.to_eigenbasis(m) for m in rest]
-        measure = beta**n / math.factorial(n)
-        tot = 0.0 + 0.0j
-        tot_sq = 0.0
-        done = 0
-        block = max(1, min(4096, samples))
-        while done < samples:
-            m = min(block, samples - done)
-            e = rng.exponential(size=(m, n + 1))
-            s = beta * e / e.sum(axis=1, keepdims=True)
-            ker = np.exp(-s[:, :, None] * self.lam[None, None, :])
-            cur = mats[0][None, :, :] * ker[:, 0, :][:, None, :]
-            for j in range(1, n + 1):
-                cur = cur @ mats[j]
-                cur = cur * ker[:, j, :][:, None, :]
-            vals = np.trace(cur, axis1=1, axis2=2)
-            tot += complex(vals.sum())
-            tot_sq += float((np.abs(vals) ** 2).sum())
-            done += m
-        mean = tot / samples
-        var = max(tot_sq / samples - abs(mean) ** 2, 0.0)
-        se = math.sqrt(var / samples)
-        return measure * mean, 3.0 * measure * se
-
-
-def _front_and_rest(t: SpectralTriple, mats: list[np.ndarray], g: int):
+def _front_and_rest(t, mats: list[np.ndarray], g: int):
     if not mats:
         raise DimensionMismatch("need at least one vertex")
     for m in mats:
@@ -363,58 +126,124 @@ def _front_and_rest(t: SpectralTriple, mats: list[np.ndarray], g: int):
     return front, list(mats[1:])
 
 
-def expectation_value(
-    t: SpectralTriple,
-    mats,
-    g: int = 0,
-    beta: float = 1.0,
-    term_budget: int = 10**8,
-) -> complex:
-    """Exact <x_0,...,x_n;g>_n as a bare complex number (fast path)."""
+def _simplex_levels(t, front, rest, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """<front-vertex, rest_1, ..., rest_k> for every k = 0..n, in one exponential.
+
+    ``front`` already carries the grading and group factors.  Returns the
+    values and, per level, the sum of the moduli of the summands of the
+    final trace, which scales the kernel's rounding error.
+    """
+    lam, basis = t.heat_data()
+    dim = lam.size
+    n = len(rest)
+    order = (n + 1) * dim
+    if order > MAX_BLOCK_ORDER:
+        raise ComplexityCap(
+            f"block order (n+1)*dim = {n + 1}*{dim} = {order} exceeds budget "
+            f"{MAX_BLOCK_ORDER}"
+        )
+    vh = basis.conj().T
+    # keyed by identity: the series passes one vertex n times
+    eig = {id(x): vh @ x @ basis for x in rest}
+    x_norm = max((opnorm(x) for x in eig.values()), default=0.0)
+    c = max(1.0, n / (math.e * beta * x_norm)) if x_norm > 0 else 1.0
+    lam_min = float(lam.min())
+    m = np.zeros((order, order), dtype=complex)
+    m[np.diag_indices(order)] = np.tile(-beta * (lam - lam_min), n + 1)
+    for k, x in enumerate(rest):
+        rows, cols = slice(k * dim, (k + 1) * dim), slice((k + 1) * dim, (k + 2) * dim)
+        m[rows, cols] = (beta * c) * eig[id(x)]
+    row = expm(m, norm_cap=np.inf)[:dim].reshape(dim, n + 1, dim)
+    fe = vh @ front @ basis
+    scale = np.exp(-beta * lam_min - np.arange(n + 1) * math.log(c))
+    vals = scale * np.einsum("ij,jki->k", fe, row)
+    mags = scale * np.einsum("ij,jki->k", np.abs(fe), np.abs(row))
+    return vals, mags
+
+
+def _monte_carlo(
+    t, front, rest, beta: float, samples: int, seed: int
+) -> tuple[complex, float]:
+    """Monte-Carlo over the simplex; error is three standard errors.
+
+    Simplex points are normalized i.i.d. exponentials (uniform on the
+    unit simplex), scaled to the beta-plane.
+    """
+    lam, basis = t.heat_data()
+    n = len(rest)
+    rng = np.random.default_rng(seed)
+    mats = [basis.conj().T @ m @ basis for m in [front] + rest]
+    measure = beta**n / math.factorial(n)
+    tot = 0.0 + 0.0j
+    tot_sq = 0.0
+    done = 0
+    block = max(1, min(4096, samples))
+    while done < samples:
+        m = min(block, samples - done)
+        e = rng.exponential(size=(m, n + 1))
+        s = beta * e / e.sum(axis=1, keepdims=True)
+        ker = np.exp(-s[:, :, None] * lam[None, None, :])
+        cur = mats[0][None, :, :] * ker[:, 0, :][:, None, :]
+        for j in range(1, n + 1):
+            cur = cur @ mats[j]
+            cur = cur * ker[:, j, :][:, None, :]
+        vals = np.trace(cur, axis1=1, axis2=2)
+        tot += complex(vals.sum())
+        tot_sq += float((np.abs(vals) ** 2).sum())
+        done += m
+    mean = tot / samples
+    var = max(tot_sq / samples - abs(mean) ** 2, 0.0)
+    se = math.sqrt(var / samples)
+    return measure * mean, 3.0 * measure * se
+
+
+def expectation_value(t, mats, g: int = 0, beta: float = 1.0) -> complex:
+    """Exact <x_0,...,x_n;g>_n as a bare complex number.
+
+    ``t`` is a SpectralTriple or a SplitTriple: anything with ``dim``,
+    ``gamma``, ``group`` and a cached ``heat_data()``.
+    """
     mats = [as_matrix(m) for m in mats]
     front, rest = _front_and_rest(t, mats, g)
-    engine = HeatEngine.for_triple(t)
-    val, _ = engine.exact(front, rest, beta=beta, term_budget=term_budget)
-    return val
+    vals, _ = _simplex_levels(t, front, rest, beta)
+    return complex(vals[-1])
 
 
 def repeated_expectation_series(
-    t: SpectralTriple,
+    t,
     x0,
     x,
     max_n: int,
     g: int = 0,
     beta: float = 1.0,
 ) -> list[complex]:
-    """<x0, x, ..., x>_n for n = 0..max_n via the multiset walk engine."""
+    """<x0, x, ..., x>_n for n = 0..max_n from one block-Toeplitz exponential."""
     front = t.gamma @ t.group[g] @ as_matrix(x0)
-    return HeatEngine.for_triple(t).repeated_series(front, as_matrix(x), max_n, beta)
+    vals, _ = _simplex_levels(t, front, [as_matrix(x)] * max_n, beta)
+    return [complex(v) for v in vals]
 
 
 def heat_expectation(
-    t: SpectralTriple,
+    t,
     x,
     g: int = 0,
     method: str = "exact",
     samples: int = 200_000,
     seed: int = 0,
-    term_budget: int = 10**8,
 ) -> ExpectationValue:
     """Expectation of a vertex set against the heat semigroup of Q^2.
 
     ``x`` may be a VertexSet (carrying types and a beta-plane) or a plain
     list of matrices (untyped, beta-plane 1).  ``method`` selects the
-    exact tuple sum or seeded Monte-Carlo simplex quadrature.
+    exact block exponential or seeded Monte-Carlo simplex quadrature.
     """
     vs = x if isinstance(x, VertexSet) else VertexSet(list(x))
     front, rest = _front_and_rest(t, vs.vertices, g)
-    engine = HeatEngine.for_triple(t)
     if method == "exact":
-        val, err = engine.exact(front, rest, beta=vs.beta_plane, term_budget=term_budget)
+        vals, mags = _simplex_levels(t, front, rest, vs.beta_plane)
+        val, err = complex(vals[-1]), 1e-13 * float(mags[-1])
     elif method == "quadrature":
-        val, err = engine.quadrature(
-            front, rest, beta=vs.beta_plane, samples=samples, seed=seed
-        )
+        val, err = _monte_carlo(t, front, rest, vs.beta_plane, samples, seed)
     else:
         raise ValueError(f"unknown method {method!r}")
     return ExpectationValue(value=val, method=method, estimated_error=err)

@@ -26,7 +26,11 @@ from .errors import (
     PairingInputInvalid,
     ValidationFailure,
 )
-from .expectations import HeatEngine, expectation_value
+from .expectations import (
+    MAX_BLOCK_ORDER,
+    expectation_value,
+    repeated_expectation_series,
+)
 from .linalg import as_matrix, expm, opnorm
 from .triples import SpectralTriple, ValidationReport, derivative
 
@@ -45,6 +49,10 @@ __all__ = [
     "involution_from_idempotent",
     "gauss_hermite_transform",
 ]
+
+
+# Series levels of the first exponential in ``_series_terms``.
+_FIRST_LEVELS = 16
 
 
 def pairing_coefficient(n: int) -> float:
@@ -237,17 +245,29 @@ def pairing_series(
     _require_valid_input(t, inp)
     tb = _blocked_triple(t, inp.m)
     da = tb.Q @ inp.a - tb.gamma @ inp.a @ tb.gamma @ tb.Q
-    front = tb.gamma @ tb.group[inp.g] @ inp.a
-    def term_gen():
-        it = HeatEngine.for_triple(tb).repeated_series_iter(front, da, beta=beta_plane)
-        for n, raw in enumerate(it):
-            if n > max_level:
-                return
+    terms = _series_terms(tb, inp.a, da, inp.g, max_level, beta_plane)
+    return _sum_series(terms, max_level, tol)
+
+
+def _series_terms(t, a, da, g: int, max_level: int, beta_plane: float = 1.0):
+    """Weighted even terms (-1/4)^k (2k)!/k! beta^{-k} <a, da, ..., da>_{2k}.
+
+    Levels 0..N come from one exponential; N starts at _FIRST_LEVELS and
+    doubles, up to ``max_level`` and the deepest level the block-order
+    budget allows, only while the consumer asks for terms.  A request for
+    a level past the budget raises ComplexityCap.
+    """
+    deepest = MAX_BLOCK_ORDER // t.dim - 1
+    done, top = 0, min(_FIRST_LEVELS, max_level, max(deepest, 0))
+    while True:
+        raw = repeated_expectation_series(t, a, da, top, g, beta_plane)
+        for n in range(done, top + 1):
             if n % 2 == 0:
                 k = n // 2
-                yield pairing_coefficient(k) * beta_plane ** (-k) * raw
-
-    return _sum_series(term_gen(), max_level, tol)
+                yield pairing_coefficient(k) * beta_plane ** (-k) * raw[n]
+        if top >= max_level:
+            return
+        done, top = top + 1, max(top + 1, min(2 * top, max_level, deepest))
 
 
 def _sum_series(terms, max_level: int, tol: float) -> tuple[complex, int, float]:

@@ -3,6 +3,8 @@
 Complex scalars are two-element arrays [re, im]; matrices are arrays of
 rows.  Floats are emitted with 17 significant digits, which round-trips
 IEEE doubles bit-exactly, and no locale-dependent formatting is used.
+Non-finite floats become the strings "NaN", "Infinity" and "-Infinity",
+which keeps the output valid JSON and which float() reads back.
 A group may be given as an explicit list of matrices or through the
 shorthand {"cyclic": k, "generator": M}, which expands to the k powers
 of M at load time.
@@ -132,7 +134,7 @@ def split_to_json(s: SplitTriple) -> dict:
 
 def _fmt_float(x: float) -> str:
     if x != x:
-        return "NaN"
+        return '"NaN"'
     if x in (float("inf"), float("-inf")):
         return '"Infinity"' if x > 0 else '"-Infinity"'
     s = format(float(x), ".17g")

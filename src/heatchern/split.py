@@ -5,7 +5,9 @@ H = Q^2 = (Q1^2 + Q2^2)/2 and the momentum P = (Q1^2 - Q2^2)/2 commutes
 with H, with joint spectrum in the cone |P| <= H.  The symmetry group is
 only required to commute with Q1 and with Q2^2, so the character is built
 from the partial derivative d1 = [Q1, .] on the zero-momentum algebra
-(elements commuting with P).
+(elements commuting with P).  Expectations, the character and the
+pairing series run through the same block exponential as a plain triple,
+with the heat kernels of H in place of those of Q^2.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from .errors import (
     ValidationFailure,
     ZeroMomentumViolation,
 )
-from .expectations import HeatEngine
+from .expectations import expectation_value
 from .homotopy import DeformationFamily, SweepTable, regularity_report
 from .jlo import (
     PairingInput,
     PairingResult,
+    _series_terms,
+    _sum_series,
     gauss_hermite_transform,
-    pairing_coefficient,
 )
 from .linalg import as_matrix, eig_hermitian, expm, opnorm
 from .triples import SpectralTriple, ValidationReport
@@ -67,7 +70,7 @@ class SplitTriple:
                 raise DimensionMismatch(
                     f"{name} has shape {m.shape}, expected ({self.dim}, {self.dim})"
                 )
-        self._engine = None
+        self._heat = None
 
     @property
     def Q(self) -> np.ndarray:
@@ -84,16 +87,17 @@ class SplitTriple:
     def conj_gamma(self, a: np.ndarray) -> np.ndarray:
         return self.gamma @ a @ self.gamma
 
-    def engine(self) -> HeatEngine:
-        if self._engine is None:
+    def heat_data(self):
+        """Cached eigendecomposition (eigenvalues, eigenvectors) of H."""
+        if self._heat is None:
             es = eig_hermitian(self.hamiltonian, tol=1e-8)
-            self._engine = HeatEngine(es.eigenvalues, es.eigenvectors)
-        return self._engine
+            self._heat = (es.eigenvalues, es.eigenvectors)
+        return self._heat
 
     def heat_trace(self, g: int = 0) -> complex:
-        eng = self.engine()
-        w = eng.to_eigenbasis(self.gamma @ self.group[g])
-        return complex(np.sum(np.diag(w) * np.exp(-eng.lam)))
+        lam, v = self.heat_data()
+        w = v.conj().T @ (self.gamma @ self.group[g]) @ v
+        return complex(np.sum(np.diag(w) * np.exp(-lam)))
 
 
 @dataclass
@@ -225,9 +229,7 @@ def split_jlo_component(s: SplitTriple, n: int, a_list, g: int = 0) -> complex:
         if opnorm(s.conj_gamma(a) - a) > s.tol * max(opnorm(a), 1.0):
             raise ValidationFailure(f"argument {k} is not gamma-even")
     verts = [mats[0]] + [d1(s, a) for a in mats[1:]]
-    front = s.gamma @ s.group[g] @ verts[0]
-    val, _ = s.engine().exact(front, verts[1:])
-    return val
+    return expectation_value(s, verts, g)
 
 
 def split_jlo_cochain(s: SplitTriple, max_level: int = 32):
@@ -235,10 +237,7 @@ def split_jlo_cochain(s: SplitTriple, max_level: int = 32):
     from .cochains import Cochain
 
     def ev(n, mats, g):
-        verts = [mats[0]] + [d1(s, a) for a in mats[1:]]
-        front = s.gamma @ s.group[g] @ verts[0]
-        val, _ = s.engine().exact(front, verts[1:])
-        return val
+        return expectation_value(s, [mats[0]] + [d1(s, a) for a in mats[1:]], g)
 
     return Cochain(ev, s.group, max_level, "even", "C")
 
@@ -289,20 +288,9 @@ def split_pairing(
     tol: float = 1e-10,
 ) -> PairingResult:
     """Gaussian transform with exponent -H + i t d1(a), plus the series route."""
-    from .jlo import _sum_series
-
     quad = split_pairing_gaussian(s, inp, quad_nodes=quad_nodes, tol=tol)
-    da = d1(s, inp.a)
-    front = s.gamma @ s.group[inp.g] @ inp.a
-
-    def term_gen():
-        for n, raw in enumerate(s.engine().repeated_series_iter(front, da)):
-            if n > max_level:
-                return
-            if n % 2 == 0:
-                yield pairing_coefficient(n // 2) * raw
-
-    total, trunc, tail = _sum_series(term_gen(), max_level, 1e-12)
+    terms = _series_terms(s, inp.a, d1(s, inp.a), inp.g, max_level)
+    total, trunc, tail = _sum_series(terms, max_level, 1e-12)
     index = s.heat_trace(inp.g)
     return PairingResult(
         value=quad,
@@ -459,12 +447,12 @@ def n2_index_table(s: SplitTriple, gens: dict, taus, thetas) -> SweepTable:
     Purely diagnostic: reports the table and the spread along tau rows
     (2 pi periodicity in tau holds when P has integer spectrum).
     """
-    eng = s.engine()
+    lam, v = s.heat_data()
     tab = SweepTable(columns=["tau", "theta", "value"])
     for tau in sorted(float(x) for x in taus):
         for theta in sorted(float(x) for x in thetas):
             u = expm(1j * (tau * gens["P"] + theta * gens["J"]))
-            w = eng.to_eigenbasis(s.gamma @ u)
-            val = complex(np.sum(np.diag(w) * np.exp(-eng.lam)))
+            w = v.conj().T @ (s.gamma @ u) @ v
+            val = complex(np.sum(np.diag(w) * np.exp(-lam)))
             tab.add_row(tau=tau, theta=theta, value=val)
     return tab

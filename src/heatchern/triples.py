@@ -100,7 +100,6 @@ class SpectralTriple:
                     f"{name} has shape {m.shape}, expected ({self.dim}, {self.dim})"
                 )
         self._heat = None
-        self._engine = None
 
     def heat_data(self):
         """Cached eigendecomposition (eigenvalues, eigenvectors) of Q^2."""
@@ -108,9 +107,6 @@ class SpectralTriple:
             es = eig_hermitian(self.Q @ self.Q, tol=1e-8)
             self._heat = (es.eigenvalues, es.eigenvectors)
         return self._heat
-
-    def unitary(self, g: int) -> np.ndarray:
-        return self.group[g]
 
     def conj_group_inv(self, a: np.ndarray, g: int) -> np.ndarray:
         """a^{g^{-1}} = U(g)* a U(g)."""

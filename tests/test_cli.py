@@ -248,6 +248,17 @@ class TestErrors:
         path = write(tmp_path, "t.json", doc)
         assert run_main(["pair", "--input", path]) == 1
 
+    def test_invalid_split_triple_exit_one(self, tmp_path, capsys):
+        doc = dict(PAULI_SPLIT)
+        doc["Q2"] = doc["Q1"]  # Q1 Q2 + Q2 Q1 = 2 Q1^2, not independent
+        doc["a"] = np.diag([1.0, -1.0, -1.0, 1.0]).tolist()
+        path = write(tmp_path, "s.json", doc)
+        assert run_main(["split-pair", "--input", path]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationFailure"
+        assert err["message"].startswith("split triple fails validation:")
+        assert "independence Q1 Q2 + Q2 Q1 = 0" in err["message"]
+
     def test_no_convergence_exit_two(self, tmp_path):
         doc = {
             "dim": 2,

@@ -1,11 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatchern.errors import BadExponent, ComplexityCap
 from heatchern.expectations import (
-    HeatEngine,
+    MAX_BLOCK_ORDER,
     VertexSet,
     beta_fn,
     bound_expectation,
@@ -18,8 +21,8 @@ from heatchern.expectations import (
     heat_expectation,
     repeated_expectation_series,
 )
-from heatchern.linalg import opnorm
-from heatchern.models import random_triple
+from heatchern.linalg import opnorm, simplex_exp
+from heatchern.models import exchange_triple, random_triple
 from heatchern.triples import SpectralTriple, VertexType, derivative
 
 
@@ -28,6 +31,26 @@ def rand_mats(rng, dim, count):
         rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         for _ in range(count)
     ]
+
+
+def tuple_sum(t, mats, g=0, beta=1.0):
+    """Reference <x_0..x_n;g>: a sum over all dim^(n+1) eigenindex tuples.
+
+    In the eigenbasis of Q^2 the trace runs over closed index walks
+    i_0 -> i_1 -> ... -> i_n -> i_0, and the simplex integral of each walk
+    is the divided difference simplex_exp of its n+1 eigenvalues.
+    """
+    lam, v = t.heat_data()
+    vh = v.conj().T
+    es = [vh @ t.gamma @ t.group[g] @ mats[0] @ v] + [vh @ m @ v for m in mats[1:]]
+    n = len(mats) - 1
+    total = 0.0 + 0.0j
+    for idx in itertools.product(range(t.dim), repeat=n + 1):
+        prod = 1.0 + 0.0j
+        for j in range(n + 1):
+            prod *= es[j][idx[j], idx[(j + 1) % (n + 1)]]
+        total += prod * simplex_exp(lam[list(idx)], beta)
+    return total
 
 
 class TestBetaFn:
@@ -114,12 +137,64 @@ class TestHeatExpectation:
             assert abs(expectation_value(t, verts)) < 1e-12
 
     def test_complexity_cap(self, zero_mode):
+        # a request whose block order (n+1)*dim exceeds the budget is
+        # refused before the block matrix is allocated
+        n = MAX_BLOCK_ORDER // zero_mode.dim
+        assert (n + 1) * zero_mode.dim > MAX_BLOCK_ORDER
         with pytest.raises(ComplexityCap):
-            expectation_value(zero_mode, [np.eye(3)] * 6, term_budget=100)
+            expectation_value(zero_mode, [np.eye(3)] * (n + 1))
+        with pytest.raises(ComplexityCap):
+            repeated_expectation_series(zero_mode, np.eye(3), np.eye(3), n)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 3),
+        n=st.integers(0, 4),
+        seed=st.integers(0, 10**6),
+        q_scale=st.sampled_from([1.0, 6.0]),
+        beta=st.sampled_from([0.6, 1.0, 1.7]),
+    )
+    def test_matches_tuple_sum(self, dim, n, seed, q_scale, beta):
+        # q_scale 6 lifts the dim-2 spectrum to lambda_min = 36, where the
+        # values reach 1e-26; each must still match to 1e-12 relative
+        base = random_triple(dim, seed=seed % 1000)
+        t = SpectralTriple(
+            dim=dim, Q=q_scale * base.Q, gamma=base.gamma, group=list(base.group)
+        )
+        mats = rand_mats(np.random.default_rng(seed), dim, n + 1)
+        ref = tuple_sum(t, mats, beta=beta)
+        got = expectation_value(t, mats, beta=beta)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_deep_series_on_scalar_heat_kernel(self):
+        # Q^2 = s I: <front, x, ..., x>_n = e^{-s beta} beta^n/n! Tr(front x^n).
+        # ||da|| = 3 puts level 32 some 20 orders of magnitude below
+        # level 0, which only the balanced superdiagonal resolves.
+        base = exchange_triple()
+        t = SpectralTriple(
+            dim=2, Q=1.5 * base.Q, gamma=base.gamma, group=list(base.group)
+        )
+        a = t.gamma.copy()
+        da = derivative(t, a)
+        assert opnorm(da) == pytest.approx(3.0, rel=1e-14)
+        s = 2.25
+        for beta in (1.0, 0.7):
+            series = repeated_expectation_series(t, a, da, 32, beta=beta)
+            front = t.gamma @ a
+            for n in range(33):
+                exact = (
+                    math.exp(-s * beta) * beta**n / math.factorial(n)
+                    * np.trace(front @ np.linalg.matrix_power(da, n))
+                )
+                if n % 2:
+                    assert exact == 0
+                    assert abs(series[n]) < 1e-15
+                else:
+                    assert abs(series[n] - exact) <= 1e-11 * abs(exact)
 
     @pytest.mark.parametrize("n", range(5))
     def test_repeated_series_matches_generic(self, rng, n):
-        # the multiset walk engine against the plain tuple sum
+        # levels of one block-Toeplitz exponential against single-level calls
         t = random_triple(4, seed=31)
         a0, x = rand_mats(rng, 4, 2)
         series = repeated_expectation_series(t, a0, x, n, beta=1.3)
@@ -234,28 +309,3 @@ class TestBounds:
             VertexSet(
                 [np.eye(3), np.eye(3)], [VertexType(0, 1.0), VertexType(1.0, 0)]
             )
-
-
-class TestEngineInternals:
-    def test_dd_counts_matches_simplex_exp(self):
-        from heatchern.linalg import simplex_exp
-
-        rng = np.random.default_rng(0)
-        lam = np.sort(rng.uniform(0.0, 2.0, 4))
-        eng = HeatEngine(lam, np.eye(4, dtype=complex))
-        for beta in (0.5, 1.0, 2.0):
-            for size in (1, 3, 8, 15):
-                for _ in range(10):
-                    c = rng.multinomial(size, np.ones(4) / 4)
-                    ref = simplex_exp(np.repeat(lam, c), beta)
-                    got = eng._dd_counts(np.array([c]), beta)[0]
-                    assert got == pytest.approx(ref, rel=1e-11, abs=1e-300)
-
-    def test_dd_counts_large_spread_fallback(self):
-        from heatchern.linalg import simplex_exp
-
-        lam = np.array([0.0, 30.0])
-        eng = HeatEngine(lam, np.eye(2, dtype=complex))
-        c = np.array([[1, 1]])
-        ref = simplex_exp(np.array([0.0, 30.0]), 1.0)
-        assert eng._dd_counts(c, 1.0)[0] == pytest.approx(ref, rel=1e-10)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from heatchern import expectations, jlo
 from heatchern.cochains import random_cochain
-from heatchern.errors import NoConvergence, PairingInputInvalid
+from heatchern.errors import ComplexityCap, NoConvergence, PairingInputInvalid
 from heatchern.expectations import repeated_expectation_series
 from heatchern.jlo import (
     PairingInput,
@@ -85,8 +86,8 @@ class TestGeneratingFunctional:
 
     @pytest.mark.parametrize("tt", [0.5, 1.0, 2.0])
     def test_series_cross_check(self, tt):
-        # J(t) = sum (-t^2)^n tau_2n(a,...,a) with the series from the
-        # multiset walk engine
+        # J(t) = sum (-t^2)^n tau_2n(a,...,a) with the series from one
+        # block-Toeplitz exponential
         t = random_triple(3, seed=54)
         a = random_involution(t, np.random.default_rng(55))
         inp = PairingInput(a=a)
@@ -102,6 +103,20 @@ class TestPairing:
     def test_coefficients(self):
         assert pairing_coefficient(0) == 1.0
         assert pairing_coefficient(1) == -0.5
+
+    def test_series_levels_stop_at_block_budget(self, exchange, monkeypatch):
+        # the exchange series truncates at level 30: a budget of 31 levels
+        # of the dim-2 block serves it, a budget of 29 levels refuses it
+        inp = PairingInput(a=exchange.gamma.copy())
+        for mod in (expectations, jlo):
+            monkeypatch.setattr(mod, "MAX_BLOCK_ORDER", 2 * 31)
+        val, trunc, _ = pairing_series(exchange, inp)
+        assert trunc == 30
+        assert abs(val - 2.0) < 1e-12
+        for mod in (expectations, jlo):
+            monkeypatch.setattr(mod, "MAX_BLOCK_ORDER", 2 * 29)
+        with pytest.raises(ComplexityCap):
+            pairing_series(exchange, inp)
         assert pairing_coefficient(2) == 0.75
 
     def test_identity_input_gives_index(self, zero_mode):

@@ -103,6 +103,19 @@ class TestCanonicalDumps:
         doc = {"a": [0.1, 0.2], "b": {"c": 3}}
         assert dumps_canonical(doc) == dumps_canonical(doc)
 
+    def test_non_finite_floats_are_strings(self):
+        # bare NaN / Infinity tokens are not JSON; every non-finite float
+        # is written as a string that float() reads back
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        text = dumps_canonical({"a": float("nan"), "b": np.inf, "c": -np.inf})
+        assert text == '{"a":"NaN","b":"Infinity","c":"-Infinity"}'
+        doc = json.loads(text, parse_constant=reject)
+        assert np.isnan(float(doc["a"]))
+        assert float(doc["b"]) == np.inf
+        assert float(doc["c"]) == -np.inf
+
     def test_complex_is_pair(self):
         assert dumps_canonical(1 - 2j) == "[1,-2]"
 

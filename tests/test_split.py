@@ -290,9 +290,8 @@ class TestN2Model:
 class TestZeroMomentumStructure:
     def test_momentum_commutes_with_heat_kernel(self):
         s, gens = build_n2_susy_example(levels=((1.0, 0.5), (2.0, 1.0)))
-        eng = s.engine()
-        lam = eng.lam
-        heat = (eng.basis * np.exp(-0.7 * lam)) @ eng.basis.conj().T
+        lam, basis = s.heat_data()
+        heat = (basis * np.exp(-0.7 * lam)) @ basis.conj().T
         p = s.momentum
         assert opnorm(p @ heat - heat @ p) < 1e-12
 
