@@ -35,6 +35,7 @@ from .linalg import (
 )
 from .triples import (
     AlgebraElement,
+    HeatData,
     KatoCurve,
     RegularityReport,
     SpectralTriple,

@@ -72,7 +72,10 @@ def _parse_list(text: str) -> list[float]:
 
 
 def _load_json(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise DimensionMismatch(f"input JSON must be an object, got {type(doc).__name__}")
+    return doc
 
 
 def _provenance(args) -> dict:
@@ -93,12 +96,39 @@ def _emit(args, payload: dict):
         print(text)
 
 
-def _emit_csv(args, rows):
-    text = csv_text(rows)
+def _emit_table(args, tab):
+    """Write a sweep table as CSV, or as the command's JSON payload."""
+    if args.format == "json":
+        _emit(
+            args,
+            {
+                "command": args.command,
+                "provenance": _provenance(args),
+                "table": tab.to_jsonable(),
+            },
+        )
+        return
+    text = csv_text(tab.to_csv_rows())
     if args.output:
         Path(args.output).write_text(text)
     else:
         print(text, end="")
+
+
+def _emit_pairing(args, res):
+    """Write a pairing result; ``pair`` also reports the idempotent form."""
+    payload = {
+        "command": args.command,
+        "provenance": _provenance(args),
+        "value": [res.value.real, res.value.imag],
+        "series_value": [res.series_value.real, res.series_value.imag],
+        "quadrature_value": [res.quadrature_value.real, res.quadrature_value.imag],
+        "truncation_level": res.truncation_level,
+        "tail_bound": res.tail_bound,
+    }
+    if args.command == "pair":
+        payload["connes_value"] = [res.connes_value.real, res.connes_value.imag]
+    _emit(args, payload)
 
 
 def _pairing_input(doc: dict, t_dim: int, g: int) -> PairingInput:
@@ -154,22 +184,7 @@ def _cmd_pair(args):
     res = pairing(
         t, inp, quad_nodes=args.quad_nodes, max_level=args.max_level, tol=args.tol
     )
-    _emit(
-        args,
-        {
-            "command": "pair",
-            "provenance": _provenance(args),
-            "value": [res.value.real, res.value.imag],
-            "series_value": [res.series_value.real, res.series_value.imag],
-            "quadrature_value": [
-                res.quadrature_value.real,
-                res.quadrature_value.imag,
-            ],
-            "truncation_level": res.truncation_level,
-            "tail_bound": res.tail_bound,
-            "connes_value": [res.connes_value.real, res.connes_value.imag],
-        },
-    )
+    _emit_pairing(args, res)
     return 0
 
 
@@ -185,9 +200,8 @@ def _cmd_jlo(args):
         err = 0.0
     else:
         from .expectations import heat_expectation
-        from .triples import derivative
 
-        verts = [mats[0]] + [derivative(t, m) for m in mats[1:]]
+        verts = [mats[0]] + [t.derive(m) for m in mats[1:]]
         ev = heat_expectation(
             t, verts, args.group_index, method="quadrature", seed=args.seed
         )
@@ -213,26 +227,11 @@ def _cmd_sweep(args):
         raise DimensionMismatch("input JSON is missing key 'q' (linear family)")
     q = matrix_from_json(doc["q"])
     fam = linear_family(t, q)
-    rep = fam.validate_at(0.0)
-    if not rep.passed:
-        raise ValidationFailure(
-            "family fails validation:\n" + "\n".join(str(c) for c in rep.failures),
-            report=rep,
-        )
+    fam.validate_at(0.0).require("family fails validation")
     inp = _pairing_input(doc, t.dim, args.group_index)
     grid = _parse_grid(args.lambda_grid)
     tab = sweep_invariant(fam, inp, grid, quad_nodes=args.quad_nodes, tol=args.tol)
-    if args.format == "csv":
-        _emit_csv(args, tab.to_csv_rows())
-    else:
-        _emit(
-            args,
-            {
-                "command": "sweep",
-                "provenance": _provenance(args),
-                "table": tab.to_jsonable(),
-            },
-        )
+    _emit_table(args, tab)
     return 0
 
 
@@ -242,17 +241,7 @@ def _cmd_beta_scan(args):
     inp = _pairing_input(doc, t.dim, args.group_index)
     betas = _parse_list(args.beta_list)
     tab = beta_independence(t, inp, betas, quad_nodes=args.quad_nodes, tol=args.tol)
-    if args.format == "csv":
-        _emit_csv(args, tab.to_csv_rows())
-    else:
-        _emit(
-            args,
-            {
-                "command": "beta-scan",
-                "provenance": _provenance(args),
-                "table": tab.to_jsonable(),
-            },
-        )
+    _emit_table(args, tab)
     return 0
 
 
@@ -274,17 +263,7 @@ def _cmd_endpoint(args):
         quad_nodes=args.quad_nodes,
         tol=args.tol,
     )
-    if args.format == "csv":
-        _emit_csv(args, tab.to_csv_rows())
-    else:
-        _emit(
-            args,
-            {
-                "command": "endpoint",
-                "provenance": _provenance(args),
-                "table": tab.to_jsonable(),
-            },
-        )
+    _emit_table(args, tab)
     return 0
 
 
@@ -295,21 +274,7 @@ def _cmd_split_pair(args):
     res = split_pairing(
         s, inp, quad_nodes=args.quad_nodes, max_level=args.max_level, tol=args.tol
     )
-    _emit(
-        args,
-        {
-            "command": "split-pair",
-            "provenance": _provenance(args),
-            "value": [res.value.real, res.value.imag],
-            "series_value": [res.series_value.real, res.series_value.imag],
-            "quadrature_value": [
-                res.quadrature_value.real,
-                res.quadrature_value.imag,
-            ],
-            "truncation_level": res.truncation_level,
-            "tail_bound": res.tail_bound,
-        },
-    )
+    _emit_pairing(args, res)
     return 0
 
 
@@ -340,17 +305,7 @@ def _cmd_coupling_sweep(args):
         quad_nodes=args.quad_nodes,
         tol=args.tol,
     )
-    if args.format == "csv":
-        _emit_csv(args, tab.to_csv_rows())
-    else:
-        _emit(
-            args,
-            {
-                "command": "coupling-sweep",
-                "provenance": _provenance(args),
-                "table": tab.to_jsonable(),
-            },
-        )
+    _emit_table(args, tab)
     return 0
 
 

@@ -5,12 +5,12 @@ The central object is
     <x_0, ..., x_n; g>_n = integral over the simplex s_0+...+s_n = beta of
         Tr(gamma U(g) x_0 e^{-s_0 H} x_1 e^{-s_1 H} ... x_n e^{-s_n H})
 
-with H = Q^2 (or the split Hamiltonian).  The simplex integral
-e^{-s_0 H} x_1 ... x_n e^{-s_n H} is the (0, n) block of exp(beta M), where
-M is block upper-bidiagonal with -H on the diagonal blocks and x_1..x_n on
-the superdiagonal (Van Loan, IEEE TAC 23, 1978); block (0, k) gives level k
-with the first k vertices, so one exponential yields every level at once.
-M is built in the eigenbasis of H and conditioned twice:
+with H the generator of a ``HeatData`` (Q^2, or the split Hamiltonian).
+The simplex integral e^{-s_0 H} x_1 ... x_n e^{-s_n H} is the (0, n) block
+of exp(beta M), where M is block upper-bidiagonal with -H on the diagonal
+blocks and x_1..x_n on the superdiagonal (Van Loan, IEEE TAC 23, 1978);
+block (0, k) gives level k with the first k vertices, so one exponential
+yields every level at once.  M is built in the eigenbasis of H and conditioned twice:
 
 - shift: the diagonal is -beta (lambda - lambda_min), and the result is
   multiplied back by e^{-beta lambda_min}, so small expectations keep
@@ -122,8 +122,7 @@ def _front_and_rest(t, mats: list[np.ndarray], g: int):
             raise DimensionMismatch(
                 f"vertex shape {m.shape} != ({t.dim}, {t.dim})"
             )
-    front = t.gamma @ t.group[g] @ mats[0]
-    return front, list(mats[1:])
+    return t.twist(g) @ mats[0], list(mats[1:])
 
 
 def _simplex_levels(t, front, rest, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -200,8 +199,7 @@ def _monte_carlo(
 def expectation_value(t, mats, g: int = 0, beta: float = 1.0) -> complex:
     """Exact <x_0,...,x_n;g>_n as a bare complex number.
 
-    ``t`` is a SpectralTriple or a SplitTriple: anything with ``dim``,
-    ``gamma``, ``group`` and a cached ``heat_data()``.
+    ``t`` is any ``HeatData``: a SpectralTriple, a SplitTriple or a lift.
     """
     mats = [as_matrix(m) for m in mats]
     front, rest = _front_and_rest(t, mats, g)
@@ -218,7 +216,7 @@ def repeated_expectation_series(
     beta: float = 1.0,
 ) -> list[complex]:
     """<x0, x, ..., x>_n for n = 0..max_n from one block-Toeplitz exponential."""
-    front = t.gamma @ t.group[g] @ as_matrix(x0)
+    front = t.twist(g) @ as_matrix(x0)
     vals, _ = _simplex_levels(t, front, [as_matrix(x)] * max_n, beta)
     return [complex(v) for v in vals]
 

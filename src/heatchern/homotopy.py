@@ -18,8 +18,14 @@ import numpy as np
 from .cochains import Cochain, _random_even_tuple, op_partial
 from .errors import ValidationFailure
 from .expectations import expectation_value
-from .jlo import PairingInput, _require_valid_input, gauss_hermite_transform, jlo_component
-from .linalg import as_matrix, expm, opnorm
+from .jlo import (
+    PairingInput,
+    _integrand,
+    _require_valid_input,
+    gauss_hermite_transform,
+    jlo_component,
+)
+from .linalg import as_matrix, opnorm
 from .triples import (
     SpectralTriple,
     ValidationReport,
@@ -123,13 +129,9 @@ def deform_triple(f: DeformationFamily, lam: float) -> SpectralTriple:
         group=list(t.group),
         tol=t.tol,
     )
-    rep = validate_triple(deformed)
-    if not rep.passed:
-        raise ValidationFailure(
-            f"deformed triple at lambda={lam} fails validation:\n"
-            + "\n".join(str(c) for c in rep.failures),
-            report=rep,
-        )
+    validate_triple(deformed).require(
+        f"deformed triple at lambda={lam} fails validation"
+    )
     return deformed
 
 
@@ -281,10 +283,6 @@ def sweep_invariant(
     return tab
 
 
-def _deformed_derivative(t: SpectralTriple, a: np.ndarray) -> np.ndarray:
-    return t.Q @ a - t.gamma @ a @ t.gamma @ t.Q
-
-
 def L_cochain(f: DeformationFamily, lam: float) -> Cochain:
     """The lambda-derivative of the character as an even class-C cochain.
 
@@ -298,7 +296,7 @@ def L_cochain(f: DeformationFamily, lam: float) -> Cochain:
     dl_qdot = t_lam.Q @ qdot + qdot @ t_lam.Q
 
     def ev(n, mats, g):
-        dmats = [_deformed_derivative(t_lam, a) for a in mats]
+        dmats = [t_lam.derive(a) for a in mats]
         tot = 0.0 + 0.0j
         for j in range(1, n + 1):
             verts = (
@@ -326,7 +324,7 @@ def h_cochain(f: DeformationFamily, lam: float) -> Cochain:
     qdot = f.q_dot_at(lam)
 
     def ev(n, mats, g):
-        dmats = [_deformed_derivative(t_lam, a) for a in mats]
+        dmats = [t_lam.derive(a) for a in mats]
         tot = 0.0 + 0.0j
         for k in range(0, n + 1):
             verts = [mats[0]] + dmats[1 : k + 1] + [qdot] + dmats[k + 1 :]
@@ -411,31 +409,17 @@ def endpoint_grid(
     """
     if f.regularizer is None:
         raise ValidationFailure("endpoint grid needs a family with a regularizer")
-    rep = f.validate_at(float(np.asarray(lambda_grid)[0]))
-    if not rep.passed:
-        raise ValidationFailure(
-            "family fails validation:\n" + "\n".join(str(c) for c in rep.failures),
-            report=rep,
-        )
+    f.validate_at(float(np.asarray(lambda_grid)[0])).require("family fails validation")
     eg = sorted(float(x) for x in eps_grid)
     lg = sorted(float(x) for x in lambda_grid)
-    em = np.eye(inp.m)
-    zz = f.regularizer
+    zz = np.kron(np.eye(inp.m), f.regularizer)
 
     def value_at(eps: float, lam: float) -> complex:
         t_lam = deform_triple(f, lam)
         _require_valid_input(t_lam, inp)
-        qb = np.kron(em, t_lam.Q)
-        gam = np.kron(em, t_lam.gamma)
-        u = np.kron(em, t_lam.group[inp.g])
-        h = qb @ qb + (eps**2) * np.kron(em, zz)
-        da = qb @ inp.a - gam @ inp.a @ gam @ qb
-        front = gam @ u @ inp.a
-        return gauss_hermite_transform(
-            lambda tt: complex(np.trace(front @ expm(-h + 1j * tt * da))),
-            quad_nodes,
-            tol,
-        )
+        tb = t_lam.lifted(inp.m)
+        h = tb.hamiltonian + (eps**2) * zz
+        return gauss_hermite_transform(_integrand(tb, inp, h), quad_nodes, tol)
 
     vals = {(e, l): value_at(e, l) for e in eg for l in lg}
     tab = SweepTable(columns=["lambda", "eps", "value", "dZ_deps", "dZ_dlambda"])

@@ -1,15 +1,21 @@
 """The heat-kernel character, its generating functional, and the pairing.
 
+Everything here is written over ``HeatData`` (H, d, gamma, U), so it
+serves a SpectralTriple (H = Q^2, d the graded commutator with Q) and a
+SplitTriple (H = (Q1^2 + Q2^2)/2, d = [Q1, .]) alike.  An m x m input is
+paired on the lift of the data to C^m (x) C^dim.
+
 The character has components tau_n(a_0..a_n;g) = <a_0, da_1, ..., da_n;g>.
 Pairing it with a square root of unity has two routes: the weighted level
 series with coefficients (-1/4)^n (2n)!/n!, and the Gaussian transform of
-the generating functional J(t;a) = Tr(gamma U(g) a exp(-Q^2 + i t da))
+the generating functional J(t;a) = Tr(gamma U(g) a exp(-H + i t da))
 evaluated by Gauss-Hermite quadrature.  The quadrature is the reference;
 the series is the cross-check.
 
 A beta-plane variant rescales the simplex: components carry beta^{-n/2}
 so that the beta-plane character coincides with the plane-1 character of
-sqrt(beta) Q, which keeps it a cocycle and its pairing beta-independent.
+the data lifted with sqrt(beta) Q, which keeps it a cocycle and its
+pairing beta-independent.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .expectations import (
     repeated_expectation_series,
 )
 from .linalg import as_matrix, expm, opnorm
-from .triples import SpectralTriple, ValidationReport, derivative
+from .triples import HeatData, ValidationReport
 
 __all__ = [
     "PairingInput",
@@ -72,7 +78,7 @@ class PairingInput:
 
     ``a`` is an (m*dim) x (m*dim) matrix; m = 1 is the scalar case.  The
     invariants (square root of unity, gamma-even, group-invariant) are
-    checked by ``validate`` against a triple.
+    checked by ``validate`` against the heat data.
     """
 
     a: np.ndarray
@@ -82,7 +88,7 @@ class PairingInput:
     def __post_init__(self):
         self.a = as_matrix(self.a, "a")
 
-    def validate(self, t: SpectralTriple) -> ValidationReport:
+    def validate(self, t: HeatData) -> ValidationReport:
         rep = ValidationReport()
         big = self.a.shape[0]
         if big != self.m * t.dim:
@@ -103,27 +109,8 @@ class PairingInput:
         return rep
 
 
-def _require_valid_input(t: SpectralTriple, inp: PairingInput):
-    rep = inp.validate(t)
-    if not rep.passed:
-        raise PairingInputInvalid(
-            "pairing input fails preconditions:\n"
-            + "\n".join(str(c) for c in rep.failures),
-            report=rep,
-        )
-
-
-def _blocked_triple(t: SpectralTriple, m: int) -> SpectralTriple:
-    if m == 1:
-        return t
-    em = np.eye(m)
-    return SpectralTriple(
-        dim=m * t.dim,
-        Q=np.kron(em, t.Q),
-        gamma=np.kron(em, t.gamma),
-        group=[np.kron(em, u) for u in t.group],
-        tol=t.tol,
-    )
+def _require_valid_input(t: HeatData, inp: PairingInput):
+    inp.validate(t).require("pairing input fails preconditions", PairingInputInvalid)
 
 
 @dataclass
@@ -136,14 +123,14 @@ class PairingResult:
     connes_value: complex
 
 
-def _check_even(t: SpectralTriple, mats):
+def _check_even(t: HeatData, mats):
     for k, a in enumerate(mats):
         if opnorm(t.conj_gamma(a) - a) > t.tol * max(opnorm(a), 1.0):
             raise ValidationFailure(f"argument {k} is not gamma-even")
 
 
 def jlo_component(
-    t: SpectralTriple,
+    t: HeatData,
     n: int,
     a_list,
     g: int = 0,
@@ -156,12 +143,12 @@ def jlo_component(
         raise DimensionMismatch(f"level {n} needs {n + 1} elements, got {len(mats)}")
     if check_even:
         _check_even(t, mats)
-    verts = [mats[0]] + [derivative(t, a) for a in mats[1:]]
+    verts = [mats[0]] + [t.derive(a) for a in mats[1:]]
     val = expectation_value(t, verts, g, beta=beta_plane)
     return beta_plane ** (-n / 2.0) * val
 
 
-def jlo_cochain(t: SpectralTriple, beta_plane: float = 1.0, max_level: int = 32) -> Cochain:
+def jlo_cochain(t: HeatData, beta_plane: float = 1.0, max_level: int = 32) -> Cochain:
     """The character packaged as an even class-C cochain."""
 
     def ev(n, mats, g):
@@ -170,20 +157,21 @@ def jlo_cochain(t: SpectralTriple, beta_plane: float = 1.0, max_level: int = 32)
     return Cochain(ev, t.group, max_level, "even", "C")
 
 
-def _blocked_data(t: SpectralTriple, inp: PairingInput, beta_plane: float):
-    tb = _blocked_triple(t, inp.m)
-    scale = math.sqrt(beta_plane)
-    qb = scale * tb.Q
-    da = qb @ inp.a - tb.gamma @ inp.a @ tb.gamma @ qb
-    front = tb.gamma @ tb.group[inp.g] @ inp.a
-    return tb, qb, da, front
+def _integrand(tb: HeatData, inp: PairingInput, h: np.ndarray):
+    """t -> Tr(gamma U(g) a exp(-h + i t da)) on the lifted data ``tb``.
+
+    ``h`` is the lift's H, or H plus a regularizer on the endpoint grid.
+    """
+    da = tb.derive(inp.a)
+    front = tb.twist(inp.g) @ inp.a
+    return lambda tt: complex(np.trace(front @ expm(-h + 1j * tt * da)))
 
 
-def generating_functional(t: SpectralTriple, inp: PairingInput, z: complex) -> complex:
-    """J(z;a) = Tr(gamma U(g) a exp(-Q^2 + i z da)), block-traced for m > 1."""
+def generating_functional(t: HeatData, inp: PairingInput, z: complex) -> complex:
+    """J(z;a) = Tr(gamma U(g) a exp(-H + i z da)), block-traced for m > 1."""
     _require_valid_input(t, inp)
-    tb, qb, da, front = _blocked_data(t, inp, 1.0)
-    return complex(np.trace(front @ expm(-(qb @ qb) + 1j * z * da)))
+    tb = t.lifted(inp.m)
+    return _integrand(tb, inp, tb.hamiltonian)(z)
 
 
 def gauss_hermite_transform(
@@ -211,7 +199,7 @@ def gauss_hermite_transform(
 
 
 def pairing_gaussian(
-    t: SpectralTriple,
+    t: HeatData,
     inp: PairingInput,
     quad_nodes: int = 64,
     tol: float = 1e-10,
@@ -220,17 +208,14 @@ def pairing_gaussian(
 ) -> complex:
     """Gaussian transform of the generating functional at the origin."""
     _require_valid_input(t, inp)
-    tb, qb, da, front = _blocked_data(t, inp, beta_plane)
-    h = qb @ qb
-
-    def j_of_t(tt):
-        return complex(np.trace(front @ expm(-h + 1j * tt * da)))
-
-    return gauss_hermite_transform(j_of_t, quad_nodes, tol, node_cap)
+    tb = t.lifted(inp.m, beta_plane)
+    return gauss_hermite_transform(
+        _integrand(tb, inp, tb.hamiltonian), quad_nodes, tol, node_cap
+    )
 
 
 def pairing_series(
-    t: SpectralTriple,
+    t: HeatData,
     inp: PairingInput,
     max_level: int = 32,
     tol: float = 1e-12,
@@ -243,9 +228,8 @@ def pairing_series(
     the sampled geometric decay and is reported, not guaranteed.
     """
     _require_valid_input(t, inp)
-    tb = _blocked_triple(t, inp.m)
-    da = tb.Q @ inp.a - tb.gamma @ inp.a @ tb.gamma @ tb.Q
-    terms = _series_terms(tb, inp.a, da, inp.g, max_level, beta_plane)
+    tb = t.lifted(inp.m)
+    terms = _series_terms(tb, inp.a, tb.derive(inp.a), inp.g, max_level, beta_plane)
     return _sum_series(terms, max_level, tol)
 
 
@@ -299,13 +283,13 @@ def _sum_series(terms, max_level: int, tol: float) -> tuple[complex, int, float]
     return total, trunc, float(tail)
 
 
-def equivariant_index(t: SpectralTriple, g: int = 0) -> complex:
-    """Tr(gamma U(g) e^{-Q^2}), the a = I value of the pairing."""
+def equivariant_index(t: HeatData, g: int = 0) -> complex:
+    """Tr(gamma U(g) e^{-H}), the a = I value of the pairing."""
     return t.heat_trace(g)
 
 
 def pairing(
-    t: SpectralTriple,
+    t: HeatData,
     inp: PairingInput,
     quad_nodes: int = 64,
     max_level: int = 32,
@@ -321,8 +305,7 @@ def pairing(
     series, trunc, tail = pairing_series(
         t, inp, max_level=max_level, tol=min(tol, 1e-12), beta_plane=beta_plane
     )
-    tb = _blocked_triple(t, inp.m)
-    index = equivariant_index(tb, inp.g)
+    index = equivariant_index(t.lifted(inp.m), inp.g)
     return PairingResult(
         value=quad,
         series_value=series,
@@ -334,7 +317,7 @@ def pairing(
 
 
 def coboundary_pairing_residual(
-    t: SpectralTriple,
+    t: HeatData,
     cochain: Cochain,
     inp: PairingInput,
     max_level: int = 10,

@@ -62,7 +62,6 @@ from .split import (
     SplitTriple,
     build_n2_susy_example,
     coupling_sweep,
-    split_jlo_cochain,
     validate_split,
     zero_momentum_project,
 )
@@ -417,7 +416,7 @@ def _c13(seed):
     )
     rep = validate_split(s)
     ok = rep.passed
-    tau = split_jlo_cochain(s)
+    tau = jlo_cochain(s)
     ptau = op_partial(tau)
     worst_cocycle = 0.0
     for n in range(1, 5):

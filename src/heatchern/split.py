@@ -5,9 +5,10 @@ H = Q^2 = (Q1^2 + Q2^2)/2 and the momentum P = (Q1^2 - Q2^2)/2 commutes
 with H, with joint spectrum in the cone |P| <= H.  The symmetry group is
 only required to commute with Q1 and with Q2^2, so the character is built
 from the partial derivative d1 = [Q1, .] on the zero-momentum algebra
-(elements commuting with P).  Expectations, the character and the
-pairing series run through the same block exponential as a plain triple,
-with the heat kernels of H in place of those of Q^2.
+(elements commuting with P).  A SplitTriple is ``HeatData`` with that H
+and the derivation d1, so expectations, the character and both pairing
+routes are the plain-triple functions of ``jlo`` and ``expectations``;
+this module adds the zero-momentum precondition in front of them.
 """
 
 from __future__ import annotations
@@ -23,17 +24,16 @@ from .errors import (
     ValidationFailure,
     ZeroMomentumViolation,
 )
-from .expectations import expectation_value
 from .homotopy import DeformationFamily, SweepTable, regularity_report
 from .jlo import (
     PairingInput,
     PairingResult,
-    _series_terms,
-    _sum_series,
-    gauss_hermite_transform,
+    jlo_component,
+    pairing,
+    pairing_gaussian,
 )
 from .linalg import as_matrix, eig_hermitian, expm, opnorm
-from .triples import SpectralTriple, ValidationReport
+from .triples import HeatData, SpectralTriple, ValidationReport
 
 __all__ = [
     "SplitTriple",
@@ -48,8 +48,11 @@ __all__ = [
 
 
 @dataclass(eq=False)
-class SplitTriple:
-    """Two independent Hermitian generators with a common grading and group."""
+class SplitTriple(HeatData):
+    """Two independent Hermitian generators with a common grading and group.
+
+    As ``HeatData`` it has H = (Q1^2 + Q2^2)/2 and the derivation d1.
+    """
 
     dim: int
     Q1: np.ndarray
@@ -58,19 +61,7 @@ class SplitTriple:
     group: list[np.ndarray]
     tol: float = 1e-10
 
-    def __post_init__(self):
-        self.Q1 = as_matrix(self.Q1, "Q1")
-        self.Q2 = as_matrix(self.Q2, "Q2")
-        self.gamma = as_matrix(self.gamma, "gamma")
-        self.group = [as_matrix(u, f"group[{k}]") for k, u in enumerate(self.group)]
-        for name, m in [("Q1", self.Q1), ("Q2", self.Q2), ("gamma", self.gamma)] + [
-            (f"group[{k}]", u) for k, u in enumerate(self.group)
-        ]:
-            if m.shape != (self.dim, self.dim):
-                raise DimensionMismatch(
-                    f"{name} has shape {m.shape}, expected ({self.dim}, {self.dim})"
-                )
-        self._heat = None
+    GENERATORS = ("Q1", "Q2")
 
     @property
     def Q(self) -> np.ndarray:
@@ -84,20 +75,8 @@ class SplitTriple:
     def momentum(self) -> np.ndarray:
         return (self.Q1 @ self.Q1 - self.Q2 @ self.Q2) / 2.0
 
-    def conj_gamma(self, a: np.ndarray) -> np.ndarray:
-        return self.gamma @ a @ self.gamma
-
-    def heat_data(self):
-        """Cached eigendecomposition (eigenvalues, eigenvectors) of H."""
-        if self._heat is None:
-            es = eig_hermitian(self.hamiltonian, tol=1e-8)
-            self._heat = (es.eigenvalues, es.eigenvectors)
-        return self._heat
-
-    def heat_trace(self, g: int = 0) -> complex:
-        lam, v = self.heat_data()
-        w = v.conj().T @ (self.gamma @ self.group[g]) @ v
-        return complex(np.sum(np.diag(w) * np.exp(-lam)))
+    def derive(self, a) -> np.ndarray:
+        return d1(self, a)
 
 
 @dataclass
@@ -181,13 +160,7 @@ def validate_split(s: SplitTriple) -> ValidationReport:
 
 
 def require_valid_split(s: SplitTriple) -> SplitTriple:
-    rep = validate_split(s)
-    if not rep.passed:
-        raise ValidationFailure(
-            "split triple fails validation:\n"
-            + "\n".join(str(c) for c in rep.failures),
-            report=rep,
-        )
+    validate_split(s).require("split triple fails validation")
     return s
 
 
@@ -219,65 +192,17 @@ def _check_zero_momentum(s: SplitTriple, mats):
             )
 
 
-def split_jlo_component(s: SplitTriple, n: int, a_list, g: int = 0) -> complex:
-    """tau_n = <a_0, d1 a_1, ..., d1 a_n; g> with heat kernels of H."""
-    mats = [m.matrix if hasattr(m, "matrix") else as_matrix(m) for m in a_list]
-    if len(mats) != n + 1:
-        raise DimensionMismatch(f"level {n} needs {n + 1} elements, got {len(mats)}")
-    _check_zero_momentum(s, mats)
-    for k, a in enumerate(mats):
-        if opnorm(s.conj_gamma(a) - a) > s.tol * max(opnorm(a), 1.0):
-            raise ValidationFailure(f"argument {k} is not gamma-even")
-    verts = [mats[0]] + [d1(s, a) for a in mats[1:]]
-    return expectation_value(s, verts, g)
-
-
-def split_jlo_cochain(s: SplitTriple, max_level: int = 32):
-    """The split character as an even class-C cochain."""
-    from .cochains import Cochain
-
-    def ev(n, mats, g):
-        return expectation_value(s, [mats[0]] + [d1(s, a) for a in mats[1:]], g)
-
-    return Cochain(ev, s.group, max_level, "even", "C")
-
-
-def _split_pairing_validate(s: SplitTriple, inp: PairingInput):
+def _check_pairing_input(s: SplitTriple, inp: PairingInput):
     if inp.m != 1:
         raise DimensionMismatch("split pairing supports scalar inputs (m = 1)")
-    a = inp.a
-    rep = ValidationReport()
-    ident = np.eye(s.dim)
-    rep.add("a^2 = I", opnorm(a @ a - ident), s.tol)
-    rep.add("gamma a gamma = a", opnorm(s.conj_gamma(a) - a), s.tol)
-    p = s.momentum
-    rep.add("zero momentum [P, a] = 0", opnorm(p @ a - a @ p), s.tol)
-    for k, u in enumerate(s.group):
-        rep.add(f"a commutes with group[{k}]", opnorm(u @ a - a @ u), s.tol)
-    if not rep.passed:
-        raise ValidationFailure(
-            "split pairing input fails preconditions:\n"
-            + "\n".join(str(c) for c in rep.failures),
-            report=rep,
-        )
+    _check_zero_momentum(s, [inp.a])
 
 
-def split_pairing_gaussian(
-    s: SplitTriple,
-    inp: PairingInput,
-    quad_nodes: int = 64,
-    tol: float = 1e-10,
-) -> complex:
-    """Gaussian transform with exponent -H + i t d1(a)."""
-    _split_pairing_validate(s, inp)
-    h = s.hamiltonian
-    da = d1(s, inp.a)
-    front = s.gamma @ s.group[inp.g] @ inp.a
-    return gauss_hermite_transform(
-        lambda tt: complex(np.trace(front @ expm(-h + 1j * tt * da))),
-        quad_nodes,
-        tol,
-    )
+def split_jlo_component(s: SplitTriple, n: int, a_list, g: int = 0) -> complex:
+    """tau_n = <a_0, d1 a_1, ..., d1 a_n; g> on zero-momentum arguments."""
+    mats = [m.matrix if hasattr(m, "matrix") else as_matrix(m) for m in a_list]
+    _check_zero_momentum(s, mats)
+    return jlo_component(s, n, mats, g)
 
 
 def split_pairing(
@@ -287,19 +212,9 @@ def split_pairing(
     max_level: int = 24,
     tol: float = 1e-10,
 ) -> PairingResult:
-    """Gaussian transform with exponent -H + i t d1(a), plus the series route."""
-    quad = split_pairing_gaussian(s, inp, quad_nodes=quad_nodes, tol=tol)
-    terms = _series_terms(s, inp.a, d1(s, inp.a), inp.g, max_level)
-    total, trunc, tail = _sum_series(terms, max_level, 1e-12)
-    index = s.heat_trace(inp.g)
-    return PairingResult(
-        value=quad,
-        series_value=total,
-        quadrature_value=quad,
-        truncation_level=trunc,
-        tail_bound=float(tail),
-        connes_value=(quad + index) / 2.0,
-    )
+    """Both pairing routes, exponent -H + i t d1(a), on a zero-momentum input."""
+    _check_pairing_input(s, inp)
+    return pairing(s, inp, quad_nodes=quad_nodes, max_level=max_level, tol=tol)
 
 
 def coupling_sweep(
@@ -347,8 +262,8 @@ def coupling_sweep(
     kato_flags = {row["lambda"]: row["kato_below_one"] for row in reg.rows}
     for lam in grid:
         s_lam = require_valid_split(family(lam))
+        pres = opnorm(s_lam.momentum - p0)
         if mode == "coupling":
-            pres = opnorm(s_lam.momentum - p0)
             if pres > s_lam.tol * max(opnorm(p0), 1.0):
                 raise PNotFixed(
                     f"momentum moved at lambda={lam} with residual {pres:.3e}",
@@ -357,7 +272,6 @@ def coupling_sweep(
                 )
             precond = 0.0
         else:
-            pres = opnorm(s_lam.momentum - p0)
             precond = opnorm(s_lam.Q1 @ inp.a - inp.a @ s_lam.Q1) + opnorm(
                 s_lam.Q2 - q20
             )
@@ -366,7 +280,8 @@ def coupling_sweep(
                     f"q1_commuting preconditions fail at lambda={lam} "
                     f"(residual {precond:.3e})"
                 )
-        val = split_pairing_gaussian(s_lam, inp, quad_nodes=quad_nodes, tol=tol)
+        _check_pairing_input(s_lam, inp)
+        val = pairing_gaussian(s_lam, inp, quad_nodes=quad_nodes, tol=tol)
         tab.add_row(
             **{
                 "lambda": lam,

@@ -1,7 +1,10 @@
 """Graded spectral data: validation, derivatives, and norm diagnostics.
 
-A triple bundles a Hermitian generator Q, a grading gamma, and a finite
-list of symmetry unitaries on a finite-dimensional space.  Fractional
+``HeatData`` is what every heat-kernel invariant is built from: a positive
+generator H, a derivation d, a grading gamma and a finite list of
+symmetry unitaries U(g) on a finite-dimensional space.  A triple is the
+case H = Q^2 for a Hermitian Q anticommuting with gamma, with d the
+graded commutator with Q; the split triple of ``split`` is another.  Fractional
 smoothness enters through operator norms between the scales of (Q^2+I):
 ``sobolev_norm`` measures a transformation between two such scales, and
 ``interpolation_norm`` combines the plain norm of an element with the
@@ -23,6 +26,7 @@ from .linalg import as_matrix, eig_hermitian, opnorm
 __all__ = [
     "CheckResult",
     "ValidationReport",
+    "HeatData",
     "SpectralTriple",
     "AlgebraElement",
     "VertexType",
@@ -72,27 +76,35 @@ class ValidationReport:
     def __str__(self):
         return "\n".join(str(c) for c in self.checks)
 
+    def require(self, what: str, error=ValidationFailure):
+        """Raise ``error`` naming ``what`` and every failed check, unless all pass."""
+        if not self.passed:
+            raise error(
+                f"{what}:\n" + "\n".join(str(c) for c in self.failures), report=self
+            )
 
-@dataclass(eq=False)
-class SpectralTriple:
-    """Finite-dimensional bundle {H, Q, gamma, U(g), A}.
 
-    ``group`` is an ordered list of unitaries whose first element must be
-    the identity.  Matrices are treated as immutable once the triple is
-    built; the eigendecomposition of Q^2 is computed once and cached.
+class HeatData:
+    """A positive generator H, a derivation d, a grading gamma and a group U.
+
+    Every heat-kernel invariant (expectations, the character, the pairing,
+    the sweeps) is a functional of these four.  A subclass is a dataclass
+    with fields ``dim``, its generator matrices (named in ``GENERATORS``),
+    ``gamma``, ``group`` and ``tol``; it supplies ``hamiltonian`` (H) and
+    ``derive`` (d).  The base converts and shape-checks the matrices,
+    caches the eigendecomposition of H, applies gamma U(g), and lifts the
+    data to m x m blocks on a beta-plane.  Matrices are treated as
+    immutable once built.
     """
 
-    dim: int
-    Q: np.ndarray
-    gamma: np.ndarray
-    group: list[np.ndarray]
-    tol: float = 1e-10
+    GENERATORS = ()
 
     def __post_init__(self):
-        self.Q = as_matrix(self.Q, "Q")
-        self.gamma = as_matrix(self.gamma, "gamma")
+        names = self.GENERATORS + ("gamma",)
+        for name in names:
+            setattr(self, name, as_matrix(getattr(self, name), name))
         self.group = [as_matrix(u, f"group[{k}]") for k, u in enumerate(self.group)]
-        for name, m in [("Q", self.Q), ("gamma", self.gamma)] + [
+        for name, m in [(n, getattr(self, n)) for n in names] + [
             (f"group[{k}]", u) for k, u in enumerate(self.group)
         ]:
             if m.shape != (self.dim, self.dim):
@@ -102,11 +114,36 @@ class SpectralTriple:
         self._heat = None
 
     def heat_data(self):
-        """Cached eigendecomposition (eigenvalues, eigenvectors) of Q^2."""
+        """Cached eigendecomposition (eigenvalues, eigenvectors) of H."""
         if self._heat is None:
-            es = eig_hermitian(self.Q @ self.Q, tol=1e-8)
+            es = eig_hermitian(self.hamiltonian, tol=1e-8)
             self._heat = (es.eigenvalues, es.eigenvectors)
         return self._heat
+
+    def lifted(self, m: int = 1, beta_plane: float = 1.0):
+        """The same data on C^m (x) C^dim with every generator scaled by sqrt(beta).
+
+        Its H is beta times the block-diagonal H and its d is sqrt(beta)
+        times the block derivative, so plane-beta invariants of m x m
+        inputs are plane-1 invariants of the lift.
+        """
+        if m == 1 and beta_plane == 1.0:
+            return self
+        em = np.eye(m)
+        scale = math.sqrt(beta_plane)
+        return type(self)(
+            dim=m * self.dim,
+            **{n: scale * np.kron(em, getattr(self, n)) for n in self.GENERATORS},
+            gamma=np.kron(em, self.gamma),
+            group=[np.kron(em, u) for u in self.group],
+            tol=self.tol,
+        )
+
+    def twist(self, g: int) -> np.ndarray:
+        """gamma U(g), the front factor of every heat trace."""
+        if not 0 <= g < len(self.group):
+            raise DimensionMismatch(f"group index {g} outside [0, {len(self.group)})")
+        return self.gamma @ self.group[g]
 
     def conj_group_inv(self, a: np.ndarray, g: int) -> np.ndarray:
         """a^{g^{-1}} = U(g)* a U(g)."""
@@ -117,11 +154,36 @@ class SpectralTriple:
         return self.gamma @ a @ self.gamma
 
     def heat_trace(self, g: int = 0, s: float = 1.0) -> complex:
-        """Tr(gamma U(g) e^{-s Q^2})."""
+        """Tr(gamma U(g) e^{-s H})."""
         lam, v = self.heat_data()
-        w = self.gamma @ self.group[g]
-        we = v.conj().T @ w @ v
+        we = v.conj().T @ self.twist(g) @ v
         return complex(np.sum(np.diag(we) * np.exp(-s * lam)))
+
+
+@dataclass(eq=False)
+class SpectralTriple(HeatData):
+    """Finite-dimensional bundle {H, Q, gamma, U(g), A} with H = Q^2.
+
+    ``group`` is an ordered list of unitaries whose first element must be
+    the identity.  The derivation is the graded commutator with Q.
+    """
+
+    dim: int
+    Q: np.ndarray
+    gamma: np.ndarray
+    group: list[np.ndarray]
+    tol: float = 1e-10
+
+    GENERATORS = ("Q",)
+    # in this class's own namespace too, so a tracer can wrap it here
+    heat_data = HeatData.heat_data
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        return self.Q @ self.Q
+
+    def derive(self, b) -> np.ndarray:
+        return derivative(self, b)
 
 
 def validate_triple(t: SpectralTriple) -> ValidationReport:
@@ -363,10 +425,5 @@ def kato_constants(
 
 
 def require_valid(t: SpectralTriple) -> SpectralTriple:
-    rep = validate_triple(t)
-    if not rep.passed:
-        raise ValidationFailure(
-            "triple fails validation:\n" + "\n".join(str(c) for c in rep.failures),
-            report=rep,
-        )
+    validate_triple(t).require("triple fails validation")
     return t

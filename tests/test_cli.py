@@ -241,6 +241,35 @@ class TestErrors:
         path = write(tmp_path, "sw.json", doc)
         assert run_main(["sweep", "--input", path, "--lambda-grid", "nope"]) == 3
 
+    @pytest.mark.parametrize("index", ["1", "-1"])
+    def test_group_index_out_of_range_exit_three(self, tmp_path, capsys, index):
+        doc = dict(EXCHANGE)
+        doc["a"] = [[1, 0], [0, -1]]
+        path = write(tmp_path, "p.json", doc)
+        assert run_main(["pair", "--input", path, f"--group-index={index}"]) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DimensionMismatch"
+        assert err["message"] == f"group index {index} outside [0, 1)"
+
+    def test_non_object_json_exit_three(self, tmp_path, capsys):
+        p = tmp_path / "list.json"
+        p.write_text("[1, 2]")
+        assert run_main(["pair", "--input", str(p)]) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DimensionMismatch"
+
+    def test_nonzero_momentum_split_input_exit_one(self, tmp_path, capsys):
+        from heatchern.serialization import matrix_to_json, split_to_json
+        from heatchern.split import build_n2_susy_example
+
+        s, _ = build_n2_susy_example(levels=((1.0, 0.5), (2.0, 1.0)))
+        doc = split_to_json(s)
+        doc["a"] = matrix_to_json(np.kron(np.array([[0, 1], [1, 0]]), np.eye(4)))
+        path = write(tmp_path, "nz.json", doc)
+        assert run_main(["split-pair", "--input", path]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ZeroMomentumViolation"
+
     def test_invalid_triple_exit_one(self, tmp_path):
         doc = dict(EXCHANGE)
         doc["Q"] = [[1, 0], [0, 1]]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatchern.errors import BadExponent, ComplexityCap
+from heatchern.errors import BadExponent, ComplexityCap, DimensionMismatch
 from heatchern.expectations import (
     MAX_BLOCK_ORDER,
     VertexSet,
@@ -145,6 +145,11 @@ class TestHeatExpectation:
             expectation_value(zero_mode, [np.eye(3)] * (n + 1))
         with pytest.raises(ComplexityCap):
             repeated_expectation_series(zero_mode, np.eye(3), np.eye(3), n)
+
+    def test_group_index_out_of_range(self, zero_mode):
+        # negative indices are refused, not wrapped to the last element
+        with pytest.raises(DimensionMismatch):
+            expectation_value(zero_mode, [np.eye(3)], g=-1)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(

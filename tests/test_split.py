@@ -9,7 +9,12 @@ from heatchern.errors import (
     ValidationFailure,
     ZeroMomentumViolation,
 )
-from heatchern.jlo import PairingInput, gauss_hermite_transform
+from heatchern.jlo import (
+    PairingInput,
+    gauss_hermite_transform,
+    jlo_cochain,
+    pairing_gaussian,
+)
 from heatchern.linalg import expm, opnorm
 from heatchern.split import (
     SplitAlgebraElement,
@@ -18,10 +23,8 @@ from heatchern.split import (
     coupling_sweep,
     d1,
     n2_index_table,
-    split_jlo_cochain,
     split_jlo_component,
     split_pairing,
-    split_pairing_gaussian,
     validate_split,
     zero_momentum_project,
 )
@@ -108,7 +111,7 @@ class TestSplitCharacter:
             split_jlo_component(s, 0, [even])
 
     def test_cocycle(self, pauli_split, rng):
-        tau = split_jlo_cochain(pauli_split)
+        tau = jlo_cochain(pauli_split)
         ptau = op_partial(tau)
         worst = 0.0
         for n in (1, 2, 3):
@@ -141,7 +144,7 @@ class TestSplitPairing:
             group=[np.eye(4)],
         )
         a = np.kron(SZ, SZ)
-        got = split_pairing_gaussian(s, PairingInput(a=a))
+        got = pairing_gaussian(s, PairingInput(a=a))
         h = s.Q1 @ s.Q1 / 2.0
         da = s.Q1 @ a - a @ s.Q1
         front = s.gamma @ a
@@ -152,9 +155,44 @@ class TestSplitPairing:
 
     def test_input_preconditions(self, pauli_split):
         with pytest.raises(ValidationFailure):
-            split_pairing_gaussian(
+            pairing_gaussian(
                 pauli_split, PairingInput(a=2 * np.eye(4, dtype=complex))
             )
+
+
+class TestZeroMomentumPrecondition:
+    # gamma-even, a^2 = I and group-invariant, but it swaps the P = 0.5 and
+    # P = 1 sectors: ||[P, a]|| = 0.5
+    def nonzero_momentum(self):
+        s, gens = build_n2_susy_example(levels=((1.0, 0.5), (2.0, 1.0)))
+        return s, gens, PairingInput(a=np.kron(SX, np.eye(4)))
+
+    def test_input_passes_the_other_preconditions(self):
+        s, _, inp = self.nonzero_momentum()
+        assert inp.validate(s).passed
+        p = s.momentum
+        assert opnorm(p @ inp.a - inp.a @ p) == pytest.approx(0.5)
+
+    def test_split_pairing_refuses(self):
+        s, _, inp = self.nonzero_momentum()
+        with pytest.raises(ZeroMomentumViolation):
+            split_pairing(s, inp)
+
+    def test_coupling_sweep_refuses(self):
+        s, gens, inp = self.nonzero_momentum()
+
+        def family(lam):
+            return SplitTriple(
+                dim=s.dim,
+                Q1=gens["Q1"],
+                Q2=math.cos(lam) * gens["Q2"] + math.sin(lam) * gens["Qt2"],
+                gamma=s.gamma,
+                group=list(s.group),
+                tol=s.tol,
+            )
+
+        with pytest.raises(ZeroMomentumViolation):
+            coupling_sweep(family, inp, [0.0, 0.3])
 
 
 class TestCouplingSweep:

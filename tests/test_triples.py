@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heatchern.errors import BadExponent, NotHermitian
+from heatchern.errors import BadExponent, NotHermitian, ValidationFailure
 from heatchern.linalg import opnorm
 from heatchern.models import random_triple
 from heatchern.triples import (
@@ -16,6 +16,7 @@ from heatchern.triples import (
     kato_constants,
     numeric_c_mu,
     regularity_exponents,
+    require_valid,
     sobolev_norm,
     validate_triple,
 )
@@ -36,10 +37,41 @@ class TestValidation:
     def test_zero_mode_passes(self, zero_mode):
         assert validate_triple(zero_mode).passed
 
+    def test_require_names_the_failures(self):
+        gam = np.diag([1.0, -1.0]).astype(complex)
+        t = SpectralTriple(dim=2, Q=gam.copy(), gamma=gam, group=[np.eye(2)])
+        with pytest.raises(ValidationFailure) as exc:
+            require_valid(t)
+        assert str(exc.value) == (
+            "triple fails validation:\n"
+            "[FAIL] Q gamma + gamma Q = 0: residual 2.000e+00 (tol 1.000e-10)"
+        )
+        assert exc.value.report.failures[0].name == "Q gamma + gamma Q = 0"
+
     def test_z2_group_passes(self):
         t = random_triple(4, seed=7, group="z2")
         assert len(t.group) == 2
         assert validate_triple(t).passed
+
+
+class TestHeatData:
+    def test_lift_scales_generator_and_derivation(self):
+        t = random_triple(3, seed=5)
+        lift = t.lifted(2, 0.5)
+        assert lift.dim == 6
+        q2 = np.kron(np.eye(2), t.Q @ t.Q)
+        assert opnorm(lift.hamiltonian - 0.5 * q2) < 1e-12 * opnorm(q2)
+        b = np.kron(np.eye(2), np.diag([1.0, 2.0, 3.0]))
+        db = np.kron(np.eye(2), derivative(t, np.diag([1.0, 2.0, 3.0])))
+        assert opnorm(lift.derive(b) - math.sqrt(0.5) * db) < 1e-12 * opnorm(db)
+
+    def test_trivial_lift_is_the_same_data(self, zero_mode):
+        assert zero_mode.lifted(1, 1.0) is zero_mode
+
+    def test_block_heat_trace(self, zero_mode):
+        assert zero_mode.lifted(3).heat_trace(0) == pytest.approx(
+            3 * zero_mode.heat_trace(0), abs=1e-12
+        )
 
 
 class TestDerivative:
