@@ -2,8 +2,8 @@
 
 Subcommands load operator data from JSON, run one computation, and write
 a JSON (or CSV) result with a provenance block.  Exit codes: 0 success,
-1 validation failure, 2 numerical non-convergence or a request over the
-block-order budget, 3 I/O or schema error.
+1 validation failure, 2 numerical non-convergence, a request over the
+block-order budget or out of memory, 3 I/O or schema error.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .triples import require_valid, validate_triple
 
 _VALIDATION_ERRORS = (ValidationFailure, PairingInputInvalid, NotHermitian,
                       PNotFixed, ZeroMomentumViolation)
-_NUMERIC_ERRORS = (NoConvergence, Overflow, ComplexityCap)
+_NUMERIC_ERRORS = (NoConvergence, Overflow, ComplexityCap, MemoryError)
 
 
 def _parse_grid(text: str) -> np.ndarray:

@@ -20,9 +20,9 @@ from .errors import ValidationFailure
 from .expectations import expectation_value
 from .jlo import (
     PairingInput,
+    _gauss_hermite,
     _integrand,
     _require_valid_input,
-    gauss_hermite_transform,
     jlo_component,
 )
 from .linalg import as_matrix, opnorm
@@ -277,7 +277,6 @@ def sweep_invariant(
     tab = SweepTable(columns=["lambda", "value", "validated"])
     for lam in grid:
         t_lam = deform_triple(f, lam)
-        _require_valid_input(t_lam, inp)
         val = pairing_gaussian(t_lam, inp, quad_nodes=quad_nodes, tol=tol)
         tab.add_row(**{"lambda": lam, "value": val, "validated": True})
     return tab
@@ -419,7 +418,7 @@ def endpoint_grid(
         _require_valid_input(t_lam, inp)
         tb = t_lam.lifted(inp.m)
         h = tb.hamiltonian + (eps**2) * zz
-        return gauss_hermite_transform(_integrand(tb, inp, h), quad_nodes, tol)
+        return _gauss_hermite(_integrand(tb, inp, h), quad_nodes, tol)
 
     vals = {(e, l): value_at(e, l) for e in eg for l in lg}
     tab = SweepTable(columns=["lambda", "eps", "value", "dZ_deps", "dZ_dlambda"])

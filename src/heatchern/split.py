@@ -260,8 +260,8 @@ def coupling_sweep(
     )
     reg = regularity_report(fam, grid)
     kato_flags = {row["lambda"]: row["kato_below_one"] for row in reg.rows}
-    for lam in grid:
-        s_lam = require_valid_split(family(lam))
+    for i, lam in enumerate(grid):
+        s_lam = base if i == 0 else require_valid_split(family(lam))
         pres = opnorm(s_lam.momentum - p0)
         if mode == "coupling":
             if pres > s_lam.tol * max(opnorm(p0), 1.0):

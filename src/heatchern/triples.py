@@ -112,6 +112,7 @@ class HeatData:
                     f"{name} has shape {m.shape}, expected ({self.dim}, {self.dim})"
                 )
         self._heat = None
+        self._lifts = {}
 
     def heat_data(self):
         """Cached eigendecomposition (eigenvalues, eigenvectors) of H."""
@@ -125,19 +126,23 @@ class HeatData:
 
         Its H is beta times the block-diagonal H and its d is sqrt(beta)
         times the block derivative, so plane-beta invariants of m x m
-        inputs are plane-1 invariants of the lift.
+        inputs are plane-1 invariants of the lift.  Each lift is built once
+        per instance, so every caller shares its cached eigenbasis.
         """
         if m == 1 and beta_plane == 1.0:
             return self
-        em = np.eye(m)
-        scale = math.sqrt(beta_plane)
-        return type(self)(
-            dim=m * self.dim,
-            **{n: scale * np.kron(em, getattr(self, n)) for n in self.GENERATORS},
-            gamma=np.kron(em, self.gamma),
-            group=[np.kron(em, u) for u in self.group],
-            tol=self.tol,
-        )
+        key = (m, beta_plane)
+        if key not in self._lifts:
+            em = np.eye(m)
+            scale = math.sqrt(beta_plane)
+            self._lifts[key] = type(self)(
+                dim=m * self.dim,
+                **{n: scale * np.kron(em, getattr(self, n)) for n in self.GENERATORS},
+                gamma=np.kron(em, self.gamma),
+                group=[np.kron(em, u) for u in self.group],
+                tol=self.tol,
+            )
+        return self._lifts[key]
 
     def twist(self, g: int) -> np.ndarray:
         """gamma U(g), the front factor of every heat trace."""

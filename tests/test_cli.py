@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from heatchern import cli
 from heatchern.cli import main
 from heatchern.models import zero_mode_triple
 from heatchern.serialization import dumps_canonical, triple_to_json
@@ -297,6 +298,42 @@ class TestErrors:
         }
         path = write(tmp_path, "n.json", doc)
         assert run_main(["pair", "--input", path, "--max-level", "6"]) == 2
+
+    def test_quadrature_out_of_nodes_exit_two(self, tmp_path, capsys):
+        # the doubling reaches numpy's 512-node rule, whose weights are NaN
+        doc = {
+            "dim": 2,
+            "Q": [[0, 12], [12, 0]],
+            "gamma": [[1, 0], [0, -1]],
+            "a": [[1, 0], [0, -1]],
+        }
+        path = write(tmp_path, "n.json", doc)
+        assert run_main(["pair", "--input", path]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "NoConvergence"
+        assert "512-node rule is not finite" in err["message"]
+
+    def test_quad_nodes_over_cap_exit_three(self, tmp_path, capsys):
+        doc = dict(EXCHANGE)
+        doc["a"] = [[1, 0], [0, -1]]
+        path = write(tmp_path, "p.json", doc)
+        assert run_main(["pair", "--input", path, "--quad-nodes", "2000"]) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": "quad_nodes 2000 exceeds node_cap 1024"}
+
+    def test_memory_error_exit_two(self, tmp_path, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 64.0 GiB")
+
+        monkeypatch.setitem(cli._COMMANDS, "index", exhausted)
+        path = write(tmp_path, "t.json", triple_to_json(zero_mode_triple()))
+        assert run_main(["index", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {"type": "MemoryError", "message": "Unable to allocate 64.0 GiB"}
+        }
+        assert "Traceback" not in captured.err
 
 
 class TestSelftest:

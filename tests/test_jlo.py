@@ -1,12 +1,14 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from heatchern import expectations, jlo
+from heatchern import expectations, jlo, triples
 from heatchern.cochains import random_cochain
 from heatchern.errors import ComplexityCap, NoConvergence, PairingInputInvalid
 from heatchern.expectations import repeated_expectation_series
+from heatchern.linalg import eig_hermitian, expm
 from heatchern.jlo import (
     PairingInput,
     coboundary_pairing_residual,
@@ -77,12 +79,12 @@ class TestGeneratingFunctional:
         val = generating_functional(zero_mode, inp, 0.0)
         assert val == pytest.approx(equivariant_index(zero_mode), abs=1e-12)
 
-    @pytest.mark.parametrize("tt", [-1.5, -0.3, 0.0, 0.7, 2.0])
+    @pytest.mark.parametrize("tt", [-1.5, -0.3, 0.0, 0.7, 2.0, 0.4 + 0.3j])
     def test_exchange_closed_form(self, exchange, tt):
-        # eigenvalues of the exponent are -1 +- 2t
+        # eigenvalues of the exponent are -1 +- 2t; J is entire in t
         inp = PairingInput(a=exchange.gamma.copy())
         val = generating_functional(exchange, inp, tt)
-        assert val == pytest.approx(2.0 * math.exp(-1.0) * math.cosh(2 * tt), rel=1e-12)
+        assert val == pytest.approx(2.0 * math.exp(-1.0) * cmath.cosh(2 * tt), rel=1e-12)
 
     @pytest.mark.parametrize("tt", [0.5, 1.0, 2.0])
     def test_series_cross_check(self, tt):
@@ -118,6 +120,19 @@ class TestPairing:
         with pytest.raises(ComplexityCap):
             pairing_series(exchange, inp)
         assert pairing_coefficient(2) == 0.75
+
+    def test_blocked_pairing_eigendecomposes_once(self, exchange, monkeypatch):
+        # the series and the index share one lift, and so one eigenbasis
+        calls = []
+
+        def counted(m, tol=1e-10):
+            calls.append(m.shape)
+            return eig_hermitian(m, tol)
+
+        monkeypatch.setattr(triples, "eig_hermitian", counted)
+        res = pairing(exchange, PairingInput(a=np.kron(np.eye(2), exchange.gamma), m=2))
+        assert abs(res.value - 4.0) < 1e-8
+        assert calls == [(4, 4)]
 
     def test_identity_input_gives_index(self, zero_mode):
         inp = PairingInput(a=np.eye(3, dtype=complex))
@@ -222,6 +237,58 @@ class TestGaussHermite:
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
             gauss_hermite_transform(lambda tt: math.cos(50.0 * tt), node_cap=64)
+
+    def test_non_finite_rule_ends_doubling(self):
+        # numpy's 512-node rule has NaN weights; the doubling stops there
+        q = 12.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        t = SpectralTriple(dim=2, Q=q, gamma=np.diag([1.0, -1.0]), group=[np.eye(2)])
+        with pytest.raises(NoConvergence, match="512-node rule is not finite"):
+            pairing_gaussian(t, PairingInput(a=t.gamma.copy()))
+
+    @pytest.mark.parametrize("quad_nodes", [10, 2000])
+    def test_node_count_out_of_range(self, quad_nodes):
+        with pytest.raises(ValueError, match="quad_nodes"):
+            gauss_hermite_transform(lambda tt: 1.0, quad_nodes=quad_nodes)
+
+    def test_rules_computed_once(self, monkeypatch):
+        counts = []
+        hermgauss = np.polynomial.hermite.hermgauss
+
+        def counted(n):
+            counts.append(n)
+            return hermgauss(n)
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counted)
+        jlo._hermite_rule.cache_clear()
+        for _ in range(2):
+            assert gauss_hermite_transform(lambda tt: tt * tt) == pytest.approx(0.5)
+        assert counts == [64, 128]
+
+    def test_stack_budget_keeps_values(self, monkeypatch):
+        # the stacks give the bits of one exponential per node, whatever
+        # the number of nodes per stack
+        t = random_triple(3, seed=54)
+        a = random_involution(t, np.random.default_rng(55))
+        inp = PairingInput(a=np.kron(np.eye(2), a), m=2)
+        tb = t.lifted(2)
+        h, da, front = tb.hamiltonian, tb.derive(inp.a), tb.twist(0) @ inp.a
+        ts = np.polynomial.hermite.hermgauss(128)[0]
+        per_node = [complex(np.trace(front @ expm(-h + 1j * tt * da))) for tt in ts]
+        shapes = []
+
+        def recorded(m):
+            shapes.append(m.shape)
+            return expm(m)
+
+        monkeypatch.setattr(jlo, "expm", recorded)
+        stacked = jlo._integrand(tb, inp, h)(ts)
+        assert shapes == [(128, 6, 6)]
+        monkeypatch.setattr(jlo, "_STACK_ENTRIES", 1)
+        shapes.clear()
+        sliced = jlo._integrand(tb, inp, h)(ts)
+        assert shapes == [(1, 6, 6)] * 128
+        assert np.array_equal(stacked, per_node)
+        assert np.array_equal(sliced, per_node)
 
 
 class TestCoboundaryPairing:

@@ -90,9 +90,39 @@ class TestExpm:
         ref = v @ np.diag(np.exp(w)) @ np.linalg.inv(v)
         assert opnorm(expm(m) - ref) < 1e-10 * opnorm(ref)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 12, 24, 48])
+    def test_stack_slices_match_single(self, dim):
+        # a Gauss-Hermite stack -h + i t da, with a zero slice and t = 0
+        rng = np.random.default_rng(dim)
+        q = random_matrix(rng, dim)
+        h = q @ q.conj().T / dim
+        da = random_matrix(rng, dim)
+        da /= opnorm(da)
+        ts = np.concatenate([np.polynomial.hermite.hermgauss(64)[0], [0.0]])
+        stack = np.concatenate([-h + 1j * ts[:, None, None] * da, np.zeros((1, dim, dim))])
+        got = expm(stack)
+        assert got.shape == stack.shape
+        for k in range(len(stack)):
+            assert np.array_equal(got[k], expm(stack[k]))
+        assert np.array_equal(got[-1], np.eye(dim))
+
     def test_overflow(self):
-        with pytest.raises(Overflow):
-            expm(1e4 * np.eye(2), norm_cap=1e3)
+        big = 1e4 * np.eye(2)
+        for m in (big, np.stack([np.eye(2), big, np.zeros((2, 2))])):
+            with pytest.raises(Overflow):
+                expm(m, norm_cap=1e3)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2, 3), (2, 2, 2, 2), (4,)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(DimensionMismatch):
+            expm(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)])
+    def test_rejects_non_finite(self, shape):
+        m = np.zeros(shape, dtype=complex)
+        m.flat[-1] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="non-finite"):
+            expm(m)
 
 
 class TestSimplexExp:

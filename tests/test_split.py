@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from heatchern import split
 from heatchern.cochains import op_partial
 from heatchern.errors import (
     PNotFixed,
@@ -202,6 +203,18 @@ class TestCouplingSweep:
             lambda lam: pauli_split, PairingInput(a=a), [0.0, 0.2, 0.4]
         )
         assert tab.spread() == 0.0
+
+    def test_validates_each_grid_point_once(self, pauli_split, monkeypatch):
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return validate_split(s)
+
+        monkeypatch.setattr(split, "validate_split", counted)
+        a = np.kron(SZ, SZ)
+        coupling_sweep(lambda lam: pauli_split, PairingInput(a=a), [0.0, 0.4])
+        assert len(calls) == 2
 
     def test_rotation_family_invariance(self):
         s, gens = build_n2_susy_example(
