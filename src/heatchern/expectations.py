@@ -21,8 +21,15 @@ yields every level at once.  M is built in the eigenbasis of H and conditioned t
   of the largest block.
 
 The cost is one exponential of order (n+1) dim; ``MAX_BLOCK_ORDER`` bounds
-it before anything is allocated.  A seeded Monte-Carlo quadrature over the
-simplex provides an independent route at every instance.
+it before anything is allocated.  For the pairing series <x0, x, ..., x>
+every superdiagonal block is x, so M is upper block-Toeplitz and exp(M) is
+determined by its first block row [E_0 | ... | E_N], which is all the
+series reads: ``repeated_expectation_series`` computes only that row
+(``linalg.expm_toeplitz_row``), at cost O(s N^2 dim^3) for s squarings
+instead of O(s N^3 dim^3).  The other expectations have distinct vertices
+and keep the full exponential, which also serves as the row's reference.
+A seeded Monte-Carlo quadrature over the simplex provides an independent
+route at every instance.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponent, ComplexityCap, DimensionMismatch
-from .linalg import as_matrix, expm, opnorm, simplex_exp
+from .linalg import as_matrix, expm, expm_toeplitz_row, opnorm, simplex_exp
 from .triples import (
     SpectralTriple,
     VertexType,
@@ -56,8 +63,9 @@ __all__ = [
 ]
 
 # Largest block order (n+1)*dim of one exponential.  A complex matrix of
-# this order takes 64 MiB and expm holds about seven at once, which stays
-# well inside a 2 GiB address space.
+# this order takes 64 MiB.  The bidiagonal route's expm holds a few at
+# once; the series route holds one, the block-Toeplitz matrix of each
+# squaring.  Both stay well inside a 2 GiB address space.
 MAX_BLOCK_ORDER = 2048
 
 
@@ -125,12 +133,32 @@ def _front_and_rest(t, mats: list[np.ndarray], g: int):
     return t.twist(g) @ mats[0], list(mats[1:])
 
 
-def _simplex_levels(t, front, rest, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _bidiagonal_row(d: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
+    """First block row of exp(M): diag(d) on the diagonal blocks, xs on the superdiagonal."""
+    dim = d.size
+    order = (len(xs) + 1) * dim
+    m = np.zeros((order, order), dtype=complex)
+    m[np.diag_indices(order)] = np.tile(d, len(xs) + 1)
+    for k, x in enumerate(xs):
+        m[k * dim : (k + 1) * dim, (k + 1) * dim : (k + 2) * dim] = x
+    return expm(m, norm_cap=np.inf)[:dim]
+
+
+def _toeplitz_row(d: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
+    """``_bidiagonal_row`` when every superdiagonal block is xs[0]."""
+    return expm_toeplitz_row(d, xs[0] if xs else np.zeros((d.size, d.size)), len(xs))
+
+
+def _simplex_levels(
+    t, front, rest, beta: float, block_row=_bidiagonal_row
+) -> tuple[np.ndarray, np.ndarray]:
     """<front-vertex, rest_1, ..., rest_k> for every k = 0..n, in one exponential.
 
-    ``front`` already carries the grading and group factors.  Returns the
-    values and, per level, the sum of the moduli of the summands of the
-    final trace, which scales the kernel's rounding error.
+    ``front`` already carries the grading and group factors.  ``block_row``
+    computes the first block row of exp(M) from M's diagonal and its
+    superdiagonal blocks.  Returns the values and, per level, the sum of
+    the moduli of the summands of the final trace, which scales the
+    kernel's rounding error.
     """
     lam, basis = t.heat_data()
     dim = lam.size
@@ -147,12 +175,9 @@ def _simplex_levels(t, front, rest, beta: float) -> tuple[np.ndarray, np.ndarray
     x_norm = max((opnorm(x) for x in eig.values()), default=0.0)
     c = max(1.0, n / (math.e * beta * x_norm)) if x_norm > 0 else 1.0
     lam_min = float(lam.min())
-    m = np.zeros((order, order), dtype=complex)
-    m[np.diag_indices(order)] = np.tile(-beta * (lam - lam_min), n + 1)
-    for k, x in enumerate(rest):
-        rows, cols = slice(k * dim, (k + 1) * dim), slice((k + 1) * dim, (k + 2) * dim)
-        m[rows, cols] = (beta * c) * eig[id(x)]
-    row = expm(m, norm_cap=np.inf)[:dim].reshape(dim, n + 1, dim)
+    sup = {key: (beta * c) * x for key, x in eig.items()}
+    row = block_row(-beta * (lam - lam_min), [sup[id(x)] for x in rest])
+    row = row.reshape(dim, n + 1, dim)
     fe = vh @ front @ basis
     scale = np.exp(-beta * lam_min - np.arange(n + 1) * math.log(c))
     vals = scale * np.einsum("ij,jki->k", fe, row)
@@ -215,9 +240,15 @@ def repeated_expectation_series(
     g: int = 0,
     beta: float = 1.0,
 ) -> list[complex]:
-    """<x0, x, ..., x>_n for n = 0..max_n from one block-Toeplitz exponential."""
+    """<x0, x, ..., x>_n for n = 0..max_n from one block-Toeplitz exponential.
+
+    Every superdiagonal block of M is x, so M is block-Toeplitz and only
+    the first block row of exp(M) is computed (``expm_toeplitz_row``).
+    """
+    if max_n < 0:
+        raise ValueError(f"max_n must be nonnegative, got {max_n}")
     front = t.twist(g) @ as_matrix(x0)
-    vals, _ = _simplex_levels(t, front, [as_matrix(x)] * max_n, beta)
+    vals, _ = _simplex_levels(t, front, [as_matrix(x)] * max_n, beta, _toeplitz_row)
     return [complex(v) for v in vals]
 
 

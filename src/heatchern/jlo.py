@@ -270,6 +270,11 @@ def pairing_gaussian(
     )
 
 
+def _check_max_level(max_level: int):
+    if max_level < 0:
+        raise ValueError(f"max_level must be nonnegative, got {max_level}")
+
+
 def pairing_series(
     t: HeatData,
     inp: PairingInput,
@@ -280,9 +285,11 @@ def pairing_series(
     """Partial sums of the weighted level series.
 
     Stops when a term falls below ``tol``; raises NoConvergence if the
-    terms are still growing at ``max_level``.  The tail bound extrapolates
-    the sampled geometric decay and is reported, not guaranteed.
+    terms are still growing at ``max_level``, and ValueError for a
+    negative ``max_level``.  The tail bound extrapolates the sampled
+    geometric decay and is reported, not guaranteed.
     """
+    _check_max_level(max_level)
     _require_valid_input(t, inp)
     tb = t.lifted(inp.m)
     terms = _series_terms(tb, inp.a, tb.derive(inp.a), inp.g, max_level, beta_plane)
@@ -357,6 +364,7 @@ def pairing(
     ``connes_value`` is the idempotent-form average (pairing + index)/2
     under a = 2p - I.
     """
+    _check_max_level(max_level)
     quad = pairing_gaussian(t, inp, quad_nodes=quad_nodes, tol=tol, beta_plane=beta_plane)
     series, trunc, tail = pairing_series(
         t, inp, max_level=max_level, tol=min(tol, 1e-12), beta_plane=beta_plane

@@ -321,6 +321,24 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"type": "ValueError", "message": "quad_nodes 2000 exceeds node_cap 1024"}
 
+    @pytest.mark.parametrize("command", ["pair", "split-pair"])
+    def test_negative_max_level_exit_three(self, tmp_path, capsys, command):
+        # a negative cap used to give a zero series with a zero tail
+        if command == "pair":
+            doc = dict(EXCHANGE, a=[[1, 0], [0, -1]])
+        else:
+            doc = dict(PAULI_SPLIT, a=np.diag([1, -1, -1, 1]).tolist())
+        path = write(tmp_path, "p.json", doc)
+        assert run_main([command, "--input", path, "--max-level", "-3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {
+                "type": "ValueError",
+                "message": "max_level must be nonnegative, got -3",
+            }
+        }
+
     def test_memory_error_exit_two(self, tmp_path, capsys, monkeypatch):
         def exhausted(args):
             raise MemoryError("Unable to allocate 64.0 GiB")
@@ -361,3 +379,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["values"][0] == [1.0, 0.0]
+
+    def test_package_runs_as_module(self, tmp_path):
+        p = tmp_path / "t.json"
+        p.write_text(dumps_canonical(triple_to_json(zero_mode_triple())))
+        proc = subprocess.run(
+            [sys.executable, "-m", "heatchern", "validate", "--input", str(p)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "validate"

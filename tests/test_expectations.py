@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatchern import expectations
 from heatchern.errors import BadExponent, ComplexityCap, DimensionMismatch
 from heatchern.expectations import (
     MAX_BLOCK_ORDER,
@@ -197,14 +198,28 @@ class TestHeatExpectation:
                 else:
                     assert abs(series[n] - exact) <= 1e-11 * abs(exact)
 
-    @pytest.mark.parametrize("n", range(5))
-    def test_repeated_series_matches_generic(self, rng, n):
-        # levels of one block-Toeplitz exponential against single-level calls
-        t = random_triple(4, seed=31)
-        a0, x = rand_mats(rng, 4, 2)
-        series = repeated_expectation_series(t, a0, x, n, beta=1.3)
-        direct = expectation_value(t, [a0] + [x] * n, beta=1.3)
-        assert abs(series[n] - direct) < 1e-11 * max(abs(direct), 1.0)
+    @pytest.mark.parametrize(
+        "dim, n, beta",
+        [pytest.param(4, n, 1.3, id=str(n)) for n in range(5)]
+        + [
+            pytest.param(dim, n, beta, id=f"d{dim}-n{n}-b{beta}")
+            for dim, n in [(1, 24), (2, 24), (3, 20), (5, 12), (6, 10), (7, 8), (8, 12)]
+            for beta in (0.6, 1.3)
+        ],
+    )
+    def test_repeated_series_matches_generic(self, rng, monkeypatch, dim, n, beta):
+        # every level of the block-Toeplitz first row against the bidiagonal
+        # exponential of that level alone
+        t = random_triple(dim, seed=31)
+        a0, x = rand_mats(rng, dim, 2)
+        with monkeypatch.context() as mp:
+            # the series never exponentiates the full block matrix
+            mp.setattr(expectations, "expm", None)
+            series = repeated_expectation_series(t, a0, x, n, beta=beta)
+        assert len(series) == n + 1
+        for k in range(n + 1):
+            direct = expectation_value(t, [a0] + [x] * k, beta=beta)
+            assert abs(series[k] - direct) < 1e-11 * max(abs(direct), 1.0)
 
 
 class TestSymmetries:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatchern import expectations, jlo, triples
 from heatchern.cochains import random_cochain
@@ -157,6 +159,46 @@ class TestPairing:
             group=[np.eye(2)],
         )
         assert equivariant_index(t) == pytest.approx(0.0, abs=1e-14)
+
+    def test_negative_level_rejected(self, exchange, monkeypatch):
+        # a negative cap is refused before either route runs, instead of
+        # summing no terms into a series that looks converged
+        def unreachable(*args, **kw):
+            raise AssertionError("work started before the level check")
+
+        monkeypatch.setattr(jlo, "pairing_gaussian", unreachable)
+        monkeypatch.setattr(jlo, "_require_valid_input", unreachable)
+        monkeypatch.setattr(expectations, "_simplex_levels", unreachable)
+        inp = PairingInput(a=exchange.gamma.copy())
+        for call in (
+            lambda: pairing_series(exchange, inp, max_level=-1),
+            lambda: pairing(exchange, inp, max_level=-3),
+            lambda: repeated_expectation_series(exchange, inp.a, inp.a, -2),
+        ):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                call()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 16),
+        m=st.sampled_from([1, 2]),
+        beta_plane=st.sampled_from([0.5, 1.0, 2.0]),
+        group=st.sampled_from(["trivial", "z2"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_series_matches_quadrature(self, dim, m, beta_plane, group, seed):
+        # the two routes to the pairing agree to the selftest's C07 tolerance
+        t = random_triple(dim, seed=seed, group=group)
+        a = random_involution(t.lifted(m), np.random.default_rng(seed))
+        res = pairing(t, PairingInput(a=a, m=m), beta_plane=beta_plane)
+        assert abs(res.series_value - res.quadrature_value) < 1e-8
+
+    def test_series_matches_quadrature_dim48(self):
+        t = random_triple(48, seed=48)
+        a = random_involution(t, np.random.default_rng(48))
+        res = pairing(t, PairingInput(a=a))
+        assert res.truncation_level > 0
+        assert abs(res.series_value - res.quadrature_value) < 1e-8
 
     @pytest.mark.parametrize("seed", range(5))
     def test_series_vs_gaussian(self, seed):

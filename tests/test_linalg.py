@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from heatchern.errors import BadExponent, DimensionMismatch, NotHermitian, Overflow
+from heatchern.models import random_triple, zero_mode_triple
 from heatchern.linalg import (
     eig_hermitian,
     expm,
+    expm_toeplitz_row,
     opnorm,
     schatten_norm,
     simplex_exp,
@@ -123,6 +125,37 @@ class TestExpm:
         m.flat[-1] = complex(0.0, np.nan)
         with pytest.raises(ValueError, match="non-finite"):
             expm(m)
+
+
+class TestExpmToeplitzRow:
+    @pytest.mark.parametrize("zero_x", [False, True], ids=["x", "x0"])
+    @pytest.mark.parametrize("n", [0, 1, 16, 40])
+    @pytest.mark.parametrize("spectrum", ["d1", "d2", "d5", "d12", "zero_mode"])
+    def test_matches_dense_block_row(self, spectrum, n, zero_x):
+        # the oracle is expm on the explicit block-Toeplitz matrix; d and x
+        # are shaped as the series passes them: the shifted spectrum of Q^2
+        # (degenerate for the zero-mode triple) and a balanced x
+        t = zero_mode_triple() if spectrum == "zero_mode" else random_triple(
+            int(spectrum[1:]), seed=7
+        )
+        lam, _ = t.heat_data()
+        dim = lam.size
+        beta = 1.3
+        d = -beta * (lam - lam.min())
+        x = random_matrix(np.random.default_rng(n), dim)
+        x *= 0.0 if zero_x else max(1.0, n / math.e) / opnorm(x)
+        order = (n + 1) * dim
+        m = np.zeros((order, order), dtype=complex)
+        m[np.diag_indices(order)] = np.tile(d, n + 1)
+        for k in range(n):
+            m[k * dim : (k + 1) * dim, (k + 1) * dim : (k + 2) * dim] = x
+        ref = expm(m, norm_cap=np.inf)[:dim]
+        got = expm_toeplitz_row(d, x, n)
+        assert got.shape == (dim, order)
+        for k in range(n + 1):
+            blk = slice(k * dim, (k + 1) * dim)
+            err = np.linalg.norm(got[:, blk] - ref[:, blk])
+            assert err <= 1e-13 * np.linalg.norm(ref[:, blk])
 
 
 class TestSimplexExp:
