@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import (
+    BadExponent,
     ComplexityCap,
     DimensionMismatch,
     NoConvergence,
@@ -36,6 +38,7 @@ from .homotopy import (
 from .jlo import PairingInput, equivariant_index, jlo_component, pairing
 from .selftest import format_table, run_selftest
 from .serialization import (
+    _number,
     csv_text,
     dumps_canonical,
     matrix_from_json,
@@ -62,13 +65,18 @@ def _parse_grid(text: str) -> np.ndarray:
         grid = np.linspace(float(a), float(b), int(n))
     except ValueError as exc:
         raise DimensionMismatch(f"cannot parse grid {text!r}, expected a:b:n") from exc
-    if len(grid) > 1 and not np.all(np.diff(grid) > 0):
+    if len(grid) == 0:
+        raise DimensionMismatch(f"grid {text!r} has no points")
+    if not np.all(np.diff(grid) > 0):
         raise DimensionMismatch(f"grid {text!r} must be strictly increasing")
     return grid
 
 
 def _parse_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+    values = [float(x) for x in text.split(",") if x]
+    if not values:
+        raise DimensionMismatch(f"list {text!r} has no values")
+    return values
 
 
 def _load_json(path: str) -> dict:
@@ -76,6 +84,12 @@ def _load_json(path: str) -> dict:
     if not isinstance(doc, dict):
         raise DimensionMismatch(f"input JSON must be an object, got {type(doc).__name__}")
     return doc
+
+
+def _load_triple(args):
+    """The input document and the validated triple it holds."""
+    doc = _load_json(args.input)
+    return doc, require_valid(triple_from_json(doc.get("triple", doc)))
 
 
 def _provenance(args) -> dict:
@@ -131,13 +145,15 @@ def _emit_pairing(args, res):
     _emit(args, payload)
 
 
-def _pairing_input(doc: dict, t_dim: int, g: int) -> PairingInput:
+def _pairing_input(doc: dict, g: int) -> PairingInput:
     if "a" not in doc:
         raise DimensionMismatch("input JSON is missing key 'a'")
     spec = doc["a"]
     if isinstance(spec, dict):
         return PairingInput(
-            a=matrix_from_json(spec["matrix"]), m=int(spec.get("m", 1)), g=g
+            a=matrix_from_json(spec["matrix"]),
+            m=_number(int, spec.get("m", 1), "'a' block size m"),
+            g=g,
         )
     return PairingInput(a=matrix_from_json(spec), m=1, g=g)
 
@@ -163,8 +179,7 @@ def _cmd_validate(args):
 
 
 def _cmd_index(args):
-    doc = _load_json(args.input)
-    t = require_valid(triple_from_json(doc.get("triple", doc)))
+    _, t = _load_triple(args)
     values = [equivariant_index(t, g) for g in range(len(t.group))]
     _emit(
         args,
@@ -178,9 +193,8 @@ def _cmd_index(args):
 
 
 def _cmd_pair(args):
-    doc = _load_json(args.input)
-    t = require_valid(triple_from_json(doc.get("triple", doc)))
-    inp = _pairing_input(doc, t.dim, args.group_index)
+    doc, t = _load_triple(args)
+    inp = _pairing_input(doc, args.group_index)
     res = pairing(
         t, inp, quad_nodes=args.quad_nodes, max_level=args.max_level, tol=args.tol
     )
@@ -189,10 +203,11 @@ def _cmd_pair(args):
 
 
 def _cmd_jlo(args):
-    doc = _load_json(args.input)
-    t = require_valid(triple_from_json(doc.get("triple", doc)))
+    doc, t = _load_triple(args)
     if "tuple" not in doc:
         raise DimensionMismatch("input JSON is missing key 'tuple'")
+    if not isinstance(doc["tuple"], list) or not doc["tuple"]:
+        raise DimensionMismatch("'tuple' must be a nonempty list of matrices")
     mats = [matrix_from_json(m) for m in doc["tuple"]]
     n = len(mats) - 1
     if args.method == "exact":
@@ -221,14 +236,12 @@ def _cmd_jlo(args):
 
 
 def _cmd_sweep(args):
-    doc = _load_json(args.input)
-    t = require_valid(triple_from_json(doc.get("triple", doc)))
+    doc, t = _load_triple(args)
     if "q" not in doc:
         raise DimensionMismatch("input JSON is missing key 'q' (linear family)")
     q = matrix_from_json(doc["q"])
     fam = linear_family(t, q)
-    fam.validate_at(0.0).require("family fails validation")
-    inp = _pairing_input(doc, t.dim, args.group_index)
+    inp = _pairing_input(doc, args.group_index)
     grid = _parse_grid(args.lambda_grid)
     tab = sweep_invariant(fam, inp, grid, quad_nodes=args.quad_nodes, tol=args.tol)
     _emit_table(args, tab)
@@ -236,9 +249,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_beta_scan(args):
-    doc = _load_json(args.input)
-    t = require_valid(triple_from_json(doc.get("triple", doc)))
-    inp = _pairing_input(doc, t.dim, args.group_index)
+    doc, t = _load_triple(args)
+    inp = _pairing_input(doc, args.group_index)
     betas = _parse_list(args.beta_list)
     tab = beta_independence(t, inp, betas, quad_nodes=args.quad_nodes, tol=args.tol)
     _emit_table(args, tab)
@@ -246,15 +258,14 @@ def _cmd_beta_scan(args):
 
 
 def _cmd_endpoint(args):
-    doc = _load_json(args.input)
-    t = require_valid(triple_from_json(doc.get("triple", doc)))
+    doc, t = _load_triple(args)
     for key in ("q", "regularizer"):
         if key not in doc:
             raise DimensionMismatch(f"input JSON is missing key {key!r}")
     fam = linear_family(
         t, matrix_from_json(doc["q"]), regularizer=matrix_from_json(doc["regularizer"])
     )
-    inp = _pairing_input(doc, t.dim, args.group_index)
+    inp = _pairing_input(doc, args.group_index)
     tab = endpoint_grid(
         fam,
         _parse_grid(args.eps_grid),
@@ -270,7 +281,7 @@ def _cmd_endpoint(args):
 def _cmd_split_pair(args):
     doc = _load_json(args.input)
     s = require_valid_split(split_from_json(doc.get("split", doc)))
-    inp = _pairing_input(doc, s.dim, args.group_index)
+    inp = _pairing_input(doc, args.group_index)
     res = split_pairing(
         s, inp, quad_nodes=args.quad_nodes, max_level=args.max_level, tol=args.tol
     )
@@ -280,23 +291,15 @@ def _cmd_split_pair(args):
 
 def _cmd_coupling_sweep(args):
     doc = _load_json(args.input)
-    s = require_valid_split(split_from_json(doc.get("split", doc)))
+    s = split_from_json(doc.get("split", doc))
     if "q2_tilde" not in doc:
         raise DimensionMismatch("input JSON is missing key 'q2_tilde'")
     qt2 = matrix_from_json(doc["q2_tilde"])
-    q1, q2, gam, grp, tol = s.Q1, s.Q2, s.gamma, list(s.group), s.tol
 
     def family(lam: float) -> SplitTriple:
-        return SplitTriple(
-            dim=s.dim,
-            Q1=q1,
-            Q2=np.cos(lam) * q2 + np.sin(lam) * qt2,
-            gamma=gam,
-            group=grp,
-            tol=tol,
-        )
+        return replace(s, Q2=np.cos(lam) * s.Q2 + np.sin(lam) * qt2)
 
-    inp = _pairing_input(doc, s.dim, args.group_index)
+    inp = _pairing_input(doc, args.group_index)
     tab = coupling_sweep(
         family,
         inp,
@@ -375,7 +378,8 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         _print_error(args, exc)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, DimensionMismatch, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, DimensionMismatch, ValueError,
+            BadExponent) as exc:
         _print_error(args, exc)
         return 3
 

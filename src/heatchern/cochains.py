@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ClassViolation, DimensionMismatch
 from .expectations import expectation_value
-from .linalg import opnorm
+from .models import random_even_element
 from .triples import SpectralTriple, ValidationReport
 
 __all__ = [
@@ -150,6 +150,17 @@ def op_U(f: Cochain) -> Cochain:
     return Cochain(ev, f.group, f.max_level - 1, _PARITY_FLIP[f.parity], out_class)
 
 
+def _face(f: Cochain, r: int, m: int, mats, g: int) -> complex:
+    """The signed face (V(r) f)_m: adjacent product at r, or the wrap at r = m."""
+    if r <= m - 1:
+        merged = mats[:r] + (mats[r] @ mats[r + 1],) + mats[r + 2 :]
+        return (-1) ** r * f(m - 1, merged, g)
+    if r == m:
+        merged = (f.conj_group_inv(mats[m], g) @ mats[0],) + mats[1:m]
+        return (-1) ** m * f(m - 1, merged, g)
+    raise DimensionMismatch(f"V({r}) undefined at output level {m}")
+
+
 def op_V(r: int, f: Cochain) -> Cochain:
     """Creation conjugated by r cyclic steps; raises the level by one.
 
@@ -160,85 +171,56 @@ def op_V(r: int, f: Cochain) -> Cochain:
         raise ValueError(f"r must be nonnegative, got {r}")
 
     def ev(m, mats, g):
-        if r <= m - 1:
-            merged = mats[:r] + (mats[r] @ mats[r + 1],) + mats[r + 2 :]
-            return (-1) ** r * f(m - 1, merged, g)
-        if r == m:
-            merged = (f.conj_group_inv(mats[m], g) @ mats[0],) + mats[1:m]
-            return (-1) ** m * f(m - 1, merged, g)
-        raise DimensionMismatch(f"V({r}) undefined at output level {m}")
+        return _face(f, r, m, mats, g)
 
     return Cochain(ev, f.group, f.max_level + 1, _PARITY_FLIP[f.parity], "D")
 
 
 def op_b(f: Cochain) -> Cochain:
-    """Hochschild coboundary; raises the level by one."""
+    """Hochschild coboundary, the sum of the faces V(0..m); raises the level by one."""
     _require_class(f, "C", "b")
 
     def ev(m, mats, g):
         if m < 1:
             raise DimensionMismatch("b has no component at level 0")
         tot = 0.0 + 0.0j
-        for j in range(m):
-            merged = mats[:j] + (mats[j] @ mats[j + 1],) + mats[j + 2 :]
-            tot += (-1) ** j * f(m - 1, merged, g)
-        wrapped = (f.conj_group_inv(mats[m], g) @ mats[0],) + mats[1:m]
-        tot += (-1) ** m * f(m - 1, wrapped, g)
+        for r in range(m + 1):
+            tot += _face(f, r, m, mats, g)
         return tot
 
     return Cochain(ev, f.group, f.max_level + 1, _PARITY_FLIP[f.parity], "C")
 
 
 def op_B(f: Cochain) -> Cochain:
-    """Connes coboundary (antisymmetrized annihilation); lowers the level."""
+    """Connes coboundary B = A U (antisymmetrized annihilation); lowers the level."""
     _require_class(f, "C", "B")
-    dim = f.group[0].shape[0]
-    ident = np.eye(dim, dtype=complex)
+    return op_A(op_U(f))
+
+
+def _coboundary(f: Cochain, sign_B: int) -> Cochain:
+    """b + B, or b - B when sign_B is negative."""
+    bf = op_b(f)
+    Bf = op_B(f)
 
     def ev(m, mats, g):
         tot = 0.0 + 0.0j
-        for j in range(m + 1):
-            head = tuple(f.conj_group_inv(a, g) for a in mats[m + 1 - j :])
-            tot += (-1) ** (m * j) * f(m + 1, (ident,) + head + mats[: m + 1 - j], g)
+        if m <= Bf.max_level:
+            tot = Bf(m, mats, g) if sign_B > 0 else -Bf(m, mats, g)
+        if m >= 1:
+            tot += bf(m, mats, g)
         return tot
 
-    return Cochain(ev, f.group, f.max_level - 1, _PARITY_FLIP[f.parity], "N")
+    return Cochain(ev, f.group, f.max_level + 1, _PARITY_FLIP[f.parity], "C")
 
 
 def op_partial(f: Cochain) -> Cochain:
     """The coboundary b + B of entire cyclic cohomology."""
-    bf = op_b(f)
-    Bf = op_B(f)
-
-    def ev(m, mats, g):
-        tot = Bf(m, mats, g) if m <= Bf.max_level else 0.0 + 0.0j
-        if m >= 1:
-            tot += bf(m, mats, g)
-        return tot
-
-    return Cochain(ev, f.group, f.max_level + 1, _PARITY_FLIP[f.parity], "C")
+    return _coboundary(f, 1)
 
 
 def op_partial_bar(f: Cochain) -> Cochain:
     """The companion coboundary b - B (also nilpotent); no pairing attached."""
-    bf = op_b(f)
-    Bf = op_B(f)
-
-    def ev(m, mats, g):
-        tot = -Bf(m, mats, g) if m <= Bf.max_level else 0.0 + 0.0j
-        if m >= 1:
-            tot += bf(m, mats, g)
-        return tot
-
-    return Cochain(ev, f.group, f.max_level + 1, _PARITY_FLIP[f.parity], "C")
-
-
-def _group_gamma_average(t: SpectralTriple, m: np.ndarray) -> np.ndarray:
-    out = (m + t.conj_gamma(m)) / 2.0
-    acc = np.zeros_like(out)
-    for u in t.group:
-        acc += u @ out @ u.conj().T
-    return acc / len(t.group)
+    return _coboundary(f, -1)
 
 
 def random_cochain(t: SpectralTriple, seed: int, max_level: int = 6) -> Cochain:
@@ -253,12 +235,10 @@ def random_cochain(t: SpectralTriple, seed: int, max_level: int = 6) -> Cochain:
     """
     rng = np.random.default_rng(seed)
     dim = t.dim
-    cs = []
-    for _ in range(max_level + 1):
-        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        c = _group_gamma_average(t, raw)
-        nrm = opnorm(c)
-        cs.append(c / nrm if nrm > 0 else c)
+    cs = [
+        random_even_element(t, rng, group_invariant=True)
+        for _ in range(max_level + 1)
+    ]
     ident = np.eye(dim, dtype=complex)
 
     def pi(a):
@@ -272,12 +252,7 @@ def random_cochain(t: SpectralTriple, seed: int, max_level: int = 6) -> Cochain:
 
 
 def _random_even_tuple(t: SpectralTriple, rng, n: int):
-    out = []
-    for _ in range(n + 1):
-        raw = rng.normal(size=(t.dim, t.dim)) + 1j * rng.normal(size=(t.dim, t.dim))
-        even = (raw + t.conj_gamma(raw)) / 2.0
-        out.append(even / max(opnorm(even), 1e-12))
-    return tuple(out)
+    return tuple(random_even_element(t, rng) for _ in range(n + 1))
 
 
 def cocycle_residual(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import opnorm
-from .triples import SpectralTriple
+from .triples import HeatData, SpectralTriple
 
 __all__ = [
     "exchange_triple",
@@ -87,7 +87,7 @@ def random_triple(
     return SpectralTriple(dim=dim, Q=q, gamma=gamma, group=members, tol=tol)
 
 
-def _group_project(t: SpectralTriple, m: np.ndarray) -> np.ndarray:
+def _group_project(t: HeatData, m: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(m)
     for u in t.group:
         acc += u @ m @ u.conj().T
@@ -95,7 +95,7 @@ def _group_project(t: SpectralTriple, m: np.ndarray) -> np.ndarray:
 
 
 def random_even_element(
-    t: SpectralTriple, rng, unit: bool = True, group_invariant: bool = False
+    t: HeatData, rng, unit: bool = True, group_invariant: bool = False
 ) -> np.ndarray:
     """Random gamma-even matrix, optionally group-averaged and unit-norm."""
     raw = rng.normal(size=(t.dim, t.dim)) + 1j * rng.normal(size=(t.dim, t.dim))

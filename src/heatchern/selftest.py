@@ -9,6 +9,7 @@ the base time.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -59,7 +60,6 @@ from .models import (
 )
 from .serialization import dumps_canonical
 from .split import (
-    SplitTriple,
     build_n2_susy_example,
     coupling_sweep,
     validate_split,
@@ -422,7 +422,7 @@ def _c13(seed):
     for n in range(1, 5):
         for _ in range(3):
             mats = tuple(
-                zero_momentum_project(s, random_even_element_split(s, rng))
+                zero_momentum_project(s, random_even_element(s, rng))
                 for _ in range(n + 1)
             )
             for g in range(len(s.group)):
@@ -430,27 +430,15 @@ def _c13(seed):
     ok &= worst_cocycle < 1e-8
 
     def rotation_family(lam):
-        return SplitTriple(
-            dim=s.dim,
-            Q1=gens["Q1"],
-            Q2=math.cos(lam) * gens["Q2"] + math.sin(lam) * gens["Qt2"],
-            gamma=s.gamma,
-            group=list(s.group),
-            tol=s.tol,
-        )
+        return replace(s, Q2=math.cos(lam) * gens["Q2"] + math.sin(lam) * gens["Qt2"])
 
     inp = PairingInput(a=s.gamma.copy(), g=1)
     tab = coupling_sweep(rotation_family, inp, np.linspace(0.0, 0.8, 9))
     ok &= tab.spread() < 1e-6
 
     def broken_family(lam):
-        return SplitTriple(
-            dim=s.dim,
-            Q1=gens["Q1"],
-            Q2=(1.0 + lam) * gens["Q2"],
-            gamma=s.gamma,
-            group=[np.eye(s.dim, dtype=complex)],
-            tol=s.tol,
+        return replace(
+            s, Q2=(1.0 + lam) * gens["Q2"], group=[np.eye(s.dim, dtype=complex)]
         )
 
     guard_fired = False
@@ -465,12 +453,6 @@ def _c13(seed):
         "coupling_spread": tab.spread(),
         "guard_fired": guard_fired,
     }
-
-
-def random_even_element_split(s: SplitTriple, rng) -> np.ndarray:
-    raw = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
-    a = (raw + s.conj_gamma(raw)) / 2.0
-    return a / max(opnorm(a), 1e-12)
 
 
 @_criterion("C14", "endpoint grid: zero-regularization row and convergence diagnostic")

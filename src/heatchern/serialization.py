@@ -1,10 +1,14 @@
 """JSON and CSV interchange.
 
 Complex scalars are two-element arrays [re, im]; matrices are arrays of
-rows.  Floats are emitted with 17 significant digits, which round-trips
-IEEE doubles bit-exactly, and no locale-dependent formatting is used.
+rows.  Floats are emitted with 17 significant digits, and negative zero as
+-0.0, which round-trips IEEE doubles bit-exactly; no locale-dependent
+formatting is used.
 Non-finite floats become the strings "NaN", "Infinity" and "-Infinity",
 which keeps the output valid JSON and which float() reads back.
+Each ``HeatData`` kind is one object: "dim", its ``GENERATORS`` matrices,
+"gamma", "group" and "tol", read and written by one codec.  A null or
+non-numeric "dim", "tol" or cyclic order is a ``DimensionMismatch``.
 A group may be given as an explicit list of matrices or through the
 shorthand {"cyclic": k, "generator": M}, which expands to the k powers
 of M at load time.
@@ -13,11 +17,12 @@ of M at load time.
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .triples import SpectralTriple
+from .triples import HeatData, SpectralTriple
 from .split import SplitTriple
 
 __all__ = [
@@ -61,9 +66,17 @@ def matrix_to_json(m) -> list:
     return [[complex_to_json(v) for v in row] for row in arr]
 
 
+def _number(convert, value, name: str):
+    """convert(value), with a null or non-numeric field as a schema error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatch(f"{name} must be a number, got {value!r}") from exc
+
+
 def _group_from_json(spec, dim: int) -> list[np.ndarray]:
     if isinstance(spec, dict) and "cyclic" in spec:
-        k = int(spec["cyclic"])
+        k = _number(int, spec["cyclic"], "group cyclic order")
         gen = matrix_from_json(spec["generator"])
         out = [np.eye(dim, dtype=complex)]
         cur = np.eye(dim, dtype=complex)
@@ -76,60 +89,40 @@ def _group_from_json(spec, dim: int) -> list[np.ndarray]:
     raise DimensionMismatch(f"cannot parse group from {type(spec).__name__}")
 
 
-def triple_from_json(d: dict) -> SpectralTriple:
-    for key in ("dim", "Q", "gamma"):
+def _from_json(cls: type[HeatData], kind: str, d) -> HeatData:
+    """The ``cls`` instance that ``d`` lays out: dim, each generator, gamma, group, tol."""
+    if not isinstance(d, dict):
+        raise DimensionMismatch(f"{kind} JSON must be an object, got {type(d).__name__}")
+    names = cls.GENERATORS + ("gamma",)
+    for key in ("dim",) + names:
         if key not in d:
-            raise DimensionMismatch(f"triple JSON is missing key {key!r}")
-    dim = int(d["dim"])
-    group = _group_from_json(d.get("group", [np.eye(dim).tolist()]), dim) if d.get(
-        "group"
-    ) else [np.eye(dim, dtype=complex)]
-    return SpectralTriple(
+            raise DimensionMismatch(f"{kind} JSON is missing key {key!r}")
+    dim = _number(int, d["dim"], "dim")
+    group = (
+        _group_from_json(d["group"], dim)
+        if d.get("group")
+        else [np.eye(dim, dtype=complex)]
+    )
+    return cls(
         dim=dim,
-        Q=matrix_from_json(d["Q"]),
-        gamma=matrix_from_json(d["gamma"]),
+        **{n: matrix_from_json(d[n]) for n in names},
         group=group,
-        tol=float(d.get("tol", 1e-10)),
+        tol=_number(float, d.get("tol", 1e-10), "tol"),
     )
 
 
-def triple_to_json(t: SpectralTriple) -> dict:
+def _to_json(h: HeatData) -> dict:
     return {
-        "dim": t.dim,
-        "Q": matrix_to_json(t.Q),
-        "gamma": matrix_to_json(t.gamma),
-        "group": [matrix_to_json(u) for u in t.group],
-        "tol": t.tol,
+        "dim": h.dim,
+        **{n: matrix_to_json(getattr(h, n)) for n in h.GENERATORS + ("gamma",)},
+        "group": [matrix_to_json(u) for u in h.group],
+        "tol": h.tol,
     }
 
 
-def split_from_json(d: dict) -> SplitTriple:
-    for key in ("dim", "Q1", "Q2", "gamma"):
-        if key not in d:
-            raise DimensionMismatch(f"split JSON is missing key {key!r}")
-    dim = int(d["dim"])
-    group = _group_from_json(d.get("group", []), dim) if d.get("group") else [
-        np.eye(dim, dtype=complex)
-    ]
-    return SplitTriple(
-        dim=dim,
-        Q1=matrix_from_json(d["Q1"]),
-        Q2=matrix_from_json(d["Q2"]),
-        gamma=matrix_from_json(d["gamma"]),
-        group=group,
-        tol=float(d.get("tol", 1e-10)),
-    )
-
-
-def split_to_json(s: SplitTriple) -> dict:
-    return {
-        "dim": s.dim,
-        "Q1": matrix_to_json(s.Q1),
-        "Q2": matrix_to_json(s.Q2),
-        "gamma": matrix_to_json(s.gamma),
-        "group": [matrix_to_json(u) for u in s.group],
-        "tol": s.tol,
-    }
+triple_from_json = partial(_from_json, SpectralTriple, "triple")
+split_from_json = partial(_from_json, SplitTriple, "split")
+triple_to_json = split_to_json = _to_json
 
 
 def _fmt_float(x: float) -> str:
@@ -138,7 +131,8 @@ def _fmt_float(x: float) -> str:
     if x in (float("inf"), float("-inf")):
         return '"Infinity"' if x > 0 else '"-Infinity"'
     s = format(float(x), ".17g")
-    return s
+    # "-0" would read back as the integer 0 and lose the sign
+    return "-0.0" if s == "-0" else s
 
 
 def _write(obj, out: list):

@@ -24,7 +24,7 @@ from .errors import (
     ValidationFailure,
     ZeroMomentumViolation,
 )
-from .homotopy import DeformationFamily, SweepTable, regularity_report
+from .homotopy import SweepTable
 from .jlo import (
     PairingInput,
     PairingResult,
@@ -33,7 +33,7 @@ from .jlo import (
     pairing_gaussian,
 )
 from .linalg import as_matrix, eig_hermitian, expm, opnorm
-from .triples import HeatData, SpectralTriple, ValidationReport
+from .triples import HeatData, ValidationReport, kato_constants
 
 __all__ = [
     "SplitTriple",
@@ -228,9 +228,9 @@ def coupling_sweep(
     """Pairing along a family of split triples.
 
     mode "coupling": the momentum P(lambda) must stay fixed (PNotFixed
-    otherwise) and the induced Q(lambda) family is checked by the
-    regularity report.  mode "q1_commuting": instead requires that
-    Q1(lambda) commute with the input and that Q2 stay fixed.
+    otherwise).  mode "q1_commuting": instead requires that Q1(lambda)
+    commute with the input and that Q2 stay fixed.  In both modes each row
+    reports whether Q(lambda) - Q has a Kato bound below one against Q.
     """
     if mode not in ("coupling", "q1_commuting"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -241,25 +241,6 @@ def coupling_sweep(
     tab = SweepTable(
         columns=["lambda", "value", "p_residual", "precondition_residual", "kato_below_one"]
     )
-    # regularity of the induced Q(lambda) family, reported against a
-    # trivial-group copy of the derived triple (the split group need not
-    # commute with the full Q)
-    base_derived = SpectralTriple(
-        dim=base.dim,
-        Q=base.Q,
-        gamma=base.gamma,
-        group=[np.eye(base.dim, dtype=complex)],
-        tol=base.tol,
-    )
-
-    def q_of(lam: float) -> np.ndarray:
-        return family(lam).Q - base.Q
-
-    fam = DeformationFamily(
-        base=base_derived, q=q_of, lambda_interval=(grid[0], grid[-1])
-    )
-    reg = regularity_report(fam, grid)
-    kato_flags = {row["lambda"]: row["kato_below_one"] for row in reg.rows}
     for i, lam in enumerate(grid):
         s_lam = base if i == 0 else require_valid_split(family(lam))
         pres = opnorm(s_lam.momentum - p0)
@@ -281,6 +262,7 @@ def coupling_sweep(
                     f"(residual {precond:.3e})"
                 )
         _check_pairing_input(s_lam, inp)
+        kato = kato_constants(base, s_lam.Q - base.Q)
         val = pairing_gaussian(s_lam, inp, quad_nodes=quad_nodes, tol=tol)
         tab.add_row(
             **{
@@ -288,7 +270,7 @@ def coupling_sweep(
                 "value": val,
                 "p_residual": pres,
                 "precondition_residual": precond,
-                "kato_below_one": bool(kato_flags.get(lam, False)),
+                "kato_below_one": kato.achievable_below_one,
             }
         )
     return tab

@@ -127,8 +127,11 @@ class HeatData:
         Its H is beta times the block-diagonal H and its d is sqrt(beta)
         times the block derivative, so plane-beta invariants of m x m
         inputs are plane-1 invariants of the lift.  Each lift is built once
-        per instance, so every caller shares its cached eigenbasis.
+        per instance, so every caller shares its cached eigenbasis.  A plane
+        beta <= 0 (or NaN) raises BadExponent.
         """
+        if not beta_plane > 0:
+            raise BadExponent(f"beta_plane must be positive, got {beta_plane}")
         if m == 1 and beta_plane == 1.0:
             return self
         key = (m, beta_plane)

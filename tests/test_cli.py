@@ -29,6 +29,10 @@ PAULI_SPLIT = {
 }
 
 
+NO_POINTS = ("DimensionMismatch", "grid '0:1:0' has no points")
+NOT_POSITIVE = "beta_plane must be positive, got"
+
+
 def write(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(dumps_canonical(doc))
@@ -213,6 +217,30 @@ class TestSplitCommands:
         assert out["table"]["spread"] < 1e-6
 
 
+    @pytest.mark.parametrize("grid", ["0:0.6:4", "0.2:0.8:4"])
+    def test_coupling_sweep_validates_each_point_once(
+        self, tmp_path, capsys, monkeypatch, grid
+    ):
+        from heatchern import split
+        from heatchern.serialization import matrix_to_json, split_to_json
+
+        s, gens = split.build_n2_susy_example(levels=((1.0, 0.5),))
+        doc = split_to_json(s)
+        doc["a"] = matrix_to_json(s.gamma)
+        doc["q2_tilde"] = matrix_to_json(gens["Qt2"])
+        path = write(tmp_path, "cs.json", doc)
+        calls = []
+
+        def counted(st):
+            calls.append(st)
+            return validate_split(st)
+
+        validate_split = split.validate_split
+        monkeypatch.setattr(split, "validate_split", counted)
+        assert run_main(["coupling-sweep", "--input", path, f"--lambda-grid={grid}"]) == 0
+        assert len(calls) == 4
+
+
 class TestJloCommand:
     def test_exact_component(self, tmp_path, capsys):
         doc = dict(EXCHANGE)
@@ -338,6 +366,89 @@ class TestErrors:
                 "message": "max_level must be nonnegative, got -3",
             }
         }
+
+    @pytest.mark.parametrize(
+        "command, fields, message",
+        [
+            ("pair", {"dim": None}, "dim must be a number, got None"),
+            ("pair", {"tol": None}, "tol must be a number, got None"),
+            (
+                "pair",
+                {"group": {"cyclic": None, "generator": [[1, 0], [0, 1]]}},
+                "group cyclic order must be a number, got None",
+            ),
+            (
+                "pair",
+                {"a": {"m": None, "matrix": [[1, 0], [0, -1]]}},
+                "'a' block size m must be a number, got None",
+            ),
+            ("pair", {"triple": None}, "triple JSON must be an object, got NoneType"),
+            ("jlo", {"tuple": 5}, "'tuple' must be a nonempty list of matrices"),
+            ("jlo", {"tuple": []}, "'tuple' must be a nonempty list of matrices"),
+        ],
+        ids=["dim", "tol", "cyclic", "m", "triple", "tuple", "empty-tuple"],
+    )
+    def test_schema_error_exit_three(self, tmp_path, capsys, command, fields, message):
+        # each of these used to end in a TypeError or IndexError traceback
+        doc = {**EXCHANGE, "a": [[1, 0], [0, -1]], **fields}
+        path = write(tmp_path, "s.json", doc)
+        assert run_main([command, "--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {"type": "DimensionMismatch", "message": message}
+        }
+
+    @pytest.mark.parametrize(
+        "command, flag, error",
+        [
+            ("sweep", "--lambda-grid=0:1:0", NO_POINTS),
+            ("endpoint", "--lambda-grid=0:1:0", NO_POINTS),
+            ("endpoint", "--eps-grid=0:1:0", NO_POINTS),
+            ("coupling-sweep", "--lambda-grid=0:1:0", NO_POINTS),
+            ("beta-scan", "--beta-list=,", ("DimensionMismatch", "list ',' has no values")),
+            ("beta-scan", "--beta-list=0", ("BadExponent", f"{NOT_POSITIVE} 0.0")),
+            ("beta-scan", "--beta-list=-1", ("BadExponent", f"{NOT_POSITIVE} -1.0")),
+        ],
+        ids=["sweep", "endpoint-lambda", "endpoint-eps", "coupling", "beta-empty",
+             "beta-0", "beta-neg"],
+    )
+    def test_empty_grid_or_nonpositive_beta_exit_three(
+        self, tmp_path, capsys, command, flag, error
+    ):
+        # an empty grid used to give an empty table with spread 0, or an
+        # IndexError; beta 0 gave a row and beta -1 a math domain error
+        if command == "coupling-sweep":
+            from heatchern.serialization import matrix_to_json, split_to_json
+            from heatchern.split import build_n2_susy_example
+
+            s, gens = build_n2_susy_example(levels=((1.0, 0.5),))
+            doc = split_to_json(s)
+            doc["a"] = matrix_to_json(s.gamma)
+            doc["q2_tilde"] = matrix_to_json(gens["Qt2"])
+        else:
+            doc = dict(
+                EXCHANGE,
+                a=[[1, 0], [0, -1]],
+                q=[[0, [0, 1]], [[0, -1], 0]],
+                regularizer=[[0.5, 0], [0, 1.5]],
+            )
+        path = write(tmp_path, "g.json", doc)
+        assert run_main([command, "--input", path, flag]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {"type": error[0], "message": error[1]}
+        }
+
+    def test_gamma_even_sweep_direction_exit_one(self, tmp_path, capsys):
+        doc = dict(EXCHANGE, a=[[1, 0], [0, -1]], q=[[1, 0], [0, -1]])
+        path = write(tmp_path, "q.json", doc)
+        assert run_main(["sweep", "--input", path, "--lambda-grid", "0:0.4:3"]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValidationFailure"
+        assert "deformed triple at lambda=" in err["message"]
+        assert "Q gamma + gamma Q = 0" in err["message"]
 
     def test_memory_error_exit_two(self, tmp_path, capsys, monkeypatch):
         def exhausted(args):

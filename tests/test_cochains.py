@@ -149,6 +149,15 @@ class TestCoboundaries:
         mats = even(m + 1)
         assert abs(op_partial_bar(op_partial_bar(G))(m, mats, 0)) < 1e-10
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_partial_and_partial_bar_differ_in_the_sign_of_B(self, setup, m):
+        t, G, fN, even = setup
+        mats = even(m + 1)
+        b, B = op_b(G)(m, mats, 1), op_B(G)(m, mats, 1)
+        assert abs(B) > 1e-6
+        assert op_partial(G)(m, mats, 1) == b + B
+        assert op_partial_bar(G)(m, mats, 1) == b - B
+
     def test_b_preserves_class_C(self, setup):
         t, G, fN, even = setup
         bf = op_b(G)

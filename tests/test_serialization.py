@@ -1,7 +1,11 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatchern.errors import DimensionMismatch
 from heatchern.linalg import opnorm
@@ -12,9 +16,11 @@ from heatchern.serialization import (
     matrix_from_json,
     matrix_to_json,
     split_from_json,
+    split_to_json,
     triple_from_json,
     triple_to_json,
 )
+from heatchern.split import SplitTriple
 
 
 class TestMatrixRoundTrip:
@@ -82,6 +88,62 @@ class TestTripleRoundTrip:
         assert opnorm(s.Q1 @ s.Q2 + s.Q2 @ s.Q1) < 1e-14
 
 
+class TestHeatDataRoundTrip:
+    """Every HeatData kind survives its codec and the canonical text bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(1, 8),
+        group=st.sampled_from(["trivial", "z2"]),
+        seed=st.integers(0, 2**16),
+        tol=st.floats(1e-14, 1e-6),
+        split=st.booleans(),
+    )
+    def test_lossless(self, dim, group, seed, tol, split):
+        t = random_triple(dim, seed=seed, group=group, tol=tol)
+        if split:
+            rng = np.random.default_rng(seed)
+            q2 = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            h = SplitTriple(dim=dim, Q1=t.Q, Q2=q2, gamma=t.gamma, group=t.group, tol=tol)
+            to_json, from_json = split_to_json, split_from_json
+        else:
+            h, to_json, from_json = t, triple_to_json, triple_from_json
+        back = from_json(json.loads(dumps_canonical(to_json(h))))
+        assert type(back) is type(h)
+        assert back.dim == h.dim
+        assert back.tol == h.tol
+        for name in h.GENERATORS + ("gamma",):
+            self.assert_bitwise(getattr(back, name), getattr(h, name))
+        assert len(back.group) == len(h.group)
+        for u, v in zip(back.group, h.group):
+            self.assert_bitwise(u, v)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"dim": [2]}, "dim must be a number, got [2]"),
+            ({"dim": float("inf")}, "dim must be a number, got inf"),
+            ({"tol": "small"}, "tol must be a number, got 'small'"),
+        ],
+        ids=["list", "infinite", "string"],
+    )
+    def test_non_numeric_field(self, doc, message):
+        # the null fields are covered through the CLI in test_cli
+        base = {"dim": 2, "Q": [[0, 1], [1, 0]], "gamma": [[1, 0], [0, -1]]}
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            triple_from_json({**base, **doc})
+
+    @pytest.mark.parametrize("doc", [None, 5, [1, 2]])
+    def test_non_object(self, doc):
+        with pytest.raises(DimensionMismatch, match="split JSON must be an object"):
+            split_from_json(doc)
+
+
 class TestCanonicalDumps:
     def test_seventeen_digit_round_trip(self):
         vals = [1.0 / 3.0, 2.0**-52, 1e300, -0.1, 6.283185307179586]
@@ -115,6 +177,13 @@ class TestCanonicalDumps:
         assert np.isnan(float(doc["a"]))
         assert float(doc["b"]) == np.inf
         assert float(doc["c"]) == -np.inf
+
+    def test_negative_zero_keeps_its_sign(self):
+        text = dumps_canonical([-0.0, 0.0, complex(0.0, -0.0)])
+        assert text == "[-0.0,0,[0,-0.0]]"
+        back = json.loads(text)
+        assert math.copysign(1.0, back[0]) == -1.0
+        assert math.copysign(1.0, back[2][1]) == -1.0
 
     def test_complex_is_pair(self):
         assert dumps_canonical(1 - 2j) == "[1,-2]"

@@ -73,6 +73,11 @@ class TestHeatData:
             3 * zero_mode.heat_trace(0), abs=1e-12
         )
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+    def test_lift_rejects_nonpositive_plane(self, zero_mode, beta):
+        with pytest.raises(BadExponent, match="beta_plane must be positive"):
+            zero_mode.lifted(1, beta)
+
 
 class TestDerivative:
     def test_identity(self, exchange):
