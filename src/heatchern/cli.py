@@ -3,7 +3,8 @@
 Subcommands load operator data from JSON, run one computation, and write
 a JSON (or CSV) result with a provenance block.  Exit codes: 0 success,
 1 validation failure, 2 numerical non-convergence, a request over the
-block-order budget or out of memory, 3 I/O or schema error.
+block-order budget, out of memory or an arithmetic error such as an
+overflow, 3 I/O or schema error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     ValidationFailure,
     ZeroMomentumViolation,
 )
+from .expectations import heat_expectation
 from .homotopy import (
     beta_independence,
     endpoint_grid,
@@ -52,17 +54,21 @@ from .split import (
     split_pairing,
     validate_split,
 )
-from .triples import require_valid, validate_triple
+from .triples import _check_shape, require_valid, validate_triple
 
 _VALIDATION_ERRORS = (ValidationFailure, PairingInputInvalid, NotHermitian,
                       PNotFixed, ZeroMomentumViolation)
-_NUMERIC_ERRORS = (NoConvergence, Overflow, ComplexityCap, MemoryError)
+_NUMERIC_ERRORS = (NoConvergence, Overflow, ComplexityCap, MemoryError, ArithmeticError)
 
 
 def _parse_grid(text: str) -> np.ndarray:
     try:
         a, b, n = text.split(":")
-        grid = np.linspace(float(a), float(b), int(n))
+        a, b, n = float(a), float(b), int(n)
+        # b - a is finite only if both ends are, and then so is every point
+        if not np.isfinite(b - a):
+            raise DimensionMismatch(f"grid {text!r} is not finite")
+        grid = np.linspace(a, b, n)
     except ValueError as exc:
         raise DimensionMismatch(f"cannot parse grid {text!r}, expected a:b:n") from exc
     if len(grid) == 0:
@@ -76,6 +82,8 @@ def _parse_list(text: str) -> list[float]:
     values = [float(x) for x in text.split(",") if x]
     if not values:
         raise DimensionMismatch(f"list {text!r} has no values")
+    if not np.all(np.isfinite(values)):
+        raise DimensionMismatch(f"list {text!r} has non-finite values")
     return values
 
 
@@ -134,14 +142,14 @@ def _emit_pairing(args, res):
     payload = {
         "command": args.command,
         "provenance": _provenance(args),
-        "value": [res.value.real, res.value.imag],
-        "series_value": [res.series_value.real, res.series_value.imag],
-        "quadrature_value": [res.quadrature_value.real, res.quadrature_value.imag],
+        "value": res.value,
+        "series_value": res.series_value,
+        "quadrature_value": res.quadrature_value,
         "truncation_level": res.truncation_level,
         "tail_bound": res.tail_bound,
     }
     if args.command == "pair":
-        payload["connes_value"] = [res.connes_value.real, res.connes_value.imag]
+        payload["connes_value"] = res.connes_value
     _emit(args, payload)
 
 
@@ -186,7 +194,7 @@ def _cmd_index(args):
         {
             "command": "index",
             "provenance": _provenance(args),
-            "values": [[v.real, v.imag] for v in values],
+            "values": values,
         },
     )
     return 0
@@ -214,8 +222,6 @@ def _cmd_jlo(args):
         val = jlo_component(t, n, mats, args.group_index)
         err = 0.0
     else:
-        from .expectations import heat_expectation
-
         verts = [mats[0]] + [t.derive(m) for m in mats[1:]]
         ev = heat_expectation(
             t, verts, args.group_index, method="quadrature", seed=args.seed
@@ -228,7 +234,7 @@ def _cmd_jlo(args):
             "provenance": _provenance(args),
             "level": n,
             "method": args.method,
-            "value": [val.real, val.imag],
+            "value": val,
             "estimated_error": err,
         },
     )
@@ -294,7 +300,7 @@ def _cmd_coupling_sweep(args):
     s = split_from_json(doc.get("split", doc))
     if "q2_tilde" not in doc:
         raise DimensionMismatch("input JSON is missing key 'q2_tilde'")
-    qt2 = matrix_from_json(doc["q2_tilde"])
+    qt2 = _check_shape("q2_tilde", matrix_from_json(doc["q2_tilde"]), s.dim)
 
     def family(lam: float) -> SplitTriple:
         return replace(s, Q2=np.cos(lam) * s.Q2 + np.sin(lam) * qt2)

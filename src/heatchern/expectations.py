@@ -44,6 +44,7 @@ from .linalg import as_matrix, expm, expm_toeplitz_row, opnorm, simplex_exp
 from .triples import (
     SpectralTriple,
     VertexType,
+    derivative,
     regularity_exponents,
     sobolev_norm,
 )
@@ -307,8 +308,6 @@ def check_cyclic(t: SpectralTriple, x, g: int = 0, **kw) -> float:
 
 def check_d_invariance(t: SpectralTriple, x, g: int = 0, **kw) -> float:
     """|sum_j <x_0^gamma,..,x_{j-1}^gamma, dx_j, x_{j+1},..,x_n>|."""
-    from .triples import derivative
-
     vs = x if isinstance(x, VertexSet) else VertexSet(list(x))
     verts = vs.vertices
     tot = 0.0 + 0.0j

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cochains import Cochain, _random_even_tuple, op_partial
-from .errors import ValidationFailure
+from .errors import DimensionMismatch, ValidationFailure
 from .expectations import expectation_value
 from .jlo import (
     PairingInput,
@@ -24,11 +24,13 @@ from .jlo import (
     _integrand,
     _require_valid_input,
     jlo_component,
+    pairing_gaussian,
 )
 from .linalg import as_matrix, opnorm
 from .triples import (
     SpectralTriple,
     ValidationReport,
+    _check_shape,
     kato_constants,
     sobolev_norm,
     validate_triple,
@@ -69,10 +71,11 @@ class DeformationFamily:
 
     def __post_init__(self):
         if self.regularizer is not None:
-            self.regularizer = as_matrix(self.regularizer, "regularizer")
+            z = as_matrix(self.regularizer, "regularizer")
+            self.regularizer = _check_shape("regularizer", z, self.base.dim)
 
     def q_at(self, lam: float) -> np.ndarray:
-        return as_matrix(self.q(lam), "q(lambda)")
+        return _check_shape("q(lambda)", as_matrix(self.q(lam), "q(lambda)"), self.base.dim)
 
     def q_dot_at(self, lam: float) -> np.ndarray:
         if self.q_dot is not None:
@@ -150,22 +153,20 @@ class SweepTable:
 
     def spread(self) -> float:
         v = self.values()
-        if v.size < 2:
-            return 0.0
         return float(
-            max(abs(a - b) for i, a in enumerate(v) for b in v[i + 1 :])
+            max((abs(a - b) for i, a in enumerate(v) for b in v[i + 1 :]), default=0.0)
         )
 
     def to_jsonable(self) -> dict:
+        # imported here: serialization imports split, which imports this module
+        from .serialization import complex_to_json
+
         out_rows = []
         for r in self.rows:
             row = {}
             for c in self.columns:
                 val = r.get(c)
-                if isinstance(val, complex):
-                    row[c] = [val.real, val.imag]
-                else:
-                    row[c] = val
+                row[c] = complex_to_json(val) if isinstance(val, complex) else val
             out_rows.append(row)
         return {"columns": list(self.columns), "rows": out_rows, "spread": self.spread()}
 
@@ -200,8 +201,8 @@ def regularity_report(f: DeformationFamily, lambda_grid) -> SweepTable:
     """Per-lambda diagnostics: relative bounds, norms, velocity checks.
 
     Reports the minimal Kato constant a(M) curve summary against the base
-    Q, whether a < 1 is achievable, the smoothing-scale norms of q at the
-    window edges, and the deviation of the declared velocity from the
+    Q (a at M = 0 and the least finite a), the smoothing-scale norms of q
+    at the window edges, and the deviation of the declared velocity from the
     symmetric difference quotient.  Report-only; nothing is enforced.
     """
     t = f.base
@@ -211,7 +212,6 @@ def regularity_report(f: DeformationFamily, lambda_grid) -> SweepTable:
             "lambda",
             "kato_a_at_0",
             "kato_min_a",
-            "kato_below_one",
             "q_norm",
             "qdot_norm",
             "fd_vs_qdot",
@@ -243,7 +243,6 @@ def regularity_report(f: DeformationFamily, lambda_grid) -> SweepTable:
                 "lambda": lam,
                 "kato_a_at_0": curve.points[0][1],
                 "kato_min_a": min(finite) if finite else math.inf,
-                "kato_below_one": curve.achievable_below_one,
                 "q_norm": opnorm(qm),
                 "qdot_norm": opnorm(qd),
                 "fd_vs_qdot": fd_gap,
@@ -271,9 +270,9 @@ def sweep_invariant(
     aborts with PairingInputInvalid rather than reporting a meaningless
     spread.
     """
-    from .jlo import pairing_gaussian
-
     grid = sorted(float(x) for x in lambda_grid)
+    if not grid:
+        raise DimensionMismatch("lambda_grid has no points")
     tab = SweepTable(columns=["lambda", "value", "validated"])
     for lam in grid:
         t_lam = deform_triple(f, lam)
@@ -380,14 +379,13 @@ def beta_independence(
     tol: float = 1e-10,
 ) -> SweepTable:
     """Pairing per simplex plane; the values agree for a fixed triple."""
-    from .jlo import pairing_gaussian
-
+    betas = [float(b) for b in beta_list]
+    if not betas:
+        raise DimensionMismatch("beta_list has no values")
     tab = SweepTable(columns=["beta", "value"])
-    for beta in beta_list:
-        val = pairing_gaussian(
-            t, inp, quad_nodes=quad_nodes, tol=tol, beta_plane=float(beta)
-        )
-        tab.add_row(beta=float(beta), value=val)
+    for beta in betas:
+        val = pairing_gaussian(t, inp, quad_nodes=quad_nodes, tol=tol, beta_plane=beta)
+        tab.add_row(beta=beta, value=val)
     return tab
 
 
@@ -408,6 +406,9 @@ def endpoint_grid(
     """
     if f.regularizer is None:
         raise ValidationFailure("endpoint grid needs a family with a regularizer")
+    for name, grid in (("eps_grid", eps_grid), ("lambda_grid", lambda_grid)):
+        if len(grid) == 0:
+            raise DimensionMismatch(f"{name} has no points")
     f.validate_at(float(np.asarray(lambda_grid)[0])).require("family fails validation")
     eg = sorted(float(x) for x in eps_grid)
     lg = sorted(float(x) for x in lambda_grid)

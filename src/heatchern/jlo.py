@@ -16,21 +16,21 @@ evaluates all its nodes as stacked exponentials of at most
 once per node count, and a count whose numpy rule is not finite ends
 the doubling with NoConvergence.
 
-A beta-plane variant rescales the simplex: components carry beta^{-n/2}
-so that the beta-plane character coincides with the plane-1 character of
-the data lifted with sqrt(beta) Q, which keeps it a cocycle and its
-pairing beta-independent.
+The beta-plane character is the plane-1 character of the data lifted
+with sqrt(beta) Q, ``t.lifted(1, beta)``, which keeps it a cocycle and its
+pairing beta-independent; both pairing routes take a plane that way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cochains import Cochain
+from .cochains import Cochain, op_partial
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -43,7 +43,7 @@ from .expectations import (
     repeated_expectation_series,
 )
 from .linalg import as_matrix, expm, opnorm
-from .triples import HeatData, ValidationReport
+from .triples import HeatData, ValidationReport, _check_shape
 
 __all__ = [
     "PairingInput",
@@ -134,6 +134,7 @@ class PairingResult:
 
 def _check_even(t: HeatData, mats):
     for k, a in enumerate(mats):
+        _check_shape(f"tuple[{k}]", a, t.dim)
         if opnorm(t.conj_gamma(a) - a) > t.tol * max(opnorm(a), 1.0):
             raise ValidationFailure(f"argument {k} is not gamma-even")
 
@@ -143,25 +144,23 @@ def jlo_component(
     n: int,
     a_list,
     g: int = 0,
-    beta_plane: float = 1.0,
     check_even: bool = True,
 ) -> complex:
-    """tau_n(a_0..a_n;g) = beta^{-n/2} <a_0, da_1, ..., da_n; g> on the beta-plane."""
+    """tau_n(a_0..a_n;g) = <a_0, da_1, ..., da_n; g>."""
     mats = [m.matrix if hasattr(m, "matrix") else as_matrix(m) for m in a_list]
     if len(mats) != n + 1:
         raise DimensionMismatch(f"level {n} needs {n + 1} elements, got {len(mats)}")
     if check_even:
         _check_even(t, mats)
     verts = [mats[0]] + [t.derive(a) for a in mats[1:]]
-    val = expectation_value(t, verts, g, beta=beta_plane)
-    return beta_plane ** (-n / 2.0) * val
+    return expectation_value(t, verts, g)
 
 
-def jlo_cochain(t: HeatData, beta_plane: float = 1.0, max_level: int = 32) -> Cochain:
+def jlo_cochain(t: HeatData, max_level: int = 32) -> Cochain:
     """The character packaged as an even class-C cochain."""
 
     def ev(n, mats, g):
-        return jlo_component(t, n, mats, g, beta_plane=beta_plane, check_even=False)
+        return jlo_component(t, n, mats, g, check_even=False)
 
     return Cochain(ev, t.group, max_level, "even", "C")
 
@@ -291,13 +290,13 @@ def pairing_series(
     """
     _check_max_level(max_level)
     _require_valid_input(t, inp)
-    tb = t.lifted(inp.m)
-    terms = _series_terms(tb, inp.a, tb.derive(inp.a), inp.g, max_level, beta_plane)
+    tb = t.lifted(inp.m, beta_plane)
+    terms = _series_terms(tb, inp.a, tb.derive(inp.a), inp.g, max_level)
     return _sum_series(terms, max_level, tol)
 
 
-def _series_terms(t, a, da, g: int, max_level: int, beta_plane: float = 1.0):
-    """Weighted even terms (-1/4)^k (2k)!/k! beta^{-k} <a, da, ..., da>_{2k}.
+def _series_terms(t, a, da, g: int, max_level: int):
+    """Weighted even terms (-1/4)^k (2k)!/k! <a, da, ..., da>_{2k}.
 
     Levels 0..N come from one exponential; N starts at _FIRST_LEVELS and
     doubles, up to ``max_level`` and the deepest level the block-order
@@ -307,11 +306,10 @@ def _series_terms(t, a, da, g: int, max_level: int, beta_plane: float = 1.0):
     deepest = MAX_BLOCK_ORDER // t.dim - 1
     done, top = 0, min(_FIRST_LEVELS, max_level, max(deepest, 0))
     while True:
-        raw = repeated_expectation_series(t, a, da, top, g, beta_plane)
+        raw = repeated_expectation_series(t, a, da, top, g)
         for n in range(done, top + 1):
             if n % 2 == 0:
-                k = n // 2
-                yield pairing_coefficient(k) * beta_plane ** (-k) * raw[n]
+                yield pairing_coefficient(n // 2) * raw[n]
         if top >= max_level:
             return
         done, top = top + 1, max(top + 1, min(2 * top, max_level, deepest))
@@ -391,8 +389,6 @@ def coboundary_pairing_residual(
     For m > 1 the block sum over matrix entries is carried out literally,
     which costs m^{2n+1} evaluations per level; keep m small.
     """
-    from .cochains import op_partial
-
     _require_valid_input(t, inp)
     pf = op_partial(cochain)
     d = t.dim
@@ -402,19 +398,13 @@ def coboundary_pairing_residual(
         if n > pf.max_level:
             break
         coeff = pairing_coefficient(k)
-        if inp.m == 1:
-            total += coeff * pf(n, (inp.a,) * (n + 1), inp.g)
-            continue
         blocks = [
             [inp.a[i * d : (i + 1) * d, j * d : (j + 1) * d] for j in range(inp.m)]
             for i in range(inp.m)
         ]
-        for flat in range(inp.m ** (n + 1)):
-            idx = []
-            rem = flat
-            for _ in range(n + 1):
-                idx.append(rem % inp.m)
-                rem //= inp.m
+        # idx[0] varies fastest; the summation order fixes the rounding
+        for rev in itertools.product(range(inp.m), repeat=n + 1):
+            idx = rev[::-1]
             mats = tuple(
                 blocks[idx[j]][idx[(j + 1) % (n + 1)]] for j in range(n + 1)
             )

@@ -211,7 +211,7 @@ def _c04(seed):
             val = expectation_value(t, [ident] * (n + 1), 0)
             err = abs(val - base / math.factorial(n))
             worst = max(worst, err)
-        details.append({"dim": dim, "index": [base.real, base.imag]})
+        details.append({"dim": dim, "index": base})
     return worst < 1e-10, {"worst_residual": worst, "triples": details}
 
 
@@ -282,8 +282,8 @@ def _c07(seed):
     t2 = exchange_triple()
     res = pairing(t2, PairingInput(a=t2.gamma.copy()))
     details["exchange_gamma"] = {
-        "series": [res.series_value.real, res.series_value.imag],
-        "quadrature": [res.quadrature_value.real, res.quadrature_value.imag],
+        "series": res.series_value,
+        "quadrature": res.quadrature_value,
     }
     ok &= abs(res.series_value - 2.0) < 1e-8
     ok &= abs(res.quadrature_value - 2.0) < 1e-8

@@ -8,7 +8,8 @@ Non-finite floats become the strings "NaN", "Infinity" and "-Infinity",
 which keeps the output valid JSON and which float() reads back.
 Each ``HeatData`` kind is one object: "dim", its ``GENERATORS`` matrices,
 "gamma", "group" and "tol", read and written by one codec.  A null or
-non-numeric "dim", "tol" or cyclic order is a ``DimensionMismatch``.
+non-numeric "dim", "tol" or cyclic order is a ``DimensionMismatch``, and so
+is a boolean or non-integral "dim" or cyclic order.
 A group may be given as an explicit list of matrices or through the
 shorthand {"cyclic": k, "generator": M}, which expands to the k powers
 of M at load time.
@@ -22,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch
-from .triples import HeatData, SpectralTriple
+from .triples import HeatData, SpectralTriple, _check_shape
 from .split import SplitTriple
 
 __all__ = [
@@ -67,17 +68,22 @@ def matrix_to_json(m) -> list:
 
 
 def _number(convert, value, name: str):
-    """convert(value), with a null or non-numeric field as a schema error."""
+    """convert(value), with a null or non-numeric field, or for int a boolean
+    or a fraction that int() would truncate, as a schema error."""
     try:
-        return convert(value)
+        out = convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(f"{name} must be a number, got {value!r}") from exc
+    fraction = isinstance(value, float) and not value.is_integer()
+    if convert is int and (isinstance(value, bool) or fraction):
+        raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
+    return out
 
 
 def _group_from_json(spec, dim: int) -> list[np.ndarray]:
     if isinstance(spec, dict) and "cyclic" in spec:
         k = _number(int, spec["cyclic"], "group cyclic order")
-        gen = matrix_from_json(spec["generator"])
+        gen = _check_shape("group generator", matrix_from_json(spec["generator"]), dim)
         out = [np.eye(dim, dtype=complex)]
         cur = np.eye(dim, dtype=complex)
         for _ in range(k - 1):
@@ -181,13 +187,13 @@ def dumps_canonical(obj) -> str:
 
 
 def csv_text(rows: list[list]) -> str:
-    """CSV with the same float formatting; no quoting is ever needed."""
+    """CSV with the JSON writer's float tokens, unquoted; no quoting is ever needed."""
     lines = []
     for row in rows:
         cells = []
         for v in row:
             if isinstance(v, (float, np.floating)):
-                cells.append(format(float(v), ".17g"))
+                cells.append(_fmt_float(float(v)).strip('"'))
             elif isinstance(v, (bool, np.bool_)):
                 cells.append("true" if v else "false")
             elif v is None:

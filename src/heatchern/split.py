@@ -33,7 +33,7 @@ from .jlo import (
     pairing_gaussian,
 )
 from .linalg import as_matrix, eig_hermitian, expm, opnorm
-from .triples import HeatData, ValidationReport, kato_constants
+from .triples import HeatData, ValidationReport
 
 __all__ = [
     "SplitTriple",
@@ -229,18 +229,17 @@ def coupling_sweep(
 
     mode "coupling": the momentum P(lambda) must stay fixed (PNotFixed
     otherwise).  mode "q1_commuting": instead requires that Q1(lambda)
-    commute with the input and that Q2 stay fixed.  In both modes each row
-    reports whether Q(lambda) - Q has a Kato bound below one against Q.
+    commute with the input and that Q2 stay fixed.
     """
     if mode not in ("coupling", "q1_commuting"):
         raise ValueError(f"unknown mode {mode!r}")
     grid = sorted(float(x) for x in lambda_grid)
+    if not grid:
+        raise DimensionMismatch("lambda_grid has no points")
     base = require_valid_split(family(grid[0]))
     p0 = base.momentum
     q20 = base.Q2
-    tab = SweepTable(
-        columns=["lambda", "value", "p_residual", "precondition_residual", "kato_below_one"]
-    )
+    tab = SweepTable(columns=["lambda", "value", "p_residual", "precondition_residual"])
     for i, lam in enumerate(grid):
         s_lam = base if i == 0 else require_valid_split(family(lam))
         pres = opnorm(s_lam.momentum - p0)
@@ -262,7 +261,6 @@ def coupling_sweep(
                     f"(residual {precond:.3e})"
                 )
         _check_pairing_input(s_lam, inp)
-        kato = kato_constants(base, s_lam.Q - base.Q)
         val = pairing_gaussian(s_lam, inp, quad_nodes=quad_nodes, tol=tol)
         tab.add_row(
             **{
@@ -270,7 +268,6 @@ def coupling_sweep(
                 "value": val,
                 "p_residual": pres,
                 "precondition_residual": precond,
-                "kato_below_one": kato.achievable_below_one,
             }
         )
     return tab

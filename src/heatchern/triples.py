@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -84,6 +83,13 @@ class ValidationReport:
             )
 
 
+def _check_shape(name: str, m: np.ndarray, dim: int) -> np.ndarray:
+    """Return ``m``; raise DimensionMismatch naming ``name`` unless m is dim x dim."""
+    if m.shape != (dim, dim):
+        raise DimensionMismatch(f"{name} has shape {m.shape}, expected ({dim}, {dim})")
+    return m
+
+
 class HeatData:
     """A positive generator H, a derivation d, a grading gamma and a group U.
 
@@ -107,10 +113,7 @@ class HeatData:
         for name, m in [(n, getattr(self, n)) for n in names] + [
             (f"group[{k}]", u) for k, u in enumerate(self.group)
         ]:
-            if m.shape != (self.dim, self.dim):
-                raise DimensionMismatch(
-                    f"{name} has shape {m.shape}, expected ({self.dim}, {self.dim})"
-                )
+            _check_shape(name, m, self.dim)
         self._heat = None
         self._lifts = {}
 
@@ -128,10 +131,12 @@ class HeatData:
         times the block derivative, so plane-beta invariants of m x m
         inputs are plane-1 invariants of the lift.  Each lift is built once
         per instance, so every caller shares its cached eigenbasis.  A plane
-        beta <= 0 (or NaN) raises BadExponent.
+        beta <= 0, NaN or infinite raises BadExponent.
         """
         if not beta_plane > 0:
             raise BadExponent(f"beta_plane must be positive, got {beta_plane}")
+        if beta_plane == math.inf:
+            raise BadExponent(f"beta_plane must be finite, got {beta_plane}")
         if m == 1 and beta_plane == 1.0:
             return self
         key = (m, beta_plane)
@@ -296,44 +301,15 @@ def algebraic_singular_integral(f, a_pow: float, b_pow: float) -> float:
     return float(val)
 
 
-def _c_mu_inner(delta: float, mu: float) -> float:
-    # 2*delta * int_0^inf (1+1/t)^{delta/2} (1+t)^{-1-(1-mu)/2} dt; under
-    # t = u/(1-u) the integrand becomes u^{-delta/2} (1-u)^{(1-mu)/2 - 1}.
-    if delta == 0.0:
-        return 0.0
-    return 2.0 * delta * algebraic_singular_integral(
-        lambda u: 1.0, -delta / 2.0, (1.0 - mu) / 2.0 - 1.0
-    )
-
-
-@lru_cache(maxsize=256)
 def numeric_c_mu(mu: float) -> float:
-    """sup over delta in [0,1] of the smoothing constant integral at mu.
+    """sup over delta in [0,1] of 2 delta B(1 - delta/2, c), c = (1-mu)/2.
 
-    Coarse grid plus golden-section refinement; relative accuracy ~1e-8.
+    The log-derivative 1/delta + (psi(1 - delta/2 + c) - psi(1 - delta/2))/2
+    is positive, so the supremum is the value at delta = 1.
     """
     if not (0.0 <= mu < 1.0):
         raise BadExponent(f"mu must lie in [0, 1), got {mu}")
-    grid = np.linspace(0.0, 1.0, 33)
-    vals = [_c_mu_inner(d, mu) for d in grid]
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = _c_mu_inner(x1, mu), _c_mu_inner(x2, mu)
-    while b - a > 1e-10:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = _c_mu_inner(x2, mu)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = _c_mu_inner(x1, mu)
-    return max(max(vals), f1, f2)
+    return 2.0 * algebraic_singular_integral(lambda u: 1.0, -0.5, (1.0 - mu) / 2.0 - 1.0)
 
 
 @dataclass

@@ -441,6 +441,65 @@ class TestErrors:
             "error": {"type": error[0], "message": error[1]}
         }
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, fields, flag, code, error",
+        [
+            ("sweep", {"q": [[0.1]]}, "--lambda-grid=0:0.4:3", 3,
+             ("DimensionMismatch", "q(lambda) has shape (1, 1), expected (2, 2)")),
+            ("coupling-sweep", {"q2_tilde": [[1]]}, "--lambda-grid=0:0.4:3", 3,
+             ("DimensionMismatch", "q2_tilde has shape (1, 1), expected (4, 4)")),
+            ("endpoint", {"regularizer": [[1]]}, "--lambda-grid=0:0.4:3", 3,
+             ("DimensionMismatch", "regularizer has shape (1, 1), expected (2, 2)")),
+            ("jlo", {"tuple": [[[1]]]}, "--method=exact", 3,
+             ("DimensionMismatch", "tuple[0] has shape (1, 1), expected (2, 2)")),
+            ("pair", {"group": {"cyclic": 2, "generator": [[1]]}}, "--group-index=0", 3,
+             ("DimensionMismatch", "group generator has shape (1, 1), expected (2, 2)")),
+            ("beta-scan", {}, "--beta-list=inf", 3,
+             ("DimensionMismatch", "list 'inf' has non-finite values")),
+            ("sweep", {}, "--lambda-grid=0:inf:2", 3,
+             ("DimensionMismatch", "grid '0:inf:2' is not finite")),
+            ("pair", {"dim": 2.5}, "--group-index=0", 3,
+             ("DimensionMismatch", "dim must be an integer, got 2.5")),
+            ("pair", {"dim": True}, "--group-index=0", 3,
+             ("DimensionMismatch", "dim must be an integer, got True")),
+            ("pair", {"a": {"m": 1.9, "matrix": [[1, 0], [0, -1]]}}, "--group-index=0", 3,
+             ("DimensionMismatch", "'a' block size m must be an integer, got 1.9")),
+            ("endpoint", {}, "--eps-grid=0:1e200:2", 2,
+             ("OverflowError", "(34, 'Numerical result out of range')")),
+        ],
+        ids=["q-shape", "q2-tilde-shape", "regularizer-shape", "tuple-shape",
+             "generator-shape", "beta-inf", "grid-inf", "dim-fraction", "dim-bool",
+             "m-fraction", "eps-overflow"],
+    )
+    def test_malformed_input_fails_honestly(
+        self, tmp_path, capsys, command, fields, flag, code, error
+    ):
+        # wrong shapes broadcast or reached numpy's matmul error, infinities
+        # printed a RuntimeWarning first, fractions and booleans were
+        # truncated to integers, and eps**2 overflowed into a traceback
+        if command == "coupling-sweep":
+            from heatchern.serialization import matrix_to_json, split_to_json
+            from heatchern.split import build_n2_susy_example
+
+            s, gens = build_n2_susy_example(levels=((1.0, 0.5),))
+            doc = dict(split_to_json(s), a=matrix_to_json(s.gamma))
+            doc["q2_tilde"] = matrix_to_json(gens["Qt2"])
+        else:
+            doc = dict(
+                EXCHANGE,
+                a=[[1, 0], [0, -1]],
+                q=[[0, [0, 1]], [[0, -1], 0]],
+                regularizer=[[0.5, 0], [0, 1.5]],
+            )
+        path = write(tmp_path, "m.json", {**doc, **fields})
+        assert run_main([command, "--input", path, flag]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {"type": error[0], "message": error[1]}
+        }
+
     def test_gamma_even_sweep_direction_exit_one(self, tmp_path, capsys):
         doc = dict(EXCHANGE, a=[[1, 0], [0, -1]], q=[[1, 0], [0, -1]])
         path = write(tmp_path, "q.json", doc)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from heatchern.errors import PairingInputInvalid, ValidationFailure
+from heatchern.errors import DimensionMismatch, PairingInputInvalid, ValidationFailure
 from heatchern.homotopy import (
     DeformationFamily,
     L_cochain,
@@ -67,7 +67,6 @@ class TestRegularityReport:
     def test_small_linear_family(self, family):
         tab = regularity_report(family, np.linspace(-0.5, 0.5, 5))
         for row in tab.rows:
-            assert row["kato_below_one"]
             assert row["fd_vs_qdot"] < 1e-8  # exact velocity on a linear family
 
     def test_scaling_family(self, exchange):
@@ -103,6 +102,12 @@ class TestSweep:
         bad = 2.0 * np.eye(3, dtype=complex)
         with pytest.raises(PairingInputInvalid):
             sweep_invariant(family, PairingInput(a=bad), [0.0, 0.1])
+
+    def test_empty_grid_raises(self, family):
+        # an empty table has spread 0, which would read as invariance
+        inp = PairingInput(a=np.eye(3, dtype=complex))
+        with pytest.raises(DimensionMismatch, match="lambda_grid has no points"):
+            sweep_invariant(family, inp, [])
 
 
 class TestLAndH:
@@ -187,6 +192,11 @@ class TestBetaIndependence:
         assert tab.spread() < 1e-6
         assert all(abs(complex(r["value"]) - 2.0) < 1e-6 for r in tab.rows)
 
+    def test_empty_list_raises(self, exchange):
+        inp = PairingInput(a=exchange.gamma.copy())
+        with pytest.raises(DimensionMismatch, match="beta_list has no values"):
+            beta_independence(exchange, inp, [])
+
 
 class TestEndpointGrid:
     def make_family(self, reg):
@@ -228,6 +238,19 @@ class TestEndpointGrid:
         inp = PairingInput(a=np.eye(3, dtype=complex))
         with pytest.raises(ValidationFailure):
             endpoint_grid(family, [0.0], [0.1], inp)
+
+    @pytest.mark.parametrize(
+        "eps, lam, name",
+        [([], [0.1], "eps_grid"), ([0.0], [], "lambda_grid")],
+        ids=["eps", "lambda"],
+    )
+    def test_empty_grid_raises(self, eps, lam, name):
+        # an empty lambda grid used to raise IndexError, an empty eps grid
+        # gave an empty table
+        fam = self.make_family(np.diag([0.5, 1.0, 1.5]).astype(complex))
+        inp = PairingInput(a=np.eye(3, dtype=complex))
+        with pytest.raises(DimensionMismatch, match=f"{name} has no points"):
+            endpoint_grid(fam, eps, lam, inp)
 
     def test_fd_estimates_attached(self):
         fam = self.make_family(np.diag([0.5, 1.0, 1.5]).astype(complex))

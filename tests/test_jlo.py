@@ -26,6 +26,7 @@ from heatchern.jlo import (
     pairing_series,
 )
 from heatchern.models import random_involution, random_triple
+from heatchern.split import build_n2_susy_example
 from heatchern.triples import SpectralTriple, derivative
 
 
@@ -73,6 +74,22 @@ class TestComponents:
         odd = zero_mode.Q.copy()
         with pytest.raises(ValidationFailure):
             jlo_component(zero_mode, 0, [odd])
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0])
+    @pytest.mark.parametrize("kind", ["plain", "split"])
+    def test_plane_beta_component_is_the_lift(self, kind, beta):
+        # oracle: beta^{-n/2} <a_0, da_1, ..., da_n> on the simplex of size beta
+        if kind == "plain":
+            t = random_triple(4, seed=54, group="z2")
+        else:
+            t, _ = build_n2_susy_example(levels=((1.0, 0.5), (2.0, 1.0)))
+        rng = np.random.default_rng(55)
+        for n in range(5):
+            mats = even_tuple(t, rng, n + 1)
+            verts = [mats[0]] + [t.derive(a) for a in mats[1:]]
+            oracle = beta ** (-n / 2.0) * expectations.expectation_value(t, verts, beta=beta)
+            got = jlo_component(t.lifted(1, beta), n, mats)
+            assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
 
 class TestGeneratingFunctional:
@@ -345,6 +362,17 @@ class TestCoboundaryPairing:
         G = random_cochain(exchange, seed=70, max_level=15)
         inp = PairingInput(a=exchange.gamma.copy())
         assert coboundary_pairing_residual(exchange, G, inp, max_level=14) < 1e-8
+
+    def test_block_diagonal_input_doubles_the_residual(self, exchange):
+        # only the two diagonal blocks of kron(I_2, a) give nonzero tuples;
+        # a cut at level 2 leaves an uncancelled B-term, so the value is not 0
+        G = random_cochain(exchange, seed=70, max_level=3)
+        a = exchange.gamma.copy()
+        one = coboundary_pairing_residual(exchange, G, PairingInput(a=a), max_level=2)
+        block = PairingInput(a=np.kron(np.eye(2), a), m=2)
+        two = coboundary_pairing_residual(exchange, G, block, max_level=2)
+        assert one > 1e-2
+        assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_character_cochain(self, exchange):
         tau = jlo_cochain(exchange, max_level=13)

@@ -199,3 +199,9 @@ class TestCsv:
 
     def test_none_becomes_empty(self):
         assert csv_text([[None, 1]]).strip() == ",1"
+
+    def test_floats_are_the_json_tokens_unquoted(self):
+        # negative zero used to be written "-0", which reads back as +0
+        text = csv_text([[-0.0, 0.0, float("nan"), np.inf, -np.inf]])
+        assert text == "-0.0,0,NaN,Infinity,-Infinity\n"
+        assert math.copysign(1.0, float(text.split(",")[0])) == -1.0

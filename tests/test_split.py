@@ -6,6 +6,7 @@ import pytest
 from heatchern import split
 from heatchern.cochains import op_partial
 from heatchern.errors import (
+    DimensionMismatch,
     PNotFixed,
     ValidationFailure,
     ZeroMomentumViolation,
@@ -216,6 +217,12 @@ class TestCouplingSweep:
         coupling_sweep(lambda lam: pauli_split, PairingInput(a=a), [0.0, 0.4])
         assert len(calls) == 2
 
+    def test_empty_grid_raises(self, pauli_split):
+        # used to raise IndexError at grid[0]
+        a = np.kron(SZ, SZ)
+        with pytest.raises(DimensionMismatch, match="lambda_grid has no points"):
+            coupling_sweep(lambda lam: pauli_split, PairingInput(a=a), [])
+
     def test_rotation_family_invariance(self):
         s, gens = build_n2_susy_example(
             levels=((1.0, 0.5), (2.0, 1.0)), taus=(0.7,), thetas=(0.9,)
@@ -235,7 +242,6 @@ class TestCouplingSweep:
             family, PairingInput(a=s.gamma.copy(), g=1), np.linspace(0.0, 0.6, 5)
         )
         assert tab.spread() < 1e-6
-        assert all(r["kato_below_one"] for r in tab.rows)
 
     def test_p_not_fixed_guard(self, pauli_split):
         def family(lam):

@@ -78,6 +78,11 @@ class TestHeatData:
         with pytest.raises(BadExponent, match="beta_plane must be positive"):
             zero_mode.lifted(1, beta)
 
+    def test_lift_rejects_infinite_plane(self, zero_mode):
+        # sqrt(inf) times the zero entries of Q used to warn and give NaN
+        with pytest.raises(BadExponent, match="beta_plane must be finite, got inf"):
+            zero_mode.lifted(1, math.inf)
+
 
 class TestDerivative:
     def test_identity(self, exchange):
@@ -152,6 +157,12 @@ class TestCMu:
                 / math.gamma(1.0 - delta / 2.0 + (1.0 - mu) / 2.0)
             )
             assert got == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.6, 0.9, 0.99])
+    def test_c_mu_is_the_delta_one_value(self, mu):
+        # 2 delta B(1 - delta/2, (1-mu)/2) increases in delta, so the sup is at 1
+        exact = 2.0 * math.gamma(0.5) * math.gamma((1.0 - mu) / 2.0) / math.gamma(1.0 - mu / 2.0)
+        assert numeric_c_mu(mu) == pytest.approx(exact, rel=1e-12)
 
     def test_lower_bound_and_monotonicity(self):
         vals = [numeric_c_mu(mu) for mu in (0.0, 0.3, 0.6, 0.9)]
