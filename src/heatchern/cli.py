@@ -216,7 +216,10 @@ def _cmd_jlo(args):
         raise DimensionMismatch("input JSON is missing key 'tuple'")
     if not isinstance(doc["tuple"], list) or not doc["tuple"]:
         raise DimensionMismatch("'tuple' must be a nonempty list of matrices")
-    mats = [matrix_from_json(m) for m in doc["tuple"]]
+    mats = [
+        _check_shape(f"tuple[{k}]", matrix_from_json(m), t.dim)
+        for k, m in enumerate(doc["tuple"])
+    ]
     n = len(mats) - 1
     if args.method == "exact":
         val = jlo_component(t, n, mats, args.group_index)

@@ -2,23 +2,26 @@
 
 The central object is
 
-    <x_0, ..., x_n; g>_n = integral over the simplex s_0+...+s_n = beta of
+    <x_0, ..., x_n; g>_n = integral over the simplex s_0+...+s_n = 1 of
         Tr(gamma U(g) x_0 e^{-s_0 H} x_1 e^{-s_1 H} ... x_n e^{-s_n H})
 
 with H the generator of a ``HeatData`` (Q^2, or the split Hamiltonian).
+On the simplex of size beta the substitution s = beta u gives beta^n times
+the same integral with beta H, so the plane-beta value is
+``beta**n * expectation_value(t.lifted(1, beta), mats)``.
 The simplex integral e^{-s_0 H} x_1 ... x_n e^{-s_n H} is the (0, n) block
-of exp(beta M), where M is block upper-bidiagonal with -H on the diagonal
+of exp(M), where M is block upper-bidiagonal with -H on the diagonal
 blocks and x_1..x_n on the superdiagonal (Van Loan, IEEE TAC 23, 1978);
 block (0, k) gives level k with the first k vertices, so one exponential
 yields every level at once.  M is built in the eigenbasis of H and conditioned twice:
 
-- shift: the diagonal is -beta (lambda - lambda_min), and the result is
-  multiplied back by e^{-beta lambda_min}, so small expectations keep
-  their relative accuracy;
-- balance: the superdiagonal is beta c x_j and block k is divided by
-  c^k, with c = max(1, n / (e beta max_j ||x_j||)).  Without it the deep
-  blocks, of size (beta ||x||)^k / k!, carry only the absolute accuracy
-  of the largest block.
+- shift: the diagonal is -(lambda - lambda_min), and the result is
+  multiplied back by e^{-lambda_min}, so small expectations keep their
+  relative accuracy;
+- balance: the superdiagonal is c x_j and block k is divided by c^k,
+  with c = max(1, n / (e max_j ||x_j||)).  Without it the deep blocks,
+  of size ||x||^k / k!, carry only the absolute accuracy of the largest
+  block.
 
 The cost is one exponential of order (n+1) dim; ``MAX_BLOCK_ORDER`` bounds
 it before anything is allocated.  For the pairing series <x0, x, ..., x>
@@ -44,6 +47,7 @@ from .linalg import as_matrix, expm, expm_toeplitz_row, opnorm, simplex_exp
 from .triples import (
     SpectralTriple,
     VertexType,
+    _check_shape,
     derivative,
     regularity_exponents,
     sobolev_norm,
@@ -82,11 +86,10 @@ def beta_fn(etas) -> float:
 
 @dataclass
 class VertexSet:
-    """Ordered vertices with declared smoothing types and a simplex scale."""
+    """Ordered vertices with declared smoothing types."""
 
     vertices: list[np.ndarray]
     types: list[VertexType] | None = None
-    beta_plane: float = 1.0
 
     def __post_init__(self):
         self.vertices = [as_matrix(v, f"vertex[{k}]") for k, v in enumerate(self.vertices)]
@@ -95,8 +98,6 @@ class VertexSet:
             self.types = [VertexType() for _ in self.vertices]
         if len(self.types) != len(self.vertices):
             raise DimensionMismatch("types list must match vertices")
-        if not (self.beta_plane > 0):
-            raise BadExponent(f"beta_plane must be positive, got {self.beta_plane}")
         if declared:
             reg = regularity_exponents(self.types)
             if not reg.regular:
@@ -126,11 +127,8 @@ class ExpectationValue:
 def _front_and_rest(t, mats: list[np.ndarray], g: int):
     if not mats:
         raise DimensionMismatch("need at least one vertex")
-    for m in mats:
-        if m.shape != (t.dim, t.dim):
-            raise DimensionMismatch(
-                f"vertex shape {m.shape} != ({t.dim}, {t.dim})"
-            )
+    for k, m in enumerate(mats):
+        _check_shape(f"vertex[{k}]", m, t.dim)
     return t.twist(g) @ mats[0], list(mats[1:])
 
 
@@ -151,7 +149,7 @@ def _toeplitz_row(d: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
 
 
 def _simplex_levels(
-    t, front, rest, beta: float, block_row=_bidiagonal_row
+    t, front, rest, block_row=_bidiagonal_row
 ) -> tuple[np.ndarray, np.ndarray]:
     """<front-vertex, rest_1, ..., rest_k> for every k = 0..n, in one exponential.
 
@@ -174,31 +172,29 @@ def _simplex_levels(
     # keyed by identity: the series passes one vertex n times
     eig = {id(x): vh @ x @ basis for x in rest}
     x_norm = max((opnorm(x) for x in eig.values()), default=0.0)
-    c = max(1.0, n / (math.e * beta * x_norm)) if x_norm > 0 else 1.0
+    c = max(1.0, n / (math.e * x_norm)) if x_norm > 0 else 1.0
     lam_min = float(lam.min())
-    sup = {key: (beta * c) * x for key, x in eig.items()}
-    row = block_row(-beta * (lam - lam_min), [sup[id(x)] for x in rest])
+    sup = {key: c * x for key, x in eig.items()}
+    row = block_row(-(lam - lam_min), [sup[id(x)] for x in rest])
     row = row.reshape(dim, n + 1, dim)
     fe = vh @ front @ basis
-    scale = np.exp(-beta * lam_min - np.arange(n + 1) * math.log(c))
+    scale = np.exp(-lam_min - np.arange(n + 1) * math.log(c))
     vals = scale * np.einsum("ij,jki->k", fe, row)
     mags = scale * np.einsum("ij,jki->k", np.abs(fe), np.abs(row))
     return vals, mags
 
 
-def _monte_carlo(
-    t, front, rest, beta: float, samples: int, seed: int
-) -> tuple[complex, float]:
+def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, float]:
     """Monte-Carlo over the simplex; error is three standard errors.
 
     Simplex points are normalized i.i.d. exponentials (uniform on the
-    unit simplex), scaled to the beta-plane.
+    unit simplex).
     """
     lam, basis = t.heat_data()
     n = len(rest)
     rng = np.random.default_rng(seed)
     mats = [basis.conj().T @ m @ basis for m in [front] + rest]
-    measure = beta**n / math.factorial(n)
+    measure = 1.0 / math.factorial(n)
     tot = 0.0 + 0.0j
     tot_sq = 0.0
     done = 0
@@ -206,7 +202,7 @@ def _monte_carlo(
     while done < samples:
         m = min(block, samples - done)
         e = rng.exponential(size=(m, n + 1))
-        s = beta * e / e.sum(axis=1, keepdims=True)
+        s = e / e.sum(axis=1, keepdims=True)
         ker = np.exp(-s[:, :, None] * lam[None, None, :])
         cur = mats[0][None, :, :] * ker[:, 0, :][:, None, :]
         for j in range(1, n + 1):
@@ -222,25 +218,18 @@ def _monte_carlo(
     return measure * mean, 3.0 * measure * se
 
 
-def expectation_value(t, mats, g: int = 0, beta: float = 1.0) -> complex:
+def expectation_value(t, mats, g: int = 0) -> complex:
     """Exact <x_0,...,x_n;g>_n as a bare complex number.
 
     ``t`` is any ``HeatData``: a SpectralTriple, a SplitTriple or a lift.
     """
     mats = [as_matrix(m) for m in mats]
     front, rest = _front_and_rest(t, mats, g)
-    vals, _ = _simplex_levels(t, front, rest, beta)
+    vals, _ = _simplex_levels(t, front, rest)
     return complex(vals[-1])
 
 
-def repeated_expectation_series(
-    t,
-    x0,
-    x,
-    max_n: int,
-    g: int = 0,
-    beta: float = 1.0,
-) -> list[complex]:
+def repeated_expectation_series(t, x0, x, max_n: int, g: int = 0) -> list[complex]:
     """<x0, x, ..., x>_n for n = 0..max_n from one block-Toeplitz exponential.
 
     Every superdiagonal block of M is x, so M is block-Toeplitz and only
@@ -249,7 +238,7 @@ def repeated_expectation_series(
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
     front = t.twist(g) @ as_matrix(x0)
-    vals, _ = _simplex_levels(t, front, [as_matrix(x)] * max_n, beta, _toeplitz_row)
+    vals, _ = _simplex_levels(t, front, [as_matrix(x)] * max_n, _toeplitz_row)
     return [complex(v) for v in vals]
 
 
@@ -263,17 +252,17 @@ def heat_expectation(
 ) -> ExpectationValue:
     """Expectation of a vertex set against the heat semigroup of Q^2.
 
-    ``x`` may be a VertexSet (carrying types and a beta-plane) or a plain
-    list of matrices (untyped, beta-plane 1).  ``method`` selects the
-    exact block exponential or seeded Monte-Carlo simplex quadrature.
+    ``x`` may be a VertexSet (carrying types) or a plain list of matrices
+    (untyped).  ``method`` selects the exact block exponential or seeded
+    Monte-Carlo simplex quadrature.
     """
     vs = x if isinstance(x, VertexSet) else VertexSet(list(x))
     front, rest = _front_and_rest(t, vs.vertices, g)
     if method == "exact":
-        vals, mags = _simplex_levels(t, front, rest, vs.beta_plane)
+        vals, mags = _simplex_levels(t, front, rest)
         val, err = complex(vals[-1]), 1e-13 * float(mags[-1])
     elif method == "quadrature":
-        val, err = _monte_carlo(t, front, rest, vs.beta_plane, samples, seed)
+        val, err = _monte_carlo(t, front, rest, samples, seed)
     else:
         raise ValueError(f"unknown method {method!r}")
     return ExpectationValue(value=val, method=method, estimated_error=err)
@@ -288,9 +277,7 @@ def check_insert_identity(t: SpectralTriple, x, g: int = 0, **kw) -> float:
     verts = vs.vertices
     for j in range(1, len(verts) + 1):
         inserted = verts[:j] + [ident] + verts[j:]
-        rhs += heat_expectation(
-            t, VertexSet(inserted, beta_plane=vs.beta_plane), g, **kw
-        ).value
+        rhs += heat_expectation(t, inserted, g, **kw).value
     return abs(lhs - rhs)
 
 
@@ -300,9 +287,7 @@ def check_cyclic(t: SpectralTriple, x, g: int = 0, **kw) -> float:
     verts = vs.vertices
     lhs = heat_expectation(t, vs, g, **kw).value
     rotated = t.conj_gamma(t.conj_group_inv(verts[-1], g))
-    rhs = heat_expectation(
-        t, VertexSet([rotated] + verts[:-1], beta_plane=vs.beta_plane), g, **kw
-    ).value
+    rhs = heat_expectation(t, [rotated] + verts[:-1], g, **kw).value
     return abs(lhs - rhs)
 
 
@@ -315,9 +300,7 @@ def check_d_invariance(t: SpectralTriple, x, g: int = 0, **kw) -> float:
         mats = [t.conj_gamma(v) for v in verts[:j]] + [derivative(t, verts[j])] + list(
             verts[j + 1 :]
         )
-        tot += heat_expectation(
-            t, VertexSet(mats, beta_plane=vs.beta_plane), g, **kw
-        ).value
+        tot += heat_expectation(t, mats, g, **kw).value
     return abs(tot)
 
 
@@ -373,7 +356,7 @@ def bound_expectation(
     for v, vt in zip(x.vertices, x.types):
         prod *= sobolev_norm(t, v, -vt.beta, vt.alpha)
     bound = m1 * m2 ** (n + 1) / math.gamma((n + 1) * reg.eta_global) * prod
-    value = expectation_value(t, x.vertices, g, beta=1.0)
+    value = expectation_value(t, x.vertices, g)
     return bound, bool(abs(value) <= bound * (1.0 + 1e-12))
 
 
@@ -385,5 +368,5 @@ def bounded_vertex_bound(t: SpectralTriple, x: VertexSet, g: int = 0) -> tuple[f
     for v in x.vertices:
         prod *= opnorm(v)
     bound = float(np.sum(np.exp(-lam))) * prod / math.factorial(n)
-    value = expectation_value(t, x.vertices, g, beta=1.0)
+    value = expectation_value(t, x.vertices, g)
     return bound, bool(abs(value) <= bound * (1.0 + 1e-12))

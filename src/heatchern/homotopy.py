@@ -57,7 +57,7 @@ class DeformationFamily:
     """Base triple plus a perturbation path q(lambda).
 
     ``q_dot`` may be omitted, in which case the velocity is the symmetric
-    difference quotient with step ``fd_step``.  The optional regularizer
+    difference quotient with step ``FD_STEP``.  The optional regularizer
     is a positive-semidefinite gamma-even group-commuting matrix (a Z*Z
     form) used by the endpoint grid.
     """
@@ -67,7 +67,8 @@ class DeformationFamily:
     q_dot: Optional[Callable[[float], np.ndarray]] = None
     lambda_interval: tuple[float, float] = (-1.0, 1.0)
     regularizer: Optional[np.ndarray] = None
-    fd_step: float = 1e-4
+
+    FD_STEP = 1e-4
 
     def __post_init__(self):
         if self.regularizer is not None:
@@ -79,8 +80,9 @@ class DeformationFamily:
 
     def q_dot_at(self, lam: float) -> np.ndarray:
         if self.q_dot is not None:
-            return as_matrix(self.q_dot(lam), "q_dot(lambda)")
-        h = self.fd_step
+            qd = as_matrix(self.q_dot(lam), "q_dot(lambda)")
+            return _check_shape("q_dot(lambda)", qd, self.base.dim)
+        h = self.FD_STEP
         return (self.q_at(lam + h) - self.q_at(lam - h)) / (2.0 * h)
 
     def validate_at(self, lam: float) -> ValidationReport:
@@ -228,7 +230,7 @@ def regularity_report(f: DeformationFamily, lambda_grid) -> SweepTable:
         qd = f.q_dot_at(lam)
         curve = kato_constants(t, qm)
         finite = [a for _, a in curve.points if math.isfinite(a)]
-        h = f.fd_step
+        h = f.FD_STEP
         fd = (f.q_at(lam + h) - f.q_at(lam - h)) / (2.0 * h)
         # (0,1)- and (-1,0)-scale gaps between velocity and quotient
         fd_gap = sobolev_norm(t, fd - qd, 0, 1) + sobolev_norm(t, fd - qd, -1, 0)

@@ -104,12 +104,10 @@ class PairingInput:
             raise DimensionMismatch(
                 f"a is {big}x{big}, expected m*dim = {self.m * t.dim}"
             )
-        ident = np.eye(big)
-        gam = np.kron(np.eye(self.m), t.gamma)
-        rep.add("a^2 = I", opnorm(self.a @ self.a - ident), t.tol)
-        rep.add("gamma a gamma = a", opnorm(gam @ self.a @ gam - self.a), t.tol)
-        for k, u in enumerate(t.group):
-            ub = np.kron(np.eye(self.m), u)
+        tb = t.lifted(self.m)
+        rep.add("a^2 = I", opnorm(self.a @ self.a - np.eye(big)), t.tol)
+        rep.add("gamma a gamma = a", opnorm(tb.conj_gamma(self.a) - self.a), t.tol)
+        for k, ub in enumerate(tb.group):
             rep.add(
                 f"a commutes with group[{k}]",
                 opnorm(ub @ self.a - self.a @ ub),
@@ -216,8 +214,11 @@ def _gauss_hermite(
 
     ``values`` maps the vector of nodes t_j to the values f(t_j).  Raises
     NoConvergence when the doubling reaches ``node_cap`` or a node count
-    whose rule is not finite.
+    whose rule is not finite, and ValueError for a ``tol`` that is not
+    positive and finite.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if quad_nodes < 20:
         raise ValueError("quad_nodes must be at least 20")
     if quad_nodes > node_cap:
@@ -259,14 +260,11 @@ def pairing_gaussian(
     quad_nodes: int = 64,
     tol: float = 1e-10,
     beta_plane: float = 1.0,
-    node_cap: int = 1024,
 ) -> complex:
     """Gaussian transform of the generating functional at the origin."""
     _require_valid_input(t, inp)
     tb = t.lifted(inp.m, beta_plane)
-    return _gauss_hermite(
-        _integrand(tb, inp, tb.hamiltonian), quad_nodes, tol, node_cap
-    )
+    return _gauss_hermite(_integrand(tb, inp, tb.hamiltonian), quad_nodes, tol)
 
 
 def _check_max_level(max_level: int):

@@ -9,7 +9,8 @@ which keeps the output valid JSON and which float() reads back.
 Each ``HeatData`` kind is one object: "dim", its ``GENERATORS`` matrices,
 "gamma", "group" and "tol", read and written by one codec.  A null or
 non-numeric "dim", "tol" or cyclic order is a ``DimensionMismatch``, and so
-is a boolean or non-integral "dim" or cyclic order.
+is a boolean in any of them, a non-integral "dim" or cyclic order, and a
+"tol" that is not positive and finite.
 A group may be given as an explicit list of matrices or through the
 shorthand {"cyclic": k, "generator": M}, which expands to the k powers
 of M at load time.
@@ -18,6 +19,7 @@ of M at load time.
 from __future__ import annotations
 
 import json
+import math
 from functools import partial
 
 import numpy as np
@@ -68,15 +70,16 @@ def matrix_to_json(m) -> list:
 
 
 def _number(convert, value, name: str):
-    """convert(value), with a null or non-numeric field, or for int a boolean
-    or a fraction that int() would truncate, as a schema error."""
+    """convert(value), with a null, non-numeric or boolean field, or for int a
+    fraction that int() would truncate, as a schema error."""
     try:
         out = convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(f"{name} must be a number, got {value!r}") from exc
     fraction = isinstance(value, float) and not value.is_integer()
-    if convert is int and (isinstance(value, bool) or fraction):
-        raise DimensionMismatch(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, bool) or (convert is int and fraction):
+        kind = "an integer" if convert is int else "a number"
+        raise DimensionMismatch(f"{name} must be {kind}, got {value!r}")
     return out
 
 
@@ -109,12 +112,11 @@ def _from_json(cls: type[HeatData], kind: str, d) -> HeatData:
         if d.get("group")
         else [np.eye(dim, dtype=complex)]
     )
-    return cls(
-        dim=dim,
-        **{n: matrix_from_json(d[n]) for n in names},
-        group=group,
-        tol=_number(float, d.get("tol", 1e-10), "tol"),
-    )
+    mats = {n: matrix_from_json(d[n]) for n in names}
+    tol = _number(float, d.get("tol", 1e-10), "tol")
+    if not 0 < tol < math.inf:
+        raise DimensionMismatch(f"tol must be positive and finite, got {tol}")
+    return cls(dim=dim, **mats, group=group, tol=tol)
 
 
 def _to_json(h: HeatData) -> dict:

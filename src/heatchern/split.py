@@ -13,8 +13,9 @@ this module adds the zero-momentum precondition in front of them.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .jlo import (
     pairing_gaussian,
 )
 from .linalg import as_matrix, eig_hermitian, expm, opnorm
-from .triples import HeatData, ValidationReport
+from .triples import HeatData, ValidationReport, _check_shape
 
 __all__ = [
     "SplitTriple",
@@ -176,9 +177,7 @@ def zero_momentum_project(s: SplitTriple, m) -> np.ndarray:
 
 def d1(s: SplitTriple, a) -> np.ndarray:
     """The partial derivative [Q1, a]."""
-    am = as_matrix(a, "a")
-    if am.shape != s.Q1.shape:
-        raise DimensionMismatch(f"operand shape {am.shape} != {s.Q1.shape}")
+    am = _check_shape("a", as_matrix(a, "a"), s.dim)
     return s.Q1 @ am - am @ s.Q1
 
 
@@ -341,12 +340,10 @@ def n2_index_table(s: SplitTriple, gens: dict, taus, thetas) -> SweepTable:
     Purely diagnostic: reports the table and the spread along tau rows
     (2 pi periodicity in tau holds when P has integer spectrum).
     """
-    lam, v = s.heat_data()
+    grid = list(itertools.product(sorted(map(float, taus)), sorted(map(float, thetas))))
+    # one copy whose group is the grid, so H is eigendecomposed once
+    su = replace(s, group=[expm(1j * (tau * gens["P"] + th * gens["J"])) for tau, th in grid])
     tab = SweepTable(columns=["tau", "theta", "value"])
-    for tau in sorted(float(x) for x in taus):
-        for theta in sorted(float(x) for x in thetas):
-            u = expm(1j * (tau * gens["P"] + theta * gens["J"]))
-            w = v.conj().T @ (s.gamma @ u) @ v
-            val = complex(np.sum(np.diag(w) * np.exp(-lam)))
-            tab.add_row(tau=tau, theta=theta, value=val)
+    for k, (tau, theta) in enumerate(grid):
+        tab.add_row(tau=tau, theta=theta, value=su.heat_trace(k))
     return tab

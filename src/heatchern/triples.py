@@ -129,9 +129,10 @@ class HeatData:
 
         Its H is beta times the block-diagonal H and its d is sqrt(beta)
         times the block derivative, so plane-beta invariants of m x m
-        inputs are plane-1 invariants of the lift.  Each lift is built once
-        per instance, so every caller shares its cached eigenbasis.  A plane
-        beta <= 0, NaN or infinite raises BadExponent.
+        inputs are plane-1 invariants of the lift.  It is the only code that
+        applies a simplex plane or a block size to the data.  Each lift is
+        built once per instance, so every caller shares its cached
+        eigenbasis.  A plane beta <= 0, NaN or infinite raises BadExponent.
         """
         if not beta_plane > 0:
             raise BadExponent(f"beta_plane must be positive, got {beta_plane}")
@@ -166,11 +167,11 @@ class HeatData:
     def conj_gamma(self, a: np.ndarray) -> np.ndarray:
         return self.gamma @ a @ self.gamma
 
-    def heat_trace(self, g: int = 0, s: float = 1.0) -> complex:
-        """Tr(gamma U(g) e^{-s H})."""
+    def heat_trace(self, g: int = 0) -> complex:
+        """Tr(gamma U(g) e^{-H}); at heat time s it is ``lifted(1, s).heat_trace(g)``."""
         lam, v = self.heat_data()
         we = v.conj().T @ self.twist(g) @ v
-        return complex(np.sum(np.diag(we) * np.exp(-s * lam)))
+        return complex(np.sum(np.diag(we) * np.exp(-lam)))
 
 
 @dataclass(eq=False)
@@ -222,9 +223,7 @@ def derivative(t: SpectralTriple, b) -> np.ndarray:
 
     For gamma-even b this is the commutator [Q, b].
     """
-    bm = as_matrix(b, "b")
-    if bm.shape != t.Q.shape:
-        raise DimensionMismatch(f"operand shape {bm.shape} != {t.Q.shape}")
+    bm = _check_shape("b", as_matrix(b, "b"), t.dim)
     return t.Q @ bm - t.gamma @ bm @ t.gamma @ t.Q
 
 
@@ -266,9 +265,7 @@ def sobolev_norm(t: SpectralTriple, x, p2: float, p1: float) -> float:
     Returns ||(Q^2+I)^{p2/2} x (Q^2+I)^{-p1/2}|| computed in the eigenbasis
     of Q^2.
     """
-    xm = as_matrix(x, "x")
-    if xm.shape != t.Q.shape:
-        raise DimensionMismatch(f"operand shape {xm.shape} != {t.Q.shape}")
+    xm = _check_shape("x", as_matrix(x, "x"), t.dim)
     lam, v = t.heat_data()
     w = lam + 1.0
     xe = v.conj().T @ xm @ v
@@ -354,18 +351,14 @@ class KatoCurve:
         raise KeyError(f"M = {m_value} not on the grid")
 
 
-def kato_constants(
-    t: SpectralTriple, q, m_grid=None, bisect_tol: float = 1e-8
-) -> KatoCurve:
+def kato_constants(t: SpectralTriple, q, m_grid=None) -> KatoCurve:
     """Minimal a(M) with q^2 - a^2 Q^2 - M^2 I negative semidefinite.
 
     The default grid is M in {0, 1/4, 1/2, ..., 4} times ||q||.  Points
     where no finite a works (q^2 has weight on ker Q^2 exceeding M^2)
     carry a = inf.
     """
-    qm = as_matrix(q, "q")
-    if qm.shape != t.Q.shape:
-        raise DimensionMismatch(f"q shape {qm.shape} != {t.Q.shape}")
+    qm = _check_shape("q", as_matrix(q, "q"), t.dim)
     dev = opnorm(qm - qm.conj().T)
     if dev > t.tol * max(opnorm(qm), 1.0):
         raise NotHermitian(f"q deviates from Hermitian by {dev:.3e}")
@@ -397,7 +390,7 @@ def kato_constants(
         # couplings can push the minimal a to astronomical values)
         lo = 0.0
         for _ in range(120):
-            if hi - lo <= bisect_tol * max(1.0, lo):
+            if hi - lo <= 1e-8 * max(1.0, lo):
                 break
             mid = 0.5 * (lo + hi)
             if psd_ok(mid, m):

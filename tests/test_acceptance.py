@@ -1,20 +1,22 @@
 """Acceptance gate: every criterion at its stated tolerance, seed 0.
 
-The shared report is computed once (the runner internally re-executes the
-battery to certify byte-identical output, which is itself criterion C15);
-each test then asserts one criterion and prints its pass/fail line.
+The report is the output JSON of the suite's one ``heatchern selftest
+--seed 0`` run (the ``selftest_run`` fixture; the runner internally
+re-executes the battery to certify byte-identical output, which is itself
+criterion C15); each test then asserts one criterion and prints its
+pass/fail line.
 """
 
 import pytest
 
-from heatchern.selftest import CRITERIA, run_selftest
+from heatchern.selftest import CRITERIA
 
 ALL_IDS = sorted(CRITERIA) + ["C15"]
 
 
 @pytest.fixture(scope="module")
-def report():
-    return run_selftest(seed=0)
+def report(selftest_run):
+    return selftest_run[2]["report"]
 
 
 @pytest.mark.parametrize("cid", ALL_IDS)

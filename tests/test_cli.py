@@ -453,6 +453,8 @@ class TestErrors:
              ("DimensionMismatch", "regularizer has shape (1, 1), expected (2, 2)")),
             ("jlo", {"tuple": [[[1]]]}, "--method=exact", 3,
              ("DimensionMismatch", "tuple[0] has shape (1, 1), expected (2, 2)")),
+            ("jlo", {"tuple": [[[1, 0], [0, -1]], [[1]]]}, "--method=quadrature", 3,
+             ("DimensionMismatch", "tuple[1] has shape (1, 1), expected (2, 2)")),
             ("pair", {"group": {"cyclic": 2, "generator": [[1]]}}, "--group-index=0", 3,
              ("DimensionMismatch", "group generator has shape (1, 1), expected (2, 2)")),
             ("beta-scan", {}, "--beta-list=inf", 3,
@@ -467,17 +469,38 @@ class TestErrors:
              ("DimensionMismatch", "'a' block size m must be an integer, got 1.9")),
             ("endpoint", {}, "--eps-grid=0:1e200:2", 2,
              ("OverflowError", "(34, 'Numerical result out of range')")),
+            ("pair", {"tol": True}, "--group-index=0", 3,
+             ("DimensionMismatch", "tol must be a number, got True")),
+            ("validate", {"tol": 0}, "--group-index=0", 3,
+             ("DimensionMismatch", "tol must be positive and finite, got 0.0")),
+            ("index", {"tol": -1}, "--group-index=0", 3,
+             ("DimensionMismatch", "tol must be positive and finite, got -1.0")),
+            ("pair", {"tol": float("nan")}, "--group-index=0", 3,
+             ("DimensionMismatch", "tol must be positive and finite, got nan")),
+            ("coupling-sweep", {"tol": -1}, "--lambda-grid=0:0.4:3", 3,
+             ("DimensionMismatch", "tol must be positive and finite, got -1.0")),
+            ("pair", {}, "--tol=0", 3,
+             ("ValueError", "tol must be positive and finite, got 0.0")),
+            ("pair", {}, "--tol=-1", 3,
+             ("ValueError", "tol must be positive and finite, got -1.0")),
+            ("sweep", {}, "--tol=nan", 3,
+             ("ValueError", "tol must be positive and finite, got nan")),
+            ("beta-scan", {}, "--tol=inf", 3,
+             ("ValueError", "tol must be positive and finite, got inf")),
         ],
         ids=["q-shape", "q2-tilde-shape", "regularizer-shape", "tuple-shape",
-             "generator-shape", "beta-inf", "grid-inf", "dim-fraction", "dim-bool",
-             "m-fraction", "eps-overflow"],
+             "tuple-shape-quadrature", "generator-shape", "beta-inf", "grid-inf", "dim-fraction", "dim-bool",
+             "m-fraction", "eps-overflow", "tol-bool", "tol-zero", "tol-negative",
+             "tol-nan", "split-tol-negative", "flag-tol-zero", "flag-tol-negative",
+             "flag-tol-nan", "flag-tol-inf"],
     )
     def test_malformed_input_fails_honestly(
         self, tmp_path, capsys, command, fields, flag, code, error
     ):
         # wrong shapes broadcast or reached numpy's matmul error, infinities
         # printed a RuntimeWarning first, fractions and booleans were
-        # truncated to integers, and eps**2 overflowed into a traceback
+        # truncated to integers, eps**2 overflowed into a traceback, and a
+        # tolerance of true, 0, -1, NaN or inf was read as a tolerance
         if command == "coupling-sweep":
             from heatchern.serialization import matrix_to_json, split_to_json
             from heatchern.split import build_n2_susy_example
@@ -525,14 +548,12 @@ class TestErrors:
 
 
 class TestSelftest:
-    def test_table_and_report(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        code = run_main(["selftest", "--seed", "0", "--output", str(out)])
+    def test_table_and_report(self, selftest_run):
+        # the suite's one selftest run, which the acceptance gate reads too
+        code, table, doc = selftest_run
         assert code == 0
-        table = capsys.readouterr().out
         assert "C01  PASS" in table
         assert "overall: PASS" in table
-        doc = json.loads(out.read_text())
         assert doc["report"]["passed"] is True
         assert len(doc["report"]["criteria"]) == 15
 

@@ -343,6 +343,21 @@ class TestN2Model:
         for theta, vals in by_theta.items():
             assert abs(vals[0.0] - vals[2 * math.pi]) < 1e-10
 
+    def test_index_table_is_the_heat_trace(self):
+        # oracle: the hand-written trace the table used before it went
+        # through heat_trace; same eigenbasis, same arithmetic, same bits
+        s, gens = build_n2_susy_example(levels=((1.0, 0.5), (2.0, 1.0)))
+        taus, thetas = [0.7, 0.0, math.pi], [0.5, 0.0, -1.2]
+        tab = n2_index_table(s, gens, taus, thetas)
+        lam, v = s.heat_data()
+        expected = []
+        for tau in sorted(taus):
+            for theta in sorted(thetas):
+                u = expm(1j * (tau * gens["P"] + theta * gens["J"]))
+                w = v.conj().T @ (s.gamma @ u) @ v
+                expected.append((tau, theta, complex(np.sum(np.diag(w) * np.exp(-lam)))))
+        assert [(r["tau"], r["theta"], r["value"]) for r in tab.rows] == expected
+
 
 class TestZeroMomentumStructure:
     def test_momentum_commutes_with_heat_kernel(self):

@@ -1,11 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from heatchern.errors import BadExponent, NotHermitian, ValidationFailure
+from heatchern.errors import BadExponent, DimensionMismatch, NotHermitian, ValidationFailure
+from heatchern.expectations import expectation_value
+from heatchern.homotopy import DeformationFamily
 from heatchern.linalg import opnorm
 from heatchern.models import random_triple
+from heatchern.split import build_n2_susy_example, d1
 from heatchern.triples import (
     AlgebraElement,
     SpectralTriple,
@@ -269,3 +273,34 @@ class TestKatoConstants:
         q = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(NotHermitian):
             kato_constants(exchange, q)
+
+
+class TestShapeCheck:
+    @pytest.mark.parametrize(
+        "site, name, dim",
+        [
+            ("derivative", "b", 3),
+            ("d1", "a", 4),
+            ("sobolev_norm", "x", 3),
+            ("kato_constants", "q", 3),
+            ("expectation_value", "vertex[1]", 3),
+            ("q_dot_at", "q_dot(lambda)", 3),
+        ],
+        ids=["derivative", "d1", "sobolev_norm", "kato_constants", "vertex", "q_dot_at"],
+    )
+    def test_wrong_shape_names_the_argument(self, zero_mode, site, name, dim):
+        # every site raises through triples._check_shape, before any arithmetic
+        x = np.eye(2)
+        calls = {
+            "derivative": lambda: derivative(zero_mode, x),
+            "d1": lambda: d1(build_n2_susy_example()[0], x),
+            "sobolev_norm": lambda: sobolev_norm(zero_mode, x, 0.0, 1.0),
+            "kato_constants": lambda: kato_constants(zero_mode, x),
+            "expectation_value": lambda: expectation_value(zero_mode, [np.eye(3), x]),
+            "q_dot_at": lambda: DeformationFamily(
+                zero_mode, lambda lam: lam * zero_mode.Q, lambda lam: x
+            ).q_dot_at(0.0),
+        }
+        message = f"{name} has shape (2, 2), expected ({dim}, {dim})"
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            calls[site]()
