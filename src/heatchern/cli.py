@@ -4,7 +4,10 @@ Subcommands load operator data from JSON, run one computation, and write
 a JSON (or CSV) result with a provenance block.  Exit codes: 0 success,
 1 validation failure, 2 numerical non-convergence, a request over the
 block-order budget, out of memory or an arithmetic error such as an
-overflow, 3 I/O or schema error.
+overflow, 3 a usage error, a bad ``--tol``, ``--quad-nodes`` or
+``--max-level`` (checked on every command, before any input is read), or
+an I/O or schema error.  Every failure writes one JSON error object to
+standard error.
 """
 
 from __future__ import annotations
@@ -37,7 +40,14 @@ from .homotopy import (
     linear_family,
     sweep_invariant,
 )
-from .jlo import PairingInput, equivariant_index, jlo_component, pairing
+from .jlo import (
+    PairingInput,
+    _check_max_level,
+    _check_quadrature,
+    equivariant_index,
+    jlo_component,
+    pairing,
+)
 from .selftest import format_table, run_selftest
 from .serialization import (
     _number,
@@ -348,8 +358,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ArgumentError for a usage error, instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="heatchern",
         description="heat-kernel characters, pairings, and invariance sweeps",
     )
@@ -371,10 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        _print_error(None, exc)
+        return 3
     cmd = _COMMANDS[args.command]
     needs_input = args.command != "selftest"
     try:
+        _check_max_level(args.max_level)
+        _check_quadrature(args.quad_nodes, args.tol)
         if needs_input:
             if not args.input:
                 raise FileNotFoundError("--input is required for this command")
@@ -394,9 +417,10 @@ def main(argv=None) -> int:
 
 
 def _print_error(args, exc):
+    """Write the JSON error object to stderr, and to ``--output`` when given."""
     obj = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     text = dumps_canonical(obj)
-    if args.output:
+    if args is not None and args.output:
         try:
             Path(args.output).write_text(text + "\n")
         except OSError:

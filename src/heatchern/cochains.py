@@ -263,17 +263,8 @@ def cocycle_residual(
     seed: int = 0,
 ) -> float:
     """max |(bf + Bf)_n| over seeded gamma-even tuples, levels, and group."""
-    pf = op_partial(f)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in levels:
-        if n > pf.max_level:
-            continue
-        for _ in range(samples):
-            mats = _random_even_tuple(t, rng, n)
-            for g in range(len(t.group)):
-                worst = max(worst, abs(pf(n, mats, g)))
-    return worst
+    prof = norm_profile(op_partial(f), t, levels, seed=seed, samples=samples)
+    return max((v for _, v in prof.levels), default=0.0)
 
 
 def check_cochain_invariants(

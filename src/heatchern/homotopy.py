@@ -4,7 +4,9 @@ A regular family keeps the pairing constant in lambda.  The derivative of
 the character along the family is a cochain L(lambda), itself the
 coboundary of a cochain h(lambda); both are built from heat expectations
 with one inserted velocity vertex.  Endpoint regularization replaces the
-squared generator by H(eps, lambda) = Q(lambda)^2 + eps^2 Z*Z on a grid.
+squared generator by H(eps, lambda) = Q(lambda)^2 + eps^2 Z*Z on a grid;
+each grid value is ``pairing_gaussian`` on that heat data, and the sampled
+residuals are ``norm_profile`` maxima.
 """
 
 from __future__ import annotations
@@ -15,17 +17,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cochains import Cochain, _random_even_tuple, op_partial
+from .cochains import Cochain, norm_profile, op_partial
 from .errors import DimensionMismatch, ValidationFailure
 from .expectations import expectation_value
-from .jlo import (
-    PairingInput,
-    _gauss_hermite,
-    _integrand,
-    _require_valid_input,
-    jlo_component,
-    pairing_gaussian,
-)
+from .jlo import PairingInput, jlo_component, pairing_gaussian
 from .linalg import as_matrix, opnorm
 from .triples import (
     SpectralTriple,
@@ -342,17 +337,13 @@ def coboundary_relation_residual(
     seed: int = 0,
 ) -> float:
     """max |L_n(tuple) - (bh + Bh)_n(tuple)| over seeded gamma-even tuples."""
-    t = f.base
     L = L_cochain(f, lam)
     ph = op_partial(h_cochain(f, lam))
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for n in levels:
-        for _ in range(samples):
-            mats = _random_even_tuple(t, rng, n)
-            for g in range(len(t.group)):
-                worst = max(worst, abs(L(n, mats, g) - ph(n, mats, g)))
-    return worst
+    gap = Cochain(
+        lambda n, mats, g: L(n, mats, g) - ph(n, mats, g), L.group, L.max_level, "even", "D"
+    )
+    prof = norm_profile(gap, f.base, levels, seed=seed, samples=samples)
+    return max((v for _, v in prof.levels), default=0.0)
 
 
 def jlo_lambda_fd_residual(
@@ -361,9 +352,9 @@ def jlo_lambda_fd_residual(
     n: int,
     mats,
     g: int = 0,
-    step: float = 1e-4,
 ) -> float:
-    """|central difference of tau_n across lambda - L_n(lambda)| pointwise."""
+    """|central difference of tau_n across lambda, step FD_STEP, - L_n(lambda)|."""
+    step = f.FD_STEP
     t_plus = deform_triple(f, lam + step)
     t_minus = deform_triple(f, lam - step)
     fd = (
@@ -391,6 +382,23 @@ def beta_independence(
     return tab
 
 
+@dataclass(eq=False)
+class _Regularized(SpectralTriple):
+    """A triple with H = Q^2 + R and d still the graded commutator with Q.
+
+    Only plane 1 is meaningful: ``lifted`` scales R by sqrt(beta) where a
+    plane-beta H needs beta R.  The endpoint grid, its only builder, runs there.
+    """
+
+    R: np.ndarray = field(kw_only=True)
+
+    GENERATORS = ("Q", "R")
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        return self.Q @ self.Q + self.R
+
+
 def endpoint_grid(
     f: DeformationFamily,
     eps_grid,
@@ -401,9 +409,9 @@ def endpoint_grid(
 ) -> SweepTable:
     """Regularized pairing over an (eps, lambda) grid.
 
-    Each entry is the Gaussian transform with the exponent
-    -H(eps, lambda) + i t d_lambda(a), H(eps, lambda) = Q(lambda)^2 +
-    eps^2 Z*Z.  Central finite-difference estimates of the eps- and
+    Each entry is ``pairing_gaussian`` on the deformed triple with H(eps,
+    lambda) = Q(lambda)^2 + eps^2 Z*Z, the exponent -H(eps, lambda) + i t
+    d_lambda(a).  Central finite-difference estimates of the eps- and
     lambda-derivatives are attached to interior grid points.
     """
     if f.regularizer is None:
@@ -414,16 +422,15 @@ def endpoint_grid(
     f.validate_at(float(np.asarray(lambda_grid)[0])).require("family fails validation")
     eg = sorted(float(x) for x in eps_grid)
     lg = sorted(float(x) for x in lambda_grid)
-    zz = np.kron(np.eye(inp.m), f.regularizer)
-
-    def value_at(eps: float, lam: float) -> complex:
-        t_lam = deform_triple(f, lam)
-        _require_valid_input(t_lam, inp)
-        tb = t_lam.lifted(inp.m)
-        h = tb.hamiltonian + (eps**2) * zz
-        return _gauss_hermite(_integrand(tb, inp, h), quad_nodes, tol)
-
-    vals = {(e, l): value_at(e, l) for e in eg for l in lg}
+    deformed = {}
+    vals = {}
+    for e in eg:
+        for l in lg:
+            if l not in deformed:
+                deformed[l] = deform_triple(f, l)
+            t = deformed[l]
+            reg = _Regularized(t.dim, t.Q, t.gamma, t.group, t.tol, R=e**2 * f.regularizer)
+            vals[(e, l)] = pairing_gaussian(reg, inp, quad_nodes=quad_nodes, tol=tol)
     tab = SweepTable(columns=["lambda", "eps", "value", "dZ_deps", "dZ_dlambda"])
     for l in lg:
         for e in eg:

