@@ -33,7 +33,7 @@ from .errors import (
     ValidationFailure,
     ZeroMomentumViolation,
 )
-from .expectations import heat_expectation
+from .expectations import expectation_value, heat_expectation
 from .homotopy import (
     beta_independence,
     endpoint_grid,
@@ -44,8 +44,8 @@ from .jlo import (
     PairingInput,
     _check_max_level,
     _check_quadrature,
+    _vertices,
     equivariant_index,
-    jlo_component,
     pairing,
 )
 from .selftest import format_table, run_selftest
@@ -98,7 +98,10 @@ def _parse_list(text: str) -> list[float]:
 
 
 def _load_json(path: str) -> dict:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise DimensionMismatch("input JSON is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise DimensionMismatch(f"input JSON must be an object, got {type(doc).__name__}")
     return doc
@@ -226,16 +229,12 @@ def _cmd_jlo(args):
         raise DimensionMismatch("input JSON is missing key 'tuple'")
     if not isinstance(doc["tuple"], list) or not doc["tuple"]:
         raise DimensionMismatch("'tuple' must be a nonempty list of matrices")
-    mats = [
-        _check_shape(f"tuple[{k}]", matrix_from_json(m), t.dim)
-        for k, m in enumerate(doc["tuple"])
-    ]
-    n = len(mats) - 1
+    mats = [matrix_from_json(m) for m in doc["tuple"]]
+    verts = _vertices(t, mats)
     if args.method == "exact":
-        val = jlo_component(t, n, mats, args.group_index)
+        val = expectation_value(t, verts, args.group_index)
         err = 0.0
     else:
-        verts = [mats[0]] + [t.derive(m) for m in mats[1:]]
         ev = heat_expectation(
             t, verts, args.group_index, method="quadrature", seed=args.seed
         )
@@ -245,7 +244,7 @@ def _cmd_jlo(args):
         {
             "command": "jlo",
             "provenance": _provenance(args),
-            "level": n,
+            "level": len(mats) - 1,
             "method": args.method,
             "value": val,
             "estimated_error": err,

@@ -36,7 +36,6 @@ __all__ = [
 ]
 
 _CLASS_RANK = {"D": 0, "C": 1, "N": 2}
-_PARITY_FLIP = {"even": "odd", "odd": "even", "mixed": "mixed"}
 
 
 @dataclass
@@ -52,14 +51,11 @@ class Cochain:
     evaluator: Callable[[int, tuple, int], complex]
     group: list[np.ndarray]
     max_level: int
-    parity: str = "mixed"
     cclass: str = "C"
 
     def __post_init__(self):
         if self.cclass not in _CLASS_RANK:
             raise ValueError(f"unknown class {self.cclass!r}")
-        if self.parity not in _PARITY_FLIP:
-            raise ValueError(f"unknown parity {self.parity!r}")
 
     def __call__(self, n: int, mats, g: int = 0) -> complex:
         if n < 0 or n > self.max_level:
@@ -121,7 +117,7 @@ def op_T(f: Cochain) -> Cochain:
         rot = (f.conj_group_inv(mats[-1], g),) + mats[:-1]
         return (-1) ** n * f(n, rot, g)
 
-    return Cochain(ev, f.group, f.max_level, f.parity, "N")
+    return Cochain(ev, f.group, f.max_level, "N")
 
 
 def op_A(f: Cochain) -> Cochain:
@@ -136,7 +132,7 @@ def op_A(f: Cochain) -> Cochain:
             tot += (-1) ** (n * j) * f(n, head + mats[: n + 1 - j], g)
         return tot
 
-    return Cochain(ev, f.group, f.max_level, f.parity, "N")
+    return Cochain(ev, f.group, f.max_level, "N")
 
 
 def op_U(f: Cochain) -> Cochain:
@@ -147,7 +143,7 @@ def op_U(f: Cochain) -> Cochain:
     def ev(n, mats, g):
         return f(n + 1, (np.eye(dim, dtype=complex),) + mats, g)
 
-    return Cochain(ev, f.group, f.max_level - 1, _PARITY_FLIP[f.parity], out_class)
+    return Cochain(ev, f.group, f.max_level - 1, out_class)
 
 
 def _face(f: Cochain, r: int, m: int, mats, g: int) -> complex:
@@ -173,7 +169,7 @@ def op_V(r: int, f: Cochain) -> Cochain:
     def ev(m, mats, g):
         return _face(f, r, m, mats, g)
 
-    return Cochain(ev, f.group, f.max_level + 1, _PARITY_FLIP[f.parity], "D")
+    return Cochain(ev, f.group, f.max_level + 1, "D")
 
 
 def op_b(f: Cochain) -> Cochain:
@@ -188,7 +184,7 @@ def op_b(f: Cochain) -> Cochain:
             tot += _face(f, r, m, mats, g)
         return tot
 
-    return Cochain(ev, f.group, f.max_level + 1, _PARITY_FLIP[f.parity], "C")
+    return Cochain(ev, f.group, f.max_level + 1, "C")
 
 
 def op_B(f: Cochain) -> Cochain:
@@ -210,7 +206,7 @@ def _coboundary(f: Cochain, sign_B: int) -> Cochain:
             tot += bf(m, mats, g)
         return tot
 
-    return Cochain(ev, f.group, f.max_level + 1, _PARITY_FLIP[f.parity], "C")
+    return Cochain(ev, f.group, f.max_level + 1, "C")
 
 
 def op_partial(f: Cochain) -> Cochain:
@@ -248,7 +244,7 @@ def random_cochain(t: SpectralTriple, seed: int, max_level: int = 6) -> Cochain:
         verts = [cs[0] @ mats[0]] + [cs[j] @ pi(mats[j]) for j in range(1, n + 1)]
         return expectation_value(t, verts, g)
 
-    return Cochain(ev, t.group, max_level, "mixed", "C")
+    return Cochain(ev, t.group, max_level, "C")
 
 
 def _random_even_tuple(t: SpectralTriple, rng, n: int):
@@ -283,8 +279,6 @@ def check_cochain_invariants(
     rep = ValidationReport()
     ident = np.eye(t.dim, dtype=complex)
     for n in levels:
-        if n > f.max_level:
-            continue
         for k in range(samples):
             mats = _random_even_tuple(t, rng, n)
             if f.cclass in ("C", "N"):
@@ -338,8 +332,6 @@ def norm_profile(
     rng = np.random.default_rng(seed)
     prof = CochainNormProfile()
     for n in levels:
-        if n > f.max_level:
-            continue
         best = 0.0
         for _ in range(samples):
             mats = _random_even_tuple(t, rng, n)

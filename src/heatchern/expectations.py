@@ -242,6 +242,11 @@ def repeated_expectation_series(t, x0, x, max_n: int, g: int = 0) -> list[comple
     return [complex(v) for v in vals]
 
 
+def _vertex_list(x) -> list[np.ndarray]:
+    """The vertices of a VertexSet, or of a plain list of matrices."""
+    return (x if isinstance(x, VertexSet) else VertexSet(list(x))).vertices
+
+
 def heat_expectation(
     t,
     x,
@@ -256,8 +261,7 @@ def heat_expectation(
     (untyped).  ``method`` selects the exact block exponential or seeded
     Monte-Carlo simplex quadrature.
     """
-    vs = x if isinstance(x, VertexSet) else VertexSet(list(x))
-    front, rest = _front_and_rest(t, vs.vertices, g)
+    front, rest = _front_and_rest(t, _vertex_list(x), g)
     if method == "exact":
         vals, mags = _simplex_levels(t, front, rest)
         val, err = complex(vals[-1]), 1e-13 * float(mags[-1])
@@ -268,39 +272,30 @@ def heat_expectation(
     return ExpectationValue(value=val, method=method, estimated_error=err)
 
 
-def check_insert_identity(t: SpectralTriple, x, g: int = 0, **kw) -> float:
+def check_insert_identity(t: SpectralTriple, x, g: int = 0) -> float:
     """|<x_0..x_n> - sum_j <x_0..x_{j-1}, I, x_j..x_n>| over inserts j=1..n+1."""
-    vs = x if isinstance(x, VertexSet) else VertexSet(list(x))
-    lhs = heat_expectation(t, vs, g, **kw).value
+    verts = _vertex_list(x)
     ident = np.eye(t.dim, dtype=complex)
     rhs = 0.0 + 0.0j
-    verts = vs.vertices
     for j in range(1, len(verts) + 1):
-        inserted = verts[:j] + [ident] + verts[j:]
-        rhs += heat_expectation(t, inserted, g, **kw).value
-    return abs(lhs - rhs)
+        rhs += expectation_value(t, verts[:j] + [ident] + verts[j:], g)
+    return abs(expectation_value(t, verts, g) - rhs)
 
 
-def check_cyclic(t: SpectralTriple, x, g: int = 0, **kw) -> float:
+def check_cyclic(t: SpectralTriple, x, g: int = 0) -> float:
     """|<x_0..x_n> - <gamma U(g)* x_n U(g) gamma, x_0..x_{n-1}>|."""
-    vs = x if isinstance(x, VertexSet) else VertexSet(list(x))
-    verts = vs.vertices
-    lhs = heat_expectation(t, vs, g, **kw).value
+    verts = _vertex_list(x)
     rotated = t.conj_gamma(t.conj_group_inv(verts[-1], g))
-    rhs = heat_expectation(t, [rotated] + verts[:-1], g, **kw).value
-    return abs(lhs - rhs)
+    return abs(expectation_value(t, verts, g) - expectation_value(t, [rotated] + verts[:-1], g))
 
 
-def check_d_invariance(t: SpectralTriple, x, g: int = 0, **kw) -> float:
+def check_d_invariance(t: SpectralTriple, x, g: int = 0) -> float:
     """|sum_j <x_0^gamma,..,x_{j-1}^gamma, dx_j, x_{j+1},..,x_n>|."""
-    vs = x if isinstance(x, VertexSet) else VertexSet(list(x))
-    verts = vs.vertices
+    verts = _vertex_list(x)
     tot = 0.0 + 0.0j
     for j in range(len(verts)):
-        mats = [t.conj_gamma(v) for v in verts[:j]] + [derivative(t, verts[j])] + list(
-            verts[j + 1 :]
-        )
-        tot += heat_expectation(t, mats, g, **kw).value
+        mats = [t.conj_gamma(v) for v in verts[:j]] + [derivative(t, verts[j])] + verts[j + 1 :]
+        tot += expectation_value(t, mats, g)
     return abs(tot)
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cochains import Cochain, norm_profile, op_partial
-from .errors import DimensionMismatch, ValidationFailure
+from .errors import DimensionMismatch, PairingInputInvalid, ValidationFailure
 from .expectations import expectation_value
 from .jlo import PairingInput, jlo_component, pairing_gaussian
 from .linalg import as_matrix, opnorm
@@ -306,7 +306,7 @@ def L_cochain(f: DeformationFamily, lam: float) -> Cochain:
             tot -= expectation_value(t_lam, verts, g)
         return tot
 
-    return Cochain(ev, t_lam.group, 32, "even", "C")
+    return Cochain(ev, t_lam.group, 32, "C")
 
 
 def h_cochain(f: DeformationFamily, lam: float) -> Cochain:
@@ -326,7 +326,7 @@ def h_cochain(f: DeformationFamily, lam: float) -> Cochain:
             tot += (-1) ** k * expectation_value(t_lam, verts, g)
         return -tot
 
-    return Cochain(ev, t_lam.group, 32, "odd", "C")
+    return Cochain(ev, t_lam.group, 32, "C")
 
 
 def coboundary_relation_residual(
@@ -339,9 +339,7 @@ def coboundary_relation_residual(
     """max |L_n(tuple) - (bh + Bh)_n(tuple)| over seeded gamma-even tuples."""
     L = L_cochain(f, lam)
     ph = op_partial(h_cochain(f, lam))
-    gap = Cochain(
-        lambda n, mats, g: L(n, mats, g) - ph(n, mats, g), L.group, L.max_level, "even", "D"
-    )
+    gap = Cochain(lambda n, mats, g: L(n, mats, g) - ph(n, mats, g), L.group, L.max_level, "D")
     prof = norm_profile(gap, f.base, levels, seed=seed, samples=samples)
     return max((v for _, v in prof.levels), default=0.0)
 
@@ -371,13 +369,15 @@ def beta_independence(
     quad_nodes: int = 64,
     tol: float = 1e-10,
 ) -> SweepTable:
-    """Pairing per simplex plane; the values agree for a fixed triple."""
+    """Pairing of the lift ``t.lifted(1, beta)`` per plane; the values agree for a fixed triple."""
     betas = [float(b) for b in beta_list]
     if not betas:
         raise DimensionMismatch("beta_list has no values")
+    # an invalid input is reported before a bad plane, as each pairing would
+    inp.validate(t).require("pairing input fails preconditions", PairingInputInvalid)
     tab = SweepTable(columns=["beta", "value"])
     for beta in betas:
-        val = pairing_gaussian(t, inp, quad_nodes=quad_nodes, tol=tol, beta_plane=beta)
+        val = pairing_gaussian(t.lifted(1, beta), inp, quad_nodes=quad_nodes, tol=tol)
         tab.add_row(beta=beta, value=val)
     return tab
 

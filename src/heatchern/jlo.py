@@ -16,9 +16,9 @@ evaluates all its nodes as stacked exponentials of at most
 once per node count, and a count whose numpy rule is not finite ends
 the doubling with NoConvergence.
 
-The beta-plane character is the plane-1 character of the data lifted
-with sqrt(beta) Q, ``t.lifted(1, beta)``, which keeps it a cocycle and its
-pairing beta-independent; both pairing routes take a plane that way.
+No function here takes a simplex plane: the plane-beta character is that of
+the lift ``t.lifted(1, beta)``, a cocycle whose pairing is beta-independent
+and whose ``connes_value`` uses the lift's index Tr(gamma U e^{-beta H}).
 """
 
 from __future__ import annotations
@@ -132,11 +132,19 @@ class PairingResult:
     connes_value: complex
 
 
-def _check_even(t: HeatData, mats):
-    for k, a in enumerate(mats):
-        _check_shape(f"tuple[{k}]", a, t.dim)
-        if opnorm(t.conj_gamma(a) - a) > t.tol * max(opnorm(a), 1.0):
-            raise ValidationFailure(f"argument {k} is not gamma-even")
+def _vertices(t: HeatData, mats, check_even: bool = True) -> list[np.ndarray]:
+    """The vertices [a_0, da_1, ..., da_n] of tau_n on ``mats``.
+
+    With ``check_even`` every argument is first shape-checked, then
+    checked gamma-even (ValidationFailure naming the first that is not).
+    """
+    if check_even:
+        for k, a in enumerate(mats):
+            _check_shape(f"tuple[{k}]", a, t.dim)
+        for k, a in enumerate(mats):
+            if opnorm(t.conj_gamma(a) - a) > t.tol * max(opnorm(a), 1.0):
+                raise ValidationFailure(f"argument {k} is not gamma-even")
+    return [mats[0]] + [t.derive(a) for a in mats[1:]]
 
 
 def jlo_component(
@@ -150,10 +158,7 @@ def jlo_component(
     mats = [m.matrix if hasattr(m, "matrix") else as_matrix(m) for m in a_list]
     if len(mats) != n + 1:
         raise DimensionMismatch(f"level {n} needs {n + 1} elements, got {len(mats)}")
-    if check_even:
-        _check_even(t, mats)
-    verts = [mats[0]] + [t.derive(a) for a in mats[1:]]
-    return expectation_value(t, verts, g)
+    return expectation_value(t, _vertices(t, mats, check_even), g)
 
 
 def jlo_cochain(t: HeatData, max_level: int = 32) -> Cochain:
@@ -162,7 +167,7 @@ def jlo_cochain(t: HeatData, max_level: int = 32) -> Cochain:
     def ev(n, mats, g):
         return jlo_component(t, n, mats, g, check_even=False)
 
-    return Cochain(ev, t.group, max_level, "even", "C")
+    return Cochain(ev, t.group, max_level, "C")
 
 
 def _integrand(tb: HeatData, inp: PairingInput):
@@ -210,30 +215,28 @@ def _hermite_rule(nodes: int):
     return ts, ws
 
 
-def _check_quadrature(quad_nodes: int, tol: float, node_cap: int = _NODE_CAP):
+def _check_quadrature(quad_nodes: int, tol: float):
     """Raise ValueError for a ``tol`` that is not positive and finite or a
-    first node count outside [20, ``node_cap``]."""
+    first node count outside [20, ``_NODE_CAP``]."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if quad_nodes < 20:
         raise ValueError("quad_nodes must be at least 20")
-    if quad_nodes > node_cap:
-        raise ValueError(f"quad_nodes {quad_nodes} exceeds node_cap {node_cap}")
+    if quad_nodes > _NODE_CAP:
+        raise ValueError(f"quad_nodes {quad_nodes} exceeds node_cap {_NODE_CAP}")
 
 
-def _gauss_hermite(
-    values, quad_nodes: int = 64, tol: float = 1e-10, node_cap: int = _NODE_CAP
-) -> complex:
+def _gauss_hermite(values, quad_nodes: int = 64, tol: float = 1e-10) -> complex:
     """(1/sqrt(pi)) sum_j w_j f(t_j), doubling the nodes until two sums agree to ``tol``.
 
     ``values`` maps the vector of nodes t_j to the values f(t_j).  Raises
-    NoConvergence when the doubling reaches ``node_cap`` or a node count
-    whose rule is not finite, and ValueError through ``_check_quadrature``.
+    NoConvergence when the doubling passes ``_NODE_CAP`` or reaches a node
+    count whose rule is not finite, and ValueError through ``_check_quadrature``.
     """
-    _check_quadrature(quad_nodes, tol, node_cap)
+    _check_quadrature(quad_nodes, tol)
     prev = None
     nodes = quad_nodes
-    while nodes <= node_cap:
+    while nodes <= _NODE_CAP:
         rule = _hermite_rule(nodes)
         if rule is None:
             raise NoConvergence(
@@ -247,19 +250,17 @@ def _gauss_hermite(
         prev = val
         nodes *= 2
     raise NoConvergence(
-        f"Gauss-Hermite transform did not stabilize below {tol} within {node_cap} nodes"
+        f"Gauss-Hermite transform did not stabilize below {tol} within {_NODE_CAP} nodes"
     )
 
 
-def gauss_hermite_transform(
-    f, quad_nodes: int = 64, tol: float = 1e-10, node_cap: int = _NODE_CAP
-) -> complex:
+def gauss_hermite_transform(f, quad_nodes: int = 64, tol: float = 1e-10) -> complex:
     """(1/sqrt(pi)) integral of e^{-t^2} f(t), with node doubling to ``tol``.
 
     ``f`` takes one node at a time.  Raises NoConvergence if successive
     doublings never stabilize below ``tol`` before the cap.
     """
-    return _gauss_hermite(lambda ts: [f(tt) for tt in ts], quad_nodes, tol, node_cap)
+    return _gauss_hermite(lambda ts: [f(tt) for tt in ts], quad_nodes, tol)
 
 
 def pairing_gaussian(
@@ -267,11 +268,10 @@ def pairing_gaussian(
     inp: PairingInput,
     quad_nodes: int = 64,
     tol: float = 1e-10,
-    beta_plane: float = 1.0,
 ) -> complex:
     """Gaussian transform of the generating functional at the origin."""
     _require_valid_input(t, inp)
-    tb = t.lifted(inp.m, beta_plane)
+    tb = t.lifted(inp.m)
     return _gauss_hermite(_integrand(tb, inp), quad_nodes, tol)
 
 
@@ -285,7 +285,6 @@ def pairing_series(
     inp: PairingInput,
     max_level: int = 32,
     tol: float = 1e-12,
-    beta_plane: float = 1.0,
 ) -> tuple[complex, int, float]:
     """Partial sums of the weighted level series.
 
@@ -296,7 +295,7 @@ def pairing_series(
     """
     _check_max_level(max_level)
     _require_valid_input(t, inp)
-    tb = t.lifted(inp.m, beta_plane)
+    tb = t.lifted(inp.m)
     terms = _series_terms(tb, inp.a, tb.derive(inp.a), inp.g, max_level)
     return _sum_series(terms, max_level, tol)
 
@@ -361,7 +360,6 @@ def pairing(
     quad_nodes: int = 64,
     max_level: int = 32,
     tol: float = 1e-10,
-    beta_plane: float = 1.0,
 ) -> PairingResult:
     """Both routes to the pairing, with the quadrature as the reference.
 
@@ -369,10 +367,8 @@ def pairing(
     under a = 2p - I.
     """
     _check_max_level(max_level)
-    quad = pairing_gaussian(t, inp, quad_nodes=quad_nodes, tol=tol, beta_plane=beta_plane)
-    series, trunc, tail = pairing_series(
-        t, inp, max_level=max_level, tol=min(tol, 1e-12), beta_plane=beta_plane
-    )
+    quad = pairing_gaussian(t, inp, quad_nodes=quad_nodes, tol=tol)
+    series, trunc, tail = pairing_series(t, inp, max_level=max_level, tol=min(tol, 1e-12))
     index = equivariant_index(t.lifted(inp.m), inp.g)
     return PairingResult(
         value=quad,

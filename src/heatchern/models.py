@@ -56,10 +56,9 @@ def random_triple(
     dim: int,
     seed: int = 0,
     group: str = "trivial",
-    scale: float = 1.0,
     tol: float = 1e-10,
 ) -> SpectralTriple:
-    """Seeded triple with balanced grading and gamma-odd Hermitian Q.
+    """Seeded triple with balanced grading and gamma-odd Hermitian Q of norm 1.
 
     group "trivial" gives the identity alone; "z2" adjoins the involution
     that flips the sign of one spectral cluster of Q^2 (it commutes with
@@ -73,7 +72,8 @@ def random_triple(
     q = np.zeros((dim, dim), dtype=complex)
     q[:p, p:] = block
     q[p:, :p] = block.conj().T
-    q *= scale / max(opnorm(q), 1e-12)
+    # times the reciprocal: a division rounds differently and moves every seeded value
+    q *= 1.0 / max(opnorm(q), 1e-12)
     members = [np.eye(dim, dtype=complex)]
     if group == "z2":
         w, v = np.linalg.eigh(q @ q)
@@ -107,14 +107,12 @@ def random_even_element(
     return a
 
 
-def random_odd_element(t: SpectralTriple, rng, hermitian: bool = True) -> np.ndarray:
-    """Random gamma-odd group-commuting matrix, Hermitian by default."""
+def random_odd_element(t: SpectralTriple, rng) -> np.ndarray:
+    """Random gamma-odd group-commuting Hermitian matrix."""
     raw = rng.normal(size=(t.dim, t.dim)) + 1j * rng.normal(size=(t.dim, t.dim))
     a = (raw - t.conj_gamma(raw)) / 2.0
     a = _group_project(t, a)
-    if hermitian:
-        a = (a + a.conj().T) / 2.0
-    return a
+    return (a + a.conj().T) / 2.0
 
 
 def random_involution(t: SpectralTriple, rng) -> np.ndarray:

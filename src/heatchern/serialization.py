@@ -13,7 +13,9 @@ is a boolean in any of them, a non-integral "dim" or cyclic order, and a
 "tol" that is not positive and finite.
 A group may be given as an explicit list of matrices or through the
 shorthand {"cyclic": k, "generator": M}, which expands to the k powers
-of M at load time.
+of M at load time.  An order k < 1 is a ``DimensionMismatch``, and k
+powers with more entries k dim^2 than one budgeted block matrix
+(``MAX_BLOCK_ORDER``^2) raise ``ComplexityCap`` before any is formed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ComplexityCap, DimensionMismatch
+from .expectations import MAX_BLOCK_ORDER
 from .triples import HeatData, SpectralTriple, _check_shape
 from .split import SplitTriple
 
@@ -86,6 +89,13 @@ def _number(convert, value, name: str):
 def _group_from_json(spec, dim: int) -> list[np.ndarray]:
     if isinstance(spec, dict) and "cyclic" in spec:
         k = _number(int, spec["cyclic"], "group cyclic order")
+        if k < 1:
+            raise DimensionMismatch(f"group cyclic order must be positive, got {k}")
+        if k * dim * dim > MAX_BLOCK_ORDER**2:
+            raise ComplexityCap(
+                f"cyclic group of order {k} at dim {dim} has {k * dim * dim} entries, "
+                f"over the budget of one block matrix, {MAX_BLOCK_ORDER}^2"
+            )
         gen = _check_shape("group generator", matrix_from_json(spec["generator"]), dim)
         out = [np.eye(dim, dtype=complex)]
         cur = np.eye(dim, dtype=complex)

@@ -208,7 +208,7 @@ def split_pairing(
     s: SplitTriple,
     inp: PairingInput,
     quad_nodes: int = 64,
-    max_level: int = 24,
+    max_level: int = 32,
     tol: float = 1e-10,
 ) -> PairingResult:
     """Both pairing routes, exponent -H + i t d1(a), on a zero-momentum input."""

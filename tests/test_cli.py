@@ -268,6 +268,19 @@ class TestJloCommand:
         assert abs(exact) > 0.1
         assert abs(quad - exact) <= out["quadrature"]["estimated_error"]
 
+    @pytest.mark.parametrize("method", ["exact", "quadrature"])
+    def test_odd_argument_exit_one(self, tmp_path, capsys, method):
+        # the quadrature branch skipped the gamma-even check and exited 0
+        doc = dict(EXCHANGE)
+        doc["tuple"] = [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 0], [0, 1]]]
+        path = write(tmp_path, "j.json", doc)
+        assert run_main(["jlo", "--input", path, f"--method={method}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {"type": "ValidationFailure", "message": "argument 1 is not gamma-even"}
+        }
+
 
 class TestErrors:
     def test_missing_file_exit_three(self, capsys):
@@ -303,6 +316,38 @@ class TestErrors:
         assert run_main(["pair", "--input", str(p)]) == 3
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "DimensionMismatch"
+
+    def test_deeply_nested_json_exit_three(self, tmp_path, capsys):
+        # json.loads raised RecursionError, which escaped as a traceback
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_main(["index", "--input", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {"type": "DimensionMismatch", "message": "input JSON is nested too deeply"}
+        }
+
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_nonpositive_cyclic_order_exit_three(self, tmp_path, capsys, order):
+        # an order of 0 or less used to expand to the identity alone
+        doc = dict(EXCHANGE, group={"cyclic": order, "generator": [[1, 0], [0, 1]]})
+        assert run_main(["index", "--input", write(tmp_path, "c.json", doc)]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": {
+                "type": "DimensionMismatch",
+                "message": f"group cyclic order must be positive, got {order}",
+            }
+        }
+
+    def test_cyclic_order_over_budget_exit_two(self, tmp_path, capsys):
+        # 2^20 powers of a 2 x 2 generator fill one 2048 x 2048 block; one more is over
+        order = 2**20 + 1
+        doc = dict(EXCHANGE, group={"cyclic": order, "generator": [[1, 0], [0, 1]]})
+        assert run_main(["index", "--input", write(tmp_path, "c.json", doc)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ComplexityCap"
+        assert err["message"].startswith(f"cyclic group of order {order} at dim 2 ")
 
     def test_nonzero_momentum_split_input_exit_one(self, tmp_path, capsys):
         from heatchern.serialization import matrix_to_json, split_to_json

@@ -18,7 +18,7 @@ from heatchern.cochains import (
 )
 from heatchern.errors import ClassViolation, DimensionMismatch
 from heatchern.expectations import expectation_value
-from heatchern.models import random_triple
+from heatchern.models import random_triple, zero_mode_triple
 
 
 @pytest.fixture
@@ -114,7 +114,7 @@ class TestCoboundaries:
             assert n == 0
             return complex(np.trace(mats[0]))
 
-        f = Cochain(tr, t.group, 0, "even", "C")
+        f = Cochain(tr, t.group, 0, "C")
         a0, a1 = even(2)
         assert abs(op_b(f)(1, (a0, a1), 0)) < 1e-13
 
@@ -196,7 +196,7 @@ class TestRandomCochain:
 
     def test_wrong_class_detected(self, setup):
         t, G, fN, even = setup
-        liar = Cochain(G.evaluator, G.group, G.max_level, G.parity, "N")
+        liar = Cochain(G.evaluator, G.group, G.max_level, "N")
         rep = check_cochain_invariants(liar, t, seed=5, levels=(1,), samples=1)
         assert not rep.passed
 
@@ -230,6 +230,30 @@ class TestCocycleResidual:
         t, G, fN, even = setup
         tau = jlo_cochain(t)
         assert cocycle_residual(tau, t, samples=3, levels=(1, 2, 3), seed=4) < 1e-8
+
+
+class TestLevelsAboveMaxLevel:
+    # each used to skip such a level, so the residual read 0.0, a pass
+    @pytest.fixture
+    def cut(self):
+        t = zero_mode_triple()
+        return random_cochain(t, 1, max_level=3), t
+
+    def test_cocycle_residual_raises(self, cut):
+        f, t = cut
+        assert cocycle_residual(f, t, levels=(1, 2)) == pytest.approx(0.7210, abs=1e-4)
+        with pytest.raises(DimensionMismatch, match=r"^level 5 outside \[0, 4\]$"):
+            cocycle_residual(f, t, levels=(5, 6))
+
+    def test_norm_profile_raises(self, cut):
+        f, t = cut
+        with pytest.raises(DimensionMismatch, match=r"^level 4 outside \[0, 3\]$"):
+            norm_profile(f, t, levels=(3, 4))
+
+    def test_invariant_check_raises(self, cut):
+        f, t = cut
+        with pytest.raises(DimensionMismatch, match=r"^level 4 outside \[0, 3\]$"):
+            check_cochain_invariants(f, t, levels=(1, 4))
 
 
 class TestNormProfile:

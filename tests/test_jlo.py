@@ -207,7 +207,7 @@ class TestPairing:
         # the two routes to the pairing agree to the selftest's C07 tolerance
         t = random_triple(dim, seed=seed, group=group)
         a = random_involution(t.lifted(m), np.random.default_rng(seed))
-        res = pairing(t, PairingInput(a=a, m=m), beta_plane=beta_plane)
+        res = pairing(t.lifted(1, beta_plane), PairingInput(a=a, m=m))
         assert abs(res.series_value - res.quadrature_value) < 1e-8
 
     def test_series_matches_quadrature_dim48(self):
@@ -295,7 +295,7 @@ class TestGaussHermite:
 
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
-            gauss_hermite_transform(lambda tt: math.cos(50.0 * tt), node_cap=64)
+            gauss_hermite_transform(lambda tt: math.cos(50.0 * tt))
 
     def test_non_finite_rule_ends_doubling(self):
         # numpy's 512-node rule has NaN weights; the doubling stops there
@@ -354,7 +354,7 @@ class TestCoboundaryPairing:
     def test_zero_cochain(self, zero_mode):
         from heatchern.cochains import Cochain
 
-        zero = Cochain(lambda n, mats, g: 0.0j, zero_mode.group, 10, "mixed", "C")
+        zero = Cochain(lambda n, mats, g: 0.0j, zero_mode.group, 10, "C")
         inp = PairingInput(a=np.eye(3, dtype=complex))
         assert coboundary_pairing_residual(zero_mode, zero, inp) == 0.0
 

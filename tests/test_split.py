@@ -155,6 +155,18 @@ class TestSplitPairing:
         )
         assert got == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    def test_closed_form_at_the_default_level(self, q):
+        # Q1 = q X, Q2 = 0, a = gamma: H = q^2/2 and d1(gamma) has
+        # eigenvalues +-2qi, so the pairing is 2 exp(q^2/2)
+        s = SplitTriple(dim=2, Q1=q * SX, Q2=np.zeros((2, 2)), gamma=SZ, group=[np.eye(2)])
+        exact = 2.0 * math.exp(q * q / 2.0)
+        res = split_pairing(s, PairingInput(a=SZ.copy()))
+        assert abs(res.quadrature_value - exact) < 1e-12
+        assert abs(res.series_value - exact) <= res.tail_bound
+        # at the old default level 24 the series missed by 4.7e-6 at q = 1.5
+        assert abs(res.series_value - res.quadrature_value) < 1e-8
+
     def test_input_preconditions(self, pauli_split):
         with pytest.raises(ValidationFailure):
             pairing_gaussian(
