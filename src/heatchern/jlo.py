@@ -14,7 +14,9 @@ the series is the cross-check.  Each doubling step of the quadrature
 evaluates all its nodes as stacked exponentials of at most
 ``_STACK_ENTRIES`` complex entries each; the node rules are computed
 once per node count, and a count whose numpy rule is not finite ends
-the doubling with NoConvergence.
+the doubling with NoConvergence.  The series has no such failure: the
+Hoelder bound on <a, da, ..., da>_n fixes its level before any work, it
+takes every level from one exponential, and it reports a proven tail.
 
 No function here takes a simplex plane: the plane-beta character is that of
 the lift ``t.lifted(1, beta)``, a cocycle whose pairing is beta-independent
@@ -37,11 +39,7 @@ from .errors import (
     PairingInputInvalid,
     ValidationFailure,
 )
-from .expectations import (
-    MAX_BLOCK_ORDER,
-    expectation_value,
-    repeated_expectation_series,
-)
+from .expectations import expectation_value, repeated_expectation_series
 from .linalg import as_matrix, expm, opnorm
 from .triples import HeatData, ValidationReport, _check_shape
 
@@ -62,8 +60,6 @@ __all__ = [
 ]
 
 
-# Series levels of the first exponential in ``_series_terms``.
-_FIRST_LEVELS = 16
 # Nodes at which the Gauss-Hermite doubling gives up.
 _NODE_CAP = 1024
 # Complex entries in one stack of Gauss-Hermite exponentials (1 MiB).
@@ -215,11 +211,15 @@ def _hermite_rule(nodes: int):
     return ts, ws
 
 
+def _check_tol(tol: float):
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def _check_quadrature(quad_nodes: int, tol: float):
     """Raise ValueError for a ``tol`` that is not positive and finite or a
     first node count outside [20, ``_NODE_CAP``]."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     if quad_nodes < 20:
         raise ValueError("quad_nodes must be at least 20")
     if quad_nodes > _NODE_CAP:
@@ -286,67 +286,60 @@ def pairing_series(
     max_level: int = 32,
     tol: float = 1e-12,
 ) -> tuple[complex, int, float]:
-    """Partial sums of the weighted level series.
+    """The weighted level series, summed to a level chosen before it starts.
 
-    Stops when a term falls below ``tol``; raises NoConvergence if the
-    terms are still growing at ``max_level``, and ValueError for a
-    negative ``max_level``.  The tail bound extrapolates the sampled
-    geometric decay and is reported, not guaranteed.
+    The Hoelder bound |<a, da, ..., da>_n| <= ||a|| ||da||^n Tr(e^{-H}) / n!
+    bounds the weighted term at level 2k by s x^k / k!, with
+    s = ||a|| Tr(e^{-H}) and x = ||da||^2 / 4.  The series stops at the
+    least level 2K whose tail ``_tail_after(K)`` is below ``tol``, or at
+    ``max_level`` (rounded down to even), and takes levels 0..2K from one
+    exponential.  Returns (value, 2K, tail_bound): the tail bound is that
+    tail plus a rounding allowance, ``heat_expectation``'s 1e-13 error
+    model applied to s e^x, the bound on the sum of the moduli of the
+    terms; so it can sit a little above ``tol``.  Raises ValueError for a negative ``max_level`` or a
+    ``tol`` that is not positive and finite, and ComplexityCap when
+    (2K + 1) dim exceeds the block budget.
     """
     _check_max_level(max_level)
+    _check_tol(tol)
     _require_valid_input(t, inp)
     tb = t.lifted(inp.m)
-    terms = _series_terms(tb, inp.a, tb.derive(inp.a), inp.g, max_level)
-    return _sum_series(terms, max_level, tol)
+    da = tb.derive(inp.a)
+    lam, _ = tb.heat_data()
+    lam_min = float(lam.min())
+    log_s = math.log(opnorm(inp.a) * float(np.sum(np.exp(lam_min - lam)))) - lam_min
+    x = opnorm(da) ** 2 / 4.0
+    top = 0
+    while top < max_level // 2 and _tail_after(top, log_s, x) >= tol:
+        top += 1
+    raw = repeated_expectation_series(tb, inp.a, da, 2 * top, inp.g)
+    total = sum(pairing_coefficient(k) * raw[2 * k] for k in range(top + 1))
+    return total, 2 * top, _tail_after(top, log_s, x) + 1e-13 * _exp(log_s + x)
 
 
-def _series_terms(t, a, da, g: int, max_level: int):
-    """Weighted even terms (-1/4)^k (2k)!/k! <a, da, ..., da>_{2k}.
+def _exp(v: float) -> float:
+    """e^v, or inf where it overflows."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
-    Levels 0..N come from one exponential; N starts at _FIRST_LEVELS and
-    doubles, up to ``max_level`` and the deepest level the block-order
-    budget allows, only while the consumer asks for terms.  A request for
-    a level past the budget raises ComplexityCap.
+
+def _tail_after(k: int, log_s: float, x: float) -> float:
+    """Bound on sum_{j > k} s x^j / j!, with s = e^{log_s}.
+
+    The ratio of successive terms past j = k + 1 is at most x / (k + 2),
+    so the tail is at most s x^{k+1} / (k+1)! (k+2) / (k+2-x) when
+    k + 2 > x, and at most s e^x otherwise.  Taken in logarithms, so a
+    large x gives inf rather than OverflowError.
     """
-    deepest = MAX_BLOCK_ORDER // t.dim - 1
-    done, top = 0, min(_FIRST_LEVELS, max_level, max(deepest, 0))
-    while True:
-        raw = repeated_expectation_series(t, a, da, top, g)
-        for n in range(done, top + 1):
-            if n % 2 == 0:
-                yield pairing_coefficient(n // 2) * raw[n]
-        if top >= max_level:
-            return
-        done, top = top + 1, max(top + 1, min(2 * top, max_level, deepest))
-
-
-def _sum_series(terms, max_level: int, tol: float) -> tuple[complex, int, float]:
-    total = 0.0 + 0.0j
-    prev_mag = None
-    last_ratio = None
-    trunc = 0
-    converged = False
-    for k, term in enumerate(terms):
-        total += term
-        mag = abs(term)
-        if prev_mag is not None and prev_mag > 0:
-            last_ratio = mag / prev_mag
-        prev_mag = mag
-        trunc = 2 * k
-        if mag < tol:
-            converged = True
-            break
-    if not converged and prev_mag is not None and prev_mag > tol and (
-        last_ratio is None or last_ratio >= 1.0
-    ):
-        raise NoConvergence(f"series terms not decreasing by level {max_level}")
-    if prev_mag is None or prev_mag < tol:
-        tail = prev_mag if prev_mag is not None else 0.0
-    elif last_ratio is not None and last_ratio < 1.0:
-        tail = prev_mag * last_ratio / (1.0 - last_ratio)
-    else:
-        tail = math.inf
-    return total, trunc, float(tail)
+    if x == 0.0:
+        return 0.0
+    if k + 2 <= x:
+        return _exp(log_s + x)
+    return _exp(
+        log_s + (k + 1) * math.log(x) - math.lgamma(k + 2) + math.log((k + 2) / (k + 2 - x))
+    )
 
 
 def equivariant_index(t: HeatData, g: int = 0) -> complex:
@@ -363,8 +356,10 @@ def pairing(
 ) -> PairingResult:
     """Both routes to the pairing, with the quadrature as the reference.
 
-    ``connes_value`` is the idempotent-form average (pairing + index)/2
-    under a = 2p - I.
+    The series runs to a tail below min(``tol``, 1e-12) or to
+    ``max_level``, and ``tail_bound`` bounds its distance to the exact
+    pairing (``pairing_series``).  ``connes_value`` is the idempotent-form
+    average (pairing + index)/2 under a = 2p - I.
     """
     _check_max_level(max_level)
     quad = pairing_gaussian(t, inp, quad_nodes=quad_nodes, tol=tol)

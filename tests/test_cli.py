@@ -379,7 +379,8 @@ class TestErrors:
         assert err["message"].startswith("split triple fails validation:")
         assert "independence Q1 Q2 + Q2 Q1 = 0" in err["message"]
 
-    def test_no_convergence_exit_two(self, tmp_path):
+    def test_no_convergence_exit_two(self, tmp_path, capsys):
+        # the series stops at --max-level with a tail that covers the gap
         doc = {
             "dim": 2,
             "Q": [[0, 3], [3, 0]],
@@ -387,7 +388,28 @@ class TestErrors:
             "a": [[1, 0], [0, -1]],
         }
         path = write(tmp_path, "n.json", doc)
-        assert run_main(["pair", "--input", path, "--max-level", "6"]) == 2
+        assert run_main(["pair", "--input", path, "--max-level", "6"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["truncation_level"] == 6
+        gap = abs(complex(*out["series_value"]) - complex(*out["value"]))
+        assert 1.0 < gap <= out["tail_bound"]
+
+    @pytest.mark.parametrize("q", [4, 6])
+    def test_exchange_series_within_tail(self, tmp_path, capsys, q):
+        # Q = qX, a = gamma: the pairing is 2, and the series, cut at
+        # level 32, reports a tail that covers its error
+        doc = {
+            "dim": 2,
+            "Q": [[0, q], [q, 0]],
+            "gamma": [[1, 0], [0, -1]],
+            "a": [[1, 0], [0, -1]],
+        }
+        path = write(tmp_path, "n.json", doc)
+        assert run_main(["pair", "--input", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        value = complex(*out["value"])
+        assert abs(value - 2.0) < 1e-8
+        assert abs(complex(*out["series_value"]) - value) <= out["tail_bound"]
 
     def test_quadrature_out_of_nodes_exit_two(self, tmp_path, capsys):
         # the doubling reaches numpy's 512-node rule, whose weights are NaN

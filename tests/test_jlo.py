@@ -10,7 +10,7 @@ from heatchern import expectations, jlo, triples
 from heatchern.cochains import random_cochain
 from heatchern.errors import ComplexityCap, NoConvergence, PairingInputInvalid
 from heatchern.expectations import repeated_expectation_series
-from heatchern.linalg import eig_hermitian, expm
+from heatchern.linalg import eig_hermitian, expm, expm_toeplitz_row
 from heatchern.jlo import (
     PairingInput,
     coboundary_pairing_residual,
@@ -126,16 +126,14 @@ class TestPairing:
         assert pairing_coefficient(1) == -0.5
 
     def test_series_levels_stop_at_block_budget(self, exchange, monkeypatch):
-        # the exchange series truncates at level 30: a budget of 31 levels
-        # of the dim-2 block serves it, a budget of 29 levels refuses it
+        # the exchange series truncates at level 28: a budget of 29 levels
+        # of the dim-2 block serves it, a budget of 28 levels refuses it
         inp = PairingInput(a=exchange.gamma.copy())
-        for mod in (expectations, jlo):
-            monkeypatch.setattr(mod, "MAX_BLOCK_ORDER", 2 * 31)
+        monkeypatch.setattr(expectations, "MAX_BLOCK_ORDER", 2 * 29)
         val, trunc, _ = pairing_series(exchange, inp)
-        assert trunc == 30
+        assert trunc == 28
         assert abs(val - 2.0) < 1e-12
-        for mod in (expectations, jlo):
-            monkeypatch.setattr(mod, "MAX_BLOCK_ORDER", 2 * 29)
+        monkeypatch.setattr(expectations, "MAX_BLOCK_ORDER", 2 * 28)
         with pytest.raises(ComplexityCap):
             pairing_series(exchange, inp)
         assert pairing_coefficient(2) == 0.75
@@ -157,7 +155,8 @@ class TestPairing:
         inp = PairingInput(a=np.eye(3, dtype=complex))
         val, trunc, tail = pairing_series(zero_mode, inp)
         assert val == pytest.approx(equivariant_index(zero_mode), abs=1e-12)
-        assert trunc == 2  # first vanishing term stops the series
+        assert trunc == 0  # da = 0, so the tail after level 0 is 0
+        assert tail <= 1e-12
 
     def test_exchange_gamma_closed_form(self, exchange):
         inp = PairingInput(a=exchange.gamma.copy())
@@ -267,11 +266,55 @@ class TestPairing:
         assert not rep.passed
 
     def test_no_convergence_on_short_budget(self):
+        # the series stops at max_level and its tail bound covers the error
         q = 3.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         t = SpectralTriple(dim=2, Q=q, gamma=np.diag([1.0, -1.0]), group=[np.eye(2)])
         inp = PairingInput(a=t.gamma.copy())
-        with pytest.raises(NoConvergence):
-            pairing_series(t, inp, max_level=6)
+        val, trunc, tail = pairing_series(t, inp, max_level=6)
+        assert trunc == 6
+        assert abs(val - 2.0) > 1.0
+        assert abs(val - 2.0) <= tail
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_series_tol_must_be_positive_and_finite(self, exchange, tol):
+        inp = PairingInput(a=exchange.gamma.copy())
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            pairing_series(exchange, inp, tol=tol)
+
+    def test_series_takes_one_exponential(self, exchange, monkeypatch):
+        # the exchange series needs 29 levels, all from one block row
+        calls = []
+
+        def counted(d, x, n):
+            calls.append(n)
+            return expm_toeplitz_row(d, x, n)
+
+        monkeypatch.setattr(expectations, "expm_toeplitz_row", counted)
+        _, trunc, _ = pairing_series(exchange, PairingInput(a=exchange.gamma.copy()))
+        assert trunc > 16
+        assert calls == [trunc]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 16),
+        m=st.sampled_from([1, 2]),
+        beta_plane=st.sampled_from([0.5, 1.0, 2.0]),
+        group=st.sampled_from(["trivial", "z2"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_routes_match_the_closed_form(self, dim, m, beta_plane, group, seed):
+        # a plain pairing is its value at Q = 0, Tr(gamma U(g) a); the
+        # series is within its reported tail, also where max_level binds
+        t = random_triple(dim, seed=seed, group=group).lifted(1, beta_plane)
+        a = random_involution(t.lifted(m), np.random.default_rng(seed))
+        tb = t.lifted(m)
+        for g in range(len(tb.group)):
+            inp = PairingInput(a=a, m=m, g=g)
+            exact = complex(np.trace(tb.twist(g) @ a))
+            assert abs(pairing_gaussian(t, inp) - exact) <= 1e-10
+            for max_level in (8, 32):
+                series, _, tail = pairing_series(t, inp, max_level=max_level)
+                assert abs(series - exact) <= tail
 
     def test_entire_decay_monitor(self, exchange):
         # n^(1/2) |tau_n(a,..,a)|^(1/n) decreasing over the computed range
