@@ -10,11 +10,14 @@ Pairing it with a square root of unity has two routes: the weighted level
 series with coefficients (-1/4)^n (2n)!/n!, and the Gaussian transform of
 the generating functional J(t;a) = Tr(gamma U(g) a exp(-H + i t da))
 evaluated by Gauss-Hermite quadrature.  The quadrature is the reference;
-the series is the cross-check.  Each doubling step of the quadrature
-evaluates all its nodes as stacked exponentials of at most
-``_STACK_ENTRIES`` complex entries each; the node rules are computed
-once per node count, and a count whose numpy rule is not finite ends
-the doubling with NoConvergence.  The series has no such failure: the
+the series is the cross-check.  J is even in t, so each doubling step of
+the quadrature takes exponentials at the nodes t >= 0 only, half the
+rule, on the gamma-graded parts of H, da and gamma U(g) a
+(``pairing_gaussian``); ``generating_functional`` and
+``gauss_hermite_transform`` keep every node.  The exponentials are stacks
+of at most ``_STACK_ENTRIES`` complex entries each.  The node rules are
+computed once per node count, and a count whose numpy rule is not finite
+ends the doubling with NoConvergence.  The series has no such failure: the
 Hoelder bound on <a, da, ..., da>_n fixes its level before any work, it
 takes every level from one exponential, and it reports a proven tail.
 
@@ -66,11 +69,17 @@ _NODE_CAP = 1024
 # Unsliced 128-node stacks at dim 48 raised the sweep-quadrature
 # benchmark's peak RSS from 97 to 120 MB.
 _STACK_ENTRIES = 2**16
+# Highest series level: pairing_coefficient(172) exceeds the float range.
+_MAX_LEVEL = 342
 
 
 def pairing_coefficient(n: int) -> float:
-    """Series weight (-1/4)^n (2n)!/n! on the level-2n component."""
-    return (-0.25) ** n * math.factorial(2 * n) / math.factorial(n)
+    """Series weight (-1/4)^n (2n)!/n! on the level-2n component.
+
+    The integer ratio (2n)!/n! over 4^n is correctly rounded, and finite
+    through n = ``_MAX_LEVEL`` / 2.
+    """
+    return (-1) ** n * (math.factorial(2 * n) // math.factorial(n)) / 4**n
 
 
 def involution_from_idempotent(p) -> np.ndarray:
@@ -169,13 +178,35 @@ def jlo_cochain(t: HeatData, max_level: int = 32) -> Cochain:
 def _integrand(tb: HeatData, inp: PairingInput):
     """Nodes t -> the vector of Tr(gamma U(g) a exp(-H + i t da)) on the lift ``tb``.
 
-    H is the lift's ``hamiltonian``.  The exponentials are taken as stacks
-    of at most ``_STACK_ENTRIES`` complex entries, a bound fixed before any
-    stack is built.
+    H is the lift's ``hamiltonian``.  This is J as given, at every node;
+    ``pairing_gaussian`` folds ``_graded_integrand`` instead.
+    """
+    return _stacked_traces(tb.hamiltonian, tb.derive(inp.a), tb.twist(inp.g) @ inp.a)
+
+
+def _graded_integrand(tb: HeatData, inp: PairingInput):
+    """``_integrand`` on the graded parts (H + gamma H gamma)/2,
+    (da - gamma da gamma)/2 and (f + gamma f gamma)/2, f = gamma U(g) a.
+
+    Its values at t and -t agree to rounding, whatever grading residuals
+    validation let through.
     """
     h = tb.hamiltonian
     da = tb.derive(inp.a)
     front = tb.twist(inp.g) @ inp.a
+    return _stacked_traces(
+        (h + tb.conj_gamma(h)) / 2.0,
+        (da - tb.conj_gamma(da)) / 2.0,
+        (front + tb.conj_gamma(front)) / 2.0,
+    )
+
+
+def _stacked_traces(h: np.ndarray, da: np.ndarray, front: np.ndarray):
+    """Nodes t -> the vector of Tr(front exp(-h + i t da)).
+
+    The exponentials are taken as stacks of at most ``_STACK_ENTRIES``
+    complex entries, a bound fixed before any stack is built.
+    """
     per_stack = max(1, _STACK_ENTRIES // h.size)
 
     def values(ts):
@@ -257,7 +288,8 @@ def _gauss_hermite(values, quad_nodes: int = 64, tol: float = 1e-10) -> complex:
 def gauss_hermite_transform(f, quad_nodes: int = 64, tol: float = 1e-10) -> complex:
     """(1/sqrt(pi)) integral of e^{-t^2} f(t), with node doubling to ``tol``.
 
-    ``f`` takes one node at a time.  Raises NoConvergence if successive
+    ``f`` takes one node at a time, at every node of the rule: f need
+    not be even, so its odd part cancels.  Raises NoConvergence if successive
     doublings never stabilize below ``tol`` before the cap.
     """
     return _gauss_hermite(lambda ts: [f(tt) for tt in ts], quad_nodes, tol)
@@ -269,15 +301,36 @@ def pairing_gaussian(
     quad_nodes: int = 64,
     tol: float = 1e-10,
 ) -> complex:
-    """Gaussian transform of the generating functional at the origin."""
+    """Gaussian transform of the generating functional at the origin.
+
+    J is even: a and U(g) are gamma-even and d a is gamma-odd, so
+    gamma (-H + i t da) gamma = -H - i t da and moving gamma around the
+    trace gives J(-t) = J(t).  The Gauss-Hermite rules are symmetric
+    (t_j = -t_{n-1-j}), so only the nodes t >= 0 get an exponential and
+    their values are mirrored onto the rest; an odd rule's t = 0 is
+    evaluated once.  The sum runs over the same sequence in the same order
+    as on the full rule.  Inputs pass validation with residuals up to
+    ``tol``, so the fold runs on the graded parts (``_graded_integrand``),
+    taken once per call.  They keep J even to rounding, and they move the
+    value by O(residual^2), since the full rule cancels every first-order
+    odd term.
+    """
     _require_valid_input(t, inp)
-    tb = t.lifted(inp.m)
-    return _gauss_hermite(_integrand(tb, inp), quad_nodes, tol)
+    graded = _graded_integrand(t.lifted(inp.m), inp)
+
+    def values(ts):
+        mirrored = ts.size // 2
+        half = graded(ts[mirrored:])
+        return np.concatenate((half[::-1][:mirrored], half))
+
+    return _gauss_hermite(values, quad_nodes, tol)
 
 
 def _check_max_level(max_level: int):
     if max_level < 0:
         raise ValueError(f"max_level must be nonnegative, got {max_level}")
+    if max_level > _MAX_LEVEL:
+        raise ValueError(f"max_level {max_level} exceeds {_MAX_LEVEL}")
 
 
 def pairing_series(

@@ -394,6 +394,21 @@ class TestErrors:
         gap = abs(complex(*out["series_value"]) - complex(*out["value"]))
         assert 1.0 < gap <= out["tail_bound"]
 
+    def test_high_max_level_reaches_the_tail(self, tmp_path, capsys):
+        # the series weights from level 172 on overflowed a float (exit 2)
+        doc = {
+            "dim": 2,
+            "Q": [[0, 6], [6, 0]],
+            "gamma": [[1, 0], [0, -1]],
+            "a": [[1, 0], [0, -1]],
+        }
+        path = write(tmp_path, "n.json", doc)
+        assert run_main(["pair", "--input", path, "--max-level", "300"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["truncation_level"] > 170
+        gap = abs(complex(*out["series_value"]) - complex(*out["value"]))
+        assert gap <= out["tail_bound"]
+
     @pytest.mark.parametrize("q", [4, 6])
     def test_exchange_series_within_tail(self, tmp_path, capsys, q):
         # Q = qX, a = gamma: the pairing is 2, and the series, cut at
@@ -644,9 +659,10 @@ class TestErrors:
             (["index", "--quad-nodes=5"], "quad_nodes must be at least 20"),
             (["validate", "--quad-nodes=2000"], "quad_nodes 2000 exceeds node_cap 1024"),
             (["validate", "--max-level=-3"], "max_level must be nonnegative, got -3"),
+            (["pair", "--max-level=344"], "max_level 344 exceeds 342"),
         ],
         ids=["index-tol", "validate-tol", "jlo-tol", "index-nodes", "validate-nodes",
-             "validate-level"],
+             "validate-level", "pair-level"],
     )
     @pytest.mark.parametrize("input_ok", [True, False], ids=["input", "no-input"])
     def test_option_checked_on_every_command(self, tmp_path, capsys, argv, message, input_ok):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatchern import expectations, jlo, triples
+from heatchern import expectations, homotopy, jlo, triples
 from heatchern.cochains import random_cochain
 from heatchern.errors import ComplexityCap, NoConvergence, PairingInputInvalid
 from heatchern.expectations import repeated_expectation_series
-from heatchern.linalg import eig_hermitian, expm, expm_toeplitz_row
+from heatchern.linalg import eig_hermitian, expm, expm_toeplitz_row, opnorm
 from heatchern.jlo import (
     PairingInput,
     coboundary_pairing_residual,
@@ -25,7 +25,7 @@ from heatchern.jlo import (
     pairing_gaussian,
     pairing_series,
 )
-from heatchern.models import random_involution, random_triple
+from heatchern.models import random_even_element, random_involution, random_triple
 from heatchern.split import build_n2_susy_example
 from heatchern.triples import SpectralTriple, derivative
 
@@ -124,6 +124,17 @@ class TestPairing:
     def test_coefficients(self):
         assert pairing_coefficient(0) == 1.0
         assert pairing_coefficient(1) == -0.5
+
+    def test_coefficients_stay_finite(self, exchange):
+        # float (2n)! overflowed from n = 86; the exact integer ratio keeps
+        # the weights of the default levels bit for bit
+        for n in range(17):
+            assert pairing_coefficient(n) == (
+                (-0.25) ** n * math.factorial(2 * n) / math.factorial(n)
+            )
+        assert math.isfinite(pairing_coefficient(171))
+        with pytest.raises(ValueError, match="max_level 343 exceeds 342"):
+            pairing_series(exchange, PairingInput(a=exchange.gamma.copy()), max_level=343)
 
     def test_series_levels_stop_at_block_budget(self, exchange, monkeypatch):
         # the exchange series truncates at level 28: a budget of 29 levels
@@ -329,12 +340,101 @@ class TestPairing:
         assert all(b < a for a, b in zip(seq, seq[1:]))
 
 
+HEAT_DATA_KINDS = ["triple", "m2-lift", "beta-lift", "split", "regularized"]
+
+
+def _heat_data_of_kind(kind, dim, g, seed):
+    """Heat data of one of the five kinds of ``HeatData`` and a pairing input."""
+    rng = np.random.default_rng(seed)
+    if kind == "split":
+        s, _ = build_n2_susy_example(levels=((1.0, 0.5), (2.5, 0.5)), taus=(0.0, 0.7))
+        return s, PairingInput(a=random_involution(s, rng), g=g)
+    t = random_triple(dim, seed=seed, group="z2")
+    if kind == "regularized":
+        z = random_even_element(t, rng, group_invariant=True)
+        t = homotopy._Regularized(t.dim, t.Q, t.gamma, t.group, t.tol, R=z.conj().T @ z)
+    elif kind == "beta-lift":
+        t = t.lifted(1, 2.0)
+    m = 2 if kind == "m2-lift" else 1
+    return t, PairingInput(a=random_involution(t.lifted(m), rng), m=m, g=g)
+
+
 class TestGaussHermite:
     @pytest.mark.parametrize("n", range(7))
     def test_even_moments(self, n):
         exact = math.factorial(2 * n) / (math.factorial(n) * 4.0**n)
         val = gauss_hermite_transform(lambda tt: tt ** (2 * n))
         assert val == pytest.approx(exact, abs=1e-10)
+
+    def test_general_transform_keeps_every_node(self):
+        # f is not even: its odd part cancels rather than doubling
+        assert gauss_hermite_transform(lambda tt: tt**3 + tt**2) == pytest.approx(
+            0.5, abs=1e-12
+        )
+
+    def test_fold_halves_the_exponentials(self, exchange, monkeypatch):
+        # the pairing converges at the first doubling: only the nodes
+        # t >= 0 of each rule get an exponential, t = 0 once
+        shapes = []
+
+        def recorded(m):
+            shapes.append(m.shape)
+            return expm(m)
+
+        monkeypatch.setattr(jlo, "expm", recorded)
+        inp = PairingInput(a=exchange.gamma.copy())
+        assert pairing_gaussian(exchange, inp) == pytest.approx(2.0, abs=1e-10)
+        assert shapes == [(32, 2, 2), (64, 2, 2)]
+        shapes.clear()
+        assert pairing_gaussian(exchange, inp, quad_nodes=21) == pytest.approx(2.0, abs=1e-10)
+        assert shapes == [(11, 2, 2), (21, 2, 2)]
+
+    @pytest.mark.parametrize("dim", [6, 12, 24])
+    def test_nearly_graded_inputs_stay_put(self, dim):
+        # grading residuals of 3e-11 pass validation; the fold takes the
+        # graded parts, so they move the pairing by their square only
+        t = random_triple(dim, seed=dim)
+        rng = np.random.default_rng(100 + dim)
+        a = random_involution(t, rng)
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        raw = raw + raw.conj().T
+        odd = (raw - t.conj_gamma(raw)) / 2.0
+        even = (raw + t.conj_gamma(raw)) / 2.0
+        odd *= 3e-11 / opnorm(odd)
+        even *= 3e-11 * opnorm(t.Q) / opnorm(even)
+        near = SpectralTriple(dim=dim, Q=t.Q + even, gamma=t.gamma, group=t.group)
+        near_inp = PairingInput(a=a + odd)
+        assert triples.validate_triple(near).passed
+        assert near_inp.validate(near).passed
+        exact = pairing_gaussian(t, PairingInput(a=a))
+        assert abs(pairing_gaussian(near, near_inp) - exact) <= 1e-14
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(HEAT_DATA_KINDS),
+        dim=st.integers(2, 12),
+        g=st.sampled_from([0, 1]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_graded_integrand_is_even(self, kind, dim, g, seed):
+        t, inp = _heat_data_of_kind(kind, dim, g, seed)
+        ts = np.polynomial.hermite.hermgauss(64)[0][32:]
+        values = jlo._graded_integrand(t.lifted(inp.m), inp)
+        plus, minus = values(ts), values(-ts)
+        assert np.max(np.abs(plus - minus)) <= 1e-14 * np.max(np.abs(plus))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(HEAT_DATA_KINDS),
+        dim=st.integers(2, 12),
+        g=st.sampled_from([0, 1]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_fold_matches_the_full_rule(self, kind, dim, g, seed):
+        # the raw integrand at every node is the reference
+        t, inp = _heat_data_of_kind(kind, dim, g, seed)
+        full = jlo._gauss_hermite(jlo._integrand(t.lifted(inp.m), inp))
+        assert abs(pairing_gaussian(t, inp) - full) <= 1e-14 * max(1.0, abs(full))
 
     def test_no_convergence(self):
         with pytest.raises(NoConvergence):
