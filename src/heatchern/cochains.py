@@ -251,6 +251,11 @@ def _random_even_tuple(t: SpectralTriple, rng, n: int):
     return tuple(random_even_element(t, rng) for _ in range(n + 1))
 
 
+def _require_samples(levels, samples: int):
+    if samples < 1 or len(levels) == 0:
+        raise ValueError(f"need samples >= 1 and a level, got {samples} and {levels!r}")
+
+
 def cocycle_residual(
     f: Cochain,
     t: SpectralTriple,
@@ -260,7 +265,7 @@ def cocycle_residual(
 ) -> float:
     """max |(bf + Bf)_n| over seeded gamma-even tuples, levels, and group."""
     prof = norm_profile(op_partial(f), t, levels, seed=seed, samples=samples)
-    return max((v for _, v in prof.levels), default=0.0)
+    return max(v for _, v in prof.levels)
 
 
 def check_cochain_invariants(
@@ -273,8 +278,10 @@ def check_cochain_invariants(
     """Spot-check declared class vanishing and the diagonal invariance.
 
     Violations are reported with the witnessing level and slot; this is a
-    diagnostic, not a proof of membership.
+    diagnostic, not a proof of membership.  No levels or ``samples`` < 1
+    raise ValueError, since a check of nothing would pass.
     """
+    _require_samples(levels, samples)
     rng = np.random.default_rng(seed)
     rep = ValidationReport()
     ident = np.eye(t.dim, dtype=complex)
@@ -328,7 +335,11 @@ def norm_profile(
     seed: int = 0,
     samples: int = 8,
 ) -> CochainNormProfile:
-    """Sampled sup of |f_n| over unit-norm gamma-even tuples, per level."""
+    """Sampled sup of |f_n| over unit-norm gamma-even tuples, per level.
+
+    No levels or ``samples`` < 1 raise ValueError: the profile would be empty.
+    """
+    _require_samples(levels, samples)
     rng = np.random.default_rng(seed)
     prof = CochainNormProfile()
     for n in levels:

@@ -259,13 +259,16 @@ def heat_expectation(
 
     ``x`` may be a VertexSet (carrying types) or a plain list of matrices
     (untyped).  ``method`` selects the exact block exponential or seeded
-    Monte-Carlo simplex quadrature.
+    Monte-Carlo simplex quadrature; the quadrature raises ValueError for
+    ``samples`` < 1, which has no mean.
     """
     front, rest = _front_and_rest(t, _vertex_list(x), g)
     if method == "exact":
         vals, mags = _simplex_levels(t, front, rest)
         val, err = complex(vals[-1]), 1e-13 * float(mags[-1])
     elif method == "quadrature":
+        if samples < 1:
+            raise ValueError(f"Monte Carlo needs samples >= 1, got {samples}")
         val, err = _monte_carlo(t, front, rest, samples, seed)
     else:
         raise ValueError(f"unknown method {method!r}")

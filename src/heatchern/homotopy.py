@@ -18,9 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cochains import Cochain, norm_profile, op_partial
-from .errors import DimensionMismatch, PairingInputInvalid, ValidationFailure
+from .errors import DimensionMismatch, ValidationFailure
 from .expectations import expectation_value
-from .jlo import PairingInput, jlo_component, pairing_gaussian
+from .jlo import PairingInput, _require_valid_input, jlo_component, pairing_gaussian
 from .linalg import as_matrix, opnorm
 from .triples import (
     SpectralTriple,
@@ -86,24 +86,14 @@ class DeformationFamily:
         qm = self.q_at(lam)
         rep.add("q hermitian", opnorm(qm - qm.conj().T), t.tol)
         rep.add("q gamma-odd", opnorm(qm @ t.gamma + t.gamma @ qm), t.tol)
-        for k, u in enumerate(t.group):
-            rep.add(
-                f"q commutes with group[{k}]", opnorm(u @ qm - qm @ u), t.tol
-            )
+        t.check_invariant(rep, "q", qm)
         if self.regularizer is not None:
             z = self.regularizer
             rep.add("regularizer hermitian", opnorm(z - z.conj().T), t.tol)
             w = np.linalg.eigvalsh((z + z.conj().T) / 2.0)
             rep.add("regularizer PSD", max(0.0, -float(w[0])), t.tol)
-            rep.add(
-                "regularizer gamma-even", opnorm(t.conj_gamma(z) - z), t.tol
-            )
-            for k, u in enumerate(t.group):
-                rep.add(
-                    f"regularizer commutes with group[{k}]",
-                    opnorm(u @ z - z @ u),
-                    t.tol,
-                )
+            rep.add("regularizer gamma-even", opnorm(t.conj_gamma(z) - z), t.tol)
+            t.check_invariant(rep, "regularizer", z)
         return rep
 
 
@@ -341,7 +331,7 @@ def coboundary_relation_residual(
     ph = op_partial(h_cochain(f, lam))
     gap = Cochain(lambda n, mats, g: L(n, mats, g) - ph(n, mats, g), L.group, L.max_level, "D")
     prof = norm_profile(gap, f.base, levels, seed=seed, samples=samples)
-    return max((v for _, v in prof.levels), default=0.0)
+    return max(v for _, v in prof.levels)
 
 
 def jlo_lambda_fd_residual(
@@ -374,7 +364,7 @@ def beta_independence(
     if not betas:
         raise DimensionMismatch("beta_list has no values")
     # an invalid input is reported before a bad plane, as each pairing would
-    inp.validate(t).require("pairing input fails preconditions", PairingInputInvalid)
+    _require_valid_input(t, inp)
     tab = SweepTable(columns=["beta", "value"])
     for beta in betas:
         val = pairing_gaussian(t.lifted(1, beta), inp, quad_nodes=quad_nodes, tol=tol)

@@ -114,12 +114,7 @@ class PairingInput:
         tb = t.lifted(self.m)
         rep.add("a^2 = I", opnorm(self.a @ self.a - np.eye(big)), t.tol)
         rep.add("gamma a gamma = a", opnorm(tb.conj_gamma(self.a) - self.a), t.tol)
-        for k, ub in enumerate(tb.group):
-            rep.add(
-                f"a commutes with group[{k}]",
-                opnorm(ub @ self.a - self.a @ ub),
-                t.tol,
-            )
+        tb.check_invariant(rep, "a", self.a)
         return rep
 
 

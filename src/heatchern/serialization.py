@@ -117,11 +117,8 @@ def _from_json(cls: type[HeatData], kind: str, d) -> HeatData:
         if key not in d:
             raise DimensionMismatch(f"{kind} JSON is missing key {key!r}")
     dim = _number(int, d["dim"], "dim")
-    group = (
-        _group_from_json(d["group"], dim)
-        if d.get("group")
-        else [np.eye(dim, dtype=complex)]
-    )
+    spec = d.get("group")
+    group = [np.eye(dim, dtype=complex)] if spec in (None, []) else _group_from_json(spec, dim)
     mats = {n: matrix_from_json(d[n]) for n in names}
     tol = _number(float, d.get("tol", 1e-10), "tol")
     if not 0 < tol < math.inf:

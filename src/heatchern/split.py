@@ -34,7 +34,7 @@ from .jlo import (
     pairing_gaussian,
 )
 from .linalg import as_matrix, eig_hermitian, expm, opnorm
-from .triples import HeatData, ValidationReport, _check_shape
+from .triples import AlgebraElement, HeatData, ValidationReport, _check_shape
 
 __all__ = [
     "SplitTriple",
@@ -80,30 +80,13 @@ class SplitTriple(HeatData):
         return d1(self, a)
 
 
-@dataclass
-class SplitAlgebraElement:
+class SplitAlgebraElement(AlgebraElement):
     """A gamma-even zero-momentum observable."""
 
-    matrix: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        self.matrix = as_matrix(self.matrix, "split algebra element")
-
     def validate(self, s: SplitTriple) -> ValidationReport:
-        rep = ValidationReport()
-        m = self.matrix
-        rep.add(
-            f"{self.label or 'element'} gamma-even",
-            opnorm(s.conj_gamma(m) - m),
-            s.tol,
-        )
-        p = s.momentum
-        rep.add(
-            f"{self.label or 'element'} zero-momentum",
-            opnorm(p @ m - m @ p),
-            s.tol,
-        )
+        rep = super().validate(s)
+        m, p = self.matrix, s.momentum
+        rep.add(f"{self.label or 'element'} zero-momentum", opnorm(p @ m - m @ p), s.tol)
         return rep
 
 
@@ -111,11 +94,9 @@ def validate_split(s: SplitTriple) -> ValidationReport:
     """All structural invariants of the splitting, with residuals."""
     rep = ValidationReport()
     tol = s.tol
-    ident = np.eye(s.dim)
     rep.add("Q1 hermitian", opnorm(s.Q1 - s.Q1.conj().T), tol)
     rep.add("Q2 hermitian", opnorm(s.Q2 - s.Q2.conj().T), tol)
-    rep.add("gamma hermitian", opnorm(s.gamma - s.gamma.conj().T), tol)
-    rep.add("gamma^2 = I", opnorm(s.gamma @ s.gamma - ident), tol)
+    s.check_grading(rep)
     rep.add(
         "independence Q1 Q2 + Q2 Q1 = 0",
         opnorm(s.Q1 @ s.Q2 + s.Q2 @ s.Q1),
@@ -127,25 +108,7 @@ def validate_split(s: SplitTriple) -> ValidationReport:
             opnorm(qj @ s.gamma + s.gamma @ qj),
             tol,
         )
-    rep.add("group[0] = I", opnorm(s.group[0] - ident), tol)
-    q2sq = s.Q2 @ s.Q2
-    for k, u in enumerate(s.group):
-        rep.add(f"group[{k}] unitary", opnorm(u.conj().T @ u - ident), tol)
-        rep.add(
-            f"group[{k}] commutes with gamma",
-            opnorm(u @ s.gamma - s.gamma @ u),
-            tol,
-        )
-        rep.add(
-            f"group[{k}] commutes with Q1",
-            opnorm(u @ s.Q1 - s.Q1 @ u),
-            tol,
-        )
-        rep.add(
-            f"group[{k}] commutes with Q2^2",
-            opnorm(u @ q2sq - q2sq @ u),
-            tol,
-        )
+    s.check_group(rep, {"Q1": s.Q1, "Q2^2": s.Q2 @ s.Q2})
     q = s.Q
     rep.add(
         "Q^2 = (Q1^2 + Q2^2)/2",

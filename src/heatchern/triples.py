@@ -99,8 +99,11 @@ class HeatData:
     ``gamma``, ``group`` and ``tol``; it supplies ``hamiltonian`` (H) and
     ``derive`` (d).  The base converts and shape-checks the matrices,
     caches the eigendecomposition of H, applies gamma U(g), and lifts the
-    data to m x m blocks on a beta-plane.  Matrices are treated as
-    immutable once built.
+    data to m x m blocks on a beta-plane.  It also owns the Z2 x G
+    covariance checks every validator reports: the grading
+    (``check_grading``), the group and its commutants (``check_group``)
+    and the group invariance of one operator (``check_invariant``).
+    Matrices are treated as immutable once built.
     """
 
     GENERATORS = ()
@@ -167,6 +170,27 @@ class HeatData:
     def conj_gamma(self, a: np.ndarray) -> np.ndarray:
         return self.gamma @ a @ self.gamma
 
+    def check_grading(self, rep: ValidationReport):
+        """Add "gamma hermitian" and "gamma^2 = I" to ``rep``."""
+        rep.add("gamma hermitian", opnorm(self.gamma - self.gamma.conj().T), self.tol)
+        rep.add("gamma^2 = I", opnorm(self.gamma @ self.gamma - np.eye(self.dim)), self.tol)
+
+    def check_group(self, rep: ValidationReport, commutants: dict):
+        """Add "group[0] = I", then per member: unitary, commutes with gamma,
+        and commutes with each named matrix of ``commutants`` in its order."""
+        ident = np.eye(self.dim)
+        named = {"gamma": self.gamma, **commutants}
+        rep.add("group[0] = I", opnorm(self.group[0] - ident), self.tol)
+        for k, u in enumerate(self.group):
+            rep.add(f"group[{k}] unitary", opnorm(u.conj().T @ u - ident), self.tol)
+            for name, x in named.items():
+                rep.add(f"group[{k}] commutes with {name}", opnorm(u @ x - x @ u), self.tol)
+
+    def check_invariant(self, rep: ValidationReport, name: str, x: np.ndarray):
+        """Add "``name`` commutes with group[k]" for every member."""
+        for k, u in enumerate(self.group):
+            rep.add(f"{name} commutes with group[{k}]", opnorm(u @ x - x @ u), self.tol)
+
     def heat_trace(self, g: int = 0) -> complex:
         """Tr(gamma U(g) e^{-H}); at heat time s it is ``lifted(1, s).heat_trace(g)``."""
         lam, v = self.heat_data()
@@ -203,18 +227,11 @@ class SpectralTriple(HeatData):
 def validate_triple(t: SpectralTriple) -> ValidationReport:
     """Check every structural invariant; each failure is named with its residual."""
     rep = ValidationReport()
-    tol = t.tol
-    ident = np.eye(t.dim)
     sq = max(opnorm(t.Q), 1.0)
-    rep.add("Q hermitian", opnorm(t.Q - t.Q.conj().T) / sq, tol)
-    rep.add("gamma hermitian", opnorm(t.gamma - t.gamma.conj().T), tol)
-    rep.add("gamma^2 = I", opnorm(t.gamma @ t.gamma - ident), tol)
-    rep.add("Q gamma + gamma Q = 0", opnorm(t.Q @ t.gamma + t.gamma @ t.Q), tol)
-    rep.add("group[0] = I", opnorm(t.group[0] - ident), tol)
-    for k, u in enumerate(t.group):
-        rep.add(f"group[{k}] unitary", opnorm(u.conj().T @ u - ident), tol)
-        rep.add(f"group[{k}] commutes with gamma", opnorm(u @ t.gamma - t.gamma @ u), tol)
-        rep.add(f"group[{k}] commutes with Q", opnorm(u @ t.Q - t.Q @ u), tol)
+    rep.add("Q hermitian", opnorm(t.Q - t.Q.conj().T) / sq, t.tol)
+    t.check_grading(rep)
+    rep.add("Q gamma + gamma Q = 0", opnorm(t.Q @ t.gamma + t.gamma @ t.Q), t.tol)
+    t.check_group(rep, {"Q": t.Q})
     return rep
 
 

@@ -340,6 +340,21 @@ class TestErrors:
             }
         }
 
+    @pytest.mark.parametrize(
+        "group, kind",
+        [(0, "int"), (False, "bool"), ("", "str"), ({}, "dict")],
+        ids=["zero", "false", "empty-string", "empty-object"],
+    )
+    def test_falsy_group_exit_three(self, tmp_path, capsys, group, kind):
+        # each used to load as the trivial group and exit 0
+        doc = dict(EXCHANGE, group=group)
+        assert run_main(["validate", "--input", write(tmp_path, "g.json", doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {"type": "DimensionMismatch", "message": f"cannot parse group from {kind}"}
+        }
+
     def test_cyclic_order_over_budget_exit_two(self, tmp_path, capsys):
         # 2^20 powers of a 2 x 2 generator fill one 2048 x 2048 block; one more is over
         order = 2**20 + 1

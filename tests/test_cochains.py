@@ -256,6 +256,32 @@ class TestLevelsAboveMaxLevel:
             check_cochain_invariants(f, t, levels=(1, 4))
 
 
+class TestEmptySampling:
+    # a check that samples nothing used to read 0.0 or pass, on a non-cocycle
+    @pytest.fixture
+    def non_cocycle(self):
+        t = random_triple(3, seed=1)
+        f = random_cochain(t, seed=2)
+        assert cocycle_residual(f, t, samples=5) > 0.1
+        return f, t
+
+    @pytest.mark.parametrize(
+        "kw", [{"samples": 0}, {"samples": -1}, {"levels": ()}], ids=["zero", "negative", "no-level"]
+    )
+    def test_norm_profile_raises(self, non_cocycle, kw):
+        f, t = non_cocycle
+        with pytest.raises(ValueError, match="need samples >= 1 and a level"):
+            norm_profile(f, t, **{"levels": (0, 1), **kw})
+        with pytest.raises(ValueError, match="need samples >= 1 and a level"):
+            cocycle_residual(f, t, **kw)
+
+    @pytest.mark.parametrize("kw", [{"samples": 0}, {"levels": ()}], ids=["zero", "no-level"])
+    def test_invariant_check_raises(self, non_cocycle, kw):
+        f, t = non_cocycle
+        with pytest.raises(ValueError, match="need samples >= 1 and a level"):
+            check_cochain_invariants(f, t, **kw)
+
+
 class TestNormProfile:
     def test_profile_decays(self, setup):
         t, G, fN, even = setup

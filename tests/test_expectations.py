@@ -89,6 +89,13 @@ class TestHeatExpectation:
         b = heat_expectation(t, mats, method="quadrature", samples=2000, seed=9)
         assert a.value == b.value
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_quadrature_needs_a_sample(self, rng, samples):
+        # 0 used to raise ZeroDivisionError and -5 to return 0 with error 0.0
+        t = random_triple(3, seed=2)
+        with pytest.raises(ValueError, match=f"samples >= 1, got {samples}"):
+            heat_expectation(t, rand_mats(rng, 3, 2), method="quadrature", samples=samples)
+
     def test_beta_plane_scaling_consistency(self, rng, tuple_sum):
         # the beta-plane value equals the plane-1 engine of the rescaled
         # generator, times beta^n, and the lift is that rescaled generator

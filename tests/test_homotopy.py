@@ -62,6 +62,24 @@ class TestDeform:
     def test_family_validation(self, family):
         assert family.validate_at(0.3).passed
 
+    def test_check_names_in_order(self):
+        t = random_triple(3, seed=5, group="z2")
+        q = random_odd_element(t, np.random.default_rng(6))
+        fam = linear_family(t, q, regularizer=np.eye(3))
+        rep = fam.validate_at(0.3)
+        assert rep.passed
+        assert [c.name for c in rep.checks] == [
+            "q hermitian",
+            "q gamma-odd",
+            "q commutes with group[0]",
+            "q commutes with group[1]",
+            "regularizer hermitian",
+            "regularizer PSD",
+            "regularizer gamma-even",
+            "regularizer commutes with group[0]",
+            "regularizer commutes with group[1]",
+        ]
+
 
 class TestRegularityReport:
     def test_small_linear_family(self, family):

@@ -258,6 +258,16 @@ class TestPairing:
         a = involution_from_idempotent(p)
         assert np.allclose(a @ a, np.eye(3))
 
+    def test_check_names_in_order(self):
+        t = random_triple(3, seed=5, group="z2")
+        inp = PairingInput(a=np.kron([[0, 1], [1, 0]], np.eye(3)), m=2)
+        assert [c.name for c in inp.validate(t).checks] == [
+            "a^2 = I",
+            "gamma a gamma = a",
+            "a commutes with group[0]",
+            "a commutes with group[1]",
+        ]
+
     def test_invalid_input_rejected(self, zero_mode):
         bad = 2.0 * np.eye(3, dtype=complex)
         with pytest.raises(PairingInputInvalid):

@@ -51,6 +51,24 @@ class TestValidation:
     def test_pauli_split_passes(self, pauli_split):
         assert validate_split(pauli_split).passed
 
+    def test_check_names_in_order(self):
+        s, _ = build_n2_susy_example(taus=(0.7,), thetas=(0.9,))
+        member = ["unitary", "commutes with gamma", "commutes with Q1", "commutes with Q2^2"]
+        assert [c.name for c in validate_split(s).checks] == [
+            "Q1 hermitian",
+            "Q2 hermitian",
+            "gamma hermitian",
+            "gamma^2 = I",
+            "independence Q1 Q2 + Q2 Q1 = 0",
+            "Q1 gamma + gamma Q1 = 0",
+            "Q2 gamma + gamma Q2 = 0",
+            "group[0] = I",
+            *(f"group[{k}] {m}" for k in range(2) for m in member),
+            "Q^2 = (Q1^2 + Q2^2)/2",
+            "spectral cone H + P >= 0",
+            "spectral cone H - P >= 0",
+        ]
+
     def test_dependence_detected(self, pauli_split):
         s = SplitTriple(
             dim=4,
@@ -401,3 +419,9 @@ class TestSplitAlgebraElement:
         assert good.validate(pauli_split).passed
         bad = SplitAlgebraElement(np.kron(SX, np.eye(2)), "odd")
         assert not bad.validate(pauli_split).passed
+
+    def test_check_names_in_order(self, pauli_split):
+        rep = SplitAlgebraElement(np.kron(SZ, SZ), "a").validate(pauli_split)
+        assert [c.name for c in rep.checks] == ["a gamma-even", "a zero-momentum"]
+        rep = SplitAlgebraElement(np.kron(SZ, SZ)).validate(pauli_split)
+        assert [c.name for c in rep.checks] == ["element gamma-even", "element zero-momentum"]

@@ -57,6 +57,18 @@ class TestValidation:
         assert len(t.group) == 2
         assert validate_triple(t).passed
 
+    def test_check_names_in_order(self):
+        rep = validate_triple(random_triple(3, seed=7, group="z2"))
+        member = ["unitary", "commutes with gamma", "commutes with Q"]
+        assert [c.name for c in rep.checks] == [
+            "Q hermitian",
+            "gamma hermitian",
+            "gamma^2 = I",
+            "Q gamma + gamma Q = 0",
+            "group[0] = I",
+            *(f"group[{k}] {m}" for k in range(2) for m in member),
+        ]
+
 
 class TestHeatData:
     def test_lift_scales_generator_and_derivation(self):

@@ -1,0 +1,150 @@
+"""Record the CLI's answers to a fixed, seeded case list, for comparing two trees.
+
+    python tools/cli_snapshot.py SRC OUT.json
+
+SRC is the directory holding the ``heatchern`` package (``src`` in a checkout).
+Each case runs ``heatchern.cli.main`` in process; OUT.json maps its name to
+``[exit code, stdout, stderr]``, where the stdout of a case that writes
+``--output`` ends with that file.  The inputs are built here with numpy alone,
+so two trees see the same bytes: run it on both and ``diff`` the files.  The
+cases cover every command, valid and failing inputs, and trivial, z2, cyclic
+and split groups.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SX = np.array([[0, 1], [1, 0]], complex)
+SY = np.array([[0, -1j], [1j, 0]])
+SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def mat(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, complex)]
+
+
+def random_triple(dim, seed, group):
+    """Balanced grading, gamma-odd unit-norm Q, and the group kind named."""
+    rng = np.random.default_rng(seed)
+    p, eye = (dim + 1) // 2, np.eye(dim)
+    gamma = np.diag([1.0] * p + [-1.0] * (dim - p)).astype(complex)
+    b = rng.normal(size=(p, dim - p)) + 1j * rng.normal(size=(p, dim - p))
+    q = np.zeros((dim, dim), complex)
+    q[:p, p:], q[p:, :p] = b, b.conj().T
+    q /= np.linalg.norm(q, 2)
+    w, v = np.linalg.eigh(q @ q)
+    top = v[:, w >= w[-1] - 1e-8] @ v[:, w >= w[-1] - 1e-8].conj().T
+    doc = {"dim": dim, "Q": mat(q), "gamma": mat(gamma)}
+    lists = {"z2": [eye, eye - 2 * top], "bad": [eye, eye - 2 * top, np.roll(eye, 1, 0)]}
+    if group == "cyclic":
+        doc["group"] = {"cyclic": 3, "generator": mat(eye + (np.exp(2j * np.pi / 3) - 1) * top)}
+    elif group in lists:
+        doc["group"] = [mat(u) for u in lists[group]]
+    return doc, q, gamma, rng
+
+
+def split_model(levels, broken=False):
+    """The Clifford two-pair model with the group {I, exp(i(0.7 P + 0.9 J))}."""
+    dim = 4 * len(levels)
+
+    def blocks(f):
+        out = np.zeros((dim, dim), complex)
+        for k, (h, p) in enumerate(levels):
+            out[4 * k:4 * k + 4, 4 * k:4 * k + 4] = f(h, p)
+        return out
+
+    q1 = blocks(lambda h, p: np.sqrt(h + p) * np.kron(SX, np.eye(2)))
+    q2 = blocks(lambda h, p: np.sqrt(h - p) * np.kron(SZ, SX))
+    qt2 = blocks(lambda h, p: np.sqrt(h - p) * np.kron(SZ, SY))
+    jop = blocks(lambda h, p: 0.5j * np.kron(SZ, SX) @ np.kron(SZ, SY))
+    w, v = np.linalg.eigh(0.7 * blocks(lambda h, p: p * np.eye(4)) + 0.9 * jop)
+    gamma = np.kron(np.eye(len(levels)), np.kron(SZ, SZ))
+    return {"dim": dim, "Q1": mat(q1), "Q2": mat(q1 if broken else q2), "gamma": mat(gamma),
+            "group": [mat(np.eye(dim)), mat((v * np.exp(1j * w)) @ v.conj().T)],
+            "a": mat(gamma), "q2_tilde": mat(qt2)}
+
+
+def cases():
+    """(name, argv, input document or None) in a fixed order."""
+    out = []
+    for dim, seed, group in [(2, 1, "trivial"), (3, 2, "trivial"), (3, 3, "z2"),
+                             (5, 4, "z2"), (4, 5, "cyclic"), (3, 6, "bad")]:
+        doc, q, gamma, rng = random_triple(dim, seed, group)
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        even = (raw + gamma @ raw @ gamma) / 2
+        last = {"z2": 1, "bad": 1, "cyclic": 2}.get(group, 0)
+        base = dict(doc, a=mat(gamma), q=mat(0.3 * q), regularizer=mat(np.eye(dim)),
+                    tuple=[mat(np.eye(dim)), mat(even), mat(even.conj().T)])
+        grids = ["--eps-grid=0:0.5:3", "--lambda-grid=0:1:2"]
+        not_odd = {"Q": mat(q + np.diag(np.arange(dim) * 0.1))}
+        out += [(f"d{dim}-{group}-{name}", argv, {**base, **over}) for name, argv, over in [
+            ("validate", ["validate"], {}), ("index", ["index"], {}), ("pair", ["pair"], {}),
+            ("beta-scan", ["beta-scan"], {}),
+            (f"pair-g{last}", ["pair", f"--group-index={last}"], {}),
+            ("pair-m2", ["pair"], {"a": {"m": 2, "matrix": mat(np.kron(SX, np.eye(dim)))}}),
+            ("pair-not-involution", ["pair"], {"a": mat(2 * np.eye(dim))}),
+            ("sweep", ["sweep", "--lambda-grid=0:1:3"], {}),
+            ("sweep-csv", ["sweep", "--lambda-grid=0:1:3", "--format=csv"], {}),
+            ("endpoint", ["endpoint", *grids], {}),
+            ("endpoint-bad-regularizer", ["endpoint", *grids], {"regularizer": mat(-np.eye(dim))}),
+            ("jlo-exact", ["jlo"], {}),
+            ("jlo-quadrature", ["jlo", "--method=quadrature", "--seed=7"], {}),
+            ("jlo-odd", ["jlo"], {"tuple": [mat(np.eye(dim)), mat(q)]}),
+            ("validate-not-odd", ["validate"], not_odd), ("pair-not-odd", ["pair"], not_odd)]]
+    exchange = random_triple(2, 1, "trivial")[0]
+    out.append(("group-absent-validate", ["validate"], exchange))
+    for label, spec in [("null", None), ("empty-list", []), ("zero", 0), ("false", False),
+                        ("empty-string", ""), ("empty-object", {})]:
+        out.append((f"group-{label}-validate", ["validate"], dict(exchange, group=spec)))
+    for levels, tag in [(((1.0, 0.5),), "n2"), (((1.0, 0.5), (2.0, 1.0)), "n2-two-levels")]:
+        good, broken = split_model(levels), split_model(levels, broken=True)
+        out += [(f"{tag}-{name}", argv, doc) for name, argv, doc in [
+            ("validate", ["validate"], good), ("validate-broken", ["validate"], broken),
+            ("split-pair", ["split-pair"], good), ("split-pair-broken", ["split-pair"], broken),
+            ("split-pair-g1", ["split-pair", "--group-index=1"], good),
+            ("coupling-sweep", ["coupling-sweep", "--lambda-grid=0:1:3"], good)]]
+    moving = dict(split_model(((1.0, 0.5), (2.0, 1.0))), a=mat(np.kron(SX, np.eye(4))))
+    return out + [("n2-two-levels-split-pair-moving-input", ["split-pair"], moving),
+                  ("missing-input", ["pair", "--input=missing.json"], None),
+                  ("usage-unknown-command", ["nonsense"], None),
+                  ("usage-bad-tol", ["pair", "--tol=0"], exchange),
+                  ("selftest-seed-0", ["selftest", "--seed=0", "--output=selftest.json"], None)]
+
+
+def snapshot(src, out):
+    sys.path.insert(0, str(Path(src).resolve()))
+    from heatchern import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        sys.exit(f"heatchern was imported from {cli.__file__}, not from {src}")
+    result, here = {}, os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for k, (name, argv, doc) in enumerate(cases()):
+                if doc is not None:
+                    Path(f"in{k}.json").write_text(json.dumps(doc))
+                    argv = argv[:1] + [f"--input=in{k}.json"] + argv[1:]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main(argv)
+                text = stdout.getvalue() + "".join(
+                    Path(a.removeprefix("--output=")).read_text()
+                    for a in argv if a.startswith("--output="))
+                result[name] = [code, text, stderr.getvalue()]
+        finally:
+            os.chdir(here)
+    Path(out).write_text(json.dumps(result, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    snapshot(sys.argv[1], sys.argv[2])
