@@ -1,13 +1,18 @@
 """Command-line interface.
 
-Subcommands load operator data from JSON, run one computation, and write
-a JSON (or CSV) result with a provenance block.  Exit codes: 0 success,
-1 validation failure, 2 numerical non-convergence, a request over the
-block-order budget, out of memory or an arithmetic error such as an
-overflow, 3 a usage error, a bad ``--tol``, ``--quad-nodes`` or
-``--max-level`` (checked on every command, before any input is read), or
-an I/O or schema error.  Every failure writes one JSON error object to
-standard error.
+Each subcommand loads operator data from JSON, runs one computation and
+returns its result: a payload, a sweep table, or a payload with an exit
+code.  ``main`` writes every result the same way, as one JSON object with
+the command and a provenance block in front (a table under ``--format
+csv`` as CSV), to standard output or to ``--output``; ``selftest`` prints
+its table and writes the JSON report only to ``--output``.  Exit codes:
+0 success, 1 validation failure, 2 numerical non-convergence, a request
+over the block-order budget, out of memory or an arithmetic error such as
+an overflow (a generator H with entries past the float range included),
+3 a usage error, a bad ``--tol``, ``--quad-nodes`` or ``--max-level``
+(checked on every command, before any input is read), or an I/O or
+schema error.  Every failure writes one JSON error object to standard
+error.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,7 @@ from .errors import (
 )
 from .expectations import expectation_value, heat_expectation
 from .homotopy import (
+    SweepTable,
     beta_independence,
     endpoint_grid,
     linear_family,
@@ -51,6 +57,7 @@ from .jlo import (
 from .selftest import format_table, run_selftest
 from .serialization import (
     _number,
+    _required,
     csv_text,
     dumps_canonical,
     matrix_from_json,
@@ -113,6 +120,11 @@ def _load_triple(args):
     return doc, require_valid(triple_from_json(doc.get("triple", doc)))
 
 
+def _split(doc: dict) -> SplitTriple:
+    """The split triple an input document holds, not yet validated."""
+    return split_from_json(doc.get("split", doc))
+
+
 def _provenance(args) -> dict:
     return {
         "package_version": __version__,
@@ -123,54 +135,41 @@ def _provenance(args) -> dict:
     }
 
 
-def _emit(args, payload: dict):
-    text = dumps_canonical(payload)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    else:
-        print(text)
-
-
-def _emit_table(args, tab):
-    """Write a sweep table as CSV, or as the command's JSON payload."""
-    if args.format == "json":
-        _emit(
-            args,
-            {
-                "command": args.command,
-                "provenance": _provenance(args),
-                "table": tab.to_jsonable(),
-            },
-        )
-        return
-    text = csv_text(tab.to_csv_rows())
+def _write(args, text: str):
+    """Write ``text`` to ``--output``, or to standard output."""
     if args.output:
         Path(args.output).write_text(text)
     else:
         print(text, end="")
 
 
-def _emit_pairing(args, res):
-    """Write a pairing result; ``pair`` also reports the idempotent form."""
-    payload = {
-        "command": args.command,
-        "provenance": _provenance(args),
-        "value": res.value,
-        "series_value": res.series_value,
-        "quadrature_value": res.quadrature_value,
-        "truncation_level": res.truncation_level,
-        "tail_bound": res.tail_bound,
-    }
-    if args.command == "pair":
-        payload["connes_value"] = res.connes_value
-    _emit(args, payload)
+def _emit(args, result) -> int:
+    """Write a command's result and return its exit code.
+
+    ``result`` is a payload dict, a ``SweepTable`` or ``(payload, code)``.
+    A table under ``--format csv`` is written as CSV; everything else is
+    one JSON object with the command and its provenance in front.
+    """
+    payload, code = result if isinstance(result, tuple) else (result, 0)
+    if isinstance(payload, SweepTable):
+        if args.format == "csv":
+            _write(args, csv_text(payload.to_csv_rows()))
+            return code
+        payload = {"table": payload.to_jsonable()}
+    envelope = {"command": args.command, "provenance": _provenance(args)}
+    text = dumps_canonical({**envelope, **payload}) + "\n"
+    if args.output or args.command != "selftest":
+        _write(args, text)
+    if args.command == "selftest":  # its report goes to --output only
+        print(format_table(payload["report"]))
+    return code
 
 
 def _pairing_input(doc: dict, g: int) -> PairingInput:
-    if "a" not in doc:
-        raise DimensionMismatch("input JSON is missing key 'a'")
+    _required(doc, "a")
     spec = doc["a"]
     if isinstance(spec, dict):
+        _required(spec, "matrix", what="'a'")
         return PairingInput(
             a=matrix_from_json(spec["matrix"]),
             m=_number(int, spec.get("m", 1), "'a' block size m"),
@@ -182,109 +181,69 @@ def _pairing_input(doc: dict, g: int) -> PairingInput:
 def _cmd_validate(args):
     doc = _load_json(args.input)
     if "Q1" in doc or "split" in doc:
-        s = split_from_json(doc.get("split", doc))
-        rep = validate_split(s)
+        rep = validate_split(_split(doc))
     else:
         rep = validate_triple(triple_from_json(doc.get("triple", doc)))
-    payload = {
-        "command": "validate",
-        "provenance": _provenance(args),
-        "passed": rep.passed,
-        "checks": [
-            {"name": c.name, "residual": c.residual, "tol": c.tol, "passed": c.passed}
-            for c in rep.checks
-        ],
-    }
-    _emit(args, payload)
-    return 0 if rep.passed else 1
+    checks = [
+        {"name": c.name, "residual": c.residual, "tol": c.tol, "passed": c.passed}
+        for c in rep.checks
+    ]
+    return {"passed": rep.passed, "checks": checks}, 0 if rep.passed else 1
 
 
 def _cmd_index(args):
     _, t = _load_triple(args)
-    values = [equivariant_index(t, g) for g in range(len(t.group))]
-    _emit(
-        args,
-        {
-            "command": "index",
-            "provenance": _provenance(args),
-            "values": values,
-        },
-    )
-    return 0
+    return {"values": [equivariant_index(t, g) for g in range(len(t.group))]}
 
 
 def _cmd_pair(args):
     doc, t = _load_triple(args)
     inp = _pairing_input(doc, args.group_index)
-    res = pairing(
-        t, inp, quad_nodes=args.quad_nodes, max_level=args.max_level, tol=args.tol
+    return asdict(
+        pairing(t, inp, quad_nodes=args.quad_nodes, max_level=args.max_level, tol=args.tol)
     )
-    _emit_pairing(args, res)
-    return 0
 
 
 def _cmd_jlo(args):
     doc, t = _load_triple(args)
-    if "tuple" not in doc:
-        raise DimensionMismatch("input JSON is missing key 'tuple'")
+    _required(doc, "tuple")
     if not isinstance(doc["tuple"], list) or not doc["tuple"]:
         raise DimensionMismatch("'tuple' must be a nonempty list of matrices")
     mats = [matrix_from_json(m) for m in doc["tuple"]]
     verts = _vertices(t, mats)
     if args.method == "exact":
-        val = expectation_value(t, verts, args.group_index)
-        err = 0.0
+        val, err = expectation_value(t, verts, args.group_index), 0.0
     else:
-        ev = heat_expectation(
-            t, verts, args.group_index, method="quadrature", seed=args.seed
-        )
+        ev = heat_expectation(t, verts, args.group_index, method="quadrature", seed=args.seed)
         val, err = ev.value, ev.estimated_error
-    _emit(
-        args,
-        {
-            "command": "jlo",
-            "provenance": _provenance(args),
-            "level": len(mats) - 1,
-            "method": args.method,
-            "value": val,
-            "estimated_error": err,
-        },
-    )
-    return 0
+    return {"level": len(mats) - 1, "method": args.method, "value": val,
+            "estimated_error": err}
 
 
 def _cmd_sweep(args):
     doc, t = _load_triple(args)
-    if "q" not in doc:
-        raise DimensionMismatch("input JSON is missing key 'q' (linear family)")
-    q = matrix_from_json(doc["q"])
-    fam = linear_family(t, q)
+    _required(doc, "q", note=" (linear family)")
+    fam = linear_family(t, matrix_from_json(doc["q"]))
     inp = _pairing_input(doc, args.group_index)
     grid = _parse_grid(args.lambda_grid)
-    tab = sweep_invariant(fam, inp, grid, quad_nodes=args.quad_nodes, tol=args.tol)
-    _emit_table(args, tab)
-    return 0
+    return sweep_invariant(fam, inp, grid, quad_nodes=args.quad_nodes, tol=args.tol)
 
 
 def _cmd_beta_scan(args):
     doc, t = _load_triple(args)
     inp = _pairing_input(doc, args.group_index)
     betas = _parse_list(args.beta_list)
-    tab = beta_independence(t, inp, betas, quad_nodes=args.quad_nodes, tol=args.tol)
-    _emit_table(args, tab)
-    return 0
+    return beta_independence(t, inp, betas, quad_nodes=args.quad_nodes, tol=args.tol)
 
 
 def _cmd_endpoint(args):
     doc, t = _load_triple(args)
-    for key in ("q", "regularizer"):
-        if key not in doc:
-            raise DimensionMismatch(f"input JSON is missing key {key!r}")
+    _required(doc, "q", "regularizer")
     fam = linear_family(
         t, matrix_from_json(doc["q"]), regularizer=matrix_from_json(doc["regularizer"])
     )
     inp = _pairing_input(doc, args.group_index)
-    tab = endpoint_grid(
+    return endpoint_grid(
         fam,
         _parse_grid(args.eps_grid),
         _parse_grid(args.lambda_grid),
@@ -292,33 +251,31 @@ def _cmd_endpoint(args):
         quad_nodes=args.quad_nodes,
         tol=args.tol,
     )
-    _emit_table(args, tab)
-    return 0
 
 
 def _cmd_split_pair(args):
     doc = _load_json(args.input)
-    s = require_valid_split(split_from_json(doc.get("split", doc)))
+    s = require_valid_split(_split(doc))
     inp = _pairing_input(doc, args.group_index)
     res = split_pairing(
         s, inp, quad_nodes=args.quad_nodes, max_level=args.max_level, tol=args.tol
     )
-    _emit_pairing(args, res)
-    return 0
+    payload = asdict(res)
+    del payload["connes_value"]  # the idempotent form is reported for plain triples
+    return payload
 
 
 def _cmd_coupling_sweep(args):
     doc = _load_json(args.input)
-    s = split_from_json(doc.get("split", doc))
-    if "q2_tilde" not in doc:
-        raise DimensionMismatch("input JSON is missing key 'q2_tilde'")
+    s = _split(doc)
+    _required(doc, "q2_tilde")
     qt2 = _check_shape("q2_tilde", matrix_from_json(doc["q2_tilde"]), s.dim)
 
     def family(lam: float) -> SplitTriple:
         return replace(s, Q2=np.cos(lam) * s.Q2 + np.sin(lam) * qt2)
 
     inp = _pairing_input(doc, args.group_index)
-    tab = coupling_sweep(
+    return coupling_sweep(
         family,
         inp,
         _parse_grid(args.lambda_grid),
@@ -326,21 +283,11 @@ def _cmd_coupling_sweep(args):
         quad_nodes=args.quad_nodes,
         tol=args.tol,
     )
-    _emit_table(args, tab)
-    return 0
 
 
 def _cmd_selftest(args):
     report = run_selftest(seed=args.seed)
-    payload = {
-        "command": "selftest",
-        "provenance": _provenance(args),
-        "report": report,
-    }
-    if args.output:
-        Path(args.output).write_text(dumps_canonical(payload) + "\n")
-    print(format_table(report))
-    return 0 if report["passed"] else 1
+    return {"report": report}, 0 if report["passed"] else 1
 
 
 _COMMANDS = {
@@ -402,7 +349,7 @@ def main(argv=None) -> int:
                 raise FileNotFoundError("--input is required for this command")
             if not Path(args.input).exists():
                 raise FileNotFoundError(f"input file {args.input!r} not found")
-        return cmd(args)
+        return _emit(args, cmd(args))
     except _VALIDATION_ERRORS as exc:
         _print_error(args, exc)
         return 1

@@ -188,7 +188,9 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     """Monte-Carlo over the simplex; error is three standard errors.
 
     Simplex points are normalized i.i.d. exponentials (uniform on the
-    unit simplex).
+    unit simplex).  They are drawn in blocks of at most 4096 points, and
+    of at most ``MAX_BLOCK_ORDER``^2 // dim^2, so that each (points, dim,
+    dim) array holds no more entries than one budgeted block matrix.
     """
     lam, basis = t.heat_data()
     n = len(rest)
@@ -198,7 +200,7 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     tot = 0.0 + 0.0j
     tot_sq = 0.0
     done = 0
-    block = max(1, min(4096, samples))
+    block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // lam.size**2))
     while done < samples:
         m = min(block, samples - done)
         e = rng.exponential(size=(m, n + 1))

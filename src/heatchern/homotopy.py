@@ -384,8 +384,7 @@ class _Regularized(SpectralTriple):
 
     GENERATORS = ("Q", "R")
 
-    @property
-    def hamiltonian(self) -> np.ndarray:
+    def _hamiltonian(self) -> np.ndarray:
         return self.Q @ self.Q + self.R
 
 

@@ -86,6 +86,13 @@ def _number(convert, value, name: str):
     return out
 
 
+def _required(d: dict, *keys: str, what: str = "input JSON", note: str = ""):
+    """Raise DimensionMismatch naming ``what`` and the first of ``keys`` missing from ``d``."""
+    for key in keys:
+        if key not in d:
+            raise DimensionMismatch(f"{what} is missing key {key!r}{note}")
+
+
 def _group_from_json(spec, dim: int) -> list[np.ndarray]:
     if isinstance(spec, dict) and "cyclic" in spec:
         k = _number(int, spec["cyclic"], "group cyclic order")
@@ -96,6 +103,7 @@ def _group_from_json(spec, dim: int) -> list[np.ndarray]:
                 f"cyclic group of order {k} at dim {dim} has {k * dim * dim} entries, "
                 f"over the budget of one block matrix, {MAX_BLOCK_ORDER}^2"
             )
+        _required(spec, "generator", what="cyclic group")
         gen = _check_shape("group generator", matrix_from_json(spec["generator"]), dim)
         out = [np.eye(dim, dtype=complex)]
         cur = np.eye(dim, dtype=complex)
@@ -113,9 +121,7 @@ def _from_json(cls: type[HeatData], kind: str, d) -> HeatData:
     if not isinstance(d, dict):
         raise DimensionMismatch(f"{kind} JSON must be an object, got {type(d).__name__}")
     names = cls.GENERATORS + ("gamma",)
-    for key in ("dim",) + names:
-        if key not in d:
-            raise DimensionMismatch(f"{kind} JSON is missing key {key!r}")
+    _required(d, "dim", *names, what=f"{kind} JSON")
     dim = _number(int, d["dim"], "dim")
     spec = d.get("group")
     group = [np.eye(dim, dtype=complex)] if spec in (None, []) else _group_from_json(spec, dim)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .errors import BadExponent, DimensionMismatch, NotHermitian, ValidationFailure
+from .errors import BadExponent, DimensionMismatch, NotHermitian, Overflow, ValidationFailure
 from .linalg import as_matrix, eig_hermitian, opnorm
 
 __all__ = [
@@ -96,9 +96,11 @@ class HeatData:
     Every heat-kernel invariant (expectations, the character, the pairing,
     the sweeps) is a functional of these four.  A subclass is a dataclass
     with fields ``dim``, its generator matrices (named in ``GENERATORS``),
-    ``gamma``, ``group`` and ``tol``; it supplies ``hamiltonian`` (H) and
+    ``gamma``, ``group`` and ``tol``; it supplies ``_hamiltonian`` (H) and
     ``derive`` (d).  The base converts and shape-checks the matrices,
-    caches the eigendecomposition of H, applies gamma U(g), and lifts the
+    checks that the group is not empty, hands out H as ``hamiltonian``
+    (raising Overflow when an entry leaves the float range), caches the
+    eigendecomposition of H, applies gamma U(g), and lifts the
     data to m x m blocks on a beta-plane.  It also owns the Z2 x G
     covariance checks every validator reports: the grading
     (``check_grading``), the group and its commutants (``check_group``)
@@ -117,8 +119,19 @@ class HeatData:
             (f"group[{k}]", u) for k, u in enumerate(self.group)
         ]:
             _check_shape(name, m, self.dim)
+        if not self.group:
+            raise DimensionMismatch("group is empty; its first member must be the identity")
         self._heat = None
         self._lifts = {}
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        """H; every consumer reads it here, so an overflow is one named error."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = self._hamiltonian()
+        if not np.all(np.isfinite(h)):
+            raise Overflow("generator H has non-finite entries: its matrices overflow")
+        return h
 
     def heat_data(self):
         """Cached eigendecomposition (eigenvalues, eigenvectors) of H."""
@@ -216,8 +229,7 @@ class SpectralTriple(HeatData):
     # in this class's own namespace too, so a tracer can wrap it here
     heat_data = HeatData.heat_data
 
-    @property
-    def hamiltonian(self) -> np.ndarray:
+    def _hamiltonian(self) -> np.ndarray:
         return self.Q @ self.Q
 
     def derive(self, b) -> np.ndarray:

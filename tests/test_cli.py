@@ -29,6 +29,12 @@ PAULI_SPLIT = {
 }
 
 
+HUGE = 1e160  # its square leaves the float range
+OVERFLOW = ("Overflow", "generator H has non-finite entries: its matrices overflow")
+OVERFLOWING = {
+    "Q": [[0, HUGE], [HUGE, 0]],
+    "tuple": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]],
+}
 NO_POINTS = ("DimensionMismatch", "grid '0:1:0' has no points")
 NOT_POSITIVE = "beta_plane must be positive, got"
 
@@ -601,12 +607,23 @@ class TestErrors:
              ("ValueError", "tol must be positive and finite, got nan")),
             ("beta-scan", {}, "--tol=inf", 3,
              ("ValueError", "tol must be positive and finite, got inf")),
+            *[(command, OVERFLOWING, "--group-index=0", 2, OVERFLOW)
+              for command in ["pair", "sweep", "beta-scan", "endpoint", "index", "jlo"]],
+            ("split-pair",
+             {"Q1": [[0, 0, HUGE, 0], [0, 0, 0, HUGE], [HUGE, 0, 0, 0], [0, HUGE, 0, 0]]},
+             "--group-index=0", 2, OVERFLOW),
+            ("pair", {"a": {"m": 2}}, "--group-index=0", 3,
+             ("DimensionMismatch", "'a' is missing key 'matrix'")),
+            ("pair", {"group": {"cyclic": 2}}, "--group-index=0", 3,
+             ("DimensionMismatch", "cyclic group is missing key 'generator'")),
         ],
         ids=["q-shape", "q2-tilde-shape", "regularizer-shape", "tuple-shape",
              "tuple-shape-quadrature", "generator-shape", "beta-inf", "grid-inf", "dim-fraction", "dim-bool",
              "m-fraction", "eps-overflow", "tol-bool", "tol-zero", "tol-negative",
              "tol-nan", "split-tol-negative", "flag-tol-zero", "flag-tol-negative",
-             "flag-tol-nan", "flag-tol-inf"],
+             "flag-tol-nan", "flag-tol-inf", "overflow-pair", "overflow-sweep",
+             "overflow-beta-scan", "overflow-endpoint", "overflow-index", "overflow-jlo",
+             "overflow-split-pair", "missing-a-matrix", "missing-cyclic-generator"],
     )
     def test_malformed_input_fails_honestly(
         self, tmp_path, capsys, command, fields, flag, code, error
@@ -614,8 +631,10 @@ class TestErrors:
         # wrong shapes broadcast or reached numpy's matmul error, infinities
         # printed a RuntimeWarning first, fractions and booleans were
         # truncated to integers, eps**2 overflowed into a traceback, and a
-        # tolerance of true, 0, -1, NaN or inf was read as a tolerance
-        if command == "coupling-sweep":
+        # tolerance of true, 0, -1, NaN or inf was read as a tolerance; a
+        # generator whose square overflows warned and exited 3 as a ValueError
+        # or LinAlgError, and a nested object missing a key as a bare KeyError
+        if command in ("coupling-sweep", "split-pair"):
             from heatchern.serialization import matrix_to_json, split_to_json
             from heatchern.split import build_n2_susy_example
 
@@ -713,6 +732,50 @@ class TestErrors:
             "error": {"type": "MemoryError", "message": "Unable to allocate 64.0 GiB"}
         }
         assert "Traceback" not in captured.err
+
+
+class TestWriters:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["index"],
+            ["pair"],
+            ["jlo"],
+            ["jlo", "--method=quadrature"],
+            ["sweep", "--lambda-grid=0:0.4:3"],
+            ["sweep", "--lambda-grid=0:0.4:3", "--format=csv"],
+            ["beta-scan", "--format=csv"],
+            ["endpoint", "--lambda-grid=0:0.4:2", "--eps-grid=0:0.4:2"],
+            ["split-pair"],
+            ["coupling-sweep", "--lambda-grid=0:0.4:3", "--format=csv"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path, capsys, argv):
+        # selftest is the one command that prints something else (its table)
+        if argv[0] in ("split-pair", "coupling-sweep"):
+            from heatchern.serialization import matrix_to_json, split_to_json
+            from heatchern.split import build_n2_susy_example
+
+            s, gens = build_n2_susy_example(levels=((1.0, 0.5),))
+            doc = dict(split_to_json(s), a=matrix_to_json(s.gamma))
+            doc["q2_tilde"] = matrix_to_json(gens["Qt2"])
+        else:
+            doc = dict(
+                EXCHANGE,
+                a=[[1, 0], [0, -1]],
+                q=[[0, [0, 1]], [[0, -1], 0]],
+                regularizer=[[0.5, 0], [0, 1.5]],
+                tuple=[[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[2, 0], [0, 1]]],
+            )
+        command = [argv[0], "--input", write(tmp_path, "w.json", doc), *argv[1:]]
+        assert run_main(command) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert run_main([*command, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
 
 
 class TestSelftest:

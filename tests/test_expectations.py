@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,26 @@ class TestHeatExpectation:
         t = random_triple(3, seed=2)
         with pytest.raises(ValueError, match=f"samples >= 1, got {samples}"):
             heat_expectation(t, rand_mats(rng, 3, 2), method="quadrature", samples=samples)
+
+    def test_quadrature_block_within_budget(self):
+        # the blocks used to be 4096 points at any dim: a 516 MB peak at dim 64;
+        # the value is the one those blocks gave, summed in other groups
+        t = random_triple(64, seed=5)
+        rng = np.random.default_rng(64)
+        raw = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+        x = (raw + t.gamma @ raw @ t.gamma) / 2
+        t.heat_data()
+        tracemalloc.start()
+        try:
+            ev = heat_expectation(
+                t, [x, x.conj().T.copy()], method="quadrature", samples=4096
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 2**20
+        reference = 88.13919631381114 + 6.0995296218274405e-15j
+        assert abs(ev.value - reference) <= 1e-12 * abs(reference)
 
     def test_beta_plane_scaling_consistency(self, rng, tuple_sum):
         # the beta-plane value equals the plane-1 engine of the rescaled

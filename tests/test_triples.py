@@ -1,10 +1,17 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from heatchern.errors import BadExponent, DimensionMismatch, NotHermitian, ValidationFailure
+from heatchern.errors import (
+    BadExponent,
+    DimensionMismatch,
+    NotHermitian,
+    Overflow,
+    ValidationFailure,
+)
 from heatchern.expectations import expectation_value
 from heatchern.homotopy import DeformationFamily
 from heatchern.linalg import opnorm
@@ -98,6 +105,23 @@ class TestHeatData:
         # sqrt(inf) times the zero entries of Q used to warn and give NaN
         with pytest.raises(BadExponent, match="beta_plane must be finite, got inf"):
             zero_mode.lifted(1, math.inf)
+
+    def test_empty_group_is_named(self):
+        # validate_triple and validate_split used to raise a bare IndexError
+        x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+        with pytest.raises(DimensionMismatch, match="group is empty"):
+            SpectralTriple(dim=2, Q=x, gamma=z, group=[])
+        s, _ = build_n2_susy_example(levels=((1.0, 0.5),))
+        with pytest.raises(DimensionMismatch, match="group is empty"):
+            replace(s, group=[])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_generator_is_named(self):
+        # H = Q^2 used to overflow with a RuntimeWarning into non-finite entries
+        x, z = np.array([[0.0, 1e160], [1e160, 0.0]]), np.diag([1.0, -1.0])
+        t = SpectralTriple(dim=2, Q=x, gamma=z, group=[np.eye(2)])
+        with pytest.raises(Overflow, match="generator H has non-finite entries"):
+            t.heat_data()
 
 
 class TestDerivative:

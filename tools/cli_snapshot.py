@@ -7,8 +7,8 @@ Each case runs ``heatchern.cli.main`` in process; OUT.json maps its name to
 ``[exit code, stdout, stderr]``, where the stdout of a case that writes
 ``--output`` ends with that file.  The inputs are built here with numpy alone,
 so two trees see the same bytes: run it on both and ``diff`` the files.  The
-cases cover every command, valid and failing inputs, and trivial, z2, cyclic
-and split groups.
+cases cover every command, valid and failing inputs, trivial, z2, cyclic and
+split groups, and every writer: standard output and ``--output``, JSON and CSV.
 """
 
 import contextlib
@@ -73,26 +73,28 @@ def split_model(levels, broken=False):
 
 def cases():
     """(name, argv, input document or None) in a fixed order."""
-    out = []
+    out, bases = [], {}
     for dim, seed, group in [(2, 1, "trivial"), (3, 2, "trivial"), (3, 3, "z2"),
                              (5, 4, "z2"), (4, 5, "cyclic"), (3, 6, "bad")]:
         doc, q, gamma, rng = random_triple(dim, seed, group)
         raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         even = (raw + gamma @ raw @ gamma) / 2
         last = {"z2": 1, "bad": 1, "cyclic": 2}.get(group, 0)
-        base = dict(doc, a=mat(gamma), q=mat(0.3 * q), regularizer=mat(np.eye(dim)),
-                    tuple=[mat(np.eye(dim)), mat(even), mat(even.conj().T)])
+        base = bases[dim, group] = dict(
+            doc, a=mat(gamma), q=mat(0.3 * q), regularizer=mat(np.eye(dim)),
+            tuple=[mat(np.eye(dim)), mat(even), mat(even.conj().T)])
         grids = ["--eps-grid=0:0.5:3", "--lambda-grid=0:1:2"]
         not_odd = {"Q": mat(q + np.diag(np.arange(dim) * 0.1))}
         out += [(f"d{dim}-{group}-{name}", argv, {**base, **over}) for name, argv, over in [
             ("validate", ["validate"], {}), ("index", ["index"], {}), ("pair", ["pair"], {}),
-            ("beta-scan", ["beta-scan"], {}),
+            ("beta-scan", ["beta-scan"], {}), ("beta-scan-csv", ["beta-scan", "--format=csv"], {}),
             (f"pair-g{last}", ["pair", f"--group-index={last}"], {}),
             ("pair-m2", ["pair"], {"a": {"m": 2, "matrix": mat(np.kron(SX, np.eye(dim)))}}),
             ("pair-not-involution", ["pair"], {"a": mat(2 * np.eye(dim))}),
             ("sweep", ["sweep", "--lambda-grid=0:1:3"], {}),
             ("sweep-csv", ["sweep", "--lambda-grid=0:1:3", "--format=csv"], {}),
             ("endpoint", ["endpoint", *grids], {}),
+            ("endpoint-csv", ["endpoint", *grids, "--format=csv"], {}),
             ("endpoint-bad-regularizer", ["endpoint", *grids], {"regularizer": mat(-np.eye(dim))}),
             ("jlo-exact", ["jlo"], {}),
             ("jlo-quadrature", ["jlo", "--method=quadrature", "--seed=7"], {}),
@@ -109,7 +111,23 @@ def cases():
             ("validate", ["validate"], good), ("validate-broken", ["validate"], broken),
             ("split-pair", ["split-pair"], good), ("split-pair-broken", ["split-pair"], broken),
             ("split-pair-g1", ["split-pair", "--group-index=1"], good),
-            ("coupling-sweep", ["coupling-sweep", "--lambda-grid=0:1:3"], good)]]
+            ("coupling-sweep", ["coupling-sweep", "--lambda-grid=0:1:3"], good),
+            ("coupling-sweep-csv", ["coupling-sweep", "--lambda-grid=0:1:3", "--format=csv"], good)]]
+    # every writer: --output in JSON and CSV, and a failing validate's payload
+    for cmd, extra in [("pair", []), ("index", []), ("jlo", []), ("sweep", ["--lambda-grid=0:1:3"])]:
+        out += [(f"d3-z2-{cmd}-output-{fmt}", [cmd, *extra, f"--format={fmt}",
+                                               f"--output={cmd}-{fmt}.out"], bases[3, "z2"])
+                for fmt in ("json", "csv")]
+    out.append(("d3-bad-validate-output", ["validate", "--output=bad.out"], bases[3, "bad"]))
+    # a generator whose square overflows, and nested objects missing a key
+    huge = dict(bases[2, "trivial"], Q=mat(1e160 * SX), tuple=[mat(np.eye(2)), mat(SZ)])
+    out += [(f"overflow-{cmd}", [cmd], huge) for cmd in
+            ["pair", "sweep", "beta-scan", "endpoint", "index", "jlo", "validate"]]
+    split = split_model(((1.0, 0.5),))
+    out.append(("overflow-split-pair", ["split-pair"],
+                dict(split, Q1=mat(1e160 * np.kron(SX, np.eye(2))))))
+    out += [("missing-a-matrix", ["pair"], dict(bases[2, "trivial"], a={"m": 2})),
+            ("missing-cyclic-generator", ["pair"], dict(bases[2, "trivial"], group={"cyclic": 2}))]
     moving = dict(split_model(((1.0, 0.5), (2.0, 1.0))), a=mat(np.kron(SX, np.eye(4))))
     return out + [("n2-two-levels-split-pair-moving-input", ["split-pair"], moving),
                   ("missing-input", ["pair", "--input=missing.json"], None),
