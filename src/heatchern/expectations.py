@@ -48,6 +48,7 @@ from .triples import (
     SpectralTriple,
     VertexType,
     _check_shape,
+    beta_fn,
     derivative,
     regularity_exponents,
     sobolev_norm,
@@ -72,16 +73,6 @@ __all__ = [
 # once; the series route holds one, the block-Toeplitz matrix of each
 # squaring.  Both stay well inside a 2 GiB address space.
 MAX_BLOCK_ORDER = 2048
-
-
-def beta_fn(etas) -> float:
-    """prod Gamma(eta_j) / Gamma(sum eta_j), via log-Gamma."""
-    es = [float(e) for e in np.atleast_1d(etas)]
-    if not es:
-        raise DimensionMismatch("need at least one exponent")
-    if any(e <= 0 for e in es):
-        raise BadExponent(f"exponents must be positive, got {es}")
-    return math.exp(sum(math.lgamma(e) for e in es) - math.lgamma(sum(es)))
 
 
 @dataclass

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cochains import Cochain, norm_profile, op_partial
-from .errors import DimensionMismatch, ValidationFailure
+from .errors import DimensionMismatch, Overflow, ValidationFailure
 from .expectations import expectation_value
 from .jlo import PairingInput, _require_valid_input, jlo_component, pairing_gaussian
 from .linalg import as_matrix, opnorm
@@ -401,7 +401,8 @@ def endpoint_grid(
     Each entry is ``pairing_gaussian`` on the deformed triple with H(eps,
     lambda) = Q(lambda)^2 + eps^2 Z*Z, the exponent -H(eps, lambda) + i t
     d_lambda(a).  Central finite-difference estimates of the eps- and
-    lambda-derivatives are attached to interior grid points.
+    lambda-derivatives are attached to interior grid points.  An eps whose
+    eps^2 Z*Z leaves the float range raises Overflow.
     """
     if f.regularizer is None:
         raise ValidationFailure("endpoint grid needs a family with a regularizer")
@@ -414,11 +415,16 @@ def endpoint_grid(
     deformed = {}
     vals = {}
     for e in eg:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                r = e**2 * f.regularizer
+        except (OverflowError, FloatingPointError):
+            raise Overflow(f"regularizer eps^2 Z*Z overflows at eps = {e}") from None
         for l in lg:
             if l not in deformed:
                 deformed[l] = deform_triple(f, l)
             t = deformed[l]
-            reg = _Regularized(t.dim, t.Q, t.gamma, t.group, t.tol, R=e**2 * f.regularizer)
+            reg = _Regularized(t.dim, t.Q, t.gamma, t.group, t.tol, R=r)
             vals[(e, l)] = pairing_gaussian(reg, inp, quad_nodes=quad_nodes, tol=tol)
     tab = SweepTable(columns=["lambda", "eps", "value", "dZ_deps", "dZ_dlambda"])
     for l in lg:

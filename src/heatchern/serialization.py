@@ -10,7 +10,9 @@ Each ``HeatData`` kind is one object: "dim", its ``GENERATORS`` matrices,
 "gamma", "group" and "tol", read and written by one codec.  A null or
 non-numeric "dim", "tol" or cyclic order is a ``DimensionMismatch``, and so
 is a boolean in any of them, a non-integral "dim" or cyclic order, and a
-"tol" that is not positive and finite.
+"tol" that is not positive and finite.  Every generator and "gamma" is
+checked to be "dim" x "dim" before the group is built, so a "dim" that
+the matrices do not match is a ``DimensionMismatch`` and allocates nothing.
 A group may be given as an explicit list of matrices or through the
 shorthand {"cyclic": k, "generator": M}, which expands to the k powers
 of M at load time.  An order k < 1 is a ``DimensionMismatch``, and k
@@ -123,9 +125,10 @@ def _from_json(cls: type[HeatData], kind: str, d) -> HeatData:
     names = cls.GENERATORS + ("gamma",)
     _required(d, "dim", *names, what=f"{kind} JSON")
     dim = _number(int, d["dim"], "dim")
+    # shape-checked before the group allocates anything of size dim
+    mats = {n: _check_shape(n, matrix_from_json(d[n]), dim) for n in names}
     spec = d.get("group")
     group = [np.eye(dim, dtype=complex)] if spec in (None, []) else _group_from_json(spec, dim)
-    mats = {n: matrix_from_json(d[n]) for n in names}
     tol = _number(float, d.get("tol", 1e-10), "tol")
     if not 0 < tol < math.inf:
         raise DimensionMismatch(f"tol must be positive and finite, got {tol}")

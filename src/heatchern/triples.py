@@ -8,7 +8,11 @@ graded commutator with Q; the split triple of ``split`` is another.  Fractional
 smoothness enters through operator norms between the scales of (Q^2+I):
 ``sobolev_norm`` measures a transformation between two such scales, and
 ``interpolation_norm`` combines the plain norm of an element with the
-smoothed norm of its derivative.
+smoothed norm of its derivative, weighted by the closed-form constant
+c_mu = 2 B(1/2, (1-mu)/2) of ``numeric_c_mu``.  ``beta_fn`` is the one
+Beta function of the package; ``algebraic_singular_integral``, the
+quadrature engine that selftest C11 and the tests check c_mu against, is
+the only code that loads scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import BadExponent, DimensionMismatch, NotHermitian, Overflow, ValidationFailure
 from .linalg import as_matrix, eig_hermitian, opnorm
@@ -35,6 +38,7 @@ __all__ = [
     "derivative",
     "sobolev_norm",
     "interpolation_norm",
+    "beta_fn",
     "numeric_c_mu",
     "algebraic_singular_integral",
     "regularity_exponents",
@@ -311,15 +315,30 @@ def interpolation_norm(t: SpectralTriple, a: AlgebraElement, vt: VertexType) -> 
     return opnorm(a.matrix) + numeric_c_mu(mu) * sobolev_norm(t, da, -vt.beta, vt.alpha)
 
 
+def beta_fn(etas) -> float:
+    """prod Gamma(eta_j) / Gamma(sum eta_j), via log-Gamma."""
+    es = [float(e) for e in np.atleast_1d(etas)]
+    if not es:
+        raise DimensionMismatch("need at least one exponent")
+    if any(e <= 0 for e in es):
+        raise BadExponent(f"exponents must be positive, got {es}")
+    return math.exp(sum(math.lgamma(e) for e in es) - math.lgamma(sum(es)))
+
+
 def algebraic_singular_integral(f, a_pow: float, b_pow: float) -> float:
     """Adaptive quadrature of f(u) * u^a_pow * (1-u)^b_pow over (0, 1).
 
-    This is the engine behind ``numeric_c_mu``: integrals over t in
-    (0, inf) with algebraic behaviour at both ends are brought to this
-    form by the substitution t = u/(1-u).  Requires a_pow, b_pow > -1.
+    Integrals over t in (0, inf) with algebraic behaviour at both ends are
+    brought to this form by the substitution t = u/(1-u).  Selftest C11
+    checks it on a companion integral (2 pi), and the tests use it as an
+    independent oracle for ``numeric_c_mu``.  Requires a_pow, b_pow > -1.
+    scipy is imported here, after the checks, so that importing the
+    package needs numpy alone.
     """
     if a_pow <= -1 or b_pow <= -1:
         raise BadExponent(f"powers must exceed -1, got ({a_pow}, {b_pow})")
+    from scipy import integrate
+
     val, _ = integrate.quad(
         f, 0.0, 1.0, weight="alg", wvar=(a_pow, b_pow), epsabs=0.0, epsrel=1e-12,
         limit=200,
@@ -331,11 +350,12 @@ def numeric_c_mu(mu: float) -> float:
     """sup over delta in [0,1] of 2 delta B(1 - delta/2, c), c = (1-mu)/2.
 
     The log-derivative 1/delta + (psi(1 - delta/2 + c) - psi(1 - delta/2))/2
-    is positive, so the supremum is the value at delta = 1.
+    is positive, so the supremum is the value at delta = 1, the closed
+    form 2 B(1/2, c).
     """
     if not (0.0 <= mu < 1.0):
         raise BadExponent(f"mu must lie in [0, 1), got {mu}")
-    return 2.0 * algebraic_singular_integral(lambda u: 1.0, -0.5, (1.0 - mu) / 2.0 - 1.0)
+    return 2.0 * beta_fn([0.5, (1.0 - mu) / 2.0])
 
 
 @dataclass

@@ -588,7 +588,14 @@ class TestErrors:
             ("pair", {"a": {"m": 1.9, "matrix": [[1, 0], [0, -1]]}}, "--group-index=0", 3,
              ("DimensionMismatch", "'a' block size m must be an integer, got 1.9")),
             ("endpoint", {}, "--eps-grid=0:1e200:2", 2,
-             ("OverflowError", "(34, 'Numerical result out of range')")),
+             ("Overflow", "regularizer eps^2 Z*Z overflows at eps = 1e+200")),
+            ("endpoint", {"regularizer": [[1e300, 0], [0, 1e300]]}, "--eps-grid=0:1e10:2", 2,
+             ("Overflow", "regularizer eps^2 Z*Z overflows at eps = 10000000000.0")),
+            ("pair", {"dim": 40000}, "--group-index=0", 3,
+             ("DimensionMismatch", "Q has shape (2, 2), expected (40000, 40000)")),
+            ("pair", {"dim": 40000, "group": {"cyclic": 2, "generator": [[1, 0], [0, 1]]}},
+             "--group-index=0", 3,
+             ("DimensionMismatch", "Q has shape (2, 2), expected (40000, 40000)")),
             ("pair", {"tol": True}, "--group-index=0", 3,
              ("DimensionMismatch", "tol must be a number, got True")),
             ("validate", {"tol": 0}, "--group-index=0", 3,
@@ -619,7 +626,8 @@ class TestErrors:
         ],
         ids=["q-shape", "q2-tilde-shape", "regularizer-shape", "tuple-shape",
              "tuple-shape-quadrature", "generator-shape", "beta-inf", "grid-inf", "dim-fraction", "dim-bool",
-             "m-fraction", "eps-overflow", "tol-bool", "tol-zero", "tol-negative",
+             "m-fraction", "eps-overflow", "eps-regularizer-overflow", "dim-unmatched",
+             "dim-unmatched-cyclic", "tol-bool", "tol-zero", "tol-negative",
              "tol-nan", "split-tol-negative", "flag-tol-zero", "flag-tol-negative",
              "flag-tol-nan", "flag-tol-inf", "overflow-pair", "overflow-sweep",
              "overflow-beta-scan", "overflow-endpoint", "overflow-index", "overflow-jlo",
@@ -633,7 +641,9 @@ class TestErrors:
         # truncated to integers, eps**2 overflowed into a traceback, and a
         # tolerance of true, 0, -1, NaN or inf was read as a tolerance; a
         # generator whose square overflows warned and exited 3 as a ValueError
-        # or LinAlgError, and a nested object missing a key as a bare KeyError
+        # or LinAlgError, and a nested object missing a key as a bare KeyError;
+        # an overflowing eps^2 Z*Z warned and exited 3, and a "dim" its
+        # matrices do not match allocated dim x dim (MemoryError or ComplexityCap)
         if command in ("coupling-sweep", "split-pair"):
             from heatchern.serialization import matrix_to_json, split_to_json
             from heatchern.split import build_n2_susy_example

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from heatchern.errors import BadExponent, DimensionMismatch, NotHermitian, Overflow
+from heatchern.expectations import expectation_value
 from heatchern.models import random_triple, zero_mode_triple
 from heatchern.linalg import (
+    as_matrix,
     eig_hermitian,
     expm,
     expm_toeplitz_row,
@@ -125,6 +127,32 @@ class TestExpm:
         m.flat[-1] = complex(0.0, np.nan)
         with pytest.raises(ValueError, match="non-finite"):
             expm(m)
+
+
+class TestAsMatrix:
+    def test_views_match_their_contiguous_copies(self, rng):
+        # a non-contiguous complex array raised numpy's "last axis must be contiguous"
+        x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        for view in (x.conj().T, x.T, x[::2, ::2], x[:, ::-1]):
+            assert not view.flags.c_contiguous
+            got = as_matrix(view)
+            assert got.tobytes() == np.ascontiguousarray(view).tobytes()
+
+    def test_non_contiguous_inf_is_named(self):
+        x = np.zeros((4, 4), dtype=complex)
+        x[2, 0] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            as_matrix(x.T)
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            as_matrix(x[::2, ::2])
+
+    def test_expectation_of_a_transposed_vertex(self):
+        t = random_triple(4, seed=3)
+        rng = np.random.default_rng(8)
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        x = (raw + t.conj_gamma(raw)) / 2
+        got = expectation_value(t, [x, x.conj().T])
+        assert got == expectation_value(t, [x, x.conj().T.copy()])
 
 
 class TestExpmToeplitzRow:

@@ -1,10 +1,15 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heatchern
 from heatchern.errors import (
     BadExponent,
     DimensionMismatch,
@@ -203,6 +208,9 @@ class TestCMu:
         # 2 delta B(1 - delta/2, (1-mu)/2) increases in delta, so the sup is at 1
         exact = 2.0 * math.gamma(0.5) * math.gamma((1.0 - mu) / 2.0) / math.gamma(1.0 - mu / 2.0)
         assert numeric_c_mu(mu) == pytest.approx(exact, rel=1e-12)
+        # the quadrature engine is the independent oracle for the closed form
+        quad = 2.0 * algebraic_singular_integral(lambda u: 1.0, -0.5, (1.0 - mu) / 2.0 - 1.0)
+        assert numeric_c_mu(mu) == pytest.approx(quad, rel=1e-12)
 
     def test_lower_bound_and_monotonicity(self):
         vals = [numeric_c_mu(mu) for mu in (0.0, 0.3, 0.6, 0.9)]
@@ -215,6 +223,22 @@ class TestCMu:
     def test_bad_mu(self):
         with pytest.raises(BadExponent):
             numeric_c_mu(1.0)
+
+    def test_import_leaves_the_integrator_unloaded(self):
+        # only algebraic_singular_integral imports scipy, so the package needs numpy alone
+        src = str(Path(heatchern.__file__).resolve().parents[1])
+        code = (
+            "import sys, heatchern, heatchern.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestInterpolationNorm:

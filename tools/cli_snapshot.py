@@ -128,6 +128,15 @@ def cases():
                 dict(split, Q1=mat(1e160 * np.kron(SX, np.eye(2))))))
     out += [("missing-a-matrix", ["pair"], dict(bases[2, "trivial"], a={"m": 2})),
             ("missing-cyclic-generator", ["pair"], dict(bases[2, "trivial"], group={"cyclic": 2}))]
+    # a "dim" the matrices do not match, and an eps^2 Z*Z that overflows
+    two = bases[2, "trivial"]
+    out += [("dim-unmatched", ["pair"], dict(two, dim=40000)),
+            ("dim-unmatched-cyclic", ["pair"],
+             dict(two, dim=40000, group={"cyclic": 2, "generator": mat(np.eye(2))})),
+            ("dim-negative", ["pair"], dict(two, dim=-1)),
+            ("endpoint-eps-overflow", ["endpoint", "--eps-grid=0:1e200:2"], two),
+            ("endpoint-regularizer-overflow", ["endpoint", "--eps-grid=0:1e10:2"],
+             dict(two, regularizer=mat(1e300 * np.eye(2))))]
     moving = dict(split_model(((1.0, 0.5), (2.0, 1.0))), a=mat(np.kron(SX, np.eye(4))))
     return out + [("n2-two-levels-split-pair-moving-input", ["split-pair"], moving),
                   ("missing-input", ["pair", "--input=missing.json"], None),
