@@ -123,6 +123,21 @@ def _front_and_rest(t, mats: list[np.ndarray], g: int):
     return t.twist(g) @ mats[0], list(mats[1:])
 
 
+def _check_block_order(n: int, dim: int):
+    """Raise ComplexityCap when levels 0..n at ``dim`` need one exponential
+    of block order (n+1) dim above ``MAX_BLOCK_ORDER``.
+
+    ``_simplex_levels`` checks here before it allocates, and
+    ``jlo.pairing`` before either route takes an exponential.
+    """
+    order = (n + 1) * dim
+    if order > MAX_BLOCK_ORDER:
+        raise ComplexityCap(
+            f"block order (n+1)*dim = {n + 1}*{dim} = {order} exceeds budget "
+            f"{MAX_BLOCK_ORDER}"
+        )
+
+
 def _bidiagonal_row(d: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
     """First block row of exp(M): diag(d) on the diagonal blocks, xs on the superdiagonal."""
     dim = d.size
@@ -153,12 +168,7 @@ def _simplex_levels(
     lam, basis = t.heat_data()
     dim = lam.size
     n = len(rest)
-    order = (n + 1) * dim
-    if order > MAX_BLOCK_ORDER:
-        raise ComplexityCap(
-            f"block order (n+1)*dim = {n + 1}*{dim} = {order} exceeds budget "
-            f"{MAX_BLOCK_ORDER}"
-        )
+    _check_block_order(n, dim)
     vh = basis.conj().T
     # keyed by identity: the series passes one vertex n times
     eig = {id(x): vh @ x @ basis for x in rest}

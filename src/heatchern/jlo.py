@@ -20,6 +20,9 @@ computed once per node count, and a count whose numpy rule is not finite
 ends the doubling with NoConvergence.  The series has no such failure: the
 Hoelder bound on <a, da, ..., da>_n fixes its level before any work, it
 takes every level from one exponential, and it reports a proven tail.
+``pairing`` validates its input once, fixes the series' level and checks
+its block budget before either route takes an exponential, and shares
+that work with both routes for the duration of the call (``_Prepared``).
 
 No function here takes a simplex plane: the plane-beta character is that of
 the lift ``t.lifted(1, beta)``, a cocycle whose pairing is beta-independent
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,10 +43,15 @@ from .cochains import Cochain, op_partial
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    Overflow,
     PairingInputInvalid,
     ValidationFailure,
 )
-from .expectations import expectation_value, repeated_expectation_series
+from .expectations import (
+    _check_block_order,
+    expectation_value,
+    repeated_expectation_series,
+)
 from .linalg import as_matrix, expm, opnorm
 from .triples import HeatData, ValidationReport, _check_shape
 
@@ -122,6 +131,64 @@ def _require_valid_input(t: HeatData, inp: PairingInput):
     inp.validate(t).require("pairing input fails preconditions", PairingInputInvalid)
 
 
+class _Prepared:
+    """The work the routes of one pairing share: the input validated once,
+    the lift with its H, da and the front factor gamma U(g) a, and the
+    series' s, x and level.
+
+    ``pairing`` builds one and makes it active for the duration of its
+    call; ``pairing_gaussian`` and ``pairing_series`` take the active one
+    when it was built on their (t, inp), and build their own otherwise
+    (``_prepared``).  So no validation outlives the call that made it.
+    """
+
+    def __init__(self, t: HeatData, inp: PairingInput):
+        _require_valid_input(t, inp)
+        self.t, self.inp = t, inp
+        self.lift = t.lifted(inp.m)
+        self.h = self.lift.hamiltonian
+        self.da = self.lift.derive(inp.a)
+        self.front = self.lift.twist(inp.g) @ inp.a
+        self._plans = {}
+
+    def series_plan(self, max_level: int, tol: float) -> tuple[int, float, float]:
+        """(K, log s, x) of ``pairing_series``: the level 2K is the least
+        whose tail is below ``tol``, or ``max_level`` rounded down to even.
+        Raises ComplexityCap, before any exponential, when levels 0..2K
+        exceed the block budget.
+        """
+        key = (max_level, tol)
+        if key not in self._plans:
+            lam, _ = self.lift.heat_data()
+            lam_min = float(lam.min())
+            log_s = math.log(opnorm(self.inp.a) * float(np.sum(np.exp(lam_min - lam)))) - lam_min
+            da_norm = opnorm(self.da)
+            try:
+                x = da_norm**2 / 4.0
+            except OverflowError:
+                raise Overflow(
+                    f"||da|| = {da_norm:.3e}: the series bound ||da||^2 / 4 overflows"
+                ) from None
+            top = 0
+            while top < max_level // 2 and _tail_after(top, log_s, x) >= tol:
+                top += 1
+            _check_block_order(2 * top, self.lift.dim)
+            self._plans[key] = (top, log_s, x)
+        return self._plans[key]
+
+
+# The prepared pass of the ``pairing`` call in progress, if any.
+_ACTIVE: ContextVar[_Prepared | None] = ContextVar("heatchern_pairing", default=None)
+
+
+def _prepared(t: HeatData, inp: PairingInput) -> _Prepared:
+    """The active pass when it was built on this very (t, inp), else a new one."""
+    prep = _ACTIVE.get()
+    if prep is not None and prep.t is t and prep.inp is inp:
+        return prep
+    return _Prepared(t, inp)
+
+
 @dataclass
 class PairingResult:
     value: complex
@@ -179,16 +246,14 @@ def _integrand(tb: HeatData, inp: PairingInput):
     return _stacked_traces(tb.hamiltonian, tb.derive(inp.a), tb.twist(inp.g) @ inp.a)
 
 
-def _graded_integrand(tb: HeatData, inp: PairingInput):
+def _graded_integrand(prep: _Prepared):
     """``_integrand`` on the graded parts (H + gamma H gamma)/2,
     (da - gamma da gamma)/2 and (f + gamma f gamma)/2, f = gamma U(g) a.
 
     Its values at t and -t agree to rounding, whatever grading residuals
     validation let through.
     """
-    h = tb.hamiltonian
-    da = tb.derive(inp.a)
-    front = tb.twist(inp.g) @ inp.a
+    tb, h, da, front = prep.lift, prep.h, prep.da, prep.front
     return _stacked_traces(
         (h + tb.conj_gamma(h)) / 2.0,
         (da - tb.conj_gamma(da)) / 2.0,
@@ -310,8 +375,7 @@ def pairing_gaussian(
     value by O(residual^2), since the full rule cancels every first-order
     odd term.
     """
-    _require_valid_input(t, inp)
-    graded = _graded_integrand(t.lifted(inp.m), inp)
+    graded = _graded_integrand(_prepared(t, inp))
 
     def values(ts):
         mirrored = ts.size // 2
@@ -345,22 +409,15 @@ def pairing_series(
     tail plus a rounding allowance, ``heat_expectation``'s 1e-13 error
     model applied to s e^x, the bound on the sum of the moduli of the
     terms; so it can sit a little above ``tol``.  Raises ValueError for a negative ``max_level`` or a
-    ``tol`` that is not positive and finite, and ComplexityCap when
-    (2K + 1) dim exceeds the block budget.
+    ``tol`` that is not positive and finite, ComplexityCap when
+    (2K + 1) dim exceeds the block budget, and Overflow when ||da||^2
+    leaves the float range.
     """
     _check_max_level(max_level)
     _check_tol(tol)
-    _require_valid_input(t, inp)
-    tb = t.lifted(inp.m)
-    da = tb.derive(inp.a)
-    lam, _ = tb.heat_data()
-    lam_min = float(lam.min())
-    log_s = math.log(opnorm(inp.a) * float(np.sum(np.exp(lam_min - lam)))) - lam_min
-    x = opnorm(da) ** 2 / 4.0
-    top = 0
-    while top < max_level // 2 and _tail_after(top, log_s, x) >= tol:
-        top += 1
-    raw = repeated_expectation_series(tb, inp.a, da, 2 * top, inp.g)
+    prep = _prepared(t, inp)
+    top, log_s, x = prep.series_plan(max_level, tol)
+    raw = repeated_expectation_series(prep.lift, inp.a, prep.da, 2 * top, inp.g)
     total = sum(pairing_coefficient(k) * raw[2 * k] for k in range(top + 1))
     return total, 2 * top, _tail_after(top, log_s, x) + 1e-13 * _exp(log_s + x)
 
@@ -408,11 +465,23 @@ def pairing(
     ``max_level``, and ``tail_bound`` bounds its distance to the exact
     pairing (``pairing_series``).  ``connes_value`` is the idempotent-form
     average (pairing + index)/2 under a = 2p - I.
+
+    The input is validated once and the series' level fixed, with its
+    block budget checked, before either route takes an exponential
+    (``_Prepared``).
     """
     _check_max_level(max_level)
-    quad = pairing_gaussian(t, inp, quad_nodes=quad_nodes, tol=tol)
-    series, trunc, tail = pairing_series(t, inp, max_level=max_level, tol=min(tol, 1e-12))
-    index = equivariant_index(t.lifted(inp.m), inp.g)
+    prep = _Prepared(t, inp)
+    _check_quadrature(quad_nodes, tol)  # before the series level is read off tol
+    series_tol = min(tol, 1e-12)
+    prep.series_plan(max_level, series_tol)
+    token = _ACTIVE.set(prep)
+    try:
+        quad = pairing_gaussian(t, inp, quad_nodes=quad_nodes, tol=tol)
+        series, trunc, tail = pairing_series(t, inp, max_level=max_level, tol=series_tol)
+        index = equivariant_index(prep.lift, inp.g)
+    finally:
+        _ACTIVE.reset(token)
     return PairingResult(
         value=quad,
         series_value=series,

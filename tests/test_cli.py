@@ -788,6 +788,42 @@ class TestWriters:
         assert out.read_bytes() == stdout.encode()
 
 
+class TestParserReuse:
+    SEQUENCE = (["nonsense"], ["pair", "--tol=1e-8"], ["pair"])
+
+    def test_parse_args_keeps_no_state(self, capsys):
+        def state(p):
+            return repr(vars(p)) + repr([vars(a) for a in p._actions])
+
+        p = cli.build_parser()
+        before = state(p)
+        for argv in self.SEQUENCE + (["--help"],):
+            try:
+                p.parse_args(argv + ["--input=x.json"])
+            except (Exception, SystemExit):
+                pass
+        assert state(p) == before
+
+    def test_reused_parser_answers_as_a_fresh_one(self, tmp_path, capsys):
+        path = write(tmp_path, "e.json", dict(EXCHANGE, a=[[1, 0], [0, -1]]))
+
+        def run(argv):
+            code = run_main(argv[:1] + ["--input", path] + argv[1:])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        cli._parser.cache_clear()
+        reused = [run(argv) for argv in self.SEQUENCE]
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [3, 0, 0]
+        assert json.loads(reused[1][1])["provenance"]["tol"] == 1e-8
+        assert json.loads(reused[2][1])["provenance"]["tol"] == 1e-10
+
+
 class TestSelftest:
     def test_table_and_report(self, selftest_run):
         # the suite's one selftest run, which the acceptance gate reads too

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from heatchern import expectations, homotopy, jlo, triples
 from heatchern.cochains import random_cochain
-from heatchern.errors import ComplexityCap, NoConvergence, PairingInputInvalid
+from heatchern.errors import ComplexityCap, NoConvergence, Overflow, PairingInputInvalid
 from heatchern.expectations import repeated_expectation_series
 from heatchern.linalg import eig_hermitian, expm, expm_toeplitz_row, opnorm
 from heatchern.jlo import (
@@ -186,6 +186,93 @@ class TestPairing:
             group=[np.eye(2)],
         )
         assert equivariant_index(t) == pytest.approx(0.0, abs=1e-14)
+
+    def test_budget_checked_before_any_exponential(self, exchange, monkeypatch):
+        # the exchange series needs 29 levels of the dim-2 block: with a
+        # budget of 28 the pairing is refused before either route runs
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args, **kw):
+                calls.append(name)
+                return fn(*args, **kw)
+
+            return wrapped
+
+        monkeypatch.setattr(jlo, "expm", counted("expm", expm))
+        monkeypatch.setattr(
+            expectations, "expm_toeplitz_row", counted("row", expm_toeplitz_row)
+        )
+        monkeypatch.setattr(expectations, "MAX_BLOCK_ORDER", 2 * 28)
+        with pytest.raises(ComplexityCap, match=r"29\*2 = 58 exceeds budget 56"):
+            pairing(exchange, PairingInput(a=exchange.gamma.copy()))
+        assert calls == []
+
+    def test_overflowing_series_bound_is_named(self):
+        # H = Q^2 is finite, but ||da||^2 is not: both the pairing and the
+        # series alone raise Overflow, not a bare OverflowError
+        g = np.diag([1.0, 1.0, -1.0, -1.0])
+        q = np.zeros((4, 4))
+        q[:2, 2:] = [[1.0, 2.0], [0.5, 1.0]]
+        q[2:, :2] = q[:2, 2:].T
+        t = SpectralTriple(dim=4, Q=1e150 * q, gamma=g, group=[np.eye(4)])
+        a = np.eye(4)
+        a[:2, :2] = [[1.0, 1e10], [0.0, -1.0]]
+        for call in (pairing, pairing_series):
+            with pytest.raises(Overflow, match="series bound"):
+                call(t, PairingInput(a=a))
+
+    def test_pairing_validates_once(self, exchange, monkeypatch):
+        calls = []
+        validate = PairingInput.validate
+
+        def counted(inp, t):
+            calls.append(t)
+            return validate(inp, t)
+
+        monkeypatch.setattr(PairingInput, "validate", counted)
+        res = pairing(exchange, PairingInput(a=np.kron(np.eye(2), exchange.gamma), m=2))
+        assert abs(res.value - 4.0) < 1e-8
+        assert calls == [exchange]
+
+    @pytest.mark.parametrize("route", [pairing_gaussian, pairing_series])
+    def test_routes_alone_validate_after_a_pairing(self, exchange, route):
+        # a route called alone validates its input, also with the (t, inp)
+        # of a pairing that just returned or raised: the input is made
+        # invalid in place, so a leaked prepared pass would skip the check
+        inp = PairingInput(a=exchange.gamma.copy())
+        with pytest.raises(PairingInputInvalid):
+            route(exchange, PairingInput(a=2.0 * np.eye(2)))
+        pairing(exchange, inp)
+        inp.a = 2.0 * np.eye(2, dtype=complex)
+        with pytest.raises(PairingInputInvalid):
+            route(exchange, inp)
+        # the 512-node rule is not finite: the quadrature raises mid-pairing
+        q = 12.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        t = SpectralTriple(dim=2, Q=q, gamma=np.diag([1.0, -1.0]), group=[np.eye(2)])
+        inp = PairingInput(a=t.gamma.copy())
+        with pytest.raises(NoConvergence):
+            pairing(t, inp)
+        inp.a = 2.0 * np.eye(2, dtype=complex)
+        with pytest.raises(PairingInputInvalid):
+            route(t, inp)
+
+    @pytest.mark.parametrize("route", [pairing_gaussian, pairing_series])
+    def test_routes_on_other_data_inside_a_pairing_validate(self, exchange, route, monkeypatch):
+        # a hook that calls a route on another input while a pairing runs
+        # gets that input validated, not the pairing's prepared pass
+        gaussian, seen = jlo.pairing_gaussian, []
+
+        def hook(t, inp, **kw):
+            with pytest.raises(PairingInputInvalid):
+                route(t, PairingInput(a=2.0 * np.eye(2)))
+            seen.append(inp)
+            return gaussian(t, inp, **kw)
+
+        monkeypatch.setattr(jlo, "pairing_gaussian", hook)
+        inp = PairingInput(a=exchange.gamma.copy())
+        assert abs(pairing(exchange, inp).value - 2.0) < 1e-10
+        assert seen == [inp]
 
     def test_negative_level_rejected(self, exchange, monkeypatch):
         # a negative cap is refused before either route runs, instead of
@@ -429,7 +516,7 @@ class TestGaussHermite:
     def test_graded_integrand_is_even(self, kind, dim, g, seed):
         t, inp = _heat_data_of_kind(kind, dim, g, seed)
         ts = np.polynomial.hermite.hermgauss(64)[0][32:]
-        values = jlo._graded_integrand(t.lifted(inp.m), inp)
+        values = jlo._graded_integrand(jlo._Prepared(t, inp))
         plus, minus = values(ts), values(-ts)
         assert np.max(np.abs(plus - minus)) <= 1e-14 * np.max(np.abs(plus))
 

@@ -129,6 +129,14 @@ class TestExpm:
             expm(m)
 
 
+class TestOpnorm:
+    def test_bits_of_the_numpy_norm(self, rng):
+        for dim in range(1, 49):
+            x = random_matrix(rng, dim)
+            for m in (x, x + x.conj().T, np.zeros((dim, dim), dtype=complex)):
+                assert opnorm(m).hex() == float(np.linalg.norm(m, 2)).hex()
+
+
 class TestAsMatrix:
     def test_views_match_their_contiguous_copies(self, rng):
         # a non-contiguous complex array raised numpy's "last axis must be contiguous"

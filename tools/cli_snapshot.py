@@ -137,6 +137,9 @@ def cases():
             ("endpoint-eps-overflow", ["endpoint", "--eps-grid=0:1e200:2"], two),
             ("endpoint-regularizer-overflow", ["endpoint", "--eps-grid=0:1e10:2"],
              dict(two, regularizer=mat(1e300 * np.eye(2))))]
+    # a series over the block budget (21 levels at dim 128), refused before any exponential
+    wide, q, gamma, _ = random_triple(128, 7, "trivial")
+    out.append(("pair-over-block-budget", ["pair"], dict(wide, Q=mat(0.5 * q), a=mat(gamma))))
     moving = dict(split_model(((1.0, 0.5), (2.0, 1.0))), a=mat(np.kron(SX, np.eye(4))))
     return out + [("n2-two-levels-split-pair-moving-input", ["split-pair"], moving),
                   ("missing-input", ["pair", "--input=missing.json"], None),
