@@ -170,8 +170,8 @@ def _simplex_levels(
     n = len(rest)
     _check_block_order(n, dim)
     vh = basis.conj().T
-    # keyed by identity: the series passes one vertex n times
-    eig = {id(x): vh @ x @ basis for x in rest}
+    # keyed by identity and converted once each: the series passes one vertex n times
+    eig = {key: vh @ x @ basis for key, x in {id(x): x for x in rest}.items()}
     x_norm = max((opnorm(x) for x in eig.values()), default=0.0)
     c = max(1.0, n / (math.e * x_norm)) if x_norm > 0 else 1.0
     lam_min = float(lam.min())
@@ -192,6 +192,9 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     unit simplex).  They are drawn in blocks of at most 4096 points, and
     of at most ``MAX_BLOCK_ORDER``^2 // dim^2, so that each (points, dim,
     dim) array holds no more entries than one budgeted block matrix.
+    The variance is each block's sum of |v - block mean|^2, combined
+    across blocks by Chan's pairwise update, so it does not cancel when
+    the samples barely vary; the mean is the plain sum over samples.
     """
     lam, basis = t.heat_data()
     n = len(rest)
@@ -199,7 +202,7 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     mats = [basis.conj().T @ m @ basis for m in [front] + rest]
     measure = 1.0 / math.factorial(n)
     tot = 0.0 + 0.0j
-    tot_sq = 0.0
+    sq_dev = 0.0  # sum of |v - mean|^2 over the samples done
     done = 0
     block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // lam.size**2))
     while done < samples:
@@ -212,12 +215,15 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
             cur = cur @ mats[j]
             cur = cur * ker[:, j, :][:, None, :]
         vals = np.trace(cur, axis1=1, axis2=2)
-        tot += complex(vals.sum())
-        tot_sq += float((np.abs(vals) ** 2).sum())
+        block_sum = complex(vals.sum())
+        block_mean = block_sum / m
+        sq_dev += float((np.abs(vals - block_mean) ** 2).sum())
+        if done:
+            sq_dev += abs(block_mean - tot / done) ** 2 * done * m / (done + m)
+        tot += block_sum
         done += m
     mean = tot / samples
-    var = max(tot_sq / samples - abs(mean) ** 2, 0.0)
-    se = math.sqrt(var / samples)
+    se = math.sqrt(sq_dev) / samples
     return measure * mean, 3.0 * measure * se
 
 

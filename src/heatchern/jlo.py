@@ -128,7 +128,12 @@ class PairingInput:
 
 
 def _require_valid_input(t: HeatData, inp: PairingInput):
-    inp.validate(t).require("pairing input fails preconditions", PairingInputInvalid)
+    """Raise unless ``inp`` may be paired on ``t``: a wrong shape first, then
+    an ``a`` outside the algebra of the lift (``check_algebra``), then
+    every failed check of ``inp.validate``."""
+    rep = inp.validate(t)
+    t.lifted(inp.m).check_algebra([inp.a])
+    rep.require("pairing input fails preconditions", PairingInputInvalid)
 
 
 class _Prepared:

@@ -7,8 +7,11 @@ only required to commute with Q1 and with Q2^2, so the character is built
 from the partial derivative d1 = [Q1, .] on the zero-momentum algebra
 (elements commuting with P).  A SplitTriple is ``HeatData`` with that H
 and the derivation d1, so expectations, the character and both pairing
-routes are the plain-triple functions of ``jlo`` and ``expectations``;
-this module adds the zero-momentum precondition in front of them.
+routes are the plain-triple functions of ``jlo`` and ``expectations``.
+It declares its own algebra: ``SplitTriple.check_algebra`` is the
+zero-momentum test, and every pairing entry point of ``jlo`` runs it on
+the lift after the input's shape check and before its other
+preconditions, so an m x m block input is served like a scalar one.
 """
 
 from __future__ import annotations
@@ -78,6 +81,17 @@ class SplitTriple(HeatData):
     def derive(self, a) -> np.ndarray:
         return d1(self, a)
 
+    def check_algebra(self, mats):
+        """Raise ZeroMomentumViolation naming the first matrix with
+        ||[P, a]|| > tol max(||a||, 1): the algebra is the commutant of P."""
+        p = self.momentum
+        for k, a in enumerate(mats):
+            r = opnorm(p @ a - a @ p)
+            if r > self.tol * max(opnorm(a), 1.0):
+                raise ZeroMomentumViolation(
+                    f"argument {k} fails [P, a] = 0 with residual {r:.3e}"
+                )
+
 
 class SplitAlgebraElement(AlgebraElement):
     """A gamma-even zero-momentum observable."""
@@ -144,26 +158,10 @@ def d1(s: SplitTriple, a) -> np.ndarray:
     return s.Q1 @ am - am @ s.Q1
 
 
-def _check_zero_momentum(s: SplitTriple, mats):
-    p = s.momentum
-    for k, a in enumerate(mats):
-        r = opnorm(p @ a - a @ p)
-        if r > s.tol * max(opnorm(a), 1.0):
-            raise ZeroMomentumViolation(
-                f"argument {k} fails [P, a] = 0 with residual {r:.3e}"
-            )
-
-
-def _check_pairing_input(s: SplitTriple, inp: PairingInput):
-    if inp.m != 1:
-        raise DimensionMismatch("split pairing supports scalar inputs (m = 1)")
-    _check_zero_momentum(s, [inp.a])
-
-
 def split_jlo_component(s: SplitTriple, n: int, a_list, g: int = 0) -> complex:
     """tau_n = <a_0, d1 a_1, ..., d1 a_n; g> on zero-momentum arguments."""
     mats = [m.matrix if hasattr(m, "matrix") else as_matrix(m) for m in a_list]
-    _check_zero_momentum(s, mats)
+    s.check_algebra(mats)
     return jlo_component(s, n, mats, g)
 
 
@@ -175,7 +173,6 @@ def split_pairing(
     tol: float = 1e-10,
 ) -> PairingResult:
     """Both pairing routes, exponent -H + i t d1(a), on a zero-momentum input."""
-    _check_pairing_input(s, inp)
     return pairing(s, inp, quad_nodes=quad_nodes, max_level=max_level, tol=tol)
 
 
@@ -191,7 +188,8 @@ def coupling_sweep(
 
     mode "coupling": the momentum P(lambda) must stay fixed (PNotFixed
     otherwise).  mode "q1_commuting": instead requires that Q1(lambda)
-    commute with the input and that Q2 stay fixed.
+    commute with the input and that Q2 stay fixed.  An m x m input is
+    paired, and compared with Q1, on the lift.
     """
     if mode not in ("coupling", "q1_commuting"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -214,15 +212,13 @@ def coupling_sweep(
                 )
             precond = 0.0
         else:
-            precond = opnorm(s_lam.Q1 @ inp.a - inp.a @ s_lam.Q1) + opnorm(
-                s_lam.Q2 - q20
-            )
+            q1 = s_lam.lifted(inp.m).Q1
+            precond = opnorm(q1 @ inp.a - inp.a @ q1) + opnorm(s_lam.Q2 - q20)
             if precond > s_lam.tol * 10:
                 raise ValidationFailure(
                     f"q1_commuting preconditions fail at lambda={lam} "
                     f"(residual {precond:.3e})"
                 )
-        _check_pairing_input(s_lam, inp)
         val = pairing_gaussian(s_lam, inp, quad_nodes=quad_nodes, tol=tol)
         tab.add_row(
             **{

@@ -108,7 +108,9 @@ class HeatData:
     data to m x m blocks on a beta-plane.  It also owns the Z2 x G
     covariance checks every validator reports: the grading
     (``check_grading``), the group and its commutants (``check_group``)
-    and the group invariance of one operator (``check_invariant``).
+    and the group invariance of one operator (``check_invariant``); and
+    ``check_algebra``, the one test of a pairing input against an
+    algebra smaller than all matrices.
     Matrices are treated as immutable once built.
     """
 
@@ -207,6 +209,11 @@ class HeatData:
         """Add "``name`` commutes with group[k]" for every member."""
         for k, u in enumerate(self.group):
             rep.add(f"{name} commutes with group[{k}]", opnorm(u @ x - x @ u), self.tol)
+
+    def check_algebra(self, mats):
+        """Raise unless every matrix of ``mats`` lies in the algebra the data
+        pairs with.  Here that is every matrix; a subclass with a smaller
+        algebra overrides it."""
 
     def heat_trace(self, g: int = 0) -> complex:
         """Tr(gamma U(g) e^{-H}); at heat time s it is ``lifted(1, s).heat_trace(g)``."""

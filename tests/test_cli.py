@@ -382,6 +382,73 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ZeroMomentumViolation"
 
+    @pytest.mark.parametrize("command", ["split-pair", "coupling-sweep"])
+    def test_wrong_shape_split_input_exit_three(self, tmp_path, capsys, command):
+        # a 2 x 2 a on dim-4 split data ended in numpy's matmul ValueError
+        from heatchern.serialization import matrix_to_json, split_to_json
+        from heatchern.split import build_n2_susy_example
+
+        s, gens = build_n2_susy_example(levels=((1.0, 0.5),))
+        doc = dict(split_to_json(s), a=[[1, 0], [0, -1]], q2_tilde=matrix_to_json(gens["Qt2"]))
+        assert run_main([command, "--input", write(tmp_path, "w.json", doc)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {"type": "DimensionMismatch", "message": "a is 2x2, expected m*dim = 4"}
+        }
+
+    def test_block_split_input(self, tmp_path, capsys):
+        # an m = 2 input was refused ("split pairing supports scalar inputs")
+        from heatchern.serialization import matrix_to_json, split_to_json
+        from heatchern.split import build_n2_susy_example
+
+        s, _ = build_n2_susy_example(levels=((1.0, 0.5),))
+        values = []
+        for m in (1, 2):
+            a = {"m": m, "matrix": matrix_to_json(np.kron(np.eye(m), s.gamma))}
+            path = write(tmp_path, f"m{m}.json", dict(split_to_json(s), a=a))
+            assert run_main(["split-pair", "--input", path]) == 0
+            values.append(complex(*json.loads(capsys.readouterr().out)["value"]))
+        assert abs(values[1] - 2.0 * values[0]) <= 1e-12
+
+    def test_decreasing_grid_exit_three(self, tmp_path, capsys):
+        doc = dict(EXCHANGE, a=[[1, 0], [0, -1]], q=[[0, [0, 1]], [[0, -1], 0]])
+        path = write(tmp_path, "sw.json", doc)
+        assert run_main(["sweep", "--input", path, "--lambda-grid=1:0:3"]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": {"type": "DimensionMismatch",
+                      "message": "grid '1:0:3' must be strictly increasing"}
+        }
+
+    def test_missing_input_option_exit_three(self, capsys):
+        assert run_main(["index"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": {"type": "FileNotFoundError",
+                      "message": "--input is required for this command"}
+        }
+
+    def test_failure_written_to_output(self, tmp_path, capsys):
+        path = write(tmp_path, "t.json", dict(EXCHANGE, a=[[2, 0], [0, 2]]))
+        out = tmp_path / "out.json"
+        assert run_main(["pair", "--input", path, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(out.read_text()) == json.loads(captured.err)
+        assert json.loads(captured.err)["error"]["type"] == "PairingInputInvalid"
+
+    def test_output_in_missing_directory_exit_three(self, tmp_path, capsys):
+        path = write(tmp_path, "t.json", EXCHANGE)
+        out = tmp_path / "missing" / "out.json"
+        assert run_main(["index", "--input", path, "--output", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "FileNotFoundError"
+        assert str(out) in err["message"]
+        assert not out.parent.exists()
+
     def test_invalid_triple_exit_one(self, tmp_path):
         doc = dict(EXCHANGE)
         doc["Q"] = [[1, 0], [0, 1]]

@@ -117,6 +117,30 @@ class TestHeatExpectation:
         reference = 88.13919631381114 + 6.0995296218274405e-15j
         assert abs(ev.value - reference) <= 1e-12 * abs(reference)
 
+    @pytest.mark.parametrize("group,g", [("trivial", 0), ("z2", 1)])
+    def test_quadrature_error_is_the_two_pass_estimate(self, group, g):
+        # samples that barely vary around a mean of order 1 (z2, g = 1) or 0:
+        # the one-pass E|v|^2 - |mean|^2 cancelled to a clamped 0.0 here,
+        # and to 700x the true error for z2 at 200 000 samples
+        t = random_triple(4, seed=3, group=group)
+        x = rand_mats(np.random.default_rng(4), 4, 1)[0]
+        verts = [np.eye(4, dtype=complex), np.eye(4) + 1e-6 * x]
+        samples, seed = 20_000, 0
+        ev = heat_expectation(t, verts, g, method="quadrature", samples=samples, seed=seed)
+        # the same draws, in the same blocks of 4096, and two passes over them
+        draws = np.random.default_rng(seed)
+        e = np.concatenate([draws.exponential(size=(min(4096, samples - k), 2))
+                            for k in range(0, samples, 4096)])
+        s = e / e.sum(axis=1, keepdims=True)
+        lam, v = t.heat_data()
+        front, y = (v.conj().T @ m @ v for m in (t.twist(g), verts[1]))
+        vals = np.einsum("kj,nj,jk,nk->n", front, np.exp(-s[:, :1] * lam), y,
+                         np.exp(-s[:, 1:] * lam))
+        mean = vals.mean()
+        three_se = 3.0 * math.sqrt(np.mean(np.abs(vals - mean) ** 2) / samples)
+        assert abs(ev.value - mean) <= 1e-12 * abs(mean) + 1e-24
+        assert abs(ev.estimated_error - three_se) <= 1e-8 * three_se
+
     def test_beta_plane_scaling_consistency(self, rng, tuple_sum):
         # the beta-plane value equals the plane-1 engine of the rescaled
         # generator, times beta^n, and the lift is that rescaled generator

@@ -13,9 +13,13 @@ from heatchern.errors import (
 )
 from heatchern.jlo import (
     PairingInput,
+    coboundary_pairing_residual,
     gauss_hermite_transform,
+    generating_functional,
     jlo_cochain,
+    pairing,
     pairing_gaussian,
+    pairing_series,
 )
 from heatchern.linalg import expm, opnorm
 from heatchern.split import (
@@ -191,6 +195,14 @@ class TestSplitPairing:
                 pauli_split, PairingInput(a=2 * np.eye(4, dtype=complex))
             )
 
+    def test_block_input_is_paired_on_the_lift(self):
+        # I_2 (x) a on the lift pairs to twice a; it used to be refused
+        s, _ = build_n2_susy_example(levels=((1.0, 0.5), (2.0, 1.0)), taus=(0.7,), thetas=(0.9,))
+        one = split_pairing(s, PairingInput(a=s.gamma.copy(), g=1))
+        two = split_pairing(s, PairingInput(a=np.kron(np.eye(2), s.gamma), m=2, g=1))
+        assert abs(two.value - 2.0 * one.value) <= 1e-12
+        assert abs(two.series_value - 2.0 * one.series_value) <= 1e-12
+
 
 class TestZeroMomentumPrecondition:
     # gamma-even, a^2 = I and group-invariant, but it swaps the P = 0.5 and
@@ -209,6 +221,39 @@ class TestZeroMomentumPrecondition:
         s, _, inp = self.nonzero_momentum()
         with pytest.raises(ZeroMomentumViolation):
             split_pairing(s, inp)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            pairing,
+            pairing_gaussian,
+            pairing_series,
+            lambda s, inp: generating_functional(s, inp, 0.3),
+            lambda s, inp: coboundary_pairing_residual(s, jlo_cochain(s), inp, 2),
+        ],
+        ids=["pairing", "gaussian", "series", "generating-functional", "coboundary"],
+    )
+    def test_every_pairing_refuses(self, route):
+        # each used to return a number for this input
+        s, _, inp = self.nonzero_momentum()
+        with pytest.raises(ZeroMomentumViolation, match=r"argument 0 fails \[P, a\] = 0"):
+            route(s, inp)
+
+    def test_refused_before_the_other_preconditions(self):
+        # 2a fails a^2 = I too; the momentum is reported, as before
+        s, _, inp = self.nonzero_momentum()
+        with pytest.raises(ZeroMomentumViolation, match="residual 1.000e"):
+            split_pairing(s, PairingInput(a=2.0 * inp.a))
+
+    def test_block_input_refused_on_the_lift(self):
+        s, _, inp = self.nonzero_momentum()
+        with pytest.raises(ZeroMomentumViolation, match="residual 5.000e-01"):
+            split_pairing(s, PairingInput(a=np.kron(np.eye(2), inp.a), m=2))
+
+    def test_wrong_shape_reported_first(self):
+        s, _, _ = self.nonzero_momentum()
+        with pytest.raises(DimensionMismatch, match=r"a is 2x2, expected m\*dim = 8"):
+            split_pairing(s, PairingInput(a=SZ.copy()))
 
     def test_coupling_sweep_refuses(self):
         s, gens, inp = self.nonzero_momentum()
@@ -304,6 +349,26 @@ class TestCouplingSweep:
             family, PairingInput(a=a), [0.0, 0.5, 1.0], mode="q1_commuting"
         )
         assert tab.spread() < 1e-8
+
+    @pytest.mark.parametrize("mode", ["coupling", "q1_commuting"])
+    def test_block_input_on_the_lift(self, pauli_split, mode):
+        a = np.kron(np.eye(2), SZ)  # commutes with Q1 = SX (x) I, and P = 0
+        rate = 0.3 if mode == "q1_commuting" else 0.0  # a moving Q1 moves P
+
+        def family(lam):
+            return SplitTriple(
+                dim=4,
+                Q1=(1.0 + rate * lam) * pauli_split.Q1,
+                Q2=pauli_split.Q2,
+                gamma=pauli_split.gamma,
+                group=[np.eye(4)],
+            )
+
+        grid = [0.0, 0.5]
+        one = coupling_sweep(family, PairingInput(a=a), grid, mode=mode)
+        two = coupling_sweep(family, PairingInput(a=np.kron(np.eye(2), a), m=2), grid, mode=mode)
+        for r1, r2 in zip(one.rows, two.rows):
+            assert abs(r2["value"] - 2.0 * r1["value"]) <= 1e-12
 
     def test_q1_commuting_guard(self, pauli_split):
         a = np.kron(SZ, SZ)  # anticommutes with Q1

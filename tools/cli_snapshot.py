@@ -141,6 +141,16 @@ def cases():
     wide, q, gamma, _ = random_triple(128, 7, "trivial")
     out.append(("pair-over-block-budget", ["pair"], dict(wide, Q=mat(0.5 * q), a=mat(gamma))))
     moving = dict(split_model(((1.0, 0.5), (2.0, 1.0))), a=mat(np.kron(SX, np.eye(4))))
+    # split inputs through the shared pairing checks: an m = 2 block input, a
+    # wrong-shaped a, and a moving input that also fails a^2 = I
+    n2 = split_model(((1.0, 0.5),))
+    block = {"m": 2, "matrix": mat(np.kron(np.eye(2), np.kron(SZ, SZ)))}
+    out += [("n2-split-pair-m2", ["split-pair"], dict(n2, a=block)),
+            ("n2-split-pair-wrong-shape", ["split-pair"], dict(n2, a=mat(SZ))),
+            ("n2-coupling-sweep-wrong-shape", ["coupling-sweep", "--lambda-grid=0:1:3"],
+             dict(n2, a=mat(SZ))),
+            ("n2-two-levels-split-pair-moving-not-involution", ["split-pair"],
+             dict(moving, a=mat(2 * np.kron(SX, np.eye(4)))))]
     return out + [("n2-two-levels-split-pair-moving-input", ["split-pair"], moving),
                   ("missing-input", ["pair", "--input=missing.json"], None),
                   ("usage-unknown-command", ["nonsense"], None),
