@@ -5,9 +5,11 @@ simplex-transform expectations, the entire cyclic cochain complex, the
 heat-kernel character and its pairing with square roots of unity,
 deformation sweeps, endpoint regularization, and split structures.
 
-All public functions are pure: they never mutate their inputs, hold no
-global state beyond deterministic caches keyed by value, and may be
-called concurrently.  Randomized routines take explicit seeds.
+All public functions are pure: they never mutate their inputs and may be
+called concurrently.  Randomized routines take explicit seeds.  A
+``HeatData`` caches its eigenbasis and lifts on the instance, the
+Gauss-Hermite rules and the CLI parser are cached per process, and the
+prepared pass of a ``pairing`` call lives in a context variable.
 """
 
 __version__ = "0.1.0"

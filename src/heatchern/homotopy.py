@@ -145,21 +145,23 @@ class SweepTable:
         )
 
     def to_jsonable(self) -> dict:
-        # imported here: serialization imports split, which imports this module
-        from .serialization import complex_to_json
-
+        """Columns and rows with each complex cell as [re, im]; a table with
+        a "value" column also carries its ``spread``."""
         out_rows = []
         for r in self.rows:
             row = {}
             for c in self.columns:
                 val = r.get(c)
-                row[c] = complex_to_json(val) if isinstance(val, complex) else val
+                row[c] = [val.real, val.imag] if isinstance(val, complex) else val
             out_rows.append(row)
-        return {"columns": list(self.columns), "rows": out_rows, "spread": self.spread()}
+        out = {"columns": list(self.columns), "rows": out_rows}
+        if "value" in self.columns:
+            out["spread"] = self.spread()
+        return out
 
     def to_csv_rows(self) -> list[list]:
         complex_cols = {
-            c for c in self.columns if any(isinstance(r.get(c), complex) for r in self.rows)
+            c for c in self.columns if any(isinstance(r.get(c), complex | None) for r in self.rows)
         }
         header = []
         for c in self.columns:
@@ -182,6 +184,15 @@ class SweepTable:
                     line.append(val)
             out.append(line)
         return out
+
+
+def _grid(name: str, values) -> list[float]:
+    """The points of a lambda or eps grid as sorted floats; DimensionMismatch
+    "<name> has no points" when there are none."""
+    grid = sorted(float(x) for x in values)
+    if not grid:
+        raise DimensionMismatch(f"{name} has no points")
+    return grid
 
 
 def regularity_report(f: DeformationFamily, lambda_grid) -> SweepTable:
@@ -257,11 +268,8 @@ def sweep_invariant(
     aborts with PairingInputInvalid rather than reporting a meaningless
     spread.
     """
-    grid = sorted(float(x) for x in lambda_grid)
-    if not grid:
-        raise DimensionMismatch("lambda_grid has no points")
     tab = SweepTable(columns=["lambda", "value", "validated"])
-    for lam in grid:
+    for lam in _grid("lambda_grid", lambda_grid):
         t_lam = deform_triple(f, lam)
         val = pairing_gaussian(t_lam, inp, quad_nodes=quad_nodes, tol=tol)
         tab.add_row(**{"lambda": lam, "value": val, "validated": True})
@@ -406,47 +414,39 @@ def endpoint_grid(
     """
     if f.regularizer is None:
         raise ValidationFailure("endpoint grid needs a family with a regularizer")
-    for name, grid in (("eps_grid", eps_grid), ("lambda_grid", lambda_grid)):
-        if len(grid) == 0:
-            raise DimensionMismatch(f"{name} has no points")
+    eg, lg = _grid("eps_grid", eps_grid), _grid("lambda_grid", lambda_grid)
     f.validate_at(float(np.asarray(lambda_grid)[0])).require("family fails validation")
-    eg = sorted(float(x) for x in eps_grid)
-    lg = sorted(float(x) for x in lambda_grid)
-    deformed = {}
-    vals = {}
-    for e in eg:
+    vals = np.empty((len(eg), len(lg)), dtype=complex)
+    deformed = []
+    for i, e in enumerate(eg):
         try:
             with np.errstate(over="raise", invalid="raise"):
                 r = e**2 * f.regularizer
         except (OverflowError, FloatingPointError):
             raise Overflow(f"regularizer eps^2 Z*Z overflows at eps = {e}") from None
-        for l in lg:
-            if l not in deformed:
-                deformed[l] = deform_triple(f, l)
-            t = deformed[l]
+        for j, l in enumerate(lg):
+            if i == 0:
+                deformed.append(deform_triple(f, l))
+            t = deformed[j]
             reg = _Regularized(t.dim, t.Q, t.gamma, t.group, t.tol, R=r)
-            vals[(e, l)] = pairing_gaussian(reg, inp, quad_nodes=quad_nodes, tol=tol)
+            vals[i, j] = pairing_gaussian(reg, inp, quad_nodes=quad_nodes, tol=tol)
     tab = SweepTable(columns=["lambda", "eps", "value", "dZ_deps", "dZ_dlambda"])
-    for l in lg:
-        for e in eg:
-            i, j = eg.index(e), lg.index(l)
-            dz_de = (
-                (vals[(eg[i + 1], l)] - vals[(eg[i - 1], l)]) / (eg[i + 1] - eg[i - 1])
-                if 0 < i < len(eg) - 1
-                else None
-            )
-            dz_dl = (
-                (vals[(e, lg[j + 1])] - vals[(e, lg[j - 1])]) / (lg[j + 1] - lg[j - 1])
-                if 0 < j < len(lg) - 1
-                else None
-            )
+    for j, l in enumerate(lg):
+        for i, e in enumerate(eg):
             tab.add_row(
                 **{
                     "lambda": l,
                     "eps": e,
-                    "value": vals[(e, l)],
-                    "dZ_deps": dz_de,
-                    "dZ_dlambda": dz_dl,
+                    "value": vals[i, j],
+                    "dZ_deps": _central(vals[:, j], eg, i),
+                    "dZ_dlambda": _central(vals[i], lg, j),
                 }
             )
     return tab
+
+
+def _central(v: np.ndarray, grid: list[float], k: int) -> Optional[complex]:
+    """The central difference of ``v`` over ``grid`` at point k; None at either end."""
+    if 0 < k < len(grid) - 1:
+        return (v[k + 1] - v[k - 1]) / (grid[k + 1] - grid[k - 1])
+    return None

@@ -28,10 +28,11 @@ from .errors import (
     ValidationFailure,
     ZeroMomentumViolation,
 )
-from .homotopy import SweepTable
+from .homotopy import SweepTable, _grid
 from .jlo import (
     PairingInput,
     PairingResult,
+    _require_valid_input,
     jlo_component,
     pairing,
     pairing_gaussian,
@@ -83,7 +84,10 @@ class SplitTriple(HeatData):
 
     def check_algebra(self, mats):
         """Raise ZeroMomentumViolation naming the first matrix with
-        ||[P, a]|| > tol max(||a||, 1): the algebra is the commutant of P."""
+        ||[P, a]|| > tol max(||a||, 1): the algebra is the commutant of P.
+        Every matrix is first shape-checked (DimensionMismatch)."""
+        for k, a in enumerate(mats):
+            _check_shape(f"tuple[{k}]", a, self.dim)
         p = self.momentum
         for k, a in enumerate(mats):
             r = opnorm(p @ a - a @ p)
@@ -189,14 +193,15 @@ def coupling_sweep(
     mode "coupling": the momentum P(lambda) must stay fixed (PNotFixed
     otherwise).  mode "q1_commuting": instead requires that Q1(lambda)
     commute with the input and that Q2 stay fixed.  An m x m input is
-    paired, and compared with Q1, on the lift.
+    paired, and compared with Q1, on the lift.  The input is validated on
+    the first triple, before either mode's precondition, as each pairing
+    would.
     """
     if mode not in ("coupling", "q1_commuting"):
         raise ValueError(f"unknown mode {mode!r}")
-    grid = sorted(float(x) for x in lambda_grid)
-    if not grid:
-        raise DimensionMismatch("lambda_grid has no points")
+    grid = _grid("lambda_grid", lambda_grid)
     base = require_valid_split(family(grid[0]))
+    _require_valid_input(base, inp)
     p0 = base.momentum
     q20 = base.Q2
     tab = SweepTable(columns=["lambda", "value", "p_residual", "precondition_residual"])

@@ -397,6 +397,19 @@ class TestErrors:
             "error": {"type": "DimensionMismatch", "message": "a is 2x2, expected m*dim = 4"}
         }
 
+    def test_wrong_shape_q1_commuting_exit_three(self, tmp_path, capsys):
+        # mode q1_commuting formed ||[Q1, a]|| first: numpy's matmul ValueError
+        from heatchern.serialization import matrix_to_json, split_to_json
+        from heatchern.split import build_n2_susy_example
+
+        s, gens = build_n2_susy_example(levels=((1.0, 0.5),))
+        doc = dict(split_to_json(s), a=[[1, 0], [0, -1]], q2_tilde=matrix_to_json(gens["Qt2"]))
+        path = write(tmp_path, "w.json", doc)
+        assert run_main(["coupling-sweep", "--input", path, "--mode=q1_commuting"]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": {"type": "DimensionMismatch", "message": "a is 2x2, expected m*dim = 4"}
+        }
+
     def test_block_split_input(self, tmp_path, capsys):
         # an m = 2 input was refused ("split pairing supports scalar inputs")
         from heatchern.serialization import matrix_to_json, split_to_json

@@ -293,6 +293,42 @@ class TestEndpointGrid:
         assert interior[0]["dZ_dlambda"] is not None
 
 
+    def test_derivatives_are_central_differences(self):
+        fam = self.make_family(np.diag([0.5, 1.0, 1.5]).astype(complex))
+        inp = PairingInput(a=random_involution(fam.base, np.random.default_rng(43)))
+        eg, lg = [0.0, 0.2, 0.5], [0.1, 0.2, 0.4]
+        tab = endpoint_grid(fam, eg, lg, inp)
+        assert [(r["lambda"], r["eps"]) for r in tab.rows] == [(l, e) for l in lg for e in eg]
+        v = {(r["eps"], r["lambda"]): r["value"] for r in tab.rows}
+        row = tab.rows[4]  # eps = 0.2, lambda = 0.2
+        assert row["dZ_deps"] == (v[0.5, 0.2] - v[0.0, 0.2]) / (0.5 - 0.0)
+        assert row["dZ_dlambda"] == (v[0.2, 0.4] - v[0.2, 0.1]) / (0.4 - 0.1)
+        ends = [r for r in tab.rows if r["eps"] != 0.2]
+        assert all(r["dZ_deps"] is None for r in ends)
+
+    def test_repeated_point_takes_its_own_neighbours(self):
+        # each copy of lambda = 0.2 is its own grid point; both copies used to
+        # take the neighbours of the first
+        fam = self.make_family(np.diag([0.5, 1.0, 1.5]).astype(complex))
+        inp = PairingInput(a=random_involution(fam.base, np.random.default_rng(43)))
+        tab = endpoint_grid(fam, [0.3], [0.1, 0.2, 0.2, 0.4], inp)
+        v = [r["value"] for r in tab.rows]
+        assert tab.rows[1]["dZ_dlambda"] == (v[2] - v[0]) / (0.2 - 0.1)
+        assert tab.rows[2]["dZ_dlambda"] == (v[3] - v[1]) / (0.4 - 0.2)
+
+    def test_csv_header_independent_of_grid(self):
+        # an all-None derivative column on a 2-point axis used to be one column
+        fam = self.make_family(np.diag([0.5, 1.0, 1.5]).astype(complex))
+        inp = PairingInput(a=np.eye(3, dtype=complex))
+        two = endpoint_grid(fam, [0.0, 0.5], [0.0, 1.0], inp).to_csv_rows()
+        three = endpoint_grid(fam, [0.0, 0.25, 0.5], [0.0, 0.5, 1.0], inp).to_csv_rows()
+        assert two[0] == three[0] == [
+            "lambda", "eps", "re(value)", "im(value)", "re(dZ_deps)", "im(dZ_deps)",
+            "re(dZ_dlambda)", "im(dZ_dlambda)",
+        ]
+        assert two[1][4:] == ["", "", "", ""]
+
+
 class TestSweepTable:
     def test_csv_round_structure(self, exchange):
         inp = PairingInput(a=exchange.gamma.copy())
@@ -307,3 +343,11 @@ class TestSweepTable:
         doc = tab.to_jsonable()
         assert doc["columns"] == ["beta", "value"]
         assert isinstance(doc["rows"][0]["value"], list)
+
+    def test_jsonable_without_value_column(self, family):
+        # regularity_report's table has no "value" column; it used to raise KeyError
+        doc = regularity_report(family, [-0.4, 0.2]).to_jsonable()
+        assert "spread" not in doc
+        assert [r["lambda"] for r in doc["rows"]] == [-0.4, 0.2]
+        inp = PairingInput(a=np.eye(3, dtype=complex))
+        assert sweep_invariant(family, inp, [0.0, 0.2]).to_jsonable()["spread"] < 1e-8

@@ -7,6 +7,7 @@ from heatchern import split
 from heatchern.cochains import op_partial
 from heatchern.errors import (
     DimensionMismatch,
+    PairingInputInvalid,
     PNotFixed,
     ValidationFailure,
     ZeroMomentumViolation,
@@ -255,6 +256,13 @@ class TestZeroMomentumPrecondition:
         with pytest.raises(DimensionMismatch, match=r"a is 2x2, expected m\*dim = 8"):
             split_pairing(s, PairingInput(a=SZ.copy()))
 
+    def test_split_jlo_component_wrong_shape(self):
+        # [P, a] used to be formed first and end in numpy's matmul ValueError
+        s, _ = build_n2_susy_example()
+        message = r"tuple\[0\] has shape \(2, 2\), expected \(4, 4\)"
+        with pytest.raises(DimensionMismatch, match=message):
+            split_jlo_component(s, 0, [np.eye(2)])
+
     def test_coupling_sweep_refuses(self):
         s, gens, inp = self.nonzero_momentum()
 
@@ -384,6 +392,29 @@ class TestCouplingSweep:
 
         with pytest.raises(ValidationFailure):
             coupling_sweep(family, PairingInput(a=a), [0.0, 0.5], mode="q1_commuting")
+
+
+    def test_q1_commuting_wrong_shape(self):
+        # ||[Q1, a]|| used to be formed first and end in numpy's matmul ValueError
+        s, _ = build_n2_susy_example()
+        with pytest.raises(DimensionMismatch, match=r"a is 2x2, expected m\*dim = 4"):
+            coupling_sweep(lambda lam: s, PairingInput(a=SZ.copy()), [0.0], mode="q1_commuting")
+
+    def test_invalid_input_reported_before_q1_precondition(self, pauli_split):
+        # 2 a anticommutes with Q1 and fails a^2 = I: the input is reported
+        # first, as in mode "coupling"
+        def family(lam):
+            return SplitTriple(
+                dim=4,
+                Q1=(1.0 + 0.3 * lam) * pauli_split.Q1,
+                Q2=pauli_split.Q2,
+                gamma=pauli_split.gamma,
+                group=[np.eye(4)],
+            )
+
+        inp = PairingInput(a=2.0 * np.kron(SZ, SZ))
+        with pytest.raises(PairingInputInvalid, match="a\\^2 = I"):
+            coupling_sweep(family, inp, [0.0, 0.5], mode="q1_commuting")
 
 
 class TestN2Model:

@@ -136,7 +136,9 @@ def cases():
             ("dim-negative", ["pair"], dict(two, dim=-1)),
             ("endpoint-eps-overflow", ["endpoint", "--eps-grid=0:1e200:2"], two),
             ("endpoint-regularizer-overflow", ["endpoint", "--eps-grid=0:1e10:2"],
-             dict(two, regularizer=mat(1e300 * np.eye(2))))]
+             dict(two, regularizer=mat(1e300 * np.eye(2)))),
+            ("endpoint-csv-two-point-axes",
+             ["endpoint", "--eps-grid=0:0.5:2", "--lambda-grid=0:1:2", "--format=csv"], two)]
     # a series over the block budget (21 levels at dim 128), refused before any exponential
     wide, q, gamma, _ = random_triple(128, 7, "trivial")
     out.append(("pair-over-block-budget", ["pair"], dict(wide, Q=mat(0.5 * q), a=mat(gamma))))
@@ -149,6 +151,8 @@ def cases():
             ("n2-split-pair-wrong-shape", ["split-pair"], dict(n2, a=mat(SZ))),
             ("n2-coupling-sweep-wrong-shape", ["coupling-sweep", "--lambda-grid=0:1:3"],
              dict(n2, a=mat(SZ))),
+            ("n2-coupling-sweep-q1-commuting-wrong-shape",
+             ["coupling-sweep", "--lambda-grid=0:1:3", "--mode=q1_commuting"], dict(n2, a=mat(SZ))),
             ("n2-two-levels-split-pair-moving-not-involution", ["split-pair"],
              dict(moving, a=mat(2 * np.kron(SX, np.eye(4)))))]
     return out + [("n2-two-levels-split-pair-moving-input", ["split-pair"], moving),
