@@ -12,14 +12,17 @@ the generating functional J(t;a) = Tr(gamma U(g) a exp(-H + i t da))
 evaluated by Gauss-Hermite quadrature.  The quadrature is the reference;
 the series is the cross-check.  J is even in t, so each doubling step of
 the quadrature takes exponentials at the nodes t >= 0 only, half the
-rule, on the gamma-graded parts of H, da and gamma U(g) a
-(``pairing_gaussian``); ``generating_functional`` and
-``gauss_hermite_transform`` keep every node.  The exponentials are stacks
-of at most ``_STACK_ENTRIES`` complex entries each.  The node rules are
-computed once per node count, and a count whose numpy rule is not finite
-ends the doubling with NoConvergence.  The series has no such failure: the
-Hoelder bound on <a, da, ..., da>_n fixes its level before any work, it
-takes every level from one exponential, and it reports a proven tail.
+rule, on the gamma-graded parts of H, da and gamma U(g) a.  Of those it
+also skips the largest-t nodes whose certified bounds
+w_j ||gamma U(g) a||_tr exp(-lambda_min + t_j ||da||) sum to at most
+tol 2^-40, counting them as 0 (``pairing_gaussian``);
+``generating_functional`` and ``gauss_hermite_transform`` keep every
+node.  The exponentials are stacks of at most ``_STACK_ENTRIES`` complex
+entries each.  The node rules are computed once per node count, and a
+count whose numpy rule is not finite ends the doubling with NoConvergence.
+The series has no such failure: the Hoelder bound on <a, da, ..., da>_n
+fixes its level before any work, it takes every level from one
+exponential, and it reports a proven tail.
 ``pairing`` validates its input once, fixes the series' level and checks
 its block budget before either route takes an exponential, and shares
 that work with both routes for the duration of the call (``_Prepared``).
@@ -52,7 +55,7 @@ from .expectations import (
     expectation_value,
     repeated_expectation_series,
 )
-from .linalg import as_matrix, expm, opnorm
+from .linalg import as_matrix, expm, opnorm, schatten_norm
 from .triples import HeatData, ValidationReport, _check_shape
 
 __all__ = [
@@ -76,8 +79,11 @@ __all__ = [
 _NODE_CAP = 1024
 # Complex entries in one stack of Gauss-Hermite exponentials (1 MiB).
 # Unsliced 128-node stacks at dim 48 raised the sweep-quadrature
-# benchmark's peak RSS from 97 to 120 MB.
+# benchmark's peak RSS from 97 to 120 MB.  The Taylor core of ``expm``
+# holds X, X^2, X^3, X^4 and two partial sums of one stack at once.
 _STACK_ENTRIES = 2**16
+# Share of ``tol`` that ``pairing_gaussian`` drops at its negligible nodes.
+_CUT_SHARE = 2.0**-40
 # Highest series level: pairing_coefficient(172) exceeds the float range.
 _MAX_LEVEL = 342
 
@@ -251,19 +257,53 @@ def _integrand(tb: HeatData, inp: PairingInput):
     return _stacked_traces(tb.hamiltonian, tb.derive(inp.a), tb.twist(inp.g) @ inp.a)
 
 
-def _graded_integrand(prep: _Prepared):
-    """``_integrand`` on the graded parts (H + gamma H gamma)/2,
-    (da - gamma da gamma)/2 and (f + gamma f gamma)/2, f = gamma U(g) a.
-
-    Its values at t and -t agree to rounding, whatever grading residuals
-    validation let through.
-    """
+def _graded_parts(prep: _Prepared) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The graded parts (H + gamma H gamma)/2, (da - gamma da gamma)/2 and
+    (f + gamma f gamma)/2, f = gamma U(g) a, of the prepared pairing."""
     tb, h, da, front = prep.lift, prep.h, prep.da, prep.front
-    return _stacked_traces(
+    return (
         (h + tb.conj_gamma(h)) / 2.0,
         (da - tb.conj_gamma(da)) / 2.0,
         (front + tb.conj_gamma(front)) / 2.0,
     )
+
+
+def _graded_integrand(prep: _Prepared):
+    """``_integrand`` on the graded parts (``_graded_parts``).
+
+    Its values at t and -t agree to rounding, whatever grading residuals
+    validation let through.
+    """
+    return _stacked_traces(*_graded_parts(prep))
+
+
+def _node_bounds(h: np.ndarray, da: np.ndarray, front: np.ndarray):
+    """(t, w, centre) -> bounds on the weighted folded values of Tr(front exp(-h + i t da)).
+
+    For nodes t >= 0 and weights w of a folded rule, entry j bounds
+    m_j w_j |J(t_j)| / sqrt(pi), where m_j counts t_j and its mirror -t_j
+    (1 for the centre of an odd rule, flagged by ``centre``).  Since
+    |Tr(F E)| <= ||F||_tr ||E|| and the log-norm bound gives
+    ||exp(A)|| <= exp(lambda_max((A + A*)/2)), with A = -h + i t da,
+    |J(t)| <= ||front||_tr exp(-lambda_min + |t| ||da||), lambda_min the
+    least eigenvalue of (h + h*)/2.  This holds for any front and da,
+    Hermitian or not, and for an h that is positive only up to rounding.
+    Taken in logarithms: a weight that underflowed to 0 gives 0, a bound
+    past the float range gives inf.
+    """
+    lam_min = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
+    trace_norm = schatten_norm(front, 1)
+    rate = opnorm(da)
+    with np.errstate(divide="ignore"):  # a zero front: every bound is 0
+        shift = float(np.log(trace_norm / math.sqrt(math.pi))) - lam_min
+
+    def bounds(ts: np.ndarray, ws: np.ndarray, centre: bool) -> np.ndarray:
+        mult = np.full(ts.size, 2.0)
+        mult[: int(centre)] = 1.0
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.exp(np.log(mult * ws) + shift + rate * ts)
+
+    return bounds
 
 
 def _stacked_traces(h: np.ndarray, da: np.ndarray, front: np.ndarray):
@@ -375,19 +415,45 @@ def pairing_gaussian(
     their values are mirrored onto the rest; an odd rule's t = 0 is
     evaluated once.  The sum runs over the same sequence in the same order
     as on the full rule.  Inputs pass validation with residuals up to
-    ``tol``, so the fold runs on the graded parts (``_graded_integrand``),
+    ``tol``, so the fold runs on the graded parts (``_graded_parts``),
     taken once per call.  They keep J even to rounding, and they move the
     value by O(residual^2), since the full rule cancels every first-order
     odd term.
+
+    Each pass also drops the largest-t nodes whose contribution is
+    negligible: |w_j J(t_j)| <= w_j ||gamma U(g) a||_tr
+    exp(-lambda_min + t_j ||da||) (``_node_bounds``), and the longest
+    suffix of the folded nodes whose bounds, mirrors included, sum to at
+    most ``tol`` 2^-40 counts as 0, in the same place of the sum.  So the
+    value of a pass moves by at most ``tol`` 2^-40 plus rounding, and the
+    nodes of largest t, which carry the most squarings, take no
+    exponential.
     """
-    graded = _graded_integrand(_prepared(t, inp))
+    values = _folded_values(_prepared(t, inp), tol * _CUT_SHARE)
+    return _gauss_hermite(values, quad_nodes, tol)
+
+
+def _folded_values(prep: _Prepared, limit: float):
+    """Nodes t of a Gauss-Hermite rule -> the graded J at each, with
+    exponentials at the nodes t >= 0 only, and 0 at the longest suffix of
+    them whose ``_node_bounds`` sum to at most ``limit`` (mirrors included).
+    """
+    h, da, front = _graded_parts(prep)
+    graded = _stacked_traces(h, da, front)
+    bounds = _node_bounds(h, da, front)
 
     def values(ts):
         mirrored = ts.size // 2
-        half = graded(ts[mirrored:])
+        folded = ts[mirrored:]
+        ws = _hermite_rule(ts.size)[1][mirrored:]  # the rule ``_gauss_hermite`` sums
+        # tail[j]: the bounds of node j and every larger one, summed from the largest
+        tail = np.cumsum(bounds(folded, ws, ts.size % 2 == 1)[::-1])[::-1]
+        kept = int(np.count_nonzero(tail > limit))
+        half = np.zeros(folded.size, dtype=complex)
+        half[:kept] = graded(folded[:kept])
         return np.concatenate((half[::-1][:mirrored], half))
 
-    return _gauss_hermite(values, quad_nodes, tol)
+    return values
 
 
 def _check_max_level(max_level: int):

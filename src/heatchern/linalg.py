@@ -4,18 +4,21 @@ Everything downstream (simplex transforms, pairings, sweeps) reduces to the
 four operations here: Hermitian eigendecomposition, a general matrix
 exponential, Schatten norms, and divided differences of the exponential
 evaluated through the exponential of an upper-bidiagonal matrix.  The
-exponential also takes a stack of matrices, shape (k, n, n), and returns
-for each slice the bits a call on that slice alone returns; the
-Gauss-Hermite nodes of a pairing are evaluated that way.  The levels of
-the pairing series are the first block row of the exponential of an
-(N+1) dim block-Toeplitz matrix, which ``expm_toeplitz_row`` computes
-with the steps of ``expm`` on first block rows alone, at cost
-O(s N^2 dim^3) for s squarings.  All functions are pure; inputs are never
-mutated.
+exponential scales its argument to 1-norm at most 0.5, evaluates the
+degree-18 Taylor polynomial there by Paterson-Stockmeyer (7 matrix
+products) and squares back.  It also takes a stack of matrices, shape
+(k, n, n), and returns for each slice the bits a call on that slice alone
+returns; the Gauss-Hermite nodes of a pairing are evaluated that way.  The
+levels of the pairing series are the first block row of the exponential
+of an (N+1) dim block-Toeplitz matrix, which ``expm_toeplitz_row``
+computes with the same polynomial and scaling on first block rows alone,
+by Horner, at cost O(s N^2 dim^3) for s squarings.  All functions are
+pure; inputs are never mutated.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ __all__ = [
 
 _TAYLOR_THETA = 0.5  # scale target for the Taylor core
 _TAYLOR_TERMS = 18  # 0.5^18/18! ~ 6e-22, far below double rounding
+_TAYLOR_COEFFS = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR_TERMS + 1))
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -91,11 +95,13 @@ def eig_hermitian(m, tol: float = 1e-10) -> HermitianEigenSystem:
 def expm(m, norm_cap: float = 1e3) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Taylor core.
 
+    The argument is scaled by 2^-s to 1-norm at most 0.5, the degree-18
+    Taylor polynomial is evaluated there (``_taylor``) and squared s times.
     ``m`` is one square matrix or a stack of them, shape (k, n, n).  Each
-    slice of a stack gets its own scaling, so it equals bit for bit the
-    exponential of that slice alone.  Accurate to ~1e-13 relative for
-    inputs of 1-norm up to a few tens.  Raises Overflow when a 1-norm
-    exceeds ``norm_cap``.
+    slice of a stack gets its own scaling and the same core, so it equals
+    bit for bit the exponential of that slice alone.  Accurate to ~1e-13
+    relative for inputs of 1-norm up to a few tens.  Raises Overflow when a
+    1-norm exceeds ``norm_cap``.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim == 3:
@@ -114,11 +120,29 @@ def expm(m, norm_cap: float = 1e3) -> np.ndarray:
 
 
 def _taylor(x: np.ndarray) -> np.ndarray:
-    """The Taylor polynomial of exp at x, or at each slice of a stack x, by Horner."""
-    ident = np.eye(x.shape[-1], dtype=complex)
-    out = ident + x / _TAYLOR_TERMS
-    for k in range(_TAYLOR_TERMS - 1, 0, -1):
-        out = ident + (x @ out) / k
+    """The degree-18 Taylor polynomial of exp at x, or at each slice of a stack x.
+
+    Paterson-Stockmeyer: with X^2, X^3 and X^4 formed, the polynomial is
+    B_0 + X^4 (B_1 + X^4 (B_2 + X^4 (B_3 + X^4 B_4))), where B_j is the
+    cubic sum_{i<4} X^i / (4j+i)! (B_4 stops at X^2).  That is 7 matrix
+    products against Horner's 17.  The products act slice by slice and
+    every other step is elementwise, so a slice of a stack gets the bits
+    of a call on that slice alone.
+    """
+    diag = np.arange(x.shape[-1])
+    x2 = x @ x
+    powers = (x, x2, x2 @ x)
+    x4 = x2 @ x2
+    out = None
+    for j in range(_TAYLOR_TERMS // 4, -1, -1):
+        c = _TAYLOR_COEFFS[4 * j : 4 * j + 4]
+        block = c[1] * x
+        for ci, p in zip(c[2:], powers[1:]):
+            block += ci * p
+        if out is not None:
+            block += x4 @ out
+        block[..., diag, diag] += c[0]
+        out = block
     return out
 
 
@@ -153,10 +177,13 @@ def expm_toeplitz_row(d, x, n: int) -> np.ndarray:
     and the (dim, dim) matrix ``x`` on every superdiagonal block (none
     when n = 0).  Upper block-Toeplitz matrices are closed under products,
     and a product of two of them is determined by their first block rows,
-    so this runs the steps of ``expm`` on M (the same scaling, Taylor core
-    and number of squarings) on first block rows alone.  A Horner step costs one (dim, dim) by (dim, n*dim)
-    product and a squaring one (dim, (n+1)*dim) by M-sized product, so
-    the cost is O(s n^2 dim^3) against O(s n^3 dim^3) for ``expm`` on M.
+    so this runs the steps of ``expm`` on M (the same polynomial and
+    scaling, and the same number of squarings) on first block rows alone.
+    The polynomial is evaluated by Horner, not by ``_taylor``: powers of M
+    would need full Toeplitz products, where a Horner step costs one
+    (dim, dim) by (dim, n*dim) product.  A squaring costs one
+    (dim, (n+1)*dim) by M-sized product, so the cost is O(s n^2 dim^3)
+    against O(s n^3 dim^3) for ``expm`` on M.
     """
     d = np.asarray(d, dtype=float)
     x = np.asarray(x, dtype=complex)

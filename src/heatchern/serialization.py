@@ -60,6 +60,31 @@ def _scalar_from_json(v):
 
 
 def matrix_from_json(rows) -> np.ndarray:
+    """The square complex matrix laid out by ``rows``, a list of rows of
+    numbers or of [re, im] pairs.
+
+    A well-formed nested list, one that numpy reads as an (n, n) or
+    (n, n, 2) array of integers or floats, is converted in one step.
+    Everything else goes entry by entry (``_matrix_by_entry``), which names
+    what it cannot parse; on the JSON inputs both give the same bits.
+    """
+    try:
+        arr = np.asarray(rows)
+    except ValueError:  # ragged rows: the entry-by-entry path names them
+        return _matrix_by_entry(rows)
+    n = arr.shape[0] if arr.ndim else -1
+    if arr.dtype.kind not in "iuf" or arr.shape not in ((n, n), (n, n, 2)):
+        return _matrix_by_entry(rows)
+    if arr.ndim == 2:
+        return arr.astype(complex)
+    m = np.empty((n, n), dtype=complex)
+    m.real, m.imag = arr[..., 0], arr[..., 1]
+    return m
+
+
+def _matrix_by_entry(rows) -> np.ndarray:
+    """``matrix_from_json`` one entry at a time, with a DimensionMismatch
+    naming the first entry or shape it cannot use."""
     try:
         m = np.array([[_scalar_from_json(v) for v in row] for row in rows], dtype=complex)
     except (TypeError, ValueError) as exc:

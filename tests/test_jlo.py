@@ -456,6 +456,109 @@ def _heat_data_of_kind(kind, dim, g, seed):
     return t, PairingInput(a=random_involution(t.lifted(m), rng), m=m, g=g)
 
 
+def _cut_of_rule(t, inp, nodes, tol):
+    """(folded nodes, kept count, bounds) of the node cut on the ``nodes``-point rule.
+
+    Computed here from the bound's definition: on the graded parts, node
+    t >= 0 carries m w ||front||_tr exp(-lambda_min + t ||da||) / sqrt(pi),
+    m = 2 but for the centre of an odd rule, and the cut drops the longest
+    suffix whose bounds sum to at most tol 2^-40.
+    """
+    tb = t.lifted(inp.m)
+    h = (tb.hamiltonian + tb.conj_gamma(tb.hamiltonian)) / 2
+    da = tb.derive(inp.a)
+    da = (da - tb.conj_gamma(da)) / 2
+    front = tb.twist(inp.g) @ inp.a
+    front = (front + tb.conj_gamma(front)) / 2
+    lam_min = np.linalg.eigvalsh((h + h.conj().T) / 2)[0]
+    trace_norm = np.linalg.svd(front, compute_uv=False).sum()
+    ts, ws = np.polynomial.hermite.hermgauss(nodes)
+    folded, fws = ts[nodes // 2 :], ws[nodes // 2 :]
+    mult = np.where(np.arange(folded.size) == 0, 2 - nodes % 2, 2)
+    rate = opnorm(da)
+    bounds = [
+        m * w * trace_norm * math.exp(-lam_min + tt * rate) / math.sqrt(math.pi)
+        for m, w, tt in zip(mult, fws, folded)
+    ]
+    kept, total = folded.size, 0.0
+    while kept and total + bounds[kept - 1] <= tol * 2.0**-40:
+        kept -= 1
+        total += bounds[kept]
+    return folded, kept, bounds
+
+
+def _cut_case(case):
+    """Heat data and a pairing input for the node-cut tests."""
+    rng = np.random.default_rng(7)
+    if case == "regularized-negative":
+        # H = Q^2 + R with R negative on some vectors: lambda_min < 0
+        t = random_triple(6, seed=8)
+        z = random_even_element(t, rng, group_invariant=True)
+        r = z.conj().T @ z - 0.7 * np.eye(6)
+        t = homotopy._Regularized(t.dim, t.Q, t.gamma, t.group, t.tol, R=r)
+        return t, PairingInput(a=random_involution(t, rng))
+    t = random_triple(6, seed=9, group="z2")
+    a = random_involution(t, rng)
+    if case == "non-hermitian":
+        # P a P^-1 with an even, invariant, non-unitary P is still an involution
+        e = random_even_element(t, rng, group_invariant=True)
+        p = np.eye(6) + 0.4 * e / opnorm(e)
+        a = p @ a @ np.linalg.inv(p)
+        assert opnorm(a - a.conj().T) > 0.1
+    return t, PairingInput(a=a, g=1)
+
+
+CUT_CASES = ["random", "non-hermitian", "regularized-negative"]
+
+
+class TestNodeCut:
+    @pytest.mark.parametrize("case", CUT_CASES)
+    def test_bound_holds_at_every_dropped_node(self, case):
+        t, inp = _cut_case(case)
+        tb = t.lifted(inp.m)
+        if case == "regularized-negative":
+            h = (tb.hamiltonian + tb.conj_gamma(tb.hamiltonian)) / 2
+            assert np.linalg.eigvalsh(h)[0] < -0.1
+        prep = jlo._Prepared(t, inp)
+        graded = jlo._graded_integrand(prep)
+        library = jlo._node_bounds(*jlo._graded_parts(prep))
+        for nodes in (64, 65, 128):
+            folded, kept, bounds = _cut_of_rule(t, inp, nodes, 1e-10)
+            assert 0 < kept < folded.size
+            ws = np.polynomial.hermite.hermgauss(nodes)[1][nodes // 2 :]
+            got = library(folded, ws, nodes % 2 == 1)
+            assert np.allclose(got, bounds, rtol=1e-12, atol=0.0)
+            vals = graded(folded[kept:])
+            for w, v, b in zip(ws[kept:], vals, bounds[kept:]):
+                assert 2 * w * abs(v) / math.sqrt(math.pi) <= b
+
+    @pytest.mark.parametrize("case", CUT_CASES)
+    def test_pass_drops_at_most_its_share(self, case):
+        # per pass: the kept nodes keep their bits, the dropped count as 0,
+        # and the exact sum of what was dropped is within tol 2^-40
+        t, inp = _cut_case(case)
+        prep = jlo._Prepared(t, inp)
+        limit = 1e-10 * 2.0**-40
+        for nodes in (64, 65, 128):
+            ts, ws = np.polynomial.hermite.hermgauss(nodes)
+            cut = jlo._folded_values(prep, limit)(ts)
+            full = jlo._folded_values(prep, 0.0)(ts)
+            kept = _cut_of_rule(t, inp, nodes, 1e-10)[1]
+            live = np.abs(ts) <= ts[nodes // 2 + kept - 1]
+            assert np.array_equal(cut[live], full[live])
+            assert not np.any(cut[~live])
+            dropped = ws * (full - cut) / math.sqrt(math.pi)
+            assert abs(complex(math.fsum(dropped.real), math.fsum(dropped.imag))) <= limit
+
+    @pytest.mark.parametrize("case", CUT_CASES)
+    def test_value_within_its_share_of_the_uncut_sum(self, case):
+        t, inp = _cut_case(case)
+        uncut = jlo._gauss_hermite(jlo._folded_values(jlo._Prepared(t, inp), 0.0))
+        # rounding of the sum itself may add a few units in its last place
+        slack = 1e-10 * 2.0**-40 + 4 * np.spacing(abs(uncut))
+        assert abs(pairing_gaussian(t, inp) - uncut) <= slack
+
+
 class TestGaussHermite:
     @pytest.mark.parametrize("n", range(7))
     def test_even_moments(self, n):
@@ -471,7 +574,8 @@ class TestGaussHermite:
 
     def test_fold_halves_the_exponentials(self, exchange, monkeypatch):
         # the pairing converges at the first doubling: only the nodes
-        # t >= 0 of each rule get an exponential, t = 0 once
+        # t >= 0 of each rule that the cut keeps get an exponential, t = 0
+        # once, and the cut drops some of the largest
         shapes = []
 
         def recorded(m):
@@ -480,11 +584,13 @@ class TestGaussHermite:
 
         monkeypatch.setattr(jlo, "expm", recorded)
         inp = PairingInput(a=exchange.gamma.copy())
-        assert pairing_gaussian(exchange, inp) == pytest.approx(2.0, abs=1e-10)
-        assert shapes == [(32, 2, 2), (64, 2, 2)]
-        shapes.clear()
-        assert pairing_gaussian(exchange, inp, quad_nodes=21) == pytest.approx(2.0, abs=1e-10)
-        assert shapes == [(11, 2, 2), (21, 2, 2)]
+        for first in (64, 21):
+            shapes.clear()
+            val = pairing_gaussian(exchange, inp, quad_nodes=first)
+            assert val == pytest.approx(2.0, abs=1e-10)
+            kept = [_cut_of_rule(exchange, inp, n, 1e-10)[1] for n in (first, 2 * first)]
+            assert shapes == [(k, 2, 2) for k in kept]
+            assert kept[0] <= (first + 1) // 2 and kept[1] < first
 
     @pytest.mark.parametrize("dim", [6, 12, 24])
     def test_nearly_graded_inputs_stay_put(self, dim):

@@ -7,6 +7,7 @@ from heatchern.errors import BadExponent, DimensionMismatch, NotHermitian, Overf
 from heatchern.expectations import expectation_value
 from heatchern.models import random_triple, zero_mode_triple
 from heatchern.linalg import (
+    _taylor,
     as_matrix,
     eig_hermitian,
     expm,
@@ -109,6 +110,25 @@ class TestExpm:
         for k in range(len(stack)):
             assert np.array_equal(got[k], expm(stack[k]))
         assert np.array_equal(got[-1], np.eye(dim))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 12, 24, 48])
+    def test_taylor_core_matches_horner(self, dim):
+        # the same degree-18 polynomial by Horner, on stacks of 1-norm <= 0.5
+        rng = np.random.default_rng(100 + dim)
+        x = np.stack([random_matrix(rng, dim) for _ in range(6)])
+        x *= np.array([0.5, 0.3, 0.1, 1e-3, 0.0, 0.5])[:, None, None] / np.linalg.norm(
+            x, 1, axis=(1, 2)
+        )[:, None, None]
+        ident = np.eye(dim, dtype=complex)
+        got = _taylor(x)
+        for k in range(len(x)):
+            ref = ident + x[k] / 18
+            for j in range(17, 0, -1):
+                ref = ident + (x[k] @ ref) / j
+            err = np.linalg.norm(got[k] - ref, 1)
+            assert err <= 8 * np.finfo(float).eps * np.linalg.norm(ref, 1)
+            assert np.array_equal(_taylor(x[k]), got[k])
+        assert np.array_equal(got[4], ident)
 
     def test_overflow(self):
         big = 1e4 * np.eye(2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatchern import serialization
 from heatchern.errors import DimensionMismatch
 from heatchern.linalg import opnorm
 from heatchern.models import random_triple
@@ -38,6 +39,82 @@ class TestMatrixRoundTrip:
     def test_rejects_ragged(self):
         with pytest.raises(DimensionMismatch):
             matrix_from_json([[1, 0], [0]])
+
+
+def _parse_outcome(parse, rows):
+    """The bytes and shape of the parsed matrix, or the type and text of the error."""
+    try:
+        m = parse(rows)
+    except Exception as exc:  # the two paths must fail alike, whatever the error
+        return type(exc).__name__, str(exc)
+    return m.dtype, m.shape, m.tobytes()
+
+
+def _random_rows(rng, kind, n):
+    """An n x n nested list of one kind of JSON entry."""
+    if kind == "int":
+        vals = rng.integers(-(2**62), 2**62, size=(n, n)) >> rng.integers(0, 62, size=(n, n))
+        return [[int(v) for v in row] for row in vals]
+    if kind == "bool":
+        return [[bool(v) for v in row] for row in rng.integers(0, 2, size=(n, n))]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]
+    vals = rng.normal(size=(n, n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, n, 2))
+    vals.flat[rng.integers(0, vals.size, size=3)] = rng.choice(special, size=3)
+    if kind == "real":
+        return [[float(v) for v in row] for row in vals[..., 0]]
+    if kind == "mixed":  # ints and floats in one list infer a float array
+        return [[float(v[0]) if (i + j) % 2 else int(rng.integers(-9, 9)) for j, v in enumerate(row)]
+                for i, row in enumerate(vals)]
+    return [[[float(v[0]), float(v[1])] for v in row] for row in vals]
+
+
+class TestMatrixFastPath:
+    @pytest.mark.parametrize("kind", ["real", "complex", "int", "bool", "mixed"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_same_bits_as_entry_by_entry(self, kind, n, monkeypatch):
+        by_entry = serialization._matrix_by_entry
+        if kind != "bool":  # numpy reads bools as bool, which goes entry by entry
+
+            def refused(rows):
+                raise AssertionError("a well-formed list left the vectorised path")
+
+            monkeypatch.setattr(serialization, "_matrix_by_entry", refused)
+        rng = np.random.default_rng(n * 10 + len(kind))
+        for _ in range(5):
+            rows = json.loads(json.dumps(_random_rows(rng, kind, n)))
+            fast = _parse_outcome(matrix_from_json, rows)
+            assert fast == _parse_outcome(by_entry, rows)
+            assert fast[1] == (n, n)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0], [0]],
+            [[1, 0, 2], [0, 1, 3]],
+            [[1, 2]],
+            [[[1, 2], [3, 4, 5]], [[1, 2], [3, 4]]],
+            [[[1, 2, 3], [3, 4, 5]], [[1, 2, 3], [3, 4, 5]]],
+            [[1, [1, 2]], [1, 2]],
+            [[1, "2"], [3, 4]],
+            [["x"]],
+            [[None]],
+            [[1.0, 10**400]],
+            [[2**64]],
+            [[2**63 + 1, 3], [5, 2**64 - 1]],
+            [[True, 2], [0, False]],
+            [[[[1, 2]]]],
+            [],
+            [[]],
+            [[[]]],
+            5,
+            "ab",
+            {"a": 1},
+            None,
+        ],
+    )
+    def test_edge_inputs_parse_alike(self, rows):
+        fast = _parse_outcome(matrix_from_json, rows)
+        assert fast == _parse_outcome(serialization._matrix_by_entry, rows)
 
 
 class TestTripleRoundTrip:
