@@ -6,13 +6,14 @@ code.  ``main`` writes every result the same way, as one JSON object with
 the command and a provenance block in front (a table under ``--format
 csv`` as CSV), to standard output or to ``--output``; ``selftest`` prints
 its table and writes the JSON report only to ``--output``.  Exit codes:
-0 success, 1 validation failure, 2 numerical non-convergence, a request
+0 success, 1 validation failure, 2 numerical non-convergence (a pairing
+whose tolerance needs more Gauss-Hermite nodes than the cap, or a rule
+numpy cannot give finite, is refused before any exponential), a request
 over the block-order budget, out of memory or an arithmetic error such as
 an overflow (a generator H with entries past the float range included),
-3 a usage error, a bad ``--tol``, ``--quad-nodes`` or ``--max-level``
-(checked on every command, before any input is read), or an I/O or
-schema error.  Every failure writes one JSON error object to standard
-error.
+3 a usage error, a bad ``--tol`` or ``--max-level`` (checked on every
+command, before any input is read), or an I/O or schema error.  Every
+failure writes one JSON error object to standard error.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .homotopy import (
 from .jlo import (
     PairingInput,
     _check_max_level,
-    _check_quadrature,
+    _check_tol,
     _vertices,
     equivariant_index,
     pairing,
@@ -131,7 +132,6 @@ def _provenance(args) -> dict:
         "package_version": __version__,
         "seed": args.seed,
         "tol": args.tol,
-        "quad_nodes": args.quad_nodes,
         "max_level": args.max_level,
     }
 
@@ -200,9 +200,7 @@ def _cmd_index(args):
 def _cmd_pair(args):
     doc, t = _load_triple(args)
     inp = _pairing_input(doc, args.group_index)
-    return asdict(
-        pairing(t, inp, quad_nodes=args.quad_nodes, max_level=args.max_level, tol=args.tol)
-    )
+    return asdict(pairing(t, inp, max_level=args.max_level, tol=args.tol))
 
 
 def _cmd_jlo(args):
@@ -227,14 +225,14 @@ def _cmd_sweep(args):
     fam = linear_family(t, matrix_from_json(doc["q"]))
     inp = _pairing_input(doc, args.group_index)
     grid = _parse_grid(args.lambda_grid)
-    return sweep_invariant(fam, inp, grid, quad_nodes=args.quad_nodes, tol=args.tol)
+    return sweep_invariant(fam, inp, grid, tol=args.tol)
 
 
 def _cmd_beta_scan(args):
     doc, t = _load_triple(args)
     inp = _pairing_input(doc, args.group_index)
     betas = _parse_list(args.beta_list)
-    return beta_independence(t, inp, betas, quad_nodes=args.quad_nodes, tol=args.tol)
+    return beta_independence(t, inp, betas, tol=args.tol)
 
 
 def _cmd_endpoint(args):
@@ -249,7 +247,6 @@ def _cmd_endpoint(args):
         _parse_grid(args.eps_grid),
         _parse_grid(args.lambda_grid),
         inp,
-        quad_nodes=args.quad_nodes,
         tol=args.tol,
     )
 
@@ -258,9 +255,7 @@ def _cmd_split_pair(args):
     doc = _load_json(args.input)
     s = require_valid_split(_split(doc))
     inp = _pairing_input(doc, args.group_index)
-    res = split_pairing(
-        s, inp, quad_nodes=args.quad_nodes, max_level=args.max_level, tol=args.tol
-    )
+    res = split_pairing(s, inp, max_level=args.max_level, tol=args.tol)
     payload = asdict(res)
     del payload["connes_value"]  # the idempotent form is reported for plain triples
     return payload
@@ -281,7 +276,6 @@ def _cmd_coupling_sweep(args):
         inp,
         _parse_grid(args.lambda_grid),
         mode=args.mode,
-        quad_nodes=args.quad_nodes,
         tol=args.tol,
     )
 
@@ -320,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=sorted(_COMMANDS))
     p.add_argument("--input", help="input JSON path")
     p.add_argument("--output", help="output path (default: stdout)")
-    p.add_argument("--quad-nodes", type=int, default=64, dest="quad_nodes")
     p.add_argument("--max-level", type=int, default=32, dest="max_level")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
@@ -350,7 +343,7 @@ def main(argv=None) -> int:
     needs_input = args.command != "selftest"
     try:
         _check_max_level(args.max_level)
-        _check_quadrature(args.quad_nodes, args.tol)
+        _check_tol(args.tol)
         if needs_input:
             if not args.input:
                 raise FileNotFoundError("--input is required for this command")

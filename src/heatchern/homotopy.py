@@ -259,7 +259,6 @@ def sweep_invariant(
     f: DeformationFamily,
     inp: PairingInput,
     lambda_grid,
-    quad_nodes: int = 64,
     tol: float = 1e-10,
 ) -> SweepTable:
     """Pairing values along the family; constant for regular families.
@@ -271,7 +270,7 @@ def sweep_invariant(
     tab = SweepTable(columns=["lambda", "value", "validated"])
     for lam in _grid("lambda_grid", lambda_grid):
         t_lam = deform_triple(f, lam)
-        val = pairing_gaussian(t_lam, inp, quad_nodes=quad_nodes, tol=tol)
+        val = pairing_gaussian(t_lam, inp, tol=tol)
         tab.add_row(**{"lambda": lam, "value": val, "validated": True})
     return tab
 
@@ -364,7 +363,6 @@ def beta_independence(
     t: SpectralTriple,
     inp: PairingInput,
     beta_list,
-    quad_nodes: int = 64,
     tol: float = 1e-10,
 ) -> SweepTable:
     """Pairing of the lift ``t.lifted(1, beta)`` per plane; the values agree for a fixed triple."""
@@ -375,7 +373,7 @@ def beta_independence(
     _require_valid_input(t, inp)
     tab = SweepTable(columns=["beta", "value"])
     for beta in betas:
-        val = pairing_gaussian(t.lifted(1, beta), inp, quad_nodes=quad_nodes, tol=tol)
+        val = pairing_gaussian(t.lifted(1, beta), inp, tol=tol)
         tab.add_row(beta=beta, value=val)
     return tab
 
@@ -401,7 +399,6 @@ def endpoint_grid(
     eps_grid,
     lambda_grid,
     inp: PairingInput,
-    quad_nodes: int = 64,
     tol: float = 1e-10,
 ) -> SweepTable:
     """Regularized pairing over an (eps, lambda) grid.
@@ -429,7 +426,7 @@ def endpoint_grid(
                 deformed.append(deform_triple(f, l))
             t = deformed[j]
             reg = _Regularized(t.dim, t.Q, t.gamma, t.group, t.tol, R=r)
-            vals[i, j] = pairing_gaussian(reg, inp, quad_nodes=quad_nodes, tol=tol)
+            vals[i, j] = pairing_gaussian(reg, inp, tol=tol)
     tab = SweepTable(columns=["lambda", "eps", "value", "dZ_deps", "dZ_dlambda"])
     for j, l in enumerate(lg):
         for i, e in enumerate(eg):

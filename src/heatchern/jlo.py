@@ -10,21 +10,20 @@ Pairing it with a square root of unity has two routes: the weighted level
 series with coefficients (-1/4)^n (2n)!/n!, and the Gaussian transform of
 the generating functional J(t;a) = Tr(gamma U(g) a exp(-H + i t da))
 evaluated by Gauss-Hermite quadrature.  The quadrature is the reference;
-the series is the cross-check.  J is even in t, so each doubling step of
-the quadrature takes exponentials at the nodes t >= 0 only, half the
-rule, on the gamma-graded parts of H, da and gamma U(g) a.  Of those it
-also skips the largest-t nodes whose certified bounds
-w_j ||gamma U(g) a||_tr exp(-lambda_min + t_j ||da||) sum to at most
-tol 2^-40, counting them as 0 (``pairing_gaussian``);
-``generating_functional`` and ``gauss_hermite_transform`` keep every
-node.  The exponentials are stacks of at most ``_STACK_ENTRIES`` complex
-entries each.  The node rules are computed once per node count, and a
-count whose numpy rule is not finite ends the doubling with NoConvergence.
-The series has no such failure: the Hoelder bound on <a, da, ..., da>_n
-fixes its level before any work, it takes every level from one
-exponential, and it reports a proven tail.
-``pairing`` validates its input once, fixes the series' level and checks
-its block budget before either route takes an exponential, and shares
+the series is the cross-check.  One bound fixes how far both go: the
+Hoelder bound s x^k / k! on the weighted level 2k, whose tail after K is
+``_tail_after(K)``.  The least K with that tail below ``tol`` is the plan
+of the pairing (``_Prepared.level``).  The series sums levels 0..2K,
+capped at ``max_level``, from one block exponential, and reports the
+tail.  The quadrature takes the (K+1)-node rule in one pass: it is exact
+on t^{2k} for k <= K and lies between 0 and the exact moment beyond, so
+its error is below the same tail.  J is even in t, so that pass takes
+exponentials at the nodes t >= 0 only, on the gamma-graded parts of H,
+da and gamma U(g) a, in stacks of at most ``_STACK_ENTRIES`` complex
+entries.  A plan past ``_NODE_CAP`` nodes, or one whose numpy rule is not
+finite, raises NoConvergence before any exponential.
+``pairing`` validates its input once, fixes both plans and checks the
+series' block budget before either route takes an exponential, and shares
 that work with both routes for the duration of the call (``_Prepared``).
 
 No function here takes a simplex plane: the plane-beta character is that of
@@ -38,7 +37,7 @@ import itertools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from .expectations import (
     expectation_value,
     repeated_expectation_series,
 )
-from .linalg import as_matrix, expm, opnorm, schatten_norm
+from .linalg import as_matrix, expm, opnorm
 from .triples import HeatData, ValidationReport, _check_shape
 
 __all__ = [
@@ -75,15 +74,13 @@ __all__ = [
 ]
 
 
-# Nodes at which the Gauss-Hermite doubling gives up.
+# Most Gauss-Hermite nodes a pairing plan or a transform's doubling takes.
 _NODE_CAP = 1024
 # Complex entries in one stack of Gauss-Hermite exponentials (1 MiB).
 # Unsliced 128-node stacks at dim 48 raised the sweep-quadrature
 # benchmark's peak RSS from 97 to 120 MB.  The Taylor core of ``expm``
 # holds X, X^2, X^3, X^4 and two partial sums of one stack at once.
 _STACK_ENTRIES = 2**16
-# Share of ``tol`` that ``pairing_gaussian`` drops at its negligible nodes.
-_CUT_SHARE = 2.0**-40
 # Highest series level: pairing_coefficient(172) exceeds the float range.
 _MAX_LEVEL = 342
 
@@ -144,8 +141,8 @@ def _require_valid_input(t: HeatData, inp: PairingInput):
 
 class _Prepared:
     """The work the routes of one pairing share: the input validated once,
-    the lift with its H, da and the front factor gamma U(g) a, and the
-    series' s, x and level.
+    the lift with its H, da and the front factor gamma U(g) a, and the plan
+    of both routes.
 
     ``pairing`` builds one and makes it active for the duration of its
     call; ``pairing_gaussian`` and ``pairing_series`` take the active one
@@ -160,32 +157,62 @@ class _Prepared:
         self.h = self.lift.hamiltonian
         self.da = self.lift.derive(inp.a)
         self.front = self.lift.twist(inp.g) @ inp.a
-        self._plans = {}
+        self._levels = {}
 
-    def series_plan(self, max_level: int, tol: float) -> tuple[int, float, float]:
-        """(K, log s, x) of ``pairing_series``: the level 2K is the least
-        whose tail is below ``tol``, or ``max_level`` rounded down to even.
+    @cached_property
+    def bound(self) -> tuple[float, float]:
+        """(log s, x) of the Hoelder bound s x^k / k! on the weighted level
+        2k, s = ||a|| Tr(e^{-H}) and x = ||da||^2 / 4 on the lift.  Raises
+        Overflow when x leaves the float range."""
+        lam, _ = self.lift.heat_data()
+        lam_min = float(lam.min())
+        log_s = math.log(opnorm(self.inp.a) * float(np.sum(np.exp(lam_min - lam)))) - lam_min
+        da_norm = opnorm(self.da)
+        try:
+            return log_s, da_norm**2 / 4.0
+        except OverflowError:
+            raise Overflow(
+                f"||da|| = {da_norm:.3e}: the series bound ||da||^2 / 4 overflows"
+            ) from None
+
+    def level(self, tol: float) -> int:
+        """The plan of both routes: the least K below ``_NODE_CAP`` whose
+        tail ``_tail_after(K)`` is below ``tol``, or ``_NODE_CAP`` if none is."""
+        if tol not in self._levels:
+            log_s, x = self.bound
+            top = 0
+            while top < _NODE_CAP and _tail_after(top, log_s, x) >= tol:
+                top += 1
+            self._levels[tol] = top
+        return self._levels[tol]
+
+    def series_plan(self, max_level: int, tol: float) -> int:
+        """K of ``pairing_series``: ``level(tol)``, capped at ``max_level`` // 2.
         Raises ComplexityCap, before any exponential, when levels 0..2K
         exceed the block budget.
         """
-        key = (max_level, tol)
-        if key not in self._plans:
-            lam, _ = self.lift.heat_data()
-            lam_min = float(lam.min())
-            log_s = math.log(opnorm(self.inp.a) * float(np.sum(np.exp(lam_min - lam)))) - lam_min
-            da_norm = opnorm(self.da)
-            try:
-                x = da_norm**2 / 4.0
-            except OverflowError:
-                raise Overflow(
-                    f"||da|| = {da_norm:.3e}: the series bound ||da||^2 / 4 overflows"
-                ) from None
-            top = 0
-            while top < max_level // 2 and _tail_after(top, log_s, x) >= tol:
-                top += 1
-            _check_block_order(2 * top, self.lift.dim)
-            self._plans[key] = (top, log_s, x)
-        return self._plans[key]
+        top = min(self.level(tol), max_level // 2)
+        _check_block_order(2 * top, self.lift.dim)
+        return top
+
+    def rule(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """The (K+1)-node Gauss-Hermite rule of ``pairing_gaussian``, K =
+        ``level(tol)``.  Raises NoConvergence, before any exponential, when
+        that exceeds ``_NODE_CAP`` nodes or the rule is not finite.
+        """
+        nodes = self.level(tol) + 1
+        if nodes > _NODE_CAP:
+            tail = _tail_after(_NODE_CAP - 1, *self.bound)
+            raise NoConvergence(
+                f"Gauss-Hermite rule: the tail bound after {_NODE_CAP} nodes, "
+                f"{tail:.3e}, is not below tol {tol}"
+            )
+        rule = _hermite_rule(nodes)
+        if rule is None:
+            raise NoConvergence(
+                f"Gauss-Hermite rule: the {nodes}-node rule that tol {tol} needs is not finite"
+            )
+        return rule
 
 
 # The prepared pass of the ``pairing`` call in progress, if any.
@@ -248,18 +275,13 @@ def jlo_cochain(t: HeatData, max_level: int = 32) -> Cochain:
     return Cochain(ev, t.group, max_level, "C")
 
 
-def _integrand(tb: HeatData, inp: PairingInput):
-    """Nodes t -> the vector of Tr(gamma U(g) a exp(-H + i t da)) on the lift ``tb``.
-
-    H is the lift's ``hamiltonian``.  This is J as given, at every node;
-    ``pairing_gaussian`` folds ``_graded_integrand`` instead.
-    """
-    return _stacked_traces(tb.hamiltonian, tb.derive(inp.a), tb.twist(inp.g) @ inp.a)
-
-
 def _graded_parts(prep: _Prepared) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The graded parts (H + gamma H gamma)/2, (da - gamma da gamma)/2 and
-    (f + gamma f gamma)/2, f = gamma U(g) a, of the prepared pairing."""
+    (f + gamma f gamma)/2, f = gamma U(g) a, of the prepared pairing.
+
+    Tr(front exp(-h + i t da)) on them is even in t to rounding, whatever
+    grading residuals validation let through.
+    """
     tb, h, da, front = prep.lift, prep.h, prep.da, prep.front
     return (
         (h + tb.conj_gamma(h)) / 2.0,
@@ -268,49 +290,15 @@ def _graded_parts(prep: _Prepared) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _graded_integrand(prep: _Prepared):
-    """``_integrand`` on the graded parts (``_graded_parts``).
-
-    Its values at t and -t agree to rounding, whatever grading residuals
-    validation let through.
-    """
-    return _stacked_traces(*_graded_parts(prep))
-
-
-def _node_bounds(h: np.ndarray, da: np.ndarray, front: np.ndarray):
-    """(t, w, centre) -> bounds on the weighted folded values of Tr(front exp(-h + i t da)).
-
-    For nodes t >= 0 and weights w of a folded rule, entry j bounds
-    m_j w_j |J(t_j)| / sqrt(pi), where m_j counts t_j and its mirror -t_j
-    (1 for the centre of an odd rule, flagged by ``centre``).  Since
-    |Tr(F E)| <= ||F||_tr ||E|| and the log-norm bound gives
-    ||exp(A)|| <= exp(lambda_max((A + A*)/2)), with A = -h + i t da,
-    |J(t)| <= ||front||_tr exp(-lambda_min + |t| ||da||), lambda_min the
-    least eigenvalue of (h + h*)/2.  This holds for any front and da,
-    Hermitian or not, and for an h that is positive only up to rounding.
-    Taken in logarithms: a weight that underflowed to 0 gives 0, a bound
-    past the float range gives inf.
-    """
-    lam_min = float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
-    trace_norm = schatten_norm(front, 1)
-    rate = opnorm(da)
-    with np.errstate(divide="ignore"):  # a zero front: every bound is 0
-        shift = float(np.log(trace_norm / math.sqrt(math.pi))) - lam_min
-
-    def bounds(ts: np.ndarray, ws: np.ndarray, centre: bool) -> np.ndarray:
-        mult = np.full(ts.size, 2.0)
-        mult[: int(centre)] = 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.exp(np.log(mult * ws) + shift + rate * ts)
-
-    return bounds
-
-
 def _stacked_traces(h: np.ndarray, da: np.ndarray, front: np.ndarray):
     """Nodes t -> the vector of Tr(front exp(-h + i t da)).
 
     The exponentials are taken as stacks of at most ``_STACK_ENTRIES``
-    complex entries, a bound fixed before any stack is built.
+    complex entries, a bound fixed before any stack is built.  They take
+    no 1-norm cap: the plan of ``pairing_gaussian`` fixes the nodes, and
+    at its largest ones the 1-norm may pass ``expm``'s default cap while
+    the exponential stays in range (1104 and about e^592 at the last node
+    of the exchange triple with ||Q|| = 16).
     """
     per_stack = max(1, _STACK_ENTRIES // h.size)
 
@@ -319,7 +307,7 @@ def _stacked_traces(h: np.ndarray, da: np.ndarray, front: np.ndarray):
         out = np.empty(ts.size, dtype=complex)
         for i in range(0, ts.size, per_stack):
             tt = ts[i : i + per_stack, None, None]
-            e = expm(-h + 1j * tt * da)
+            e = expm(-h + 1j * tt * da, norm_cap=np.inf)
             out[i : i + per_stack] = np.trace(front @ e, axis1=1, axis2=2)
         return out
 
@@ -328,16 +316,15 @@ def _stacked_traces(h: np.ndarray, da: np.ndarray, front: np.ndarray):
 
 def generating_functional(t: HeatData, inp: PairingInput, z: complex) -> complex:
     """J(z;a) = Tr(gamma U(g) a exp(-H + i z da)), block-traced for m > 1."""
-    _require_valid_input(t, inp)
-    tb = t.lifted(inp.m)
-    return complex(_integrand(tb, inp)([z])[0])
+    prep = _Prepared(t, inp)
+    return complex(np.trace(prep.front @ expm(-prep.h + 1j * z * prep.da)))
 
 
 @lru_cache(maxsize=32)
 def _hermite_rule(nodes: int):
     """numpy's Gauss-Hermite nodes and weights, or None where they are not finite.
 
-    numpy 2.4 returns NaN weights from about 400 nodes and NaN nodes at 1024.
+    numpy 2.4 returns NaN weights from 372 nodes on.
     """
     with np.errstate(all="ignore"):
         ts, ws = np.polynomial.hermite.hermgauss(nodes)
@@ -352,24 +339,21 @@ def _check_tol(tol: float):
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
-def _check_quadrature(quad_nodes: int, tol: float):
-    """Raise ValueError for a ``tol`` that is not positive and finite or a
-    first node count outside [20, ``_NODE_CAP``]."""
+def gauss_hermite_transform(f, quad_nodes: int = 64, tol: float = 1e-10) -> complex:
+    """(1/sqrt(pi)) integral of e^{-t^2} f(t), doubling the nodes until two sums agree to ``tol``.
+
+    ``f`` takes one node at a time, at every node of the rule: f need
+    not be even, so its odd part cancels.  An arbitrary f has no bound to
+    plan the rule from, hence the doubling.  Raises NoConvergence when the
+    doubling passes ``_NODE_CAP`` or reaches a node count whose rule is not
+    finite, and ValueError for a ``tol`` that is not positive and finite or
+    a first node count outside [20, ``_NODE_CAP``].
+    """
     _check_tol(tol)
     if quad_nodes < 20:
         raise ValueError("quad_nodes must be at least 20")
     if quad_nodes > _NODE_CAP:
         raise ValueError(f"quad_nodes {quad_nodes} exceeds node_cap {_NODE_CAP}")
-
-
-def _gauss_hermite(values, quad_nodes: int = 64, tol: float = 1e-10) -> complex:
-    """(1/sqrt(pi)) sum_j w_j f(t_j), doubling the nodes until two sums agree to ``tol``.
-
-    ``values`` maps the vector of nodes t_j to the values f(t_j).  Raises
-    NoConvergence when the doubling passes ``_NODE_CAP`` or reaches a node
-    count whose rule is not finite, and ValueError through ``_check_quadrature``.
-    """
-    _check_quadrature(quad_nodes, tol)
     prev = None
     nodes = quad_nodes
     while nodes <= _NODE_CAP:
@@ -380,7 +364,7 @@ def _gauss_hermite(values, quad_nodes: int = 64, tol: float = 1e-10) -> complex:
                 f"the {nodes}-node rule is not finite"
             )
         ts, ws = rule
-        val = sum(w * v for w, v in zip(ws, values(ts))) / math.sqrt(math.pi)
+        val = sum(w * f(tt) for w, tt in zip(ws, ts)) / math.sqrt(math.pi)
         if prev is not None and abs(val - prev) < tol:
             return val
         prev = val
@@ -390,70 +374,41 @@ def _gauss_hermite(values, quad_nodes: int = 64, tol: float = 1e-10) -> complex:
     )
 
 
-def gauss_hermite_transform(f, quad_nodes: int = 64, tol: float = 1e-10) -> complex:
-    """(1/sqrt(pi)) integral of e^{-t^2} f(t), with node doubling to ``tol``.
+def pairing_gaussian(t: HeatData, inp: PairingInput, tol: float = 1e-10) -> complex:
+    """Gaussian transform of the generating functional at the origin, to ``tol``.
 
-    ``f`` takes one node at a time, at every node of the rule: f need
-    not be even, so its odd part cancels.  Raises NoConvergence if successive
-    doublings never stabilize below ``tol`` before the cap.
-    """
-    return _gauss_hermite(lambda ts: [f(tt) for tt in ts], quad_nodes, tol)
-
-
-def pairing_gaussian(
-    t: HeatData,
-    inp: PairingInput,
-    quad_nodes: int = 64,
-    tol: float = 1e-10,
-) -> complex:
-    """Gaussian transform of the generating functional at the origin.
+    The Taylor coefficients of J(t) are the levels <a, da, ..., da>_n, so
+    the transform of t^{2k} weights level 2k as the series does.  The
+    (K+1)-node rule, K = ``_Prepared.level(tol)``, integrates t^{2k}
+    exactly for k <= K, and beyond it gives a value between 0 and the
+    exact moment.  So its error is at most the series' tail
+    ``_tail_after(K)``, below ``tol``, and one pass of that rule is the
+    value.  Raises NoConvergence, before any exponential, when no finite
+    rule within ``_NODE_CAP`` nodes reaches ``tol``.
 
     J is even: a and U(g) are gamma-even and d a is gamma-odd, so
     gamma (-H + i t da) gamma = -H - i t da and moving gamma around the
-    trace gives J(-t) = J(t).  The Gauss-Hermite rules are symmetric
-    (t_j = -t_{n-1-j}), so only the nodes t >= 0 get an exponential and
-    their values are mirrored onto the rest; an odd rule's t = 0 is
-    evaluated once.  The sum runs over the same sequence in the same order
-    as on the full rule.  Inputs pass validation with residuals up to
-    ``tol``, so the fold runs on the graded parts (``_graded_parts``),
-    taken once per call.  They keep J even to rounding, and they move the
-    value by O(residual^2), since the full rule cancels every first-order
-    odd term.
-
-    Each pass also drops the largest-t nodes whose contribution is
-    negligible: |w_j J(t_j)| <= w_j ||gamma U(g) a||_tr
-    exp(-lambda_min + t_j ||da||) (``_node_bounds``), and the longest
-    suffix of the folded nodes whose bounds, mirrors included, sum to at
-    most ``tol`` 2^-40 counts as 0, in the same place of the sum.  So the
-    value of a pass moves by at most ``tol`` 2^-40 plus rounding, and the
-    nodes of largest t, which carry the most squarings, take no
-    exponential.
+    trace gives J(-t) = J(t).  The rules are symmetric, so only the nodes
+    t >= 0 get an exponential, with weight 2 w_j (w_j at the centre of an
+    odd rule).  Inputs pass validation with residuals up to ``tol``, so
+    the fold runs on the graded parts (``_graded_parts``).  They keep J
+    even to rounding, and they move the value by O(residual^2), since the
+    full rule cancels every first-order odd term.  The bound, taken on the
+    raw lift, covers them: the graded da and gamma U(g) a have norms at
+    most those of da and a, and Tr e^{-(H + gamma H gamma)/2} <= Tr e^{-H},
+    as Tr exp is convex.
     """
-    values = _folded_values(_prepared(t, inp), tol * _CUT_SHARE)
-    return _gauss_hermite(values, quad_nodes, tol)
-
-
-def _folded_values(prep: _Prepared, limit: float):
-    """Nodes t of a Gauss-Hermite rule -> the graded J at each, with
-    exponentials at the nodes t >= 0 only, and 0 at the longest suffix of
-    them whose ``_node_bounds`` sum to at most ``limit`` (mirrors included).
-    """
-    h, da, front = _graded_parts(prep)
-    graded = _stacked_traces(h, da, front)
-    bounds = _node_bounds(h, da, front)
-
-    def values(ts):
-        mirrored = ts.size // 2
-        folded = ts[mirrored:]
-        ws = _hermite_rule(ts.size)[1][mirrored:]  # the rule ``_gauss_hermite`` sums
-        # tail[j]: the bounds of node j and every larger one, summed from the largest
-        tail = np.cumsum(bounds(folded, ws, ts.size % 2 == 1)[::-1])[::-1]
-        kept = int(np.count_nonzero(tail > limit))
-        half = np.zeros(folded.size, dtype=complex)
-        half[:kept] = graded(folded[:kept])
-        return np.concatenate((half[::-1][:mirrored], half))
-
-    return values
+    prep = _prepared(t, inp)
+    _check_tol(tol)
+    ts, ws = prep.rule(tol)
+    half = ts.size // 2
+    weights = 2.0 * ws[half:]
+    if ts.size % 2:
+        weights[0] = ws[half]
+    values = _stacked_traces(*_graded_parts(prep))(ts[half:])
+    # a Python sum: a BLAS dot here changes the CPU state in which perfbench's
+    # gauge kernel runs, and with it every normalized time
+    return sum(w * v for w, v in zip(weights, values)) / math.sqrt(math.pi)
 
 
 def _check_max_level(max_level: int):
@@ -487,7 +442,8 @@ def pairing_series(
     _check_max_level(max_level)
     _check_tol(tol)
     prep = _prepared(t, inp)
-    top, log_s, x = prep.series_plan(max_level, tol)
+    top = prep.series_plan(max_level, tol)
+    log_s, x = prep.bound
     raw = repeated_expectation_series(prep.lift, inp.a, prep.da, 2 * top, inp.g)
     total = sum(pairing_coefficient(k) * raw[2 * k] for k in range(top + 1))
     return total, 2 * top, _tail_after(top, log_s, x) + 1e-13 * _exp(log_s + x)
@@ -526,7 +482,6 @@ def equivariant_index(t: HeatData, g: int = 0) -> complex:
 def pairing(
     t: HeatData,
     inp: PairingInput,
-    quad_nodes: int = 64,
     max_level: int = 32,
     tol: float = 1e-10,
 ) -> PairingResult:
@@ -537,18 +492,19 @@ def pairing(
     pairing (``pairing_series``).  ``connes_value`` is the idempotent-form
     average (pairing + index)/2 under a = 2p - I.
 
-    The input is validated once and the series' level fixed, with its
-    block budget checked, before either route takes an exponential
-    (``_Prepared``).
+    The input is validated once, and both plans are fixed before either
+    route takes an exponential (``_Prepared``): the series' level, with its
+    block budget checked, then the quadrature's rule.
     """
     _check_max_level(max_level)
     prep = _Prepared(t, inp)
-    _check_quadrature(quad_nodes, tol)  # before the series level is read off tol
+    _check_tol(tol)  # before either plan is read off tol
     series_tol = min(tol, 1e-12)
     prep.series_plan(max_level, series_tol)
+    prep.rule(tol)
     token = _ACTIVE.set(prep)
     try:
-        quad = pairing_gaussian(t, inp, quad_nodes=quad_nodes, tol=tol)
+        quad = pairing_gaussian(t, inp, tol=tol)
         series, trunc, tail = pairing_series(t, inp, max_level=max_level, tol=series_tol)
         index = equivariant_index(prep.lift, inp.g)
     finally:

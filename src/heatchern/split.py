@@ -172,12 +172,11 @@ def split_jlo_component(s: SplitTriple, n: int, a_list, g: int = 0) -> complex:
 def split_pairing(
     s: SplitTriple,
     inp: PairingInput,
-    quad_nodes: int = 64,
     max_level: int = 32,
     tol: float = 1e-10,
 ) -> PairingResult:
     """Both pairing routes, exponent -H + i t d1(a), on a zero-momentum input."""
-    return pairing(s, inp, quad_nodes=quad_nodes, max_level=max_level, tol=tol)
+    return pairing(s, inp, max_level=max_level, tol=tol)
 
 
 def coupling_sweep(
@@ -185,7 +184,6 @@ def coupling_sweep(
     inp: PairingInput,
     lambda_grid,
     mode: str = "coupling",
-    quad_nodes: int = 64,
     tol: float = 1e-10,
 ) -> SweepTable:
     """Pairing along a family of split triples.
@@ -224,7 +222,7 @@ def coupling_sweep(
                     f"q1_commuting preconditions fail at lambda={lam} "
                     f"(residual {precond:.3e})"
                 )
-        val = pairing_gaussian(s_lam, inp, quad_nodes=quad_nodes, tol=tol)
+        val = pairing_gaussian(s_lam, inp, tol=tol)
         tab.add_row(
             **{
                 "lambda": lam,

@@ -528,26 +528,30 @@ class TestErrors:
         assert abs(complex(*out["series_value"]) - value) <= out["tail_bound"]
 
     def test_quadrature_out_of_nodes_exit_two(self, tmp_path, capsys):
-        # the doubling reaches numpy's 512-node rule, whose weights are NaN
-        doc = {
-            "dim": 2,
-            "Q": [[0, 12], [12, 0]],
-            "gamma": [[1, 0], [0, -1]],
-            "a": [[1, 0], [0, -1]],
-        }
-        path = write(tmp_path, "n.json", doc)
+        # Q = 20X needs the 537-node rule, and numpy's rules are NaN from
+        # 372 nodes; Q = 12X needs 229 nodes and pairs
+        doc = {"dim": 2, "gamma": [[1, 0], [0, -1]], "a": [[1, 0], [0, -1]]}
+        path = write(tmp_path, "n.json", dict(doc, Q=[[0, 20], [20, 0]]))
         assert run_main(["pair", "--input", path]) == 2
-        err = json.loads(capsys.readouterr().err)["error"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
         assert err["type"] == "NoConvergence"
-        assert "512-node rule is not finite" in err["message"]
+        assert "the 537-node rule that tol 1e-10 needs is not finite" in err["message"]
+        path = write(tmp_path, "m.json", dict(doc, Q=[[0, 12], [12, 0]]))
+        assert run_main(["pair", "--input", path]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["value"][0] - 2.0) < 1e-12
 
     def test_quad_nodes_over_cap_exit_three(self, tmp_path, capsys):
-        doc = dict(EXCHANGE)
-        doc["a"] = [[1, 0], [0, -1]]
-        path = write(tmp_path, "p.json", doc)
-        assert run_main(["pair", "--input", path, "--quad-nodes", "2000"]) == 3
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err == {"type": "ValueError", "message": "quad_nodes 2000 exceeds node_cap 1024"}
+        # the rule is planned from tol, so --quad-nodes is an unknown option at any value
+        path = write(tmp_path, "p.json", dict(EXCHANGE, a=[[1, 0], [0, -1]]))
+        for nodes in ("64", "2000"):
+            assert run_main(["pair", "--input", path, "--quad-nodes", nodes]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err)["error"]
+            assert err == {"type": "ArgumentError",
+                           "message": f"unrecognized arguments: --quad-nodes {nodes}"}
 
     @pytest.mark.parametrize("command", ["pair", "split-pair"])
     def test_negative_max_level_exit_three(self, tmp_path, capsys, command):
@@ -751,7 +755,7 @@ class TestErrors:
         [
             (["index", "--method=foo"], "argument --method: invalid choice: 'foo'"),
             (["index", "--tol=abc"], "argument --tol: invalid float value: 'abc'"),
-            (["index", "--quad-nodes=1.5"], "argument --quad-nodes: invalid int value: '1.5'"),
+            (["index", "--max-level=1.5"], "argument --max-level: invalid int value: '1.5'"),
             (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
             (["index", "--frobnicate=1"], "unrecognized arguments: --frobnicate=1"),
             ([], "the following arguments are required: command"),
@@ -775,30 +779,33 @@ class TestErrors:
         assert capsys.readouterr().out.startswith("usage: heatchern")
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, error",
         [
-            (["index", "--tol=-1"], "tol must be positive and finite, got -1.0"),
-            (["validate", "--tol=0"], "tol must be positive and finite, got 0.0"),
-            (["jlo", "--tol=inf"], "tol must be positive and finite, got inf"),
-            (["index", "--quad-nodes=5"], "quad_nodes must be at least 20"),
-            (["validate", "--quad-nodes=2000"], "quad_nodes 2000 exceeds node_cap 1024"),
-            (["validate", "--max-level=-3"], "max_level must be nonnegative, got -3"),
-            (["pair", "--max-level=344"], "max_level 344 exceeds 342"),
+            (["index", "--tol=-1"], ("ValueError", "tol must be positive and finite, got -1.0")),
+            (["validate", "--tol=0"], ("ValueError", "tol must be positive and finite, got 0.0")),
+            (["jlo", "--tol=inf"], ("ValueError", "tol must be positive and finite, got inf")),
+            (["index", "--quad-nodes=5"],
+             ("ArgumentError", "unrecognized arguments: --quad-nodes=5")),
+            (["validate", "--quad-nodes=2000"],
+             ("ArgumentError", "unrecognized arguments: --quad-nodes=2000")),
+            (["validate", "--max-level=-3"],
+             ("ValueError", "max_level must be nonnegative, got -3")),
+            (["pair", "--max-level=344"], ("ValueError", "max_level 344 exceeds 342")),
         ],
         ids=["index-tol", "validate-tol", "jlo-tol", "index-nodes", "validate-nodes",
              "validate-level", "pair-level"],
     )
     @pytest.mark.parametrize("input_ok", [True, False], ids=["input", "no-input"])
-    def test_option_checked_on_every_command(self, tmp_path, capsys, argv, message, input_ok):
+    def test_option_checked_on_every_command(self, tmp_path, capsys, argv, error, input_ok):
         # these commands do not use the option; they exited 0 and wrote the
         # bad value into the provenance block.  The option is checked before
-        # the input is read.
+        # the input is read; the removed --quad-nodes is a usage error.
         doc = dict(EXCHANGE, tuple=[[[1, 0], [0, 1]]])
         path = write(tmp_path, "t.json", doc) if input_ok else "/nonexistent.json"
         assert run_main(argv + ["--input", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err) == {"error": {"type": "ValueError", "message": message}}
+        assert json.loads(captured.err) == {"error": {"type": error[0], "message": error[1]}}
 
     def test_gamma_even_sweep_direction_exit_one(self, tmp_path, capsys):
         doc = dict(EXCHANGE, a=[[1, 0], [0, -1]], q=[[1, 0], [0, -1]])

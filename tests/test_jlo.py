@@ -247,10 +247,8 @@ class TestPairing:
         inp.a = 2.0 * np.eye(2, dtype=complex)
         with pytest.raises(PairingInputInvalid):
             route(exchange, inp)
-        # the 512-node rule is not finite: the quadrature raises mid-pairing
-        q = 12.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        t = SpectralTriple(dim=2, Q=q, gamma=np.diag([1.0, -1.0]), group=[np.eye(2)])
-        inp = PairingInput(a=t.gamma.copy())
+        # the 537-node rule is not finite: the pairing raises after its validation
+        t, inp = _exchange(20.0)
         with pytest.raises(NoConvergence):
             pairing(t, inp)
         inp.a = 2.0 * np.eye(2, dtype=complex)
@@ -456,39 +454,9 @@ def _heat_data_of_kind(kind, dim, g, seed):
     return t, PairingInput(a=random_involution(t.lifted(m), rng), m=m, g=g)
 
 
-def _cut_of_rule(t, inp, nodes, tol):
-    """(folded nodes, kept count, bounds) of the node cut on the ``nodes``-point rule.
-
-    Computed here from the bound's definition: on the graded parts, node
-    t >= 0 carries m w ||front||_tr exp(-lambda_min + t ||da||) / sqrt(pi),
-    m = 2 but for the centre of an odd rule, and the cut drops the longest
-    suffix whose bounds sum to at most tol 2^-40.
-    """
-    tb = t.lifted(inp.m)
-    h = (tb.hamiltonian + tb.conj_gamma(tb.hamiltonian)) / 2
-    da = tb.derive(inp.a)
-    da = (da - tb.conj_gamma(da)) / 2
-    front = tb.twist(inp.g) @ inp.a
-    front = (front + tb.conj_gamma(front)) / 2
-    lam_min = np.linalg.eigvalsh((h + h.conj().T) / 2)[0]
-    trace_norm = np.linalg.svd(front, compute_uv=False).sum()
-    ts, ws = np.polynomial.hermite.hermgauss(nodes)
-    folded, fws = ts[nodes // 2 :], ws[nodes // 2 :]
-    mult = np.where(np.arange(folded.size) == 0, 2 - nodes % 2, 2)
-    rate = opnorm(da)
-    bounds = [
-        m * w * trace_norm * math.exp(-lam_min + tt * rate) / math.sqrt(math.pi)
-        for m, w, tt in zip(mult, fws, folded)
-    ]
-    kept, total = folded.size, 0.0
-    while kept and total + bounds[kept - 1] <= tol * 2.0**-40:
-        kept -= 1
-        total += bounds[kept]
-    return folded, kept, bounds
-
-
 def _cut_case(case):
-    """Heat data and a pairing input for the node-cut tests."""
+    """Heat data and a pairing input at the edges of the rule's bound: a
+    random z2 input, a non-Hermitian a, and an H with negative eigenvalues."""
     rng = np.random.default_rng(7)
     if case == "regularized-negative":
         # H = Q^2 + R with R negative on some vectors: lambda_min < 0
@@ -511,52 +479,92 @@ def _cut_case(case):
 CUT_CASES = ["random", "non-hermitian", "regularized-negative"]
 
 
-class TestNodeCut:
-    @pytest.mark.parametrize("case", CUT_CASES)
-    def test_bound_holds_at_every_dropped_node(self, case):
-        t, inp = _cut_case(case)
+def _exchange(q):
+    """The exchange triple with Q = q X and the input a = gamma; the pairing is 2."""
+    x = q * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    t = SpectralTriple(dim=2, Q=x, gamma=np.diag([1.0, -1.0]), group=[np.eye(2)])
+    return t, PairingInput(a=t.gamma.copy())
+
+
+def _rule_value(prep, nodes):
+    """The ``nodes``-point Gauss-Hermite rule on the graded integrand, at every node."""
+    ts, ws = np.polynomial.hermite.hermgauss(nodes)
+    values = jlo._stacked_traces(*jlo._graded_parts(prep))(ts)
+    return complex(ws @ values) / math.sqrt(math.pi)
+
+
+BOUND_INPUTS = [("kind", kind, dim, g) for kind in HEAT_DATA_KINDS for dim in (2, 5, 9)
+                for g in (0, 1)] + [("cut", case, 6, 0) for case in CUT_CASES]
+
+
+class TestRuleBound:
+    @pytest.mark.parametrize("source, kind, dim, g", BOUND_INPUTS)
+    def test_n_node_rule_within_the_series_tail(self, source, kind, dim, g):
+        # the n-node rule is exact on t^{2k}, k < n, and between 0 and the
+        # moment beyond, so it errs by at most the tail after level 2(n - 1)
+        if source == "kind":
+            t, inp = _heat_data_of_kind(kind, dim, g, seed=17 * dim + g)
+        else:
+            t, inp = _cut_case(kind)
+        prep = jlo._Prepared(t, inp)
+        log_s, x = prep.bound
         tb = t.lifted(inp.m)
-        if case == "regularized-negative":
-            h = (tb.hamiltonian + tb.conj_gamma(tb.hamiltonian)) / 2
-            assert np.linalg.eigvalsh(h)[0] < -0.1
-        prep = jlo._Prepared(t, inp)
-        graded = jlo._graded_integrand(prep)
-        library = jlo._node_bounds(*jlo._graded_parts(prep))
-        for nodes in (64, 65, 128):
-            folded, kept, bounds = _cut_of_rule(t, inp, nodes, 1e-10)
-            assert 0 < kept < folded.size
-            ws = np.polynomial.hermite.hermgauss(nodes)[1][nodes // 2 :]
-            got = library(folded, ws, nodes % 2 == 1)
-            assert np.allclose(got, bounds, rtol=1e-12, atol=0.0)
-            vals = graded(folded[kept:])
-            for w, v, b in zip(ws[kept:], vals, bounds[kept:]):
-                assert 2 * w * abs(v) / math.sqrt(math.pi) <= b
+        if kind in ("split", "regularized", "regularized-negative"):
+            reference = _rule_value(prep, 300)
+        else:  # a plain pairing is its Q = 0 value
+            reference = complex(np.trace(tb.twist(inp.g) @ inp.a))
+        slack = 1e-13 * math.exp(log_s + x)
+        for n in range(1, 41):
+            err = abs(_rule_value(prep, n) - reference)
+            assert err <= jlo._tail_after(n - 1, log_s, x) + slack, n
 
-    @pytest.mark.parametrize("case", CUT_CASES)
-    def test_pass_drops_at_most_its_share(self, case):
-        # per pass: the kept nodes keep their bits, the dropped count as 0,
-        # and the exact sum of what was dropped is within tol 2^-40
-        t, inp = _cut_case(case)
-        prep = jlo._Prepared(t, inp)
-        limit = 1e-10 * 2.0**-40
-        for nodes in (64, 65, 128):
-            ts, ws = np.polynomial.hermite.hermgauss(nodes)
-            cut = jlo._folded_values(prep, limit)(ts)
-            full = jlo._folded_values(prep, 0.0)(ts)
-            kept = _cut_of_rule(t, inp, nodes, 1e-10)[1]
-            live = np.abs(ts) <= ts[nodes // 2 + kept - 1]
-            assert np.array_equal(cut[live], full[live])
-            assert not np.any(cut[~live])
-            dropped = ws * (full - cut) / math.sqrt(math.pi)
-            assert abs(complex(math.fsum(dropped.real), math.fsum(dropped.imag))) <= limit
+    @pytest.mark.parametrize("q", [12.0, 16.0])
+    def test_large_exchange_converges(self, q):
+        # numpy's rules are finite up to 371 nodes; these plans take 229 and 367
+        t, inp = _exchange(q)
+        assert jlo._Prepared(t, inp).level(1e-10) + 1 == {12.0: 229, 16.0: 367}[q]
+        res = pairing(t, inp)
+        assert abs(res.value - 2.0) <= 1e-12
 
-    @pytest.mark.parametrize("case", CUT_CASES)
-    def test_value_within_its_share_of_the_uncut_sum(self, case):
-        t, inp = _cut_case(case)
-        uncut = jlo._gauss_hermite(jlo._folded_values(jlo._Prepared(t, inp), 0.0))
-        # rounding of the sum itself may add a few units in its last place
-        slack = 1e-10 * 2.0**-40 + 4 * np.spacing(abs(uncut))
-        assert abs(pairing_gaussian(t, inp) - uncut) <= slack
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            (20.0, "the 537-node rule that tol 1e-10 needs is not finite"),
+            (30.0, r"the tail bound after 1024 nodes, .*, is not below tol 1e-10"),
+        ],
+    )
+    @pytest.mark.parametrize("route", [pairing_gaussian, pairing])
+    def test_no_rule_raises_before_any_exponential(self, monkeypatch, q, message, route):
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return expm(*args, **kw)
+
+        monkeypatch.setattr(jlo, "expm", counted)
+        monkeypatch.setattr(
+            expectations, "expm_toeplitz_row", lambda *a: calls.append(a) or expm_toeplitz_row(*a)
+        )
+        t, inp = _exchange(q)
+        with pytest.raises(NoConvergence, match=message):
+            route(t, inp)
+        assert calls == []
+
+    def test_one_level_fixes_both_routes(self, exchange, monkeypatch):
+        # at tol 1e-12 the series stops at level 2K = 28 and the quadrature
+        # takes the 15-node rule: 8 exponentials at its nodes t >= 0
+        nodes = []
+        stacked = jlo._stacked_traces
+
+        def recorded(*parts):
+            values = stacked(*parts)
+            return lambda ts: nodes.append(ts) or values(ts)
+
+        monkeypatch.setattr(jlo, "_stacked_traces", recorded)
+        res = pairing(exchange, PairingInput(a=exchange.gamma.copy()), tol=1e-12)
+        assert res.truncation_level == 28
+        assert [ts.size for ts in nodes] == [8]
+        assert abs(res.value - 2.0) <= 1e-12
 
 
 class TestGaussHermite:
@@ -573,24 +581,21 @@ class TestGaussHermite:
         )
 
     def test_fold_halves_the_exponentials(self, exchange, monkeypatch):
-        # the pairing converges at the first doubling: only the nodes
-        # t >= 0 of each rule that the cut keeps get an exponential, t = 0
-        # once, and the cut drops some of the largest
+        # one stack, of the ceil((K+1)/2) nodes t >= 0 of the (K+1)-node
+        # rule: t = 0 once when K+1 is odd (15 nodes at tol 1e-12)
         shapes = []
 
-        def recorded(m):
+        def recorded(m, **kw):
             shapes.append(m.shape)
-            return expm(m)
+            return expm(m, **kw)
 
         monkeypatch.setattr(jlo, "expm", recorded)
         inp = PairingInput(a=exchange.gamma.copy())
-        for first in (64, 21):
+        for tol, nodes in ((1e-10, 14), (1e-12, 15), (1e-6, 10)):
             shapes.clear()
-            val = pairing_gaussian(exchange, inp, quad_nodes=first)
-            assert val == pytest.approx(2.0, abs=1e-10)
-            kept = [_cut_of_rule(exchange, inp, n, 1e-10)[1] for n in (first, 2 * first)]
-            assert shapes == [(k, 2, 2) for k in kept]
-            assert kept[0] <= (first + 1) // 2 and kept[1] < first
+            assert jlo._Prepared(exchange, inp).level(tol) + 1 == nodes
+            assert abs(pairing_gaussian(exchange, inp, tol=tol) - 2.0) <= tol
+            assert shapes == [((nodes + 1) // 2, 2, 2)]
 
     @pytest.mark.parametrize("dim", [6, 12, 24])
     def test_nearly_graded_inputs_stay_put(self, dim):
@@ -622,7 +627,7 @@ class TestGaussHermite:
     def test_graded_integrand_is_even(self, kind, dim, g, seed):
         t, inp = _heat_data_of_kind(kind, dim, g, seed)
         ts = np.polynomial.hermite.hermgauss(64)[0][32:]
-        values = jlo._graded_integrand(jlo._Prepared(t, inp))
+        values = jlo._stacked_traces(*jlo._graded_parts(jlo._Prepared(t, inp)))
         plus, minus = values(ts), values(-ts)
         assert np.max(np.abs(plus - minus)) <= 1e-14 * np.max(np.abs(plus))
 
@@ -634,9 +639,12 @@ class TestGaussHermite:
         seed=st.integers(0, 10**6),
     )
     def test_fold_matches_the_full_rule(self, kind, dim, g, seed):
-        # the raw integrand at every node is the reference
+        # the raw integrand at every node of the same (K+1)-node rule is the reference
         t, inp = _heat_data_of_kind(kind, dim, g, seed)
-        full = jlo._gauss_hermite(jlo._integrand(t.lifted(inp.m), inp))
+        prep = jlo._Prepared(t, inp)
+        ts, ws = np.polynomial.hermite.hermgauss(prep.level(1e-10) + 1)
+        values = jlo._stacked_traces(prep.h, prep.da, prep.front)(ts)
+        full = complex(ws @ values) / math.sqrt(math.pi)
         assert abs(pairing_gaussian(t, inp) - full) <= 1e-14 * max(1.0, abs(full))
 
     def test_no_convergence(self):
@@ -644,11 +652,10 @@ class TestGaussHermite:
             gauss_hermite_transform(lambda tt: math.cos(50.0 * tt))
 
     def test_non_finite_rule_ends_doubling(self):
-        # numpy's 512-node rule has NaN weights; the doubling stops there
-        q = 12.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        t = SpectralTriple(dim=2, Q=q, gamma=np.diag([1.0, -1.0]), group=[np.eye(2)])
-        with pytest.raises(NoConvergence, match="512-node rule is not finite"):
-            pairing_gaussian(t, PairingInput(a=t.gamma.copy()))
+        # numpy's rules are not finite from 372 nodes: a transform that
+        # doubles from 300 nodes stops at the 600-node rule
+        with pytest.raises(NoConvergence, match="600-node rule is not finite"):
+            gauss_hermite_transform(lambda tt: math.cos(50.0 * tt), quad_nodes=300)
 
     @pytest.mark.parametrize("quad_nodes", [10, 2000])
     def test_node_count_out_of_range(self, quad_nodes):
@@ -681,16 +688,16 @@ class TestGaussHermite:
         per_node = [complex(np.trace(front @ expm(-h + 1j * tt * da))) for tt in ts]
         shapes = []
 
-        def recorded(m):
+        def recorded(m, **kw):
             shapes.append(m.shape)
-            return expm(m)
+            return expm(m, **kw)
 
         monkeypatch.setattr(jlo, "expm", recorded)
-        stacked = jlo._integrand(tb, inp)(ts)
+        stacked = jlo._stacked_traces(h, da, front)(ts)
         assert shapes == [(128, 6, 6)]
         monkeypatch.setattr(jlo, "_STACK_ENTRIES", 1)
         shapes.clear()
-        sliced = jlo._integrand(tb, inp)(ts)
+        sliced = jlo._stacked_traces(h, da, front)(ts)
         assert shapes == [(1, 6, 6)] * 128
         assert np.array_equal(stacked, per_node)
         assert np.array_equal(sliced, per_node)

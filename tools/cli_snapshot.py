@@ -155,6 +155,11 @@ def cases():
              ["coupling-sweep", "--lambda-grid=0:1:3", "--mode=q1_commuting"], dict(n2, a=mat(SZ))),
             ("n2-two-levels-split-pair-moving-not-involution", ["split-pair"],
              dict(moving, a=mat(2 * np.kron(SX, np.eye(4)))))]
+    # the exchange triple scaled: Q = 12X pairs with 229 nodes, Q = 20X needs a
+    # non-finite 537-node rule; --quad-nodes is an unknown option
+    out += [("exchange-q12-pair", ["pair"], dict(exchange, Q=mat(12 * SX), a=mat(SZ))),
+            ("exchange-q20-pair", ["pair"], dict(exchange, Q=mat(20 * SX), a=mat(SZ))),
+            ("usage-quad-nodes", ["pair", "--quad-nodes=64"], dict(exchange, a=mat(SZ)))]
     return out + [("n2-two-levels-split-pair-moving-input", ["split-pair"], moving),
                   ("missing-input", ["pair", "--input=missing.json"], None),
                   ("usage-unknown-command", ["nonsense"], None),
