@@ -9,11 +9,13 @@ its table and writes the JSON report only to ``--output``.  Exit codes:
 0 success, 1 validation failure, 2 numerical non-convergence (a pairing
 whose tolerance needs more Gauss-Hermite nodes than the cap, or a rule
 numpy cannot give finite, is refused before any exponential), a request
-over the block-order budget, out of memory or an arithmetic error such as
-an overflow (a generator H with entries past the float range included),
-3 a usage error, a bad ``--tol`` or ``--max-level`` (checked on every
-command, before any input is read), or an I/O or schema error.  Every
-failure writes one JSON error object to standard error.
+over the block-order budget, a grid of more than that many points
+(checked before the grid is allocated), out of memory or an arithmetic
+error such as an overflow (a generator H with entries past the float
+range included), 3 a usage error, a bad ``--tol`` or ``--max-level``
+(checked on every command, before any input is read), or an I/O or
+schema error.  Every failure writes one JSON error object to standard
+error.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .errors import (
 from .expectations import expectation_value, heat_expectation
 from .homotopy import (
     SweepTable,
+    _check_grid_points,
     beta_independence,
     endpoint_grid,
     linear_family,
@@ -81,12 +84,14 @@ _NUMERIC_ERRORS = (NoConvergence, Overflow, ComplexityCap, MemoryError, Arithmet
 
 
 def _parse_grid(text: str) -> np.ndarray:
+    """The n points a:b:n; n over the budget raises ComplexityCap before ``linspace``."""
     try:
         a, b, n = text.split(":")
         a, b, n = float(a), float(b), int(n)
         # b - a is finite only if both ends are, and then so is every point
         if not np.isfinite(b - a):
             raise DimensionMismatch(f"grid {text!r} is not finite")
+        _check_grid_points(f"grid {text!r}", n)
         grid = np.linspace(a, b, n)
     except ValueError as exc:
         raise DimensionMismatch(f"cannot parse grid {text!r}, expected a:b:n") from exc

@@ -32,7 +32,9 @@ series reads: ``repeated_expectation_series`` computes only that row
 instead of O(s N^3 dim^3).  The other expectations have distinct vertices
 and keep the full exponential, which also serves as the row's reference.
 A seeded Monte-Carlo quadrature over the simplex provides an independent
-route at every instance.
+route at every instance: per block of simplex points it stacks the
+products x_0 e^{-s_0 H} ... x_j e^{-s_j H} as one (points*dim, dim)
+matrix, so each vertex costs one GEMM and one column scaling.
 """
 
 from __future__ import annotations
@@ -192,11 +194,17 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     unit simplex).  They are drawn in blocks of at most 4096 points, and
     of at most ``MAX_BLOCK_ORDER``^2 // dim^2, so that each (points, dim,
     dim) array holds no more entries than one budgeted block matrix.
+    In the eigenbasis of H each e^{-s_j H} scales columns, and every point
+    shares the vertex x_j: so each vertex step is one GEMM of the
+    (points*dim, dim) stack by x_j, then the in-place column scaling.
+    Each entry is the length-dim dot product a per-point product takes;
+    the tests hold the result to the bits of the per-point products.
     The variance is each block's sum of |v - block mean|^2, combined
     across blocks by Chan's pairwise update, so it does not cancel when
     the samples barely vary; the mean is the plain sum over samples.
     """
     lam, basis = t.heat_data()
+    dim = lam.size
     n = len(rest)
     rng = np.random.default_rng(seed)
     mats = [basis.conj().T @ m @ basis for m in [front] + rest]
@@ -204,7 +212,7 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     tot = 0.0 + 0.0j
     sq_dev = 0.0  # sum of |v - mean|^2 over the samples done
     done = 0
-    block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // lam.size**2))
+    block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // dim**2))
     while done < samples:
         m = min(block, samples - done)
         e = rng.exponential(size=(m, n + 1))
@@ -212,8 +220,8 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
         ker = np.exp(-s[:, :, None] * lam[None, None, :])
         cur = mats[0][None, :, :] * ker[:, 0, :][:, None, :]
         for j in range(1, n + 1):
-            cur = cur @ mats[j]
-            cur = cur * ker[:, j, :][:, None, :]
+            cur = (cur.reshape(m * dim, dim) @ mats[j]).reshape(m, dim, dim)
+            cur *= ker[:, j, :][:, None, :]
         vals = np.trace(cur, axis1=1, axis2=2)
         block_sum = complex(vals.sum())
         block_mean = block_sum / m

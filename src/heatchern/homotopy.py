@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cochains import Cochain, norm_profile, op_partial
-from .errors import DimensionMismatch, Overflow, ValidationFailure
-from .expectations import expectation_value
+from .errors import BadExponent, ComplexityCap, DimensionMismatch, Overflow, ValidationFailure
+from .expectations import MAX_BLOCK_ORDER, expectation_value
 from .jlo import PairingInput, _require_valid_input, jlo_component, pairing_gaussian
 from .linalg import as_matrix, opnorm
 from .triples import (
@@ -184,6 +184,13 @@ class SweepTable:
                     line.append(val)
             out.append(line)
         return out
+
+
+def _check_grid_points(name: str, points: int):
+    """Raise ComplexityCap when a grid of ``points`` points exceeds the budget
+    ``MAX_BLOCK_ORDER``; callers check before they allocate the grid."""
+    if points > MAX_BLOCK_ORDER:
+        raise ComplexityCap(f"{name} has {points} points, which exceeds budget {MAX_BLOCK_ORDER}")
 
 
 def _grid(name: str, values) -> list[float]:
@@ -382,8 +389,10 @@ def beta_independence(
 class _Regularized(SpectralTriple):
     """A triple with H = Q^2 + R and d still the graded commutator with Q.
 
-    Only plane 1 is meaningful: ``lifted`` scales R by sqrt(beta) where a
-    plane-beta H needs beta R.  The endpoint grid, its only builder, runs there.
+    Only plane 1 is meaningful: scaling every generator by sqrt(beta) would
+    give H = beta Q^2 + sqrt(beta) R where a plane-beta H needs beta R, so
+    ``lifted`` refuses beta != 1.  The endpoint grid, its only builder, runs
+    on plane 1.
     """
 
     R: np.ndarray = field(kw_only=True)
@@ -392,6 +401,14 @@ class _Regularized(SpectralTriple):
 
     def _hamiltonian(self) -> np.ndarray:
         return self.Q @ self.Q + self.R
+
+    def lifted(self, m: int = 1, beta_plane: float = 1.0):
+        """The m-block lift on plane 1; any other plane raises BadExponent."""
+        if beta_plane != 1.0:
+            raise BadExponent(
+                f"a regularized triple lifts on plane 1 only, got beta_plane {beta_plane}"
+            )
+        return super().lifted(m)
 
 
 def endpoint_grid(
@@ -407,11 +424,14 @@ def endpoint_grid(
     lambda) = Q(lambda)^2 + eps^2 Z*Z, the exponent -H(eps, lambda) + i t
     d_lambda(a).  Central finite-difference estimates of the eps- and
     lambda-derivatives are attached to interior grid points.  An eps whose
-    eps^2 Z*Z leaves the float range raises Overflow.
+    eps^2 Z*Z leaves the float range raises Overflow, and more than
+    ``MAX_BLOCK_ORDER`` (eps, lambda) points raise ComplexityCap before any
+    pairing.
     """
     if f.regularizer is None:
         raise ValidationFailure("endpoint grid needs a family with a regularizer")
     eg, lg = _grid("eps_grid", eps_grid), _grid("lambda_grid", lambda_grid)
+    _check_grid_points(f"the (eps, lambda) grid {len(eg)}*{len(lg)}", len(eg) * len(lg))
     f.validate_at(float(np.asarray(lambda_grid)[0])).require("family fails validation")
     vals = np.empty((len(eg), len(lg)), dtype=complex)
     deformed = []

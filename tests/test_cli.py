@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from heatchern import cli
 from heatchern.cli import main
+from heatchern.errors import ComplexityCap
 from heatchern.models import zero_mode_triple
 from heatchern.serialization import dumps_canonical, triple_to_json
 
@@ -644,6 +646,40 @@ class TestErrors:
         assert json.loads(captured.err) == {
             "error": {"type": error[0], "message": error[1]}
         }
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("sweep", ["--lambda-grid=0:1:20000000"],
+             "grid '0:1:20000000' has 20000000 points, which exceeds budget 2048"),
+            ("endpoint", ["--lambda-grid=0:1:100000000"],
+             "grid '0:1:100000000' has 100000000 points, which exceeds budget 2048"),
+            ("endpoint", ["--eps-grid=0:1:2", "--lambda-grid=0:1:2000"],
+             "the (eps, lambda) grid 2*2000 has 4000 points, which exceeds budget 2048"),
+        ],
+        ids=["sweep", "endpoint-lambda", "endpoint-product"],
+    )
+    def test_grid_over_budget_exit_two(self, tmp_path, capsys, command, flags, message):
+        # the parser allocated every point first: 20 M points took 354 MB, and
+        # 10^8 ended in a MemoryError after seconds
+        doc = dict(EXCHANGE, a=[[1, 0], [0, -1]], q=[[0, [0, 1]], [[0, -1], 0]],
+                   regularizer=[[0.5, 0], [0, 1.5]])
+        path = write(tmp_path, "g.json", doc)
+        assert run_main([command, "--input", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"type": "ComplexityCap", "message": message}}
+
+    def test_grid_budget_checked_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ComplexityCap, match="20000000 points"):
+                cli._parse_grid("0:1:20000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(cli._parse_grid("0:1:2048")) == 2048
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -34,6 +34,40 @@ def rand_mats(rng, dim, count):
     ]
 
 
+def stacked_monte_carlo(t, verts, g, samples, seed):
+    """The Monte Carlo of ``heat_expectation(method="quadrature")`` with each
+    vertex step a stacked (points, dim, dim) @ (dim, dim) product.
+
+    The same draws, blocks, mean and Chan update as the library, which takes
+    one (points*dim, dim) GEMM per vertex instead; the bits must agree.
+    """
+    lam, basis = t.heat_data()
+    dim, n = lam.size, len(verts) - 1
+    rng = np.random.default_rng(seed)
+    mats = [basis.conj().T @ m @ basis for m in [t.twist(g) @ verts[0]] + verts[1:]]
+    measure = 1.0 / math.factorial(n)
+    tot, sq_dev, done = 0.0 + 0.0j, 0.0, 0
+    block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // dim**2))
+    while done < samples:
+        m = min(block, samples - done)
+        e = rng.exponential(size=(m, n + 1))
+        s = e / e.sum(axis=1, keepdims=True)
+        ker = np.exp(-s[:, :, None] * lam[None, None, :])
+        cur = mats[0][None, :, :] * ker[:, 0, :][:, None, :]
+        for j in range(1, n + 1):
+            cur = cur @ mats[j]
+            cur = cur * ker[:, j, :][:, None, :]
+        vals = np.trace(cur, axis1=1, axis2=2)
+        block_sum = complex(vals.sum())
+        block_mean = block_sum / m
+        sq_dev += float((np.abs(vals - block_mean) ** 2).sum())
+        if done:
+            sq_dev += abs(block_mean - tot / done) ** 2 * done * m / (done + m)
+        tot += block_sum
+        done += m
+    return measure * (tot / samples), 3.0 * measure * (math.sqrt(sq_dev) / samples)
+
+
 class TestBetaFn:
     def test_paper_values(self):
         assert beta_fn([1, 1, 1]) == pytest.approx(0.5, abs=1e-14)
@@ -116,6 +150,24 @@ class TestHeatExpectation:
         assert peak < 256 * 2**20
         reference = 88.13919631381114 + 6.0995296218274405e-15j
         assert abs(ev.value - reference) <= 1e-12 * abs(reference)
+
+    @pytest.mark.parametrize(
+        "dim,group",
+        [(2, "trivial"), (3, "z2"), (4, "trivial"), (5, "z2"), (6, "trivial"),
+         (7, "z2"), (8, "trivial"), (33, "trivial"), (40, "z2")],
+    )
+    def test_quadrature_matches_the_stacked_product(self, dim, group):
+        # 4097 samples cross a block: of 4096 points, or of the budget's 3851
+        # at dim 33 and 2621 at dim 40, where they run at levels 0 and 1 only
+        t = random_triple(dim, seed=dim, group=group)
+        g = len(t.group) - 1
+        rng = np.random.default_rng(dim)
+        for n in range(6):
+            verts = rand_mats(rng, dim, n + 1)
+            for samples in (1, 7, 4097) if dim <= 8 or n <= 1 else (1, 7):
+                ev = heat_expectation(t, verts, g, method="quadrature", samples=samples, seed=n)
+                ref = stacked_monte_carlo(t, verts, g, samples, seed=n)
+                assert (ev.value, ev.estimated_error) == ref
 
     @pytest.mark.parametrize("group,g", [("trivial", 0), ("z2", 1)])
     def test_quadrature_error_is_the_two_pass_estimate(self, group, g):

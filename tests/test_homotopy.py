@@ -3,9 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from heatchern.errors import DimensionMismatch, PairingInputInvalid, ValidationFailure
+from heatchern import homotopy
+from heatchern.errors import (
+    BadExponent,
+    ComplexityCap,
+    DimensionMismatch,
+    PairingInputInvalid,
+    ValidationFailure,
+)
 from heatchern.homotopy import (
     DeformationFamily,
+    _Regularized,
     L_cochain,
     beta_independence,
     coboundary_relation_residual,
@@ -315,6 +323,33 @@ class TestEndpointGrid:
         v = [r["value"] for r in tab.rows]
         assert tab.rows[1]["dZ_dlambda"] == (v[2] - v[0]) / (0.2 - 0.1)
         assert tab.rows[2]["dZ_dlambda"] == (v[3] - v[1]) / (0.4 - 0.2)
+
+    def test_grid_over_budget_refused_before_any_pairing(self, monkeypatch):
+        def no_pairing(*args, **kwargs):
+            raise AssertionError("a pairing ran on a grid over budget")
+
+        monkeypatch.setattr(homotopy, "pairing_gaussian", no_pairing)
+        fam = self.make_family(np.diag([0.5, 1.0, 1.5]).astype(complex))
+        inp = PairingInput(a=np.eye(3, dtype=complex))
+        with pytest.raises(ComplexityCap) as err:
+            endpoint_grid(fam, [0.0, 0.1], np.linspace(0.0, 1.0, 1025), inp)
+        assert str(err.value) == (
+            "the (eps, lambda) grid 2*1025 has 2050 points, which exceeds budget 2048"
+        )
+
+    def test_regularized_lift_only_on_plane_one(self):
+        # lifted(1, 2.0) scaled R by sqrt(2) where plane 2 needs 2 R: its H
+        # missed 2 (Q^2 + R) by 0.293 here
+        t = random_triple(4, seed=1)
+        r = np.eye(4) / 2
+        reg = _Regularized(t.dim, t.Q, t.gamma, t.group, t.tol, R=r)
+        with pytest.raises(BadExponent, match="plane 1 only, got beta_plane 2.0"):
+            reg.lifted(1, 2.0)
+        assert reg.lifted(1, 1.0) is reg
+        lift = reg.lifted(2, 1.0)
+        h = np.kron(np.eye(2), t.Q @ t.Q + r)
+        assert isinstance(lift, _Regularized) and lift.dim == 8
+        assert opnorm(lift.hamiltonian - h) <= 1e-14 * opnorm(h)
 
     def test_csv_header_independent_of_grid(self):
         # an all-None derivative column on a 2-point axis used to be one column

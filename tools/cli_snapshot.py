@@ -139,6 +139,11 @@ def cases():
              dict(two, regularizer=mat(1e300 * np.eye(2)))),
             ("endpoint-csv-two-point-axes",
              ["endpoint", "--eps-grid=0:0.5:2", "--lambda-grid=0:1:2", "--format=csv"], two)]
+    # grids over the points budget, refused before any grid array
+    out += [("sweep-grid-over-budget", ["sweep", "--lambda-grid=0:1:20000000"], two),
+            ("endpoint-grid-over-budget", ["endpoint", "--lambda-grid=0:1:100000000"], two),
+            ("endpoint-grid-product-over-budget",
+             ["endpoint", "--eps-grid=0:1:2", "--lambda-grid=0:1:2000"], two)]
     # a series over the block budget (21 levels at dim 128), refused before any exponential
     wide, q, gamma, _ = random_triple(128, 7, "trivial")
     out.append(("pair-over-block-budget", ["pair"], dict(wide, Q=mat(0.5 * q), a=mat(gamma))))
