@@ -6,13 +6,16 @@ coboundary of a cochain h(lambda); both are built from heat expectations
 with one inserted velocity vertex.  Endpoint regularization replaces the
 squared generator by H(eps, lambda) = Q(lambda)^2 + eps^2 Z*Z on a grid;
 each grid value is ``pairing_gaussian`` on that heat data, and the sampled
-residuals are ``norm_profile`` maxima.
+residuals are ``norm_profile`` maxima.  A sweep validates its pairing input
+once, against the base data, before its first point: the input's checks
+read gamma, the group, tol and the algebra, and no deformation, plane or
+regularizer moves them.  Each point is then a prepared pass alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -20,7 +23,7 @@ import numpy as np
 from .cochains import Cochain, norm_profile, op_partial
 from .errors import BadExponent, ComplexityCap, DimensionMismatch, Overflow, ValidationFailure
 from .expectations import MAX_BLOCK_ORDER, expectation_value
-from .jlo import PairingInput, _require_valid_input, jlo_component, pairing_gaussian
+from .jlo import PairingInput, _gaussian, _Prepared, _require_valid_input, jlo_component
 from .linalg import as_matrix, opnorm
 from .triples import (
     SpectralTriple,
@@ -80,6 +83,7 @@ class DeformationFamily:
         h = self.FD_STEP
         return (self.q_at(lam + h) - self.q_at(lam - h)) / (2.0 * h)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def validate_at(self, lam: float) -> ValidationReport:
         t = self.base
         rep = ValidationReport()
@@ -111,14 +115,7 @@ def linear_family(base: SpectralTriple, q, interval=(-1.0, 1.0), **kw) -> Deform
 
 def deform_triple(f: DeformationFamily, lam: float) -> SpectralTriple:
     """The validated triple with Q replaced by Q + q(lambda)."""
-    t = f.base
-    deformed = SpectralTriple(
-        dim=t.dim,
-        Q=t.Q + f.q_at(lam),
-        gamma=t.gamma,
-        group=list(t.group),
-        tol=t.tol,
-    )
+    deformed = replace(f.base, Q=f.base.Q + f.q_at(lam))
     validate_triple(deformed).require(
         f"deformed triple at lambda={lam} fails validation"
     )
@@ -270,14 +267,15 @@ def sweep_invariant(
 ) -> SweepTable:
     """Pairing values along the family; constant for regular families.
 
-    The input is re-validated against every deformed triple and the sweep
-    aborts with PairingInputInvalid rather than reporting a meaningless
-    spread.
+    The input is validated once, against the base triple, and each deformed
+    triple at its point; the sweep aborts with PairingInputInvalid or
+    ValidationFailure rather than reporting a meaningless spread.
     """
+    grid = _grid("lambda_grid", lambda_grid)
+    _require_valid_input(f.base, inp)
     tab = SweepTable(columns=["lambda", "value", "validated"])
-    for lam in _grid("lambda_grid", lambda_grid):
-        t_lam = deform_triple(f, lam)
-        val = pairing_gaussian(t_lam, inp, tol=tol)
+    for lam in grid:
+        val = _gaussian(_Prepared(deform_triple(f, lam), inp), tol)
         tab.add_row(**{"lambda": lam, "value": val, "validated": True})
     return tab
 
@@ -376,11 +374,12 @@ def beta_independence(
     betas = [float(b) for b in beta_list]
     if not betas:
         raise DimensionMismatch("beta_list has no values")
-    # an invalid input is reported before a bad plane, as each pairing would
+    # once, on t: a plane scales the generators only.  So an invalid input is
+    # reported before a bad plane, where a lone pairing would lift first
     _require_valid_input(t, inp)
     tab = SweepTable(columns=["beta", "value"])
     for beta in betas:
-        val = pairing_gaussian(t.lifted(1, beta), inp, tol=tol)
+        val = _gaussian(_Prepared(t.lifted(1, beta), inp), tol)
         tab.add_row(beta=beta, value=val)
     return tab
 
@@ -423,30 +422,29 @@ def endpoint_grid(
     Each entry is ``pairing_gaussian`` on the deformed triple with H(eps,
     lambda) = Q(lambda)^2 + eps^2 Z*Z, the exponent -H(eps, lambda) + i t
     d_lambda(a).  Central finite-difference estimates of the eps- and
-    lambda-derivatives are attached to interior grid points.  An eps whose
-    eps^2 Z*Z leaves the float range raises Overflow, and more than
+    lambda-derivatives are attached to interior grid points.  More than
     ``MAX_BLOCK_ORDER`` (eps, lambda) points raise ComplexityCap before any
-    pairing.
+    pairing.  The family is checked at the least lambda and the input
+    against the base triple, once each; every lambda is then deformed once,
+    and an eps whose eps^2 Z*Z leaves the float range raises Overflow.
     """
     if f.regularizer is None:
         raise ValidationFailure("endpoint grid needs a family with a regularizer")
     eg, lg = _grid("eps_grid", eps_grid), _grid("lambda_grid", lambda_grid)
     _check_grid_points(f"the (eps, lambda) grid {len(eg)}*{len(lg)}", len(eg) * len(lg))
-    f.validate_at(float(np.asarray(lambda_grid)[0])).require("family fails validation")
+    f.validate_at(lg[0]).require("family fails validation")
+    _require_valid_input(f.base, inp)
+    deformed = [deform_triple(f, l) for l in lg]
     vals = np.empty((len(eg), len(lg)), dtype=complex)
-    deformed = []
     for i, e in enumerate(eg):
         try:
             with np.errstate(over="raise", invalid="raise"):
                 r = e**2 * f.regularizer
         except (OverflowError, FloatingPointError):
             raise Overflow(f"regularizer eps^2 Z*Z overflows at eps = {e}") from None
-        for j, l in enumerate(lg):
-            if i == 0:
-                deformed.append(deform_triple(f, l))
-            t = deformed[j]
+        for j, t in enumerate(deformed):
             reg = _Regularized(t.dim, t.Q, t.gamma, t.group, t.tol, R=r)
-            vals[i, j] = pairing_gaussian(reg, inp, tol=tol)
+            vals[i, j] = _gaussian(_Prepared(reg, inp), tol)
     tab = SweepTable(columns=["lambda", "eps", "value", "dZ_deps", "dZ_dlambda"])
     for j, l in enumerate(lg):
         for i, e in enumerate(eg):

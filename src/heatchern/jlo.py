@@ -22,9 +22,12 @@ exponentials at the nodes t >= 0 only, on the gamma-graded parts of H,
 da and gamma U(g) a, in stacks of at most ``_STACK_ENTRIES`` complex
 entries.  A plan past ``_NODE_CAP`` nodes, or one whose numpy rule is not
 finite, raises NoConvergence before any exponential.
-``pairing`` validates its input once, fixes both plans and checks the
-series' block budget before either route takes an exponential, and shares
-that work with both routes for the duration of the call (``_Prepared``).
+``_Prepared`` holds the work both routes share and validates nothing:
+validation belongs to the entry point, once per request.  ``pairing``
+validates its input once, fixes both plans and checks the series' block
+budget before either route takes an exponential, and shares that pass with
+both routes for the duration of the call.  A sweep validates its input
+once and builds one pass per point.
 
 No function here takes a simplex plane: the plane-beta character is that of
 the lift ``t.lifted(1, beta)``, a cocycle whose pairing is beta-independent
@@ -116,6 +119,7 @@ class PairingInput:
     def __post_init__(self):
         self.a = as_matrix(self.a, "a")
 
+    @np.errstate(over="ignore", invalid="ignore")
     def validate(self, t: HeatData) -> ValidationReport:
         rep = ValidationReport()
         big = self.a.shape[0]
@@ -140,18 +144,18 @@ def _require_valid_input(t: HeatData, inp: PairingInput):
 
 
 class _Prepared:
-    """The work the routes of one pairing share: the input validated once,
-    the lift with its H, da and the front factor gamma U(g) a, and the plan
-    of both routes.
+    """The work the routes of one pairing share: the lift with its H, da and
+    the front factor gamma U(g) a, and the plan of both routes.
 
-    ``pairing`` builds one and makes it active for the duration of its
-    call; ``pairing_gaussian`` and ``pairing_series`` take the active one
-    when it was built on their (t, inp), and build their own otherwise
-    (``_prepared``).  So no validation outlives the call that made it.
+    It only prepares: the caller validates (t, inp) first, once per
+    request, as ``_prepared`` does for a single pairing and each sweep does
+    for its whole grid.  ``pairing`` makes its pass active for the duration
+    of its call; ``pairing_gaussian`` and ``pairing_series`` take the active
+    one when it was built on their (t, inp).  So no validation outlives the
+    request that made it.
     """
 
     def __init__(self, t: HeatData, inp: PairingInput):
-        _require_valid_input(t, inp)
         self.t, self.inp = t, inp
         self.lift = t.lifted(inp.m)
         self.h = self.lift.hamiltonian
@@ -220,10 +224,12 @@ _ACTIVE: ContextVar[_Prepared | None] = ContextVar("heatchern_pairing", default=
 
 
 def _prepared(t: HeatData, inp: PairingInput) -> _Prepared:
-    """The active pass when it was built on this very (t, inp), else a new one."""
+    """The active pass when it was built on this very (t, inp), else a new one
+    on a freshly validated input: the one validation of a single pairing."""
     prep = _ACTIVE.get()
     if prep is not None and prep.t is t and prep.inp is inp:
         return prep
+    _require_valid_input(t, inp)
     return _Prepared(t, inp)
 
 
@@ -316,7 +322,7 @@ def _stacked_traces(h: np.ndarray, da: np.ndarray, front: np.ndarray):
 
 def generating_functional(t: HeatData, inp: PairingInput, z: complex) -> complex:
     """J(z;a) = Tr(gamma U(g) a exp(-H + i z da)), block-traced for m > 1."""
-    prep = _Prepared(t, inp)
+    prep = _prepared(t, inp)
     return complex(np.trace(prep.front @ expm(-prep.h + 1j * z * prep.da)))
 
 
@@ -398,7 +404,11 @@ def pairing_gaussian(t: HeatData, inp: PairingInput, tol: float = 1e-10) -> comp
     most those of da and a, and Tr e^{-(H + gamma H gamma)/2} <= Tr e^{-H},
     as Tr exp is convex.
     """
-    prep = _prepared(t, inp)
+    return _gaussian(_prepared(t, inp), tol)
+
+
+def _gaussian(prep: _Prepared, tol: float) -> complex:
+    """``pairing_gaussian`` on a prepared pass whose input is already validated."""
     _check_tol(tol)
     ts, ws = prep.rule(tol)
     half = ts.size // 2
@@ -492,12 +502,12 @@ def pairing(
     pairing (``pairing_series``).  ``connes_value`` is the idempotent-form
     average (pairing + index)/2 under a = 2p - I.
 
-    The input is validated once, and both plans are fixed before either
-    route takes an exponential (``_Prepared``): the series' level, with its
-    block budget checked, then the quadrature's rule.
+    The input is validated once (``_prepared``), and both plans are fixed
+    before either route takes an exponential (``_Prepared``): the series'
+    level, with its block budget checked, then the quadrature's rule.
     """
     _check_max_level(max_level)
-    prep = _Prepared(t, inp)
+    prep = _prepared(t, inp)
     _check_tol(tol)  # before either plan is read off tol
     series_tol = min(tol, 1e-12)
     prep.series_plan(max_level, series_tol)

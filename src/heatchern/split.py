@@ -32,10 +32,11 @@ from .homotopy import SweepTable, _grid
 from .jlo import (
     PairingInput,
     PairingResult,
+    _gaussian,
+    _Prepared,
     _require_valid_input,
     jlo_component,
     pairing,
-    pairing_gaussian,
 )
 from .linalg import as_matrix, eig_hermitian, expm, opnorm
 from .triples import AlgebraElement, HeatData, ValidationReport, _check_shape
@@ -107,6 +108,7 @@ class SplitAlgebraElement(AlgebraElement):
         return rep
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_split(s: SplitTriple) -> ValidationReport:
     """All structural invariants of the splitting, with residuals."""
     rep = ValidationReport()
@@ -191,20 +193,24 @@ def coupling_sweep(
     mode "coupling": the momentum P(lambda) must stay fixed (PNotFixed
     otherwise).  mode "q1_commuting": instead requires that Q1(lambda)
     commute with the input and that Q2 stay fixed.  An m x m input is
-    paired, and compared with Q1, on the lift.  The input is validated on
-    the first triple, before either mode's precondition, as each pairing
-    would.
+    paired, and compared with Q1, on the lift.
+
+    The input is validated at every point, once, before that point's mode
+    precondition.  Unlike the plain sweeps, these points cannot share one
+    check: the family may move gamma, the group or P (in mode
+    "q1_commuting" P moves with Q1), and the input's checks read all three,
+    P as the zero-momentum algebra.
     """
     if mode not in ("coupling", "q1_commuting"):
         raise ValueError(f"unknown mode {mode!r}")
     grid = _grid("lambda_grid", lambda_grid)
     base = require_valid_split(family(grid[0]))
-    _require_valid_input(base, inp)
     p0 = base.momentum
     q20 = base.Q2
     tab = SweepTable(columns=["lambda", "value", "p_residual", "precondition_residual"])
     for i, lam in enumerate(grid):
         s_lam = base if i == 0 else require_valid_split(family(lam))
+        _require_valid_input(s_lam, inp)
         pres = opnorm(s_lam.momentum - p0)
         if mode == "coupling":
             if pres > s_lam.tol * max(opnorm(p0), 1.0):
@@ -222,7 +228,7 @@ def coupling_sweep(
                     f"q1_commuting preconditions fail at lambda={lam} "
                     f"(residual {precond:.3e})"
                 )
-        val = pairing_gaussian(s_lam, inp, tol=tol)
+        val = _gaussian(_Prepared(s_lam, inp), tol)
         tab.add_row(
             **{
                 "lambda": lam,

@@ -66,7 +66,9 @@ class ValidationReport:
     checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, name: str, residual: float, tol: float):
-        self.checks.append(CheckResult(name, float(residual), float(tol)))
+        """Record one check; a NaN residual (an overflowed product) is stored as inf."""
+        residual = float(residual)
+        self.checks.append(CheckResult(name, math.inf if math.isnan(residual) else residual, float(tol)))
 
     @property
     def passed(self) -> bool:
@@ -247,6 +249,7 @@ class SpectralTriple(HeatData):
         return derivative(self, b)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_triple(t: SpectralTriple) -> ValidationReport:
     """Check every structural invariant; each failure is named with its residual."""
     rep = ValidationReport()

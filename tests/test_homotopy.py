@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from heatchern.models import (
     random_triple,
     zero_mode_triple,
 )
+from heatchern.split import build_n2_susy_example, coupling_sweep
 
 
 @pytest.fixture
@@ -328,7 +330,7 @@ class TestEndpointGrid:
         def no_pairing(*args, **kwargs):
             raise AssertionError("a pairing ran on a grid over budget")
 
-        monkeypatch.setattr(homotopy, "pairing_gaussian", no_pairing)
+        monkeypatch.setattr(homotopy, "_gaussian", no_pairing)
         fam = self.make_family(np.diag([0.5, 1.0, 1.5]).astype(complex))
         inp = PairingInput(a=np.eye(3, dtype=complex))
         with pytest.raises(ComplexityCap) as err:
@@ -336,6 +338,14 @@ class TestEndpointGrid:
         assert str(err.value) == (
             "the (eps, lambda) grid 2*1025 has 2050 points, which exceeds budget 2048"
         )
+
+    def test_generator_grid(self):
+        # a generator lambda grid was used up by _grid, and the family check
+        # then indexed a 0-dimensional array (IndexError)
+        fam = self.make_family(np.diag([0.5, 1.0, 1.5]).astype(complex))
+        inp = PairingInput(a=np.eye(3, dtype=complex))
+        tab = endpoint_grid(fam, [0.0, 0.3], (lam for lam in [0.3, 0.1]), inp)
+        assert tab.rows == endpoint_grid(fam, [0.0, 0.3], [0.1, 0.3], inp).rows
 
     def test_regularized_lift_only_on_plane_one(self):
         # lifted(1, 2.0) scaled R by sqrt(2) where plane 2 needs 2 R: its H
@@ -362,6 +372,59 @@ class TestEndpointGrid:
             "re(dZ_dlambda)", "im(dZ_dlambda)",
         ]
         assert two[1][4:] == ["", "", "", ""]
+
+
+def _sweep_cases():
+    """name -> (run the sweep, its input, the heat data of each row's point
+    in row order, the PairingInput.validate calls the sweep makes)."""
+    zero = zero_mode_triple()
+    q = random_odd_element(zero, np.random.default_rng(97))
+    fam = linear_family(zero, 0.3 * q / opnorm(q), regularizer=np.diag([0.5, 1.0, 1.5]))
+    inp = PairingInput(a=random_involution(zero, np.random.default_rng(5)))
+    block = PairingInput(a=np.kron(np.array([[0, 1], [1, 0]]), np.eye(3)), m=2)
+    lams, epss, betas = [-0.4, 0.0, 0.4], [0.0, 0.3], [0.5, 1.0, 2.0]
+
+    def regularized(lam, eps):
+        t = deform_triple(fam, lam)
+        return _Regularized(t.dim, t.Q, t.gamma, t.group, t.tol, R=eps**2 * fam.regularizer)
+
+    s, gens = build_n2_susy_example(levels=((1.0, 0.5), (2.0, 1.0)), taus=(0.7,), thetas=(0.9,))
+
+    def rotated(lam):
+        return replace(s, Q2=math.cos(lam) * gens["Q2"] + math.sin(lam) * gens["Qt2"])
+
+    split_inp = PairingInput(a=s.gamma.copy(), g=1)
+    return {
+        "sweep": (lambda: sweep_invariant(fam, inp, lams), inp,
+                  [deform_triple(fam, lam) for lam in lams], 1),
+        "endpoint": (lambda: endpoint_grid(fam, epss, lams, inp), inp,
+                     [regularized(lam, eps) for lam in lams for eps in epss], 1),
+        "beta": (lambda: beta_independence(zero, block, betas), block,
+                 [zero.lifted(1, beta) for beta in betas], 1),
+        "coupling": (lambda: coupling_sweep(rotated, split_inp, lams), split_inp,
+                     [rotated(lam) for lam in lams], len(lams)),
+    }
+
+
+@pytest.mark.parametrize("name", ["sweep", "endpoint", "beta", "coupling"])
+def test_sweep_validates_its_input_once_per_request(name, monkeypatch):
+    # the plain sweeps validated their input at every grid point (the endpoint
+    # grid at every (eps, lambda)); only the coupling sweep's family may move
+    # gamma, the group or P, so it alone checks each point
+    run, inp, points, expected = _sweep_cases()[name]
+    calls, validate = [], PairingInput.validate
+
+    def counted(self, t):
+        calls.append(t)
+        return validate(self, t)
+
+    monkeypatch.setattr(PairingInput, "validate", counted)
+    tab = run()
+    assert len(calls) == expected
+    monkeypatch.undo()
+    assert len(tab.rows) == len(points)
+    for row, point in zip(tab.rows, points):
+        assert row["value"] == pairing_gaussian(point, inp)
 
 
 class TestSweepTable:

@@ -358,6 +358,14 @@ class TestPairing:
         with pytest.raises(PairingInputInvalid):
             pairing_gaussian(zero_mode, PairingInput(a=bad))
 
+    @pytest.mark.filterwarnings("error")
+    def test_residual_past_the_float_range_reads_inf(self, exchange):
+        # a @ a overflowed with a RuntimeWarning and read "residual nan"
+        rep = PairingInput(a=np.diag([1e308, 1.0])).validate(exchange)
+        assert [(c.name, c.residual) for c in rep.failures] == [("a^2 = I", math.inf)]
+        with pytest.raises(PairingInputInvalid, match="a\\^2 = I: residual inf"):
+            pairing(exchange, PairingInput(a=np.diag([1e308, 1.0])))
+
     def test_group_invariance_required(self):
         t = random_triple(4, seed=61, group="z2")
         # gamma is group invariant; a non-invariant involution must fail

@@ -341,6 +341,22 @@ class TestCouplingSweep:
                 family, PairingInput(a=np.kron(SZ, SZ)), [0.0, 0.3]
             )
 
+    def test_input_checked_before_the_precondition_at_every_point(self):
+        # at lambda = 0.3 P has moved and a no longer commutes with it: the
+        # input's check, which runs first at every point, reports it (only the
+        # first point's input was checked first; later ones raised PNotFixed)
+        def family(lam):
+            return SplitTriple(
+                dim=4,
+                Q1=np.kron(SX, np.eye(2)),
+                Q2=np.kron(SY, np.diag([1.0, 1.0 + lam])),
+                gamma=np.kron(SZ, np.eye(2)),
+                group=[np.eye(4)],
+            )
+
+        with pytest.raises(ZeroMomentumViolation, match="residual 3.450e-01"):
+            coupling_sweep(family, PairingInput(a=np.kron(np.eye(2), SX)), [0.0, 0.3])
+
     def test_q1_commuting_mode(self, pauli_split):
         a = np.kron(np.eye(2), SZ)  # commutes with Q1 = SX (x) I
 

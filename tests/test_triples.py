@@ -69,6 +69,19 @@ class TestValidation:
         assert len(t.group) == 2
         assert validate_triple(t).passed
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "gamma, group, check",
+        [([1e308, -1.0], [1.0, -1.0], "gamma^2 = I"), ([1.0, -1.0], [1e308, 1.0], "group[1] unitary")],
+        ids=["gamma", "group"],
+    )
+    def test_residual_past_the_float_range_reads_inf(self, gamma, group, check):
+        # the squares overflowed with a RuntimeWarning and read "residual nan"
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        t = SpectralTriple(dim=2, Q=x, gamma=np.diag(gamma), group=[np.eye(2), np.diag(group)])
+        failed = {c.name: c.residual for c in validate_triple(t).failures}
+        assert failed[check] == math.inf
+
     def test_check_names_in_order(self):
         rep = validate_triple(random_triple(3, seed=7, group="z2"))
         member = ["unitary", "commutes with gamma", "commutes with Q"]

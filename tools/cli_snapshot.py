@@ -165,6 +165,22 @@ def cases():
     out += [("exchange-q12-pair", ["pair"], dict(exchange, Q=mat(12 * SX), a=mat(SZ))),
             ("exchange-q20-pair", ["pair"], dict(exchange, Q=mat(20 * SX), a=mat(SZ))),
             ("usage-quad-nodes", ["pair", "--quad-nodes=64"], dict(exchange, a=mat(SZ)))]
+    # checks whose products leave the float range: a, gamma and a group member
+    huge = mat(np.diag([1e308, 1.0]))
+    huge_gamma = dict(exchange, gamma=mat(np.diag([1e308, -1.0])), a=mat(SZ))
+    huge_group = dict(exchange, group=[mat(np.eye(2)), huge], a=mat(SZ))
+    out += [("huge-a-pair", ["pair"], dict(exchange, a=huge)),
+            ("huge-gamma-validate", ["validate"], huge_gamma),
+            ("huge-gamma-pair", ["pair"], huge_gamma),
+            ("huge-group-validate", ["validate"], huge_group),
+            ("huge-group-pair", ["pair"], huge_group)]
+    # one sweep input with two faults each: which check reports first
+    not_involution = dict(two, a=mat(2 * np.eye(2)))
+    out += [("sweep-bad-a-non-hermitian-q", ["sweep", "--lambda-grid=0.5:1:2"],
+             dict(not_involution, q=mat([[0, 1], [0, 0]]))),
+            ("endpoint-bad-a-eps-overflow", ["endpoint", "--eps-grid=1e200:1e201:2"],
+             not_involution),
+            ("beta-scan-bad-a-negative-beta", ["beta-scan", "--beta-list=-1,1"], not_involution)]
     return out + [("n2-two-levels-split-pair-moving-input", ["split-pair"], moving),
                   ("missing-input", ["pair", "--input=missing.json"], None),
                   ("usage-unknown-command", ["nonsense"], None),
