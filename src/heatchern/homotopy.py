@@ -88,15 +88,15 @@ class DeformationFamily:
         t = self.base
         rep = ValidationReport()
         qm = self.q_at(lam)
-        rep.add("q hermitian", opnorm(qm - qm.conj().T), t.tol)
-        rep.add("q gamma-odd", opnorm(qm @ t.gamma + t.gamma @ qm), t.tol)
+        rep.add_norm("q hermitian", qm - qm.conj().T, t.tol)
+        rep.add_norm("q gamma-odd", qm @ t.gamma + t.gamma @ qm, t.tol)
         t.check_invariant(rep, "q", qm)
         if self.regularizer is not None:
             z = self.regularizer
-            rep.add("regularizer hermitian", opnorm(z - z.conj().T), t.tol)
+            rep.add_norm("regularizer hermitian", z - z.conj().T, t.tol)
             w = np.linalg.eigvalsh((z + z.conj().T) / 2.0)
             rep.add("regularizer PSD", max(0.0, -float(w[0])), t.tol)
-            rep.add("regularizer gamma-even", opnorm(t.conj_gamma(z) - z), t.tol)
+            rep.add_norm("regularizer gamma-even", t.conj_gamma(z) - z, t.tol)
             t.check_invariant(rep, "regularizer", z)
         return rep
 
@@ -273,9 +273,10 @@ def sweep_invariant(
     """
     grid = _grid("lambda_grid", lambda_grid)
     _require_valid_input(f.base, inp)
+    a_norm = opnorm(inp.a)
     tab = SweepTable(columns=["lambda", "value", "validated"])
     for lam in grid:
-        val = _gaussian(_Prepared(deform_triple(f, lam), inp), tol)
+        val = _gaussian(_Prepared(deform_triple(f, lam), inp, a_norm), tol)
         tab.add_row(**{"lambda": lam, "value": val, "validated": True})
     return tab
 
@@ -377,9 +378,10 @@ def beta_independence(
     # once, on t: a plane scales the generators only.  So an invalid input is
     # reported before a bad plane, where a lone pairing would lift first
     _require_valid_input(t, inp)
+    a_norm = opnorm(inp.a)
     tab = SweepTable(columns=["beta", "value"])
     for beta in betas:
-        val = _gaussian(_Prepared(t.lifted(1, beta), inp), tol)
+        val = _gaussian(_Prepared(t.lifted(1, beta), inp, a_norm), tol)
         tab.add_row(beta=beta, value=val)
     return tab
 
@@ -434,6 +436,7 @@ def endpoint_grid(
     _check_grid_points(f"the (eps, lambda) grid {len(eg)}*{len(lg)}", len(eg) * len(lg))
     f.validate_at(lg[0]).require("family fails validation")
     _require_valid_input(f.base, inp)
+    a_norm = opnorm(inp.a)
     deformed = [deform_triple(f, l) for l in lg]
     vals = np.empty((len(eg), len(lg)), dtype=complex)
     for i, e in enumerate(eg):
@@ -444,7 +447,7 @@ def endpoint_grid(
             raise Overflow(f"regularizer eps^2 Z*Z overflows at eps = {e}") from None
         for j, t in enumerate(deformed):
             reg = _Regularized(t.dim, t.Q, t.gamma, t.group, t.tol, R=r)
-            vals[i, j] = _gaussian(_Prepared(reg, inp), tol)
+            vals[i, j] = _gaussian(_Prepared(reg, inp, a_norm), tol)
     tab = SweepTable(columns=["lambda", "eps", "value", "dZ_deps", "dZ_dlambda"])
     for j, l in enumerate(lg):
         for i, e in enumerate(eg):

@@ -58,7 +58,7 @@ from .expectations import (
     repeated_expectation_series,
 )
 from .linalg import as_matrix, expm, opnorm
-from .triples import HeatData, ValidationReport, _check_shape
+from .triples import CheckResult, HeatData, ValidationReport, _check_shape
 
 __all__ = [
     "PairingInput",
@@ -128,8 +128,8 @@ class PairingInput:
                 f"a is {big}x{big}, expected m*dim = {self.m * t.dim}"
             )
         tb = t.lifted(self.m)
-        rep.add("a^2 = I", opnorm(self.a @ self.a - np.eye(big)), t.tol)
-        rep.add("gamma a gamma = a", opnorm(tb.conj_gamma(self.a) - self.a), t.tol)
+        rep.add_norm("a^2 = I", self.a @ self.a - np.eye(big), t.tol)
+        rep.add_norm("gamma a gamma = a", tb.conj_gamma(self.a) - self.a, t.tol)
         tb.check_invariant(rep, "a", self.a)
         return rep
 
@@ -152,11 +152,13 @@ class _Prepared:
     for its whole grid.  ``pairing`` makes its pass active for the duration
     of its call; ``pairing_gaussian`` and ``pairing_series`` take the active
     one when it was built on their (t, inp).  So no validation outlives the
-    request that made it.
+    request that made it, and neither does ``a_norm``, ||a||: a sweep takes
+    it once, beside its validation, and a pass built without it takes its
+    own.
     """
 
-    def __init__(self, t: HeatData, inp: PairingInput):
-        self.t, self.inp = t, inp
+    def __init__(self, t: HeatData, inp: PairingInput, a_norm: float | None = None):
+        self.t, self.inp, self.a_norm = t, inp, a_norm
         self.lift = t.lifted(inp.m)
         self.h = self.lift.hamiltonian
         self.da = self.lift.derive(inp.a)
@@ -170,7 +172,8 @@ class _Prepared:
         Overflow when x leaves the float range."""
         lam, _ = self.lift.heat_data()
         lam_min = float(lam.min())
-        log_s = math.log(opnorm(self.inp.a) * float(np.sum(np.exp(lam_min - lam)))) - lam_min
+        a_norm = opnorm(self.inp.a) if self.a_norm is None else self.a_norm
+        log_s = math.log(a_norm * float(np.sum(np.exp(lam_min - lam)))) - lam_min
         da_norm = opnorm(self.da)
         try:
             return log_s, da_norm**2 / 4.0
@@ -253,7 +256,8 @@ def _vertices(t: HeatData, mats, check_even: bool = True) -> list[np.ndarray]:
         for k, a in enumerate(mats):
             _check_shape(f"tuple[{k}]", a, t.dim)
         for k, a in enumerate(mats):
-            if opnorm(t.conj_gamma(a) - a) > t.tol * max(opnorm(a), 1.0):
+            check = CheckResult.of_norm("gamma-even", t.conj_gamma(a) - a, t.tol, tol_scale=a)
+            if not check.passed:
                 raise ValidationFailure(f"argument {k} is not gamma-even")
     return [mats[0]] + [t.derive(a) for a in mats[1:]]
 

@@ -14,6 +14,13 @@ of an (N+1) dim block-Toeplitz matrix, which ``expm_toeplitz_row``
 computes with the same polynomial and scaling on first block rows alone,
 by Horner, at cost O(s N^2 dim^3) for s squarings.  All functions are
 pure; inputs are never mutated.
+
+Residual checks ||x|| <= tol need no SVD when ``norm_certified`` decides
+them: ||x||_2 <= ||x||_F, so ||x||_F <= tol/2 proves the check.  The
+factor 1/2 absorbs the O(n eps) rounding of the Frobenius sum and of the
+SVD itself, so a certified check is one the SVD passes too, rank-1
+residuals (where the two norms are equal) included.  ``opnorm`` is the
+exact fallback, and the value wherever a norm is read.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ __all__ = [
     "eig_hermitian",
     "expm",
     "expm_toeplitz_row",
+    "norm_certified",
     "opnorm",
     "simplex_exp",
     "schatten_norm",
@@ -40,6 +48,8 @@ __all__ = [
 _TAYLOR_THETA = 0.5  # scale target for the Taylor core
 _TAYLOR_TERMS = 18  # 0.5^18/18! ~ 6e-22, far below double rounding
 _TAYLOR_COEFFS = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR_TERMS + 1))
+# Least tol/2 whose square, 2^-800, lies far above the subnormal range.
+_FRO_SAFE = 2.0**-400
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -56,9 +66,30 @@ def opnorm(m) -> float:
     """Operator (spectral) norm: the largest singular value.
 
     The same LAPACK call as ``np.linalg.norm(m, 2)``, with the same bits,
-    without its dispatch.
+    without its dispatch.  A matrix with a non-finite entry has norm inf,
+    and LAPACK never sees it: an SVD of inf entries writes an error line
+    to the process's stderr, and one of NaN entries does not converge.
     """
-    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
+    a = np.asarray(m, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        return math.inf
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def norm_certified(x, tol: float) -> bool:
+    """True when ||x||_F <= tol/2, which proves opnorm(x) <= tol without an SVD.
+
+    False means only that this bound cannot decide; the caller then
+    compares ``opnorm``.  The sum of squares is one BLAS dot: a square
+    that overflows makes it inf, which certifies nothing, and squares that
+    underflow lose far less than (tol/2)^2 times the rounding as long as
+    tol/2 >= ``_FRO_SAFE``.  A smaller or NaN tol is never certified.
+    """
+    half = tol / 2
+    if not half >= _FRO_SAFE:
+        return False
+    squares = float(np.vdot(x, x).real)
+    return squares <= half * half and math.isfinite(squares)
 
 
 @dataclass
@@ -76,18 +107,25 @@ class HermitianEigenSystem:
 def eig_hermitian(m, tol: float = 1e-10) -> HermitianEigenSystem:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitian when the relative asymmetry exceeds ``tol``; the
-    message reports the worst offending entry.
+    Raises NotHermitian when the relative asymmetry exceeds ``tol``, the
+    largest entry of |a - a*| against tol ||a||; the message reports the
+    worst offending entry and that bound.  Since ||a|| >= max |a_ij|, an
+    asymmetry at most tol max |a_ij| / 2 passes without the SVD of ||a||;
+    the factor 1/2 absorbs the SVD's rounding, so the test decides as the
+    exact comparison does.
     """
     a = as_matrix(m)
-    scale = max(opnorm(a), 1e-300)
     dev = np.abs(a - a.conj().T)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    if dev[i, j] > tol * scale:
-        raise NotHermitian(
-            f"entry ({i},{j}) deviates from Hermitian symmetry by "
-            f"{dev[i, j]:.3e} (tolerance {tol * scale:.3e})"
-        )
+    with np.errstate(over="ignore"):
+        top = float(np.abs(a).max())
+    if not (math.isfinite(top) and dev[i, j] <= 0.5 * tol * top):
+        scale = max(opnorm(a), 1e-300)
+        if dev[i, j] > tol * scale:
+            raise NotHermitian(
+                f"entry ({i},{j}) deviates from Hermitian symmetry by "
+                f"{dev[i, j]:.3e} (tolerance {tol * scale:.3e})"
+            )
     w, v = np.linalg.eigh(a)
     return HermitianEigenSystem(eigenvalues=w, eigenvectors=v)
 

@@ -39,7 +39,7 @@ from .jlo import (
     pairing,
 )
 from .linalg import as_matrix, eig_hermitian, expm, opnorm
-from .triples import AlgebraElement, HeatData, ValidationReport, _check_shape
+from .triples import AlgebraElement, CheckResult, HeatData, ValidationReport, _check_shape
 
 __all__ = [
     "SplitTriple",
@@ -91,10 +91,10 @@ class SplitTriple(HeatData):
             _check_shape(f"tuple[{k}]", a, self.dim)
         p = self.momentum
         for k, a in enumerate(mats):
-            r = opnorm(p @ a - a @ p)
-            if r > self.tol * max(opnorm(a), 1.0):
+            check = CheckResult.of_norm("zero-momentum", p @ a - a @ p, self.tol, tol_scale=a)
+            if not check.passed:
                 raise ZeroMomentumViolation(
-                    f"argument {k} fails [P, a] = 0 with residual {r:.3e}"
+                    f"argument {k} fails [P, a] = 0 with residual {check.residual:.3e}"
                 )
 
 
@@ -104,7 +104,7 @@ class SplitAlgebraElement(AlgebraElement):
     def validate(self, s: SplitTriple) -> ValidationReport:
         rep = super().validate(s)
         m, p = self.matrix, s.momentum
-        rep.add(f"{self.label or 'element'} zero-momentum", opnorm(p @ m - m @ p), s.tol)
+        rep.add_norm(f"{self.label or 'element'} zero-momentum", p @ m - m @ p, s.tol)
         return rep
 
 
@@ -115,27 +115,15 @@ def validate_split(s: SplitTriple) -> ValidationReport:
     tol = s.tol
     # H first: an overflowing generator raises before any product warns
     h, p = s.hamiltonian, s.momentum
-    rep.add("Q1 hermitian", opnorm(s.Q1 - s.Q1.conj().T), tol)
-    rep.add("Q2 hermitian", opnorm(s.Q2 - s.Q2.conj().T), tol)
+    rep.add_norm("Q1 hermitian", s.Q1 - s.Q1.conj().T, tol)
+    rep.add_norm("Q2 hermitian", s.Q2 - s.Q2.conj().T, tol)
     s.check_grading(rep)
-    rep.add(
-        "independence Q1 Q2 + Q2 Q1 = 0",
-        opnorm(s.Q1 @ s.Q2 + s.Q2 @ s.Q1),
-        tol,
-    )
+    rep.add_norm("independence Q1 Q2 + Q2 Q1 = 0", s.Q1 @ s.Q2 + s.Q2 @ s.Q1, tol)
     for name, qj in [("Q1", s.Q1), ("Q2", s.Q2)]:
-        rep.add(
-            f"{name} gamma + gamma {name} = 0",
-            opnorm(qj @ s.gamma + s.gamma @ qj),
-            tol,
-        )
+        rep.add_norm(f"{name} gamma + gamma {name} = 0", qj @ s.gamma + s.gamma @ qj, tol)
     s.check_group(rep, {"Q1": s.Q1, "Q2^2": s.Q2 @ s.Q2})
     q = s.Q
-    rep.add(
-        "Q^2 = (Q1^2 + Q2^2)/2",
-        opnorm(q @ q - h),
-        tol * max(opnorm(h), 1.0),
-    )
+    rep.add_norm("Q^2 = (Q1^2 + Q2^2)/2", q @ q - h, tol, tol_scale=h)
     for sign, name in [(1.0, "H + P"), (-1.0, "H - P")]:
         m = h + sign * p
         w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
@@ -206,6 +194,8 @@ def coupling_sweep(
     grid = _grid("lambda_grid", lambda_grid)
     base = require_valid_split(family(grid[0]))
     p0 = base.momentum
+    p_scale = max(opnorm(p0), 1.0)
+    a_norm = opnorm(inp.a)
     q20 = base.Q2
     tab = SweepTable(columns=["lambda", "value", "p_residual", "precondition_residual"])
     for i, lam in enumerate(grid):
@@ -213,7 +203,7 @@ def coupling_sweep(
         _require_valid_input(s_lam, inp)
         pres = opnorm(s_lam.momentum - p0)
         if mode == "coupling":
-            if pres > s_lam.tol * max(opnorm(p0), 1.0):
+            if pres > s_lam.tol * p_scale:
                 raise PNotFixed(
                     f"momentum moved at lambda={lam} with residual {pres:.3e}",
                     lam=lam,
@@ -228,7 +218,7 @@ def coupling_sweep(
                     f"q1_commuting preconditions fail at lambda={lam} "
                     f"(residual {precond:.3e})"
                 )
-        val = _gaussian(_Prepared(s_lam, inp), tol)
+        val = _gaussian(_Prepared(s_lam, inp, a_norm), tol)
         tab.add_row(
             **{
                 "lambda": lam,

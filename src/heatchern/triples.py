@@ -13,17 +13,28 @@ c_mu = 2 B(1/2, (1-mu)/2) of ``numeric_c_mu``.  ``beta_fn`` is the one
 Beta function of the package; ``algebraic_singular_integral``, the
 quadrature engine that selftest C11 and the tests check c_mu against, is
 the only code that loads scipy.
+
+Every structural check is a residual ||x|| against ``tol``
+(``CheckResult.of_norm``), and ``linalg.norm_certified`` decides it
+without an SVD when ||x||_F <= tol/2, a bound the spectral norm cannot
+exceed even after the SVD's rounding.  Only a check that bound cannot
+decide, or whose ``residual`` is read (the ``validate`` command, a
+report's text, a failure message), pays the SVD, so every printed
+residual keeps the bits of the exact spectral norm.  The per-member
+checks of a group hold the function that computes their residual, not
+the residual, so a report on a large group costs no memory per member.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import BadExponent, DimensionMismatch, NotHermitian, Overflow, ValidationFailure
-from .linalg import as_matrix, eig_hermitian, opnorm
+from .linalg import as_matrix, eig_hermitian, norm_certified, opnorm
 
 __all__ = [
     "CheckResult",
@@ -46,15 +57,82 @@ __all__ = [
 ]
 
 
-@dataclass
 class CheckResult:
-    name: str
-    residual: float
-    tol: float
+    """One check ``residual <= tol``, passed when ``certified`` or when it holds.
+
+    ``residual`` and ``tol`` are given as floats, or as functions of no
+    argument that compute them on first read, under the errstate of the
+    checks.  A certified check keeps those functions until something reads
+    the number: the ``validate`` command, the report's text, ``==`` or
+    ``repr``.  A check the certificate leaves open reads both at once,
+    since they decide it.  A NaN residual (an overflowed product) reads as
+    inf.
+    """
+
+    def __init__(self, name: str, residual, tol, certified: bool = False):
+        self.name, self.certified = name, certified
+        self._residual, self._tol = residual, tol
+        if not certified:
+            _ = self.residual, self.tol  # the exact values decide an open check
+
+    @classmethod
+    def of_norm(cls, name: str, x, tol: float, scale=None, tol_scale=None):
+        """The check ||x|| <= tol of the residual operator ``x``.
+
+        With ``scale`` the residual is ||x|| / max(||scale||, 1), and with
+        ``tol_scale`` the tol is tol max(||tol_scale||, 1).  Both factors
+        are at least 1, so the certificate ||x||_F <= tol/2 decides the
+        check against the plain tol, and the SVDs of x and of the scale run
+        only when it cannot decide or the number is read.
+
+        ``x`` is the operator, or a function of no argument that computes
+        it.  A certified check holds the operator until it is read; given a
+        function, it holds only what that function reads and computes the
+        operator again for the read, so a report on a large group holds no
+        residual per member.
+        """
+        operator = x() if callable(x) else x
+        certified = norm_certified(operator, tol)
+        if certified and callable(x):
+            operator = None
+
+        def residual():
+            r = opnorm(x() if operator is None else operator)
+            return r if scale is None else r / max(opnorm(scale), 1.0)
+
+        full_tol = tol if tol_scale is None else lambda: tol * max(opnorm(tol_scale), 1.0)
+        return cls(name, residual, full_tol, certified)
+
+    @staticmethod
+    def _read(value) -> float:
+        if callable(value):
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = value()
+        return float(value)
+
+    @cached_property
+    def residual(self) -> float:
+        r = self._read(self._residual)
+        self._residual = None  # the operator a lazy residual holds is no longer needed
+        return math.inf if math.isnan(r) else r
+
+    @cached_property
+    def tol(self) -> float:
+        return self._read(self._tol)
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tol
+        return self.certified or self.residual <= self.tol
+
+    def __eq__(self, other):
+        if not isinstance(other, CheckResult):
+            return NotImplemented
+        return (self.name, self.residual, self.tol) == (other.name, other.residual, other.tol)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"CheckResult(name={self.name!r}, residual={self.residual!r}, tol={self.tol!r})"
 
     def __str__(self):
         mark = "ok" if self.passed else "FAIL"
@@ -66,9 +144,12 @@ class ValidationReport:
     checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, name: str, residual: float, tol: float):
-        """Record one check; a NaN residual (an overflowed product) is stored as inf."""
-        residual = float(residual)
-        self.checks.append(CheckResult(name, math.inf if math.isnan(residual) else residual, float(tol)))
+        """Record one check of a computed residual."""
+        self.checks.append(CheckResult(name, residual, tol))
+
+    def add_norm(self, name: str, x, tol: float, scale=None, tol_scale=None):
+        """Record ``CheckResult.of_norm``: the check ||x|| <= tol, certified when it can be."""
+        self.checks.append(CheckResult.of_norm(name, x, tol, scale, tol_scale))
 
     @property
     def passed(self) -> bool:
@@ -94,6 +175,16 @@ def _check_shape(name: str, m: np.ndarray, dim: int) -> np.ndarray:
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"{name} has shape {m.shape}, expected ({dim}, {dim})")
     return m
+
+
+# The per-member residuals of ``check_group`` and ``check_invariant``, passed
+# as functions so that a report holds no product per member
+def _commutator(u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return u @ x - x @ u
+
+
+def _unitarity_defect(u: np.ndarray, ident: np.ndarray) -> np.ndarray:
+    return u.conj().T @ u - ident
 
 
 class HeatData:
@@ -193,24 +284,25 @@ class HeatData:
 
     def check_grading(self, rep: ValidationReport):
         """Add "gamma hermitian" and "gamma^2 = I" to ``rep``."""
-        rep.add("gamma hermitian", opnorm(self.gamma - self.gamma.conj().T), self.tol)
-        rep.add("gamma^2 = I", opnorm(self.gamma @ self.gamma - np.eye(self.dim)), self.tol)
+        rep.add_norm("gamma hermitian", self.gamma - self.gamma.conj().T, self.tol)
+        rep.add_norm("gamma^2 = I", self.gamma @ self.gamma - np.eye(self.dim), self.tol)
 
     def check_group(self, rep: ValidationReport, commutants: dict):
         """Add "group[0] = I", then per member: unitary, commutes with gamma,
         and commutes with each named matrix of ``commutants`` in its order."""
         ident = np.eye(self.dim)
         named = {"gamma": self.gamma, **commutants}
-        rep.add("group[0] = I", opnorm(self.group[0] - ident), self.tol)
+        rep.add_norm("group[0] = I", self.group[0] - ident, self.tol)
         for k, u in enumerate(self.group):
-            rep.add(f"group[{k}] unitary", opnorm(u.conj().T @ u - ident), self.tol)
+            rep.add_norm(f"group[{k}] unitary", partial(_unitarity_defect, u, ident), self.tol)
             for name, x in named.items():
-                rep.add(f"group[{k}] commutes with {name}", opnorm(u @ x - x @ u), self.tol)
+                commutes = f"group[{k}] commutes with {name}"
+                rep.add_norm(commutes, partial(_commutator, u, x), self.tol)
 
     def check_invariant(self, rep: ValidationReport, name: str, x: np.ndarray):
         """Add "``name`` commutes with group[k]" for every member."""
         for k, u in enumerate(self.group):
-            rep.add(f"{name} commutes with group[{k}]", opnorm(u @ x - x @ u), self.tol)
+            rep.add_norm(f"{name} commutes with group[{k}]", partial(_commutator, u, x), self.tol)
 
     def check_algebra(self, mats):
         """Raise unless every matrix of ``mats`` lies in the algebra the data
@@ -253,10 +345,9 @@ class SpectralTriple(HeatData):
 def validate_triple(t: SpectralTriple) -> ValidationReport:
     """Check every structural invariant; each failure is named with its residual."""
     rep = ValidationReport()
-    sq = max(opnorm(t.Q), 1.0)
-    rep.add("Q hermitian", opnorm(t.Q - t.Q.conj().T) / sq, t.tol)
+    rep.add_norm("Q hermitian", t.Q - t.Q.conj().T, t.tol, scale=t.Q)
     t.check_grading(rep)
-    rep.add("Q gamma + gamma Q = 0", opnorm(t.Q @ t.gamma + t.gamma @ t.Q), t.tol)
+    rep.add_norm("Q gamma + gamma Q = 0", t.Q @ t.gamma + t.gamma @ t.Q, t.tol)
     t.check_group(rep, {"Q": t.Q})
     return rep
 
@@ -294,9 +385,9 @@ class AlgebraElement:
 
     def validate(self, t: SpectralTriple) -> ValidationReport:
         rep = ValidationReport()
-        rep.add(
+        rep.add_norm(
             f"{self.label or 'element'} gamma-even",
-            opnorm(t.conj_gamma(self.matrix) - self.matrix),
+            t.conj_gamma(self.matrix) - self.matrix,
             t.tol,
         )
         return rep
