@@ -24,13 +24,14 @@ yields every level at once.  M is built in the eigenbasis of H and conditioned t
   block.
 
 The cost is one exponential of order (n+1) dim; ``MAX_BLOCK_ORDER`` bounds
-it before anything is allocated.  For the pairing series <x0, x, ..., x>
-every superdiagonal block is x, so M is upper block-Toeplitz and exp(M) is
-determined by its first block row [E_0 | ... | E_N], which is all the
-series reads: ``repeated_expectation_series`` computes only that row
-(``linalg.expm_toeplitz_row``), at cost O(s N^2 dim^3) for s squarings
-instead of O(s N^3 dim^3).  The other expectations have distinct vertices
-and keep the full exponential, which also serves as the row's reference.
+it before anything is allocated.  For the levels <x0, x, ..., x>_n of
+``repeated_expectation_series`` no block matrix is formed: by Duhamel they
+are the Taylor coefficients of F(z) = Tr(gamma U(g) x0 e^{-H + z x}), with
+the Hoelder bound |<x0, x, ..., x>_n| <= ||x0|| ||x||^n Tr(e^{-H}) / n!, and
+``linalg.cauchy_circles`` plans circles that read them off samples of F,
+one FFT per circle.  ``MAX_SAMPLES`` bounds those samples before any
+exponential.  The bidiagonal exponential of each level alone is their
+reference.
 A seeded Monte-Carlo quadrature over the simplex provides an independent
 route at every instance: per block of simplex points it stacks the
 products x_0 e^{-s_0 H} ... x_j e^{-s_j H} as one (points*dim, dim)
@@ -45,7 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadExponent, ComplexityCap, DimensionMismatch
-from .linalg import as_matrix, expm, expm_toeplitz_row, opnorm, simplex_exp
+from .linalg import (
+    as_matrix,
+    cauchy_circles,
+    circle_levels,
+    exp_traces,
+    expm,
+    opnorm,
+    simplex_exp,
+)
 from .triples import (
     SpectralTriple,
     VertexType,
@@ -70,11 +79,14 @@ __all__ = [
     "bounded_vertex_bound",
 ]
 
-# Largest block order (n+1)*dim of one exponential.  A complex matrix of
-# this order takes 64 MiB.  The bidiagonal route's expm holds a few at
-# once; the series route holds one, the block-Toeplitz matrix of each
-# squaring.  Both stay well inside a 2 GiB address space.
+# Largest block order (n+1)*dim of one bidiagonal exponential.  A complex
+# matrix of this order takes 64 MiB, and expm holds a few at once: well
+# inside a 2 GiB address space.  The series levels form no block matrix.
 MAX_BLOCK_ORDER = 2048
+# Most samples the circles of one series take, and most work points * dim^3
+# of their exponentials: MAX_SAMPLES^3, that of one exponential at the
+# block order budget.  Their stacks hold ``linalg._STACK_ENTRIES`` entries.
+MAX_SAMPLES = 2048
 
 
 @dataclass
@@ -129,14 +141,31 @@ def _check_block_order(n: int, dim: int):
     """Raise ComplexityCap when levels 0..n at ``dim`` need one exponential
     of block order (n+1) dim above ``MAX_BLOCK_ORDER``.
 
-    ``_simplex_levels`` checks here before it allocates, and
-    ``jlo.pairing`` before either route takes an exponential.
+    ``_simplex_levels`` checks here before it allocates.
     """
     order = (n + 1) * dim
     if order > MAX_BLOCK_ORDER:
         raise ComplexityCap(
             f"block order (n+1)*dim = {n + 1}*{dim} = {order} exceeds budget "
             f"{MAX_BLOCK_ORDER}"
+        )
+
+
+def _check_sample_budget(points: int, dim: int):
+    """Raise ComplexityCap when a series' circles take more than
+    ``MAX_SAMPLES`` samples, or exponential work points * dim^3 above
+    ``MAX_SAMPLES``^3.
+
+    ``repeated_expectation_series`` and ``jlo.pairing`` check here before
+    any exponential.
+    """
+    if points > MAX_SAMPLES:
+        raise ComplexityCap(f"the series takes {points} samples, over the budget {MAX_SAMPLES}")
+    work = points * dim**3
+    if work > MAX_SAMPLES**3:
+        raise ComplexityCap(
+            f"the series takes {points} samples at dim {dim}: points*dim^3 = {work} "
+            f"exceeds budget {MAX_SAMPLES}^3"
         )
 
 
@@ -151,34 +180,38 @@ def _bidiagonal_row(d: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
     return expm(m, norm_cap=np.inf)[:dim]
 
 
-def _toeplitz_row(d: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
-    """``_bidiagonal_row`` when every superdiagonal block is xs[0]."""
-    return expm_toeplitz_row(d, xs[0] if xs else np.zeros((d.size, d.size)), len(xs))
+def _balance(n: int, xs) -> float:
+    """c = max(1, n / (e max_j ||x_j||)), 1 when every x_j is 0.
+
+    The largest column 2-norm is a lower bound on ||x_j||: when its square
+    passes (n / e)^2 by more than its rounding, c is 1 exactly and no SVD
+    runs.
+    """
+    top_column = max((float((np.abs(x) ** 2).sum(axis=0).max()) for x in xs), default=0.0)
+    if top_column >= (n / math.e) ** 2 * (1.0 + 1e-8):
+        return 1.0
+    x_norm = max((opnorm(x) for x in xs), default=0.0)
+    return max(1.0, n / (math.e * x_norm)) if x_norm > 0 else 1.0
 
 
-def _simplex_levels(
-    t, front, rest, block_row=_bidiagonal_row
-) -> tuple[np.ndarray, np.ndarray]:
+def _simplex_levels(t, front, rest) -> tuple[np.ndarray, np.ndarray]:
     """<front-vertex, rest_1, ..., rest_k> for every k = 0..n, in one exponential.
 
-    ``front`` already carries the grading and group factors.  ``block_row``
-    computes the first block row of exp(M) from M's diagonal and its
-    superdiagonal blocks.  Returns the values and, per level, the sum of
-    the moduli of the summands of the final trace, which scales the
-    kernel's rounding error.
+    ``front`` already carries the grading and group factors.  Returns the
+    values and, per level, the sum of the moduli of the summands of the
+    final trace, which scales the kernel's rounding error.
     """
     lam, basis = t.heat_data()
     dim = lam.size
     n = len(rest)
     _check_block_order(n, dim)
     vh = basis.conj().T
-    # keyed by identity and converted once each: the series passes one vertex n times
+    # keyed by identity and converted once each: a vertex may recur
     eig = {key: vh @ x @ basis for key, x in {id(x): x for x in rest}.items()}
-    x_norm = max((opnorm(x) for x in eig.values()), default=0.0)
-    c = max(1.0, n / (math.e * x_norm)) if x_norm > 0 else 1.0
+    c = _balance(n, eig.values())
     lam_min = float(lam.min())
     sup = {key: c * x for key, x in eig.items()}
-    row = block_row(-(lam - lam_min), [sup[id(x)] for x in rest])
+    row = _bidiagonal_row(-(lam - lam_min), [sup[id(x)] for x in rest])
     row = row.reshape(dim, n + 1, dim)
     fe = vh @ front @ basis
     scale = np.exp(-lam_min - np.arange(n + 1) * math.log(c))
@@ -247,16 +280,35 @@ def expectation_value(t, mats, g: int = 0) -> complex:
 
 
 def repeated_expectation_series(t, x0, x, max_n: int, g: int = 0) -> list[complex]:
-    """<x0, x, ..., x>_n for n = 0..max_n from one block-Toeplitz exponential.
+    """<x0, x, ..., x>_n for n = 0..max_n, from samples on circles.
 
-    Every superdiagonal block of M is x, so M is block-Toeplitz and only
-    the first block row of exp(M) is computed (``expm_toeplitz_row``).
+    They are the Taylor coefficients of F(z) = Tr(gamma U(g) x0 e^{-H + z x}),
+    whose level n has the Hoelder bound ||x0|| ||x||^n Tr(e^{-H}) / n!.
+    F is sampled in the eigenbasis of H, shifted by its least eigenvalue,
+    on the circles ``linalg.cauchy_circles`` plans for every level at equal
+    weight; each sample on a circle of spread u is scaled by e^{-u}, so deep
+    levels stay in range.  Raises ValueError for a negative ``max_n`` and
+    ComplexityCap, before any exponential, over ``MAX_SAMPLES``.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")
-    front = t.twist(g) @ as_matrix(x0)
-    vals, _ = _simplex_levels(t, front, [as_matrix(x)] * max_n, _toeplitz_row)
-    return [complex(v) for v in vals]
+    front, (xm,) = _front_and_rest(t, [as_matrix(x0), as_matrix(x)], g)
+    lam, basis = t.heat_data()
+    # every level takes at least one sample: this bounds the plan too
+    _check_sample_budget(max_n + 1, lam.size)
+    vh = basis.conj().T
+    xe = vh @ xm @ basis
+    circles = cauchy_circles(opnorm(xe) if max_n else 0.0, np.zeros(max_n + 1))
+    counts = [c.points for c in circles]
+    _check_sample_budget(sum(counts), lam.size)
+    shifts = np.repeat([c.spread for c in circles], counts)
+    zs = np.concatenate([c.nodes() for c in circles])
+    lam_min = float(lam.min())
+    values = exp_traces(vh @ front @ basis, np.diag(lam_min - lam), xe, zs, shifts)
+    log_weights = np.full(max_n + 1, -lam_min)
+    for c in circles:
+        log_weights[c.lo : c.hi + 1] += c.spread
+    return [complex(v) for v in circle_levels(values, circles, log_weights)]
 
 
 def _vertex_list(x) -> list[np.ndarray]:

@@ -13,18 +13,25 @@ evaluated by Gauss-Hermite quadrature.  The quadrature is the reference;
 the series is the cross-check.  One bound fixes how far both go: the
 Hoelder bound s x^k / k! on the weighted level 2k, whose tail after K is
 ``_tail_after(K)``.  The least K with that tail below ``tol`` is the plan
-of the pairing (``_Prepared.level``).  The series sums levels 0..2K,
-capped at ``max_level``, from one block exponential, and reports the
-tail.  The quadrature takes the (K+1)-node rule in one pass: it is exact
-on t^{2k} for k <= K and lies between 0 and the exact moment beyond, so
-its error is below the same tail.  J is even in t, so that pass takes
-exponentials at the nodes t >= 0 only, on the gamma-graded parts of H,
-da and gamma U(g) a, in stacks of at most ``_STACK_ENTRIES`` complex
-entries.  A plan past ``_NODE_CAP`` nodes, or one whose numpy rule is not
-finite, raises NoConvergence before any exponential.
+of the pairing (``_Prepared.level``).  The quadrature takes the (K+1)-node
+rule in one pass: it is exact on t^{2k} for k <= K and lies between 0 and
+the exact moment beyond, so its error is below the same tail.  The series
+sums levels 0..2K, capped at ``max_level``: they are the Taylor
+coefficients of J(-iz), read off samples on circles planned from the same
+bound (``linalg.cauchy_circles``), one FFT per circle, and it reports the
+tail with the circles' rounding and aliasing.  J is even in t, so both
+routes take exponentials of the gamma-graded parts of H, da and
+gamma U(g) a (``_graded_parts``): the quadrature at the nodes t >= 0 only,
+the series on circles in w = z^2.  ``_stacked_traces`` takes them in
+stacks of at most ``_STACK_ENTRIES`` complex entries.  The two routes
+therefore share the bound, the plan K, the graded parts and the
+exponential kernel; the closed form Tr(gamma U(g) a) of a plain pairing
+shares none of them, and the tests hold both routes to it.  A plan past
+``_NODE_CAP`` nodes, or one whose numpy rule is not finite, raises
+NoConvergence before any exponential.
 ``_Prepared`` holds the work both routes share and validates nothing:
 validation belongs to the entry point, once per request.  ``pairing``
-validates its input once, fixes both plans and checks the series' block
+validates its input once, fixes both plans and checks the series' sample
 budget before either route takes an exponential, and shares that pass with
 both routes for the duration of the call.  A sweep validates its input
 once and builds one pass per point.
@@ -52,12 +59,17 @@ from .errors import (
     PairingInputInvalid,
     ValidationFailure,
 )
-from .expectations import (
-    _check_block_order,
-    expectation_value,
-    repeated_expectation_series,
+from .expectations import _check_sample_budget, expectation_value
+from .linalg import (
+    _STACK_ENTRIES,
+    Circle,
+    as_matrix,
+    cauchy_circles,
+    circle_errors,
+    circle_levels,
+    expm,
+    opnorm,
 )
-from .linalg import as_matrix, expm, opnorm
 from .triples import CheckResult, HeatData, ValidationReport, _check_shape
 
 __all__ = [
@@ -79,13 +91,11 @@ __all__ = [
 
 # Most Gauss-Hermite nodes a pairing plan or a transform's doubling takes.
 _NODE_CAP = 1024
-# Complex entries in one stack of Gauss-Hermite exponentials (1 MiB).
-# Unsliced 128-node stacks at dim 48 raised the sweep-quadrature
-# benchmark's peak RSS from 97 to 120 MB.  The Taylor core of ``expm``
-# holds X, X^2, X^3, X^4 and two partial sums of one stack at once.
-_STACK_ENTRIES = 2**16
 # Highest series level: pairing_coefficient(172) exceeds the float range.
 _MAX_LEVEL = 342
+# Relative error of one sampled trace, against the bound on |J| on its
+# circle: ``heat_expectation``'s error model.
+_SAMPLE_ROUNDING = 1e-13
 
 
 def pairing_coefficient(n: int) -> float:
@@ -163,7 +173,7 @@ class _Prepared:
         self.h = self.lift.hamiltonian
         self.da = self.lift.derive(inp.a)
         self.front = self.lift.twist(inp.g) @ inp.a
-        self._levels = {}
+        self._levels, self._plans, self._graded = {}, {}, None
 
     @cached_property
     def bound(self) -> tuple[float, float]:
@@ -193,14 +203,25 @@ class _Prepared:
             self._levels[tol] = top
         return self._levels[tol]
 
-    def series_plan(self, max_level: int, tol: float) -> int:
-        """K of ``pairing_series``: ``level(tol)``, capped at ``max_level`` // 2.
-        Raises ComplexityCap, before any exponential, when levels 0..2K
-        exceed the block budget.
+    def series_plan(self, max_level: int, tol: float) -> tuple[int, list[Circle]]:
+        """K of ``pairing_series``, ``level(tol)`` capped at ``max_level`` // 2,
+        and the circles that give its levels 0..2K.
+
+        The circles weigh level 2k by its term's bound s x^k / k!
+        (``linalg.cauchy_circles``, in w = z^2).  Their points keep the
+        levels aliased from past 2K below rounding whatever the cap, since
+        they follow ||da||, not K.  Raises ComplexityCap, before any
+        exponential, when they exceed the sample budget.
         """
-        top = min(self.level(tol), max_level // 2)
-        _check_block_order(2 * top, self.lift.dim)
-        return top
+        key = (max_level, tol)
+        if key not in self._plans:
+            top = min(self.level(tol), max_level // 2)
+            _, x = self.bound
+            weights = [k * math.log(x) - math.lgamma(k + 1) if k else 0.0 for k in range(top + 1)]
+            self._plans[key] = top, cauchy_circles(2.0 * math.sqrt(x), weights, step=2)
+        top, circles = self._plans[key]
+        _check_sample_budget(sum(c.points for c in circles), self.lift.dim)
+        return top, circles
 
     def rule(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """The (K+1)-node Gauss-Hermite rule of ``pairing_gaussian``, K =
@@ -290,25 +311,29 @@ def _graded_parts(prep: _Prepared) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (f + gamma f gamma)/2, f = gamma U(g) a, of the prepared pairing.
 
     Tr(front exp(-h + i t da)) on them is even in t to rounding, whatever
-    grading residuals validation let through.
+    grading residuals validation let through.  Both routes take them, so
+    they are formed once per pass.
     """
-    tb, h, da, front = prep.lift, prep.h, prep.da, prep.front
-    return (
-        (h + tb.conj_gamma(h)) / 2.0,
-        (da - tb.conj_gamma(da)) / 2.0,
-        (front + tb.conj_gamma(front)) / 2.0,
-    )
+    if prep._graded is None:
+        tb, h, da, front = prep.lift, prep.h, prep.da, prep.front
+        prep._graded = (
+            (h + tb.conj_gamma(h)) / 2.0,
+            (da - tb.conj_gamma(da)) / 2.0,
+            (front + tb.conj_gamma(front)) / 2.0,
+        )
+    return prep._graded
 
 
 def _stacked_traces(h: np.ndarray, da: np.ndarray, front: np.ndarray):
     """Nodes t -> the vector of Tr(front exp(-h + i t da)).
 
-    The exponentials are taken as stacks of at most ``_STACK_ENTRIES``
-    complex entries, a bound fixed before any stack is built.  They take
-    no 1-norm cap: the plan of ``pairing_gaussian`` fixes the nodes, and
-    at its largest ones the 1-norm may pass ``expm``'s default cap while
-    the exponential stays in range (1104 and about e^592 at the last node
-    of the exchange triple with ||Q|| = 16).
+    The nodes are the quadrature's real t, or t = -iz at the series'
+    circle samples z.  The exponentials are taken as stacks of at most
+    ``_STACK_ENTRIES`` complex entries, a bound fixed before any stack is
+    built.  They take no 1-norm cap: the plans fix the nodes, and at the
+    quadrature's largest ones the 1-norm may pass ``expm``'s default cap
+    while the exponential stays in range (1104 and about e^592 at the last
+    node of the exchange triple with ||Q|| = 16).
     """
     per_stack = max(1, _STACK_ENTRIES // h.size)
 
@@ -444,23 +469,31 @@ def pairing_series(
     bounds the weighted term at level 2k by s x^k / k!, with
     s = ||a|| Tr(e^{-H}) and x = ||da||^2 / 4.  The series stops at the
     least level 2K whose tail ``_tail_after(K)`` is below ``tol``, or at
-    ``max_level`` (rounded down to even), and takes levels 0..2K from one
-    exponential.  Returns (value, 2K, tail_bound): the tail bound is that
-    tail plus a rounding allowance, ``heat_expectation``'s 1e-13 error
-    model applied to s e^x, the bound on the sum of the moduli of the
-    terms; so it can sit a little above ``tol``.  Raises ValueError for a negative ``max_level`` or a
-    ``tol`` that is not positive and finite, ComplexityCap when
-    (2K + 1) dim exceeds the block budget, and Overflow when ||da||^2
-    leaves the float range.
+    ``max_level`` (rounded down to even).  Levels 0..2K are the Taylor
+    coefficients of the even J(-iz) = Tr(gamma U(g) a exp(-H + z da)):
+    one stack of exponentials samples it on the circles of
+    ``_Prepared.series_plan``, and one FFT per circle reads them off.
+    Returns (value, 2K, tail_bound): the tail bound is that tail plus the
+    circles' aliasing and rounding (``linalg.circle_errors``, with
+    ``_SAMPLE_ROUNDING``), each weighted by |(-1/4)^k (2k)!/k!|; so it can
+    sit a little above ``tol``.  Raises ValueError for a negative
+    ``max_level`` or a ``tol`` that is not positive and finite,
+    ComplexityCap when the circles exceed the sample budget, and Overflow
+    when ||da||^2 leaves the float range.
     """
     _check_max_level(max_level)
     _check_tol(tol)
     prep = _prepared(t, inp)
-    top = prep.series_plan(max_level, tol)
+    top, circles = prep.series_plan(max_level, tol)
     log_s, x = prep.bound
-    raw = repeated_expectation_series(prep.lift, inp.a, prep.da, 2 * top, inp.g)
-    total = sum(pairing_coefficient(k) * raw[2 * k] for k in range(top + 1))
-    return total, 2 * top, _tail_after(top, log_s, x) + 1e-13 * _exp(log_s + x)
+    zs = np.concatenate([c.nodes(2) for c in circles])
+    values = _stacked_traces(*_graded_parts(prep))(-1j * zs)
+    log_c = [math.log(abs(pairing_coefficient(k))) for k in range(top + 1)]
+    terms = circle_levels(values, circles, log_c, step=2)
+    total = sum((-1) ** k * terms[k] for k in range(top + 1))
+    errors = circle_errors(circles, _SAMPLE_ROUNDING, step=2)
+    sampled = sum(_exp(log_s + w + e) for w, e in zip(log_c, errors))
+    return total, 2 * top, _tail_after(top, log_s, x) + sampled
 
 
 def _exp(v: float) -> float:
@@ -508,7 +541,8 @@ def pairing(
 
     The input is validated once (``_prepared``), and both plans are fixed
     before either route takes an exponential (``_Prepared``): the series'
-    level, with its block budget checked, then the quadrature's rule.
+    level and circles, with its sample budget checked, then the
+    quadrature's rule.
     """
     _check_max_level(max_level)
     prep = _prepared(t, inp)

@@ -1,19 +1,28 @@
 """Dense complex linear-algebra kernels.
 
 Everything downstream (simplex transforms, pairings, sweeps) reduces to the
-four operations here: Hermitian eigendecomposition, a general matrix
-exponential, Schatten norms, and divided differences of the exponential
-evaluated through the exponential of an upper-bidiagonal matrix.  The
-exponential scales its argument to 1-norm at most 0.5, evaluates the
-degree-18 Taylor polynomial there by Paterson-Stockmeyer (7 matrix
-products) and squares back.  It also takes a stack of matrices, shape
-(k, n, n), and returns for each slice the bits a call on that slice alone
-returns; the Gauss-Hermite nodes of a pairing are evaluated that way.  The
-levels of the pairing series are the first block row of the exponential
-of an (N+1) dim block-Toeplitz matrix, which ``expm_toeplitz_row``
-computes with the same polynomial and scaling on first block rows alone,
-by Horner, at cost O(s N^2 dim^3) for s squarings.  All functions are
-pure; inputs are never mutated.
+operations here: Hermitian eigendecomposition, a general matrix
+exponential, Schatten norms, divided differences of the exponential
+evaluated through the exponential of an upper-bidiagonal matrix, and Taylor
+coefficients read off samples on circles.  The exponential scales its
+argument to 1-norm at most 0.5, evaluates the degree-18 Taylor polynomial
+there by Paterson-Stockmeyer (7 matrix products) and squares back.  It also
+takes a stack of matrices, shape (k, n, n), and returns for each slice the
+bits a call on that slice alone returns; the Gauss-Hermite nodes of a
+pairing and the circle samples of its series are evaluated that way.  All
+functions are pure; inputs are never mutated.
+
+The Taylor coefficients f_n of an entire F(z) = sum_n f_n z^n with the
+Hoelder bound |f_n| <= S y^n / n! come from samples of F on circles
+|z| = r, one FFT per circle: the trapezoidal rule of Cauchy's integral
+(Trefethen & Weideman, SIAM Rev. 56, 2014).  On |z| = r, |F| <= S e^{ry},
+so rounding in the samples costs level n a factor e^u n! / u^n, u = ry,
+over its bound: least near u = n, and Poisson-like in n around u.  So one
+circle serves a band of levels, and the levels split into bands with one
+radius each (Bornemann, Found. Comput. Math. 11, 2011).  ``cauchy_circles``
+plans the bands, radii and point counts from the bound alone, before any
+sample is taken; ``circle_levels`` reads the coefficients off the samples,
+and ``circle_errors`` bounds their rounding and aliasing.
 
 Residual checks ||x|| <= tol need no SVD when ``norm_certified`` decides
 them: ||x||_2 <= ||x||_F, so ||x||_F <= tol/2 proves the check.  The
@@ -29,16 +38,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadExponent, DimensionMismatch, NotHermitian, Overflow
 
 __all__ = [
+    "Circle",
     "HermitianEigenSystem",
     "as_matrix",
+    "cauchy_circles",
+    "circle_errors",
+    "circle_levels",
     "eig_hermitian",
+    "exp_traces",
     "expm",
-    "expm_toeplitz_row",
     "norm_certified",
     "opnorm",
     "simplex_exp",
@@ -50,6 +62,18 @@ _TAYLOR_TERMS = 18  # 0.5^18/18! ~ 6e-22, far below double rounding
 _TAYLOR_COEFFS = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR_TERMS + 1))
 # Least tol/2 whose square, 2^-800, lies far above the subnormal range.
 _FRO_SAFE = 2.0**-400
+# Complex entries in one stack of exponentials (1 MiB).  Unsliced 128-node
+# stacks at dim 48 raised the sweep-quadrature benchmark's peak RSS from 97
+# to 120 MB.  The Taylor core of ``expm`` holds X, X^2, X^3, X^4 and two
+# partial sums of one stack at once.
+_STACK_ENTRIES = 2**16
+# A circle may cost a level at most this factor over the larger of two
+# floors: the least rounding any one circle gives that level, and that of
+# the most heavily weighted level.
+_CIRCLE_LOSS = 10.0
+# The Hoelder mass of the levels aliased into a level, over that level's
+# rounding term: below double rounding.
+_ALIAS_MASS = 2.0**-53
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -203,52 +227,176 @@ def _expm_stack(a: np.ndarray, norm_cap: float) -> np.ndarray:
     out = _taylor(a / (2.0**s)[:, None, None])
     for j in range(int(s.max(initial=0))):
         live = s > j
-        sq = out[live]
-        out[live] = sq @ sq
+        if live.all():  # the samples of one circle mostly share their scaling
+            out = out @ out
+        else:
+            sq = out[live]
+            out[live] = sq @ sq
     return out
 
 
-def expm_toeplitz_row(d, x, n: int) -> np.ndarray:
-    """First block row [E_0 | E_1 | ... | E_n] of exp(M), shape (dim, (n+1)*dim).
+@dataclass(frozen=True)
+class Circle:
+    """One circle of a Cauchy rule: ``points`` samples of F on |z| = ``radius``
+    give the Taylor coefficients ``lo``..``hi`` of G(w) = F(w^{1/step}).
 
-    M has order (n+1)*dim, diag(d) on every diagonal block (``d`` real)
-    and the (dim, dim) matrix ``x`` on every superdiagonal block (none
-    when n = 0).  Upper block-Toeplitz matrices are closed under products,
-    and a product of two of them is determined by their first block rows,
-    so this runs the steps of ``expm`` on M (the same polynomial and
-    scaling, and the same number of squarings) on first block rows alone.
-    The polynomial is evaluated by Horner, not by ``_taylor``: powers of M
-    would need full Toeplitz products, where a Horner step costs one
-    (dim, dim) by (dim, n*dim) product.  A squaring costs one
-    (dim, (n+1)*dim) by M-sized product, so the cost is O(s n^2 dim^3)
-    against O(s n^3 dim^3) for ``expm`` on M.
+    ``spread`` = radius y is the exponent of the bound S e^{spread} on |F|
+    there, y the growth rate of the Hoelder bound.
     """
-    d = np.asarray(d, dtype=float)
-    x = np.asarray(x, dtype=complex)
-    dim = d.size
-    width = (n + 1) * dim
-    diag = (np.arange(dim), np.arange(dim))
-    out = np.zeros((dim, width), dtype=complex)
-    out[diag] = 1.0
-    # the 1-norm of M: column j of block k >= 1 holds |d_j| and column j of x
-    nrm = float((np.abs(d) + (np.abs(x).sum(axis=0) if n else 0.0)).max())
-    if nrm == 0.0:
-        return out
-    s = max(0, int(np.ceil(np.log2(nrm / _TAYLOR_THETA))))
-    ds, xs = d / 2.0**s, x / 2.0**s
-    for k in range(_TAYLOR_TERMS, 0, -1):
-        # Horner step I + (M / 2^s) R / k on the first block row of R
-        step = ds[:, None] * out
-        step[:, dim:] += xs @ out[:, : width - dim]
-        out = step / k
-        out[diag] += 1.0
-    # Block row j of the current power is its first row shifted right by
-    # j blocks: the windows of the zero-padded first row, one block apart.
-    pad = np.zeros((dim, n * dim), dtype=complex)
-    for _ in range(s):
-        win = sliding_window_view(np.concatenate([pad, out], axis=1), width, axis=1)
-        toeplitz = win[:, ::-dim].transpose(1, 0, 2).reshape(width, width)
-        out = out @ toeplitz
+
+    lo: int
+    hi: int
+    radius: float
+    spread: float
+    points: int
+
+    def nodes(self, step: int = 1) -> np.ndarray:
+        """The samples' z = radius e^{2 pi i j / (step points)}, j < points:
+        the points-th roots of unity in w = z^step, scaled to the circle."""
+        return self.radius * np.exp(2j * np.pi * np.arange(self.points) / (step * self.points))
+
+
+def _log_aliased(u: float, above: int, below: int) -> float:
+    """log of a bound on the Poisson(u) mass at n >= ``above`` plus that at
+    n <= ``below`` (none when ``below`` < 0).
+
+    Past the mode the pmf ratios are at most u / (above + 1), and below it
+    at most below / u, so each tail is at most its end term times a
+    geometric sum.  A tail that reaches the mode is bounded by 1.
+    """
+    if u == 0.0:
+        return -math.inf
+    log_u = math.log(u)
+
+    def log_pmf(m):
+        return -u + m * log_u - math.lgamma(m + 1)
+
+    up = (log_pmf(above) + math.log((above + 1) / (above + 1 - u))) if above + 1 > u else 0.0
+    if below < 0:
+        return up
+    down = (log_pmf(below) + math.log(u / (u - below))) if below < u else 0.0
+    top = max(up, down)
+    return top + math.log1p(math.exp(min(up, down) - top))
+
+
+def cauchy_circles(norm: float, log_weights, step: int = 1) -> list[Circle]:
+    """Circles that give the coefficients k = 0..K of G(w) = F(w^{1/step}),
+    K = len(log_weights) - 1, where F(z) = sum_n f_n z^n has the Hoelder
+    bound |f_n| <= S norm^n / n! and, for step 2, is even.
+
+    Level n = step k on a circle of spread u = r norm carries the rounding
+    eps S e^u r^{-n}: e^u n! / u^n times its bound, least at u = n.  Level
+    k weighs e^{log_weights[k]} (relative weights of the bounds: the
+    terms of a weighted sum, or zeros for levels wanted each to its own
+    accuracy).  A circle may cost each of its levels at most
+    ``_CIRCLE_LOSS`` times the larger of two floors: the least weighted
+    rounding any circle gives that level, and the weight of the heaviest
+    level.  The levels split greedily, from 0 up, into contiguous bands
+    that meet this: each band takes all the levels left when they fit, else
+    grows one level at a time.  A band's spread balances its two end
+    levels, where the weighted loss, convex in the level, peaks; every
+    level of the band is checked at it.  Each circle takes the fewest
+    points, at least its band's width, that keep the Hoelder mass of the
+    levels aliased into its band, k + points and k - points, below
+    ``_ALIAS_MASS`` times the rounding term.
+
+    Plain arithmetic on the bound: no sample is taken.  With ``norm`` 0 or
+    K = 0 only level 0 can be nonzero, and one sample at z = 0 gives it.
+    """
+    top = len(log_weights) - 1
+    if norm == 0.0 or top == 0:
+        return [Circle(0, 0, 0.0, 0.0, 1)]
+    # plain floats: a pairing's plan has a few dozen levels, where numpy's
+    # per-call overhead would outweigh the arithmetic
+    n = [step * k for k in range(top + 1)]
+    lg = [math.lgamma(v + 1) for v in n]
+    heaviest = max(log_weights)
+    slack = []
+    for v, g, w in zip(n, lg, log_weights):
+        ell = w - heaviest
+        least = v - v * math.log(v) + g if v else 0.0
+        slack.append(ell - math.log(_CIRCLE_LOSS) - max(0.0, least + ell))
+
+    def spread(lo: int, hi: int) -> float:
+        if lo == hi:
+            return float(n[lo])
+        log_u = (lg[hi] - lg[lo] + slack[hi] - slack[lo]) / (n[hi] - n[lo])
+        return min(max(math.exp(min(log_u, math.log(n[hi]))), n[lo]), n[hi])
+
+    def fits(lo: int, hi: int) -> bool:
+        u = spread(lo, hi)
+        log_u = math.log(u)
+        return all(u - n[k] * log_u + lg[k] + slack[k] <= 0.0 for k in range(lo, hi + 1))
+
+    circles, lo = [], 0
+    while lo <= top:
+        hi = top if fits(lo, top) else lo
+        while hi < top and fits(lo, hi + 1):
+            hi += 1
+        u = spread(lo, hi)
+        points = hi - lo + 1
+        while _log_aliased(u, step * (lo + points), step * (hi - points)) > math.log(_ALIAS_MASS):
+            points += 1
+        circles.append(Circle(lo, hi, u / norm, u, points))
+        lo = hi + 1
+    return circles
+
+
+def circle_levels(values, circles, log_weights, step: int = 1) -> np.ndarray:
+    """Coefficients k = 0..len(log_weights)-1 of G, each times
+    e^{log_weights[k]}, from ``values``, the samples of F at the nodes of
+    ``circles`` in order: one FFT per circle.
+
+    The factor and r^{-n} are applied in logarithms, so a coefficient in the
+    float range comes out even where r^{-n} alone is not.  Coefficients no
+    circle serves are 0.
+    """
+    log_weights = np.asarray(log_weights, dtype=float)
+    out = np.zeros(log_weights.size, dtype=complex)
+    start = 0
+    for c in circles:
+        spectrum = np.fft.fft(values[start : start + c.points]) / c.points
+        start += c.points
+        k = np.arange(c.lo, c.hi + 1)
+        log_r = math.log(c.radius) if c.hi else 0.0
+        with np.errstate(divide="ignore"):  # a zero coefficient stays 0
+            out[k] = np.exp(np.log(spectrum[k % c.points]) + log_weights[k] - step * k * log_r)
+    return out
+
+
+def circle_errors(circles, rounding: float, step: int = 1) -> list[float]:
+    """Per coefficient lo..hi of each circle, in order: the log of a bound on
+    its error over S, when each sample errs by at most ``rounding`` times
+    the bound S e^u on |F|.
+
+    Both the rounding and the coefficients aliased into level n = step k
+    reach it through the factor e^u r^{-n}.  The aliased ones weigh the
+    Poisson(u) mass at and beyond step (k + points) and at and below
+    step (k - points): at most ``_ALIAS_MASS``, which ``cauchy_circles``
+    checks at the band's end levels, where both tails are largest.
+    """
+    log_error = math.log(rounding + _ALIAS_MASS)
+    out = []
+    for c in circles:
+        log_r = math.log(c.radius) if c.hi else 0.0
+        out += [c.spread - step * k * log_r + log_error for k in range(c.lo, c.hi + 1)]
+    return out
+
+
+def exp_traces(front, base, x, zs, shifts) -> np.ndarray:
+    """Tr(front exp(base + z x - shift I)) for each sample z and its shift.
+
+    The exponentials are taken as stacks of at most ``_STACK_ENTRIES``
+    complex entries, with no 1-norm cap: the shift keeps them in range.
+    """
+    per_stack = max(1, _STACK_ENTRIES // base.size)
+    eye = np.eye(base.shape[0])
+    out = np.empty(zs.size, dtype=complex)
+    for i in range(0, zs.size, per_stack):
+        z = zs[i : i + per_stack, None, None]
+        shift = shifts[i : i + per_stack, None, None]
+        e = expm(base + z * x - shift * eye, norm_cap=np.inf)
+        out[i : i + per_stack] = np.einsum("ij,kji->k", front, e)
     return out
 
 

@@ -10,6 +10,7 @@ from heatchern import expectations
 from heatchern.errors import BadExponent, ComplexityCap, DimensionMismatch
 from heatchern.expectations import (
     MAX_BLOCK_ORDER,
+    MAX_SAMPLES,
     VertexSet,
     beta_fn,
     bound_expectation,
@@ -224,13 +225,15 @@ class TestHeatExpectation:
 
     def test_complexity_cap(self, zero_mode):
         # a request whose block order (n+1)*dim exceeds the budget is
-        # refused before the block matrix is allocated
+        # refused before the block matrix is allocated; a series takes a
+        # sample per level at least, so MAX_SAMPLES + 1 levels are refused
+        # before any sample
         n = MAX_BLOCK_ORDER // zero_mode.dim
         assert (n + 1) * zero_mode.dim > MAX_BLOCK_ORDER
         with pytest.raises(ComplexityCap):
             expectation_value(zero_mode, [np.eye(3)] * (n + 1))
-        with pytest.raises(ComplexityCap):
-            repeated_expectation_series(zero_mode, np.eye(3), np.eye(3), n)
+        with pytest.raises(ComplexityCap, match=f"{MAX_SAMPLES + 1} samples"):
+            repeated_expectation_series(zero_mode, np.eye(3), np.eye(3), MAX_SAMPLES)
 
     def test_group_index_out_of_range(self, zero_mode):
         # negative indices are refused, not wrapped to the last element
@@ -256,6 +259,38 @@ class TestHeatExpectation:
         ref = tuple_sum(t, mats, beta=beta)
         got = beta**n * expectation_value(t.lifted(1, beta), mats)
         assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("q", [1.5, 0.2])
+    def test_deep_levels_on_scalar_heat_kernel(self, q):
+        # one bidiagonal exponential per level: ||da|| = 2q puts level 32
+        # far below level 0, which only the balanced superdiagonal resolves
+        base = exchange_triple()
+        t = SpectralTriple(dim=2, Q=q * base.Q, gamma=base.gamma, group=list(base.group))
+        a = t.gamma.copy()
+        da = derivative(t, a)
+        for n in (8, 16, 24, 32):
+            exact = (
+                math.exp(-q * q) / math.factorial(n)
+                * np.trace(t.gamma @ a @ np.linalg.matrix_power(da, n))
+            )
+            got = expectation_value(t, [a] + [da] * n)
+            assert abs(got - exact) <= 1e-11 * abs(exact)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(1, 6),
+        n=st.integers(0, 40),
+        count=st.integers(1, 3),
+        scale=st.floats(0.05, 20.0),
+        seed=st.integers(0, 10**6),
+    )
+    def test_balance_keeps_the_svd_bits(self, dim, n, count, scale, seed):
+        # the column-norm shortcut gives c = 1 only where the SVD formula does
+        rng = np.random.default_rng(seed)
+        xs = [scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+              for _ in range(count)]
+        x_norm = max(opnorm(x) for x in xs)
+        assert expectations._balance(n, xs) == max(1.0, n / (math.e * x_norm))
 
     def test_deep_series_on_scalar_heat_kernel(self):
         # Q^2 = s I: <front, x, ..., x>_n = e^{-s beta} beta^n/n! Tr(front x^n).

@@ -1,16 +1,17 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatchern import expectations, homotopy, jlo, triples
+from heatchern import expectations, homotopy, jlo, linalg, triples
 from heatchern.cochains import random_cochain
 from heatchern.errors import ComplexityCap, NoConvergence, Overflow, PairingInputInvalid
 from heatchern.expectations import repeated_expectation_series
-from heatchern.linalg import eig_hermitian, expm, expm_toeplitz_row, opnorm
+from heatchern.linalg import eig_hermitian, expm, opnorm
 from heatchern.jlo import (
     PairingInput,
     coboundary_pairing_residual,
@@ -107,8 +108,7 @@ class TestGeneratingFunctional:
 
     @pytest.mark.parametrize("tt", [0.5, 1.0, 2.0])
     def test_series_cross_check(self, tt):
-        # J(t) = sum (-t^2)^n tau_2n(a,...,a) with the series from one
-        # block-Toeplitz exponential
+        # J(t) = sum (-t^2)^n tau_2n(a,...,a) with the levels read off circles
         t = random_triple(3, seed=54)
         a = random_involution(t, np.random.default_rng(55))
         inp = PairingInput(a=a)
@@ -136,15 +136,17 @@ class TestPairing:
         with pytest.raises(ValueError, match="max_level 343 exceeds 342"):
             pairing_series(exchange, PairingInput(a=exchange.gamma.copy()), max_level=343)
 
-    def test_series_levels_stop_at_block_budget(self, exchange, monkeypatch):
-        # the exchange series truncates at level 28: a budget of 29 levels
-        # of the dim-2 block serves it, a budget of 28 levels refuses it
+    def test_series_levels_stop_at_sample_budget(self, exchange, monkeypatch):
+        # the exchange series truncates at level 28, read off circles of 29
+        # samples at dim 2: a budget of 29 samples serves it, 28 refuse it
         inp = PairingInput(a=exchange.gamma.copy())
-        monkeypatch.setattr(expectations, "MAX_BLOCK_ORDER", 2 * 29)
+        _, circles = jlo._Prepared(exchange, inp).series_plan(32, 1e-12)
+        assert sum(c.points for c in circles) == 29
+        monkeypatch.setattr(expectations, "MAX_SAMPLES", 29)
         val, trunc, _ = pairing_series(exchange, inp)
         assert trunc == 28
         assert abs(val - 2.0) < 1e-12
-        monkeypatch.setattr(expectations, "MAX_BLOCK_ORDER", 2 * 28)
+        monkeypatch.setattr(expectations, "MAX_SAMPLES", 28)
         with pytest.raises(ComplexityCap):
             pairing_series(exchange, inp)
         assert pairing_coefficient(2) == 0.75
@@ -187,25 +189,19 @@ class TestPairing:
         )
         assert equivariant_index(t) == pytest.approx(0.0, abs=1e-14)
 
-    def test_budget_checked_before_any_exponential(self, exchange, monkeypatch):
-        # the exchange series needs 29 levels of the dim-2 block: with a
-        # budget of 28 the pairing is refused before either route runs
-        calls = []
-
-        def counted(name, fn):
-            def wrapped(*args, **kw):
-                calls.append(name)
-                return fn(*args, **kw)
-
-            return wrapped
-
-        monkeypatch.setattr(jlo, "expm", counted("expm", expm))
-        monkeypatch.setattr(
-            expectations, "expm_toeplitz_row", counted("row", expm_toeplitz_row)
-        )
-        monkeypatch.setattr(expectations, "MAX_BLOCK_ORDER", 2 * 28)
-        with pytest.raises(ComplexityCap, match=r"29\*2 = 58 exceeds budget 56"):
-            pairing(exchange, PairingInput(a=exchange.gamma.copy()))
+    def test_budget_checked_before_any_exponential(self, exchange, zero_mode, monkeypatch):
+        # the exchange series needs 29 samples at dim 2, and the zero-mode
+        # series with a = I one sample at dim 3: budgets of 28 samples, and
+        # of work 2^3 < 1 * 3^3, refuse them before either route runs
+        calls, taylor = [], linalg._taylor
+        monkeypatch.setattr(linalg, "_taylor", lambda x: calls.append(x) or taylor(x))
+        inp = PairingInput(a=exchange.gamma.copy())
+        monkeypatch.setattr(expectations, "MAX_SAMPLES", 28)
+        with pytest.raises(ComplexityCap, match="the series takes 29 samples, over the budget 28"):
+            pairing(exchange, inp)
+        monkeypatch.setattr(expectations, "MAX_SAMPLES", 2)
+        with pytest.raises(ComplexityCap, match=r"points\*dim\^3 = 27 exceeds budget 2\^3"):
+            pairing(zero_mode, PairingInput(a=np.eye(3, dtype=complex)))
         assert calls == []
 
     def test_overflowing_series_bound_is_named(self):
@@ -396,17 +392,23 @@ class TestPairing:
             pairing_series(exchange, inp, tol=tol)
 
     def test_series_takes_one_exponential(self, exchange, monkeypatch):
-        # the exchange series needs 29 levels, all from one block row
-        calls = []
+        # the exchange series needs 29 levels, all from one stack of dim-2
+        # exponentials at the samples of its circles, and one FFT per circle
+        inp = PairingInput(a=exchange.gamma.copy())
+        _, circles = jlo._Prepared(exchange, inp).series_plan(32, 1e-12)
+        shapes, ffts = [], []
 
-        def counted(d, x, n):
-            calls.append(n)
-            return expm_toeplitz_row(d, x, n)
+        def recorded(m, **kw):
+            shapes.append(m.shape)
+            return expm(m, **kw)
 
-        monkeypatch.setattr(expectations, "expm_toeplitz_row", counted)
-        _, trunc, _ = pairing_series(exchange, PairingInput(a=exchange.gamma.copy()))
+        fft = np.fft.fft
+        monkeypatch.setattr(jlo, "expm", recorded)
+        monkeypatch.setattr(np.fft, "fft", lambda v: ffts.append(v.size) or fft(v))
+        _, trunc, _ = pairing_series(exchange, inp)
         assert trunc > 16
-        assert calls == [trunc]
+        assert shapes == [(sum(c.points for c in circles), 2, 2)]
+        assert ffts == [c.points for c in circles]
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -550,9 +552,6 @@ class TestRuleBound:
             return expm(*args, **kw)
 
         monkeypatch.setattr(jlo, "expm", counted)
-        monkeypatch.setattr(
-            expectations, "expm_toeplitz_row", lambda *a: calls.append(a) or expm_toeplitz_row(*a)
-        )
         t, inp = _exchange(q)
         with pytest.raises(NoConvergence, match=message):
             route(t, inp)
@@ -560,7 +559,10 @@ class TestRuleBound:
 
     def test_one_level_fixes_both_routes(self, exchange, monkeypatch):
         # at tol 1e-12 the series stops at level 2K = 28 and the quadrature
-        # takes the 15-node rule: 8 exponentials at its nodes t >= 0
+        # takes the 15-node rule: 8 exponentials at its nodes t >= 0; the
+        # series then takes one stack at the samples of its circles
+        inp = PairingInput(a=exchange.gamma.copy())
+        _, circles = jlo._Prepared(exchange, inp).series_plan(32, 1e-12)
         nodes = []
         stacked = jlo._stacked_traces
 
@@ -569,9 +571,9 @@ class TestRuleBound:
             return lambda ts: nodes.append(ts) or values(ts)
 
         monkeypatch.setattr(jlo, "_stacked_traces", recorded)
-        res = pairing(exchange, PairingInput(a=exchange.gamma.copy()), tol=1e-12)
+        res = pairing(exchange, inp, tol=1e-12)
         assert res.truncation_level == 28
-        assert [ts.size for ts in nodes] == [8]
+        assert [ts.size for ts in nodes] == [8, sum(c.points for c in circles)]
         assert abs(res.value - 2.0) <= 1e-12
 
 
@@ -709,6 +711,43 @@ class TestGaussHermite:
         assert shapes == [(1, 6, 6)] * 128
         assert np.array_equal(stacked, per_node)
         assert np.array_equal(sliced, per_node)
+
+
+def _unit_da_pair(dim, m, seed):
+    """A pair as perfbench's generator makes them: a random triple and an
+    m-blocked involution, with Q scaled so that ||da|| = 1 on the lift."""
+    t = random_triple(dim, seed=seed)
+    a = random_involution(t.lifted(m), np.random.default_rng(seed))
+    q = t.Q / opnorm(t.lifted(m).derive(a))
+    return SpectralTriple(dim=dim, Q=q, gamma=t.gamma, group=list(t.group)), PairingInput(a=a, m=m)
+
+
+class TestClosedFormAtScale:
+    @pytest.mark.parametrize("dim, m", [(24, 1), (48, 1), (96, 1), (128, 1), (48, 2)])
+    def test_pair_matches_the_closed_form(self, dim, m, monkeypatch):
+        # the closed form Tr(gamma U(g) a) shares neither the bound, the
+        # plan, the graded parts nor the exponentials of the two routes;
+        # every exponential the pairing takes is of the lift's order, and
+        # its peak memory stays below one block matrix of the series' levels
+        orders = []
+        taylor = linalg._taylor
+        monkeypatch.setattr(linalg, "_taylor", lambda x: orders.append(x.shape[-1]) or taylor(x))
+        t, inp = _unit_da_pair(dim, m, seed=dim)
+        tracemalloc.start()
+        try:
+            res = pairing(t, inp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        exact = complex(np.trace(t.lifted(m).twist(0) @ inp.a))
+        assert abs(res.value - exact) <= 1e-8
+        assert abs(res.series_value - exact) <= res.tail_bound
+        assert set(orders) == {m * dim}
+        assert peak < 16 * ((res.truncation_level + 1) * m * dim) ** 2
+
+    def test_no_block_engine(self):
+        assert not hasattr(linalg, "expm_toeplitz_row")
+        assert not hasattr(expectations, "_toeplitz_row")
 
 
 class TestCoboundaryPairing:

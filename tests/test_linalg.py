@@ -11,7 +11,6 @@ from heatchern.linalg import (
     as_matrix,
     eig_hermitian,
     expm,
-    expm_toeplitz_row,
     opnorm,
     schatten_norm,
     simplex_exp,
@@ -187,10 +186,11 @@ class TestExpmToeplitzRow:
     @pytest.mark.parametrize("zero_x", [False, True], ids=["x", "x0"])
     @pytest.mark.parametrize("n", [0, 1, 16, 40])
     @pytest.mark.parametrize("spectrum", ["d1", "d2", "d5", "d12", "zero_mode"])
-    def test_matches_dense_block_row(self, spectrum, n, zero_x):
-        # the oracle is expm on the explicit block-Toeplitz matrix; d and x
-        # are shaped as the series passes them: the shifted spectrum of Q^2
-        # (degenerate for the zero-mode triple) and a balanced x
+    def test_matches_dense_block_row(self, expm_toeplitz_row, spectrum, n, zero_x):
+        # the series levels' test oracle against expm on the explicit
+        # block-Toeplitz matrix; d and x are shaped as the bidiagonal route
+        # passes them: the shifted spectrum of Q^2 (degenerate for the
+        # zero-mode triple) and a balanced x
         t = zero_mode_triple() if spectrum == "zero_mode" else random_triple(
             int(spectrum[1:]), seed=7
         )

@@ -1,15 +1,18 @@
-"""Count the SVD, eigh and expm calls of one round of a perfbench workload.
+"""Count the SVD, eigh, expm and FFT calls of one round of a perfbench workload.
 
     python tools/call_census.py WORKLOAD [--seed S] [--src SRC]
 
 Builds the first round of WORKLOAD (``pair-series``, ``sweep-quadrature``
 or ``character-cochains``) with ``perfbench.workloads``, runs each request
 once in process, and prints how many times ``np.linalg.svd``,
-``np.linalg.eigh`` and ``heatchern.linalg.expm`` were called, in total and
-per request class.  SRC is the directory holding the ``heatchern`` package
-(``src`` of this checkout by default), so the same round can be counted on
-two trees.  BLAS is pinned to one thread, as in perfbench.  A request that
-fails its gate raises.
+``np.linalg.eigh``, ``heatchern.linalg.expm`` and ``np.fft.fft`` were
+called, in total and per request class.  One ``expm`` call may take a stack
+of matrices, so the census also counts the exponentiated slices (the sum of
+the stack sizes, a single matrix counting one) and, on the total line, the
+slices by their order.  SRC is the directory holding the ``heatchern``
+package (``src`` of this checkout by default), so the same round can be
+counted on two trees.  BLAS is pinned to one thread, as in perfbench.  A
+request that fails its gate raises.
 """
 
 import argparse
@@ -28,7 +31,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-KERNELS = ("svd", "eigh", "expm")
+KERNELS = ("svd", "eigh", "expm", "slices", "fft")
 
 
 def load(src: Path):
@@ -43,11 +46,13 @@ def load(src: Path):
     return heatchern
 
 
-def install_counters(hc, counts: Counter):
-    """Wrap the three kernels; ``counts[name]`` grows by one per call.
+def install_counters(hc, counts: Counter, orders: Counter):
+    """Wrap the four kernels; ``counts[name]`` grows by one per call.
 
-    ``expm`` is replaced in ``heatchern.linalg`` and in every submodule that
-    imported it by name.
+    ``counts["slices"]`` grows by the number of matrices each ``expm`` call
+    exponentiates, and ``orders[n]`` by those of order n.  ``expm`` is
+    replaced in ``heatchern.linalg`` and in every submodule that imported
+    it by name.
     """
     def counting(name, fn):
         def wrapper(*args, **kw):
@@ -57,8 +62,17 @@ def install_counters(hc, counts: Counter):
 
     np.linalg.svd = counting("svd", np.linalg.svd)
     np.linalg.eigh = counting("eigh", np.linalg.eigh)
+    np.fft.fft = counting("fft", np.fft.fft)
     expm = hc.linalg.expm
-    wrapped = counting("expm", expm)
+
+    def sliced(m, *args, **kw):
+        shape = np.shape(m)
+        slices = shape[0] if len(shape) == 3 else 1
+        counts["slices"] += slices
+        orders[shape[-1]] += slices
+        return expm(m, *args, **kw)
+
+    wrapped = counting("expm", sliced)
     for name, mod in list(sys.modules.items()):
         if name.startswith("heatchern") and getattr(mod, "expm", None) is expm:
             mod.expm = wrapped
@@ -78,8 +92,8 @@ def main(argv=None) -> int:
     if args.workload not in workloads.WORKLOADS:
         p.error(f"unknown workload {args.workload!r}; one of {sorted(workloads.WORKLOADS)}")
     (requests, *_), _ = workloads.build(args.workload, args.seed, rounds=1)
-    counts, by_class = Counter(), {}
-    install_counters(hc, counts)
+    counts, orders, by_class = Counter(), Counter(), {}
+    install_counters(hc, counts, orders)
     with tempfile.TemporaryDirectory() as tmp:
         workloads.materialize(requests, Path(tmp), hc)
         for req in requests:
@@ -89,6 +103,7 @@ def main(argv=None) -> int:
             by_class[req.cls]["requests"] += 1
     print(f"{args.workload} seed {args.seed}: {len(requests)} requests, "
           + ", ".join(f"{k} {counts[k]}" for k in KERNELS))
+    print("  slices by order: " + ", ".join(f"{n}: {orders[n]}" for n in sorted(orders)))
     for cls, c in by_class.items():
         print(f"  {cls}: {c['requests']} requests, "
               + ", ".join(f"{k} {c[k]}" for k in KERNELS))

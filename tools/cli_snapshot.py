@@ -144,9 +144,16 @@ def cases():
             ("endpoint-grid-over-budget", ["endpoint", "--lambda-grid=0:1:100000000"], two),
             ("endpoint-grid-product-over-budget",
              ["endpoint", "--eps-grid=0:1:2", "--lambda-grid=0:1:2000"], two)]
-    # a series over the block budget (21 levels at dim 128), refused before any exponential
+    # dim 128, once over the block budget (21 levels), pairs; so does dim 96.  A
+    # series over the sample budget (points*dim^3, about 360 samples at dim
+    # 320 and ||da|| = 20) is refused before any exponential
     wide, q, gamma, _ = random_triple(128, 7, "trivial")
     out.append(("pair-over-block-budget", ["pair"], dict(wide, Q=mat(0.5 * q), a=mat(gamma))))
+    wide, q, gamma, _ = random_triple(96, 7, "trivial")
+    out.append(("pair-d96", ["pair"], dict(wide, Q=mat(0.5 * q), a=mat(gamma))))
+    wide, q, gamma, _ = random_triple(320, 7, "trivial")
+    out.append(("pair-over-sample-budget", ["pair", "--max-level=342"],
+                dict(wide, Q=mat(10 * q), a=mat(gamma))))
     moving = dict(split_model(((1.0, 0.5), (2.0, 1.0))), a=mat(np.kron(SX, np.eye(4))))
     # split inputs through the shared pairing checks: an m = 2 block input, a
     # wrong-shaped a, and a moving input that also fails a^2 = I
