@@ -29,9 +29,10 @@ it before anything is allocated.  For the levels <x0, x, ..., x>_n of
 are the Taylor coefficients of F(z) = Tr(gamma U(g) x0 e^{-H + z x}), with
 the Hoelder bound |<x0, x, ..., x>_n| <= ||x0|| ||x||^n Tr(e^{-H}) / n!, and
 ``linalg.cauchy_circles`` plans circles that read them off samples of F,
-one FFT per circle.  ``MAX_SAMPLES`` bounds those samples before any
-exponential.  The bidiagonal exponential of each level alone is their
-reference.
+one FFT per circle.  The samples come from ``linalg.exp_traces``, the
+pairing's sampler, with one shift per circle.  ``MAX_SAMPLES`` bounds them
+before any exponential.  The bidiagonal exponential of each level alone is
+their reference.
 A seeded Monte-Carlo quadrature over the simplex provides an independent
 route at every instance: per block of simplex points it stacks the
 products x_0 e^{-s_0 H} ... x_j e^{-s_j H} as one (points*dim, dim)
@@ -286,9 +287,10 @@ def repeated_expectation_series(t, x0, x, max_n: int, g: int = 0) -> list[comple
     whose level n has the Hoelder bound ||x0|| ||x||^n Tr(e^{-H}) / n!.
     F is sampled in the eigenbasis of H, shifted by its least eigenvalue,
     on the circles ``linalg.cauchy_circles`` plans for every level at equal
-    weight; each sample on a circle of spread u is scaled by e^{-u}, so deep
-    levels stay in range.  Raises ValueError for a negative ``max_n`` and
-    ComplexityCap, before any exponential, over ``MAX_SAMPLES``.
+    weight; each sample on a circle of spread u is scaled by e^{-u} (the
+    shifts of ``linalg.exp_traces``), so deep levels stay in range.  Raises
+    ValueError for a negative ``max_n`` and ComplexityCap, before any
+    exponential, over ``MAX_SAMPLES``.
     """
     if max_n < 0:
         raise ValueError(f"max_n must be nonnegative, got {max_n}")

@@ -20,13 +20,14 @@ sums levels 0..2K, capped at ``max_level``: they are the Taylor
 coefficients of J(-iz), read off samples on circles planned from the same
 bound (``linalg.cauchy_circles``), one FFT per circle, and it reports the
 tail with the circles' rounding and aliasing.  J is even in t, so both
-routes take exponentials of the gamma-graded parts of H, da and
-gamma U(g) a (``_graded_parts``): the quadrature at the nodes t >= 0 only,
-the series on circles in w = z^2.  ``_stacked_traces`` takes them in
-stacks of at most ``_STACK_ENTRIES`` complex entries.  The two routes
-therefore share the bound, the plan K, the graded parts and the
-exponential kernel; the closed form Tr(gamma U(g) a) of a plain pairing
-shares none of them, and the tests hold both routes to it.  A plan past
+routes sample it on the gamma-graded parts of H, da and gamma U(g) a
+(``_Prepared.graded``): the quadrature at z = i t for the nodes t >= 0
+only, the series on circles in w = z^2.  Both take their samples from
+``linalg.exp_traces``, the one sampler of Tr(F e^{B + zX}), which the
+levels of ``expectations.repeated_expectation_series`` share.  The two
+routes therefore share the bound, the plan K, the graded parts and the
+sampler; the closed form Tr(gamma U(g) a) of a plain pairing shares none
+of them, and the tests hold both routes to it.  A plan past
 ``_NODE_CAP`` nodes, or one whose numpy rule is not finite, raises
 NoConvergence before any exponential.
 ``_Prepared`` holds the work both routes share and validates nothing:
@@ -61,12 +62,12 @@ from .errors import (
 )
 from .expectations import _check_sample_budget, expectation_value
 from .linalg import (
-    _STACK_ENTRIES,
     Circle,
     as_matrix,
     cauchy_circles,
     circle_errors,
     circle_levels,
+    exp_traces,
     expm,
     opnorm,
 )
@@ -155,7 +156,8 @@ def _require_valid_input(t: HeatData, inp: PairingInput):
 
 class _Prepared:
     """The work the routes of one pairing share: the lift with its H, da and
-    the front factor gamma U(g) a, and the plan of both routes.
+    the front factor gamma U(g) a, their graded parts as the operands of
+    the sampler (``graded``), and the plan of both routes.
 
     It only prepares: the caller validates (t, inp) first, once per
     request, as ``_prepared`` does for a single pairing and each sweep does
@@ -173,7 +175,7 @@ class _Prepared:
         self.h = self.lift.hamiltonian
         self.da = self.lift.derive(inp.a)
         self.front = self.lift.twist(inp.g) @ inp.a
-        self._levels, self._plans, self._graded = {}, {}, None
+        self._levels, self._plans = {}, {}
 
     @cached_property
     def bound(self) -> tuple[float, float]:
@@ -191,6 +193,23 @@ class _Prepared:
             raise Overflow(
                 f"||da|| = {da_norm:.3e}: the series bound ||da||^2 / 4 overflows"
             ) from None
+
+    @cached_property
+    def graded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The operands (f, -h, da) of ``linalg.exp_traces`` for both routes:
+        the gamma-graded parts h = (H + gamma H gamma)/2, da = (da - gamma da
+        gamma)/2 and f = (F + gamma F gamma)/2 of the lift's H, da and
+        F = gamma U(g) a.
+
+        Tr(f exp(-h + i t da)) is even in t to rounding, whatever grading
+        residuals validation let through.  Each part is formed from the
+        halves, as x/2 +- gamma (x/2) gamma: halving is exact, and the sum
+        of halves stays finite where x + gamma x gamma overflows.  Formed
+        once per pass, on first use.
+        """
+        f, h, da = (x / 2.0 for x in (self.front, self.h, self.da))
+        conj = self.lift.conj_gamma
+        return f + conj(f), -(h + conj(h)), da - conj(da)
 
     def level(self, tol: float) -> int:
         """The plan of both routes: the least K below ``_NODE_CAP`` whose
@@ -306,49 +325,6 @@ def jlo_cochain(t: HeatData, max_level: int = 32) -> Cochain:
     return Cochain(ev, t.group, max_level, "C")
 
 
-def _graded_parts(prep: _Prepared) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The graded parts (H + gamma H gamma)/2, (da - gamma da gamma)/2 and
-    (f + gamma f gamma)/2, f = gamma U(g) a, of the prepared pairing.
-
-    Tr(front exp(-h + i t da)) on them is even in t to rounding, whatever
-    grading residuals validation let through.  Both routes take them, so
-    they are formed once per pass.
-    """
-    if prep._graded is None:
-        tb, h, da, front = prep.lift, prep.h, prep.da, prep.front
-        prep._graded = (
-            (h + tb.conj_gamma(h)) / 2.0,
-            (da - tb.conj_gamma(da)) / 2.0,
-            (front + tb.conj_gamma(front)) / 2.0,
-        )
-    return prep._graded
-
-
-def _stacked_traces(h: np.ndarray, da: np.ndarray, front: np.ndarray):
-    """Nodes t -> the vector of Tr(front exp(-h + i t da)).
-
-    The nodes are the quadrature's real t, or t = -iz at the series'
-    circle samples z.  The exponentials are taken as stacks of at most
-    ``_STACK_ENTRIES`` complex entries, a bound fixed before any stack is
-    built.  They take no 1-norm cap: the plans fix the nodes, and at the
-    quadrature's largest ones the 1-norm may pass ``expm``'s default cap
-    while the exponential stays in range (1104 and about e^592 at the last
-    node of the exchange triple with ||Q|| = 16).
-    """
-    per_stack = max(1, _STACK_ENTRIES // h.size)
-
-    def values(ts):
-        ts = np.asarray(ts)
-        out = np.empty(ts.size, dtype=complex)
-        for i in range(0, ts.size, per_stack):
-            tt = ts[i : i + per_stack, None, None]
-            e = expm(-h + 1j * tt * da, norm_cap=np.inf)
-            out[i : i + per_stack] = np.trace(front @ e, axis1=1, axis2=2)
-        return out
-
-    return values
-
-
 def generating_functional(t: HeatData, inp: PairingInput, z: complex) -> complex:
     """J(z;a) = Tr(gamma U(g) a exp(-H + i z da)), block-traced for m > 1."""
     prep = _prepared(t, inp)
@@ -426,7 +402,7 @@ def pairing_gaussian(t: HeatData, inp: PairingInput, tol: float = 1e-10) -> comp
     trace gives J(-t) = J(t).  The rules are symmetric, so only the nodes
     t >= 0 get an exponential, with weight 2 w_j (w_j at the centre of an
     odd rule).  Inputs pass validation with residuals up to ``tol``, so
-    the fold runs on the graded parts (``_graded_parts``).  They keep J
+    the fold runs on the graded parts (``_Prepared.graded``).  They keep J
     even to rounding, and they move the value by O(residual^2), since the
     full rule cancels every first-order odd term.  The bound, taken on the
     raw lift, covers them: the graded da and gamma U(g) a have norms at
@@ -444,7 +420,7 @@ def _gaussian(prep: _Prepared, tol: float) -> complex:
     weights = 2.0 * ws[half:]
     if ts.size % 2:
         weights[0] = ws[half]
-    values = _stacked_traces(*_graded_parts(prep))(ts[half:])
+    values = exp_traces(*prep.graded, 1j * ts[half:])
     # a Python sum: a BLAS dot here changes the CPU state in which perfbench's
     # gauge kernel runs, and with it every normalized time
     return sum(w * v for w, v in zip(weights, values)) / math.sqrt(math.pi)
@@ -487,7 +463,7 @@ def pairing_series(
     top, circles = prep.series_plan(max_level, tol)
     log_s, x = prep.bound
     zs = np.concatenate([c.nodes(2) for c in circles])
-    values = _stacked_traces(*_graded_parts(prep))(-1j * zs)
+    values = exp_traces(*prep.graded, zs)
     log_c = [math.log(abs(pairing_coefficient(k))) for k in range(top + 1)]
     terms = circle_levels(values, circles, log_c, step=2)
     total = sum((-1) ** k * terms[k] for k in range(top + 1))

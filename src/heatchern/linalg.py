@@ -8,8 +8,11 @@ coefficients read off samples on circles.  The exponential scales its
 argument to 1-norm at most 0.5, evaluates the degree-18 Taylor polynomial
 there by Paterson-Stockmeyer (7 matrix products) and squares back.  It also
 takes a stack of matrices, shape (k, n, n), and returns for each slice the
-bits a call on that slice alone returns; the Gauss-Hermite nodes of a
-pairing and the circle samples of its series are evaluated that way.  All
+bits a call on that slice alone returns.  A 1-norm past 2^1022, whose
+scaling 2^s leaves the float range, raises Overflow before any arithmetic.
+``exp_traces`` samples Tr(F e^{B + zX}) through such stacks: it is the one
+sampler of the Gauss-Hermite nodes of a pairing, the circle samples of its
+series, and the levels of ``repeated_expectation_series``.  All
 functions are pure; inputs are never mutated.
 
 The Taylor coefficients f_n of an entire F(z) = sum_n f_n z^n with the
@@ -60,6 +63,8 @@ __all__ = [
 _TAYLOR_THETA = 0.5  # scale target for the Taylor core
 _TAYLOR_TERMS = 18  # 0.5^18/18! ~ 6e-22, far below double rounding
 _TAYLOR_COEFFS = tuple(1.0 / math.factorial(k) for k in range(_TAYLOR_TERMS + 1))
+# Most squarings: 2^1023 is the largest power of 2 in the float range.
+_MAX_SQUARINGS = 1023
 # Least tol/2 whose square, 2^-800, lies far above the subnormal range.
 _FRO_SAFE = 2.0**-400
 # Complex entries in one stack of exponentials (1 MiB).  Unsliced 128-node
@@ -163,22 +168,36 @@ def expm(m, norm_cap: float = 1e3) -> np.ndarray:
     slice of a stack gets its own scaling and the same core, so it equals
     bit for bit the exponential of that slice alone.  Accurate to ~1e-13
     relative for inputs of 1-norm up to a few tens.  Raises Overflow when a
-    1-norm exceeds ``norm_cap``.
+    1-norm exceeds ``norm_cap``, or passes 2^1022 (``_check_scaling``),
+    whatever the cap; a stack raises when any one slice does.
     """
     a = np.asarray(m, dtype=complex)
     if a.ndim == 3:
         return _expm_stack(a, norm_cap)
     a = as_matrix(a)
-    nrm = float(np.linalg.norm(a, 1))
+    with np.errstate(over="ignore"):  # an overflowing 1-norm is inf
+        nrm = float(np.linalg.norm(a, 1))
     if nrm > norm_cap:
         raise Overflow(f"matrix 1-norm {nrm:.3e} exceeds cap {norm_cap:.3e}")
     if nrm == 0.0:
         return np.eye(a.shape[0], dtype=complex)
-    s = max(0, int(np.ceil(np.log2(nrm / _TAYLOR_THETA))))
+    log_scale = np.log2(nrm / _TAYLOR_THETA)
+    _check_scaling(log_scale, nrm)
+    s = max(0, int(np.ceil(log_scale)))
     out = _taylor(a / (2.0**s))
     for _ in range(s):
         out = out @ out
     return out
+
+
+def _check_scaling(log_scale: float, nrm: float):
+    """Raise Overflow, before any arithmetic on the matrix, when the scaling
+    2^s of ``expm``, s = ceil(``log_scale``), leaves the float range: a
+    1-norm ``nrm`` past 2^1022, or one that is itself inf.  Scaling by
+    2^-s = 0 would take the exponential as I.
+    """
+    if not log_scale <= _MAX_SQUARINGS:
+        raise Overflow(f"matrix 1-norm {nrm:.3e}: its scaling 2^s leaves the float range")
 
 
 def _taylor(x: np.ndarray) -> np.ndarray:
@@ -218,12 +237,15 @@ def _expm_stack(a: np.ndarray, norm_cap: float) -> np.ndarray:
         raise DimensionMismatch(f"matrix stack must be (k, n, n), got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix stack contains non-finite entries")
-    nrm = np.linalg.norm(a, 1, axis=(1, 2))
+    # an overflowing 1-norm is inf, and log2(0) = -inf gives s = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        nrm = np.linalg.norm(a, 1, axis=(1, 2))
+        log_scale = np.log2(nrm / _TAYLOR_THETA)
     worst = float(nrm.max(initial=0.0))
     if worst > norm_cap:
         raise Overflow(f"matrix 1-norm {worst:.3e} exceeds cap {norm_cap:.3e}")
-    with np.errstate(divide="ignore"):  # log2(0) = -inf gives s = 0
-        s = np.maximum(0.0, np.ceil(np.log2(nrm / _TAYLOR_THETA))).astype(int)
+    _check_scaling(float(log_scale.max(initial=-np.inf)), worst)
+    s = np.maximum(0.0, np.ceil(log_scale)).astype(int)
     out = _taylor(a / (2.0**s)[:, None, None])
     for j in range(int(s.max(initial=0))):
         live = s > j
@@ -383,20 +405,27 @@ def circle_errors(circles, rounding: float, step: int = 1) -> list[float]:
     return out
 
 
-def exp_traces(front, base, x, zs, shifts) -> np.ndarray:
-    """Tr(front exp(base + z x - shift I)) for each sample z and its shift.
+def exp_traces(front, base, x, zs, shifts=None) -> np.ndarray:
+    """Tr(front exp(base + z x - shift I)) for each sample z, with its shift
+    when ``shifts`` is given.
 
-    The exponentials are taken as stacks of at most ``_STACK_ENTRIES``
-    complex entries, with no 1-norm cap: the shift keeps them in range.
+    The one sampler of the functional Tr(F e^{B + zX}): the pairing's
+    quadrature nodes (z = i t), its series' circle samples, and the
+    shifted circles of ``repeated_expectation_series``.  The exponentials
+    are taken as stacks of at most ``_STACK_ENTRIES`` complex entries, a
+    bound fixed before any stack is built.  They take no 1-norm cap: the
+    callers' plans fix the samples, and at the quadrature's largest nodes
+    the 1-norm may pass ``expm``'s default cap while the exponential stays
+    in range (1104 and about e^592 at the last node of the exchange triple
+    with ||Q|| = 16).  ``expm`` raises Overflow for a 1-norm past 2^1022.
     """
     per_stack = max(1, _STACK_ENTRIES // base.size)
-    eye = np.eye(base.shape[0])
     out = np.empty(zs.size, dtype=complex)
     for i in range(0, zs.size, per_stack):
-        z = zs[i : i + per_stack, None, None]
-        shift = shifts[i : i + per_stack, None, None]
-        e = expm(base + z * x - shift * eye, norm_cap=np.inf)
-        out[i : i + per_stack] = np.einsum("ij,kji->k", front, e)
+        m = base + zs[i : i + per_stack, None, None] * x
+        if shifts is not None:
+            m -= shifts[i : i + per_stack, None, None] * np.eye(base.shape[0])
+        out[i : i + per_stack] = np.trace(front @ expm(m, norm_cap=np.inf), axis1=1, axis2=2)
     return out
 
 

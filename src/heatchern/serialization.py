@@ -134,9 +134,12 @@ def _group_from_json(spec, dim: int) -> list[np.ndarray]:
         gen = _check_shape("group generator", matrix_from_json(spec["generator"]), dim)
         out = [np.eye(dim, dtype=complex)]
         cur = np.eye(dim, dtype=complex)
-        for _ in range(k - 1):
-            cur = cur @ gen
-            out.append(cur)
+        # powers past the float range come out non-finite, and the group
+        # check names the first: no warning before it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(k - 1):
+                cur = cur @ gen
+                out.append(cur)
         return out
     if isinstance(spec, list):
         return [matrix_from_json(m) for m in spec]

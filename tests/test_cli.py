@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ OVERFLOWING = {
     "Q": [[0, HUGE], [HUGE, 0]],
     "tuple": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]],
 }
+I2, Z2, ZERO2 = [[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 0], [0, 0]]
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+SCALING = "matrix 1-norm {}: its scaling 2^s leaves the float range"
 NO_POINTS = ("DimensionMismatch", "grid '0:1:0' has no points")
 NOT_POSITIVE = "beta_plane must be positive, got"
 
@@ -49,6 +53,10 @@ def write(tmp_path, name, doc):
 
 def run_main(args):
     return main(args)
+
+
+def _warning_to_stderr(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
 class TestIndex:
@@ -785,6 +793,47 @@ class TestErrors:
         assert json.loads(captured.err) == {
             "error": {"type": error[0], "message": error[1]}
         }
+
+    @pytest.mark.parametrize(
+        "fields, argv, code, error",
+        [
+            ({"a": Z2, "q": ZERO2, "regularizer": [[1, 0], [0, 0]]},
+             ["endpoint", "--eps-grid=0:7.07e153:2", "--lambda-grid=0:0:1"], 2,
+             ("Overflow", SCALING.format("4.998e+307"))),
+            ({"a": I2, "q": [[0, 1e154], [1e154, 0]]}, ["sweep", "--lambda-grid=0:0.7:2"], 2,
+             ("Overflow", SCALING.format("4.900e+307"))),
+            ({"a": I2}, ["beta-scan", "--beta-list=1e308"], 2,
+             ("Overflow", SCALING.format("1.000e+308"))),
+            ({"a": I2, "q": [[0, 1e154], [1e154, 0]]}, ["sweep", "--lambda-grid=1:1:1"], 2,
+             ("Overflow", SCALING.format("1.000e+308"))),
+            ({"a": I2, "q": ZERO2, "regularizer": I2}, ["endpoint", "--eps-grid=0:1e154:3"], 2,
+             ("Overflow", SCALING.format("1.000e+308"))),
+            ({"dim": 3, "Q": [[0, 0, 0], [0, 0, 7e153], [0, 7e153, 0]],
+              "gamma": [[1, 0, 0], [0, 1, 0], [0, 0, -1]], "tuple": [I3, I3]}, ["jlo"], 2,
+             ("Overflow", SCALING.format("4.900e+307"))),
+            ({"group": {"cyclic": 3, "generator": [[1e308, 0], [0, 1]]}}, ["index"], 3,
+             ("ValueError", "group[2] contains non-finite entries")),
+        ],
+        ids=["endpoint-scaling", "sweep-scaling", "beta-scan-graded", "sweep-graded",
+             "endpoint-graded", "jlo-scaling", "index-cyclic-powers"],
+    )
+    def test_overflow_ends_in_one_error_object(
+        self, tmp_path, capfd, fields, argv, code, error
+    ):
+        # an expm scaling 2^s past the float range took the exponential as I
+        # (endpoint, sweep: exit 0, the sweep with a warning) or raised a
+        # bare OverflowError (jlo); graded parts (h + gamma h gamma)/2
+        # overflowed with two warnings, then exited 3 with a ValueError; and
+        # the cyclic powers warned before their error.  Warnings are shown
+        # on stderr as in a plain run, so stderr must be the error alone
+        path = write(tmp_path, "o.json", {**EXCHANGE, **fields})
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _warning_to_stderr
+            assert run_main([argv[0], "--input", path, *argv[1:]]) == code
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"type": error[0], "message": error[1]}}
 
     @pytest.mark.parametrize(
         "argv, message",

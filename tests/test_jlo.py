@@ -218,6 +218,21 @@ class TestPairing:
             with pytest.raises(Overflow, match="series bound"):
                 call(t, PairingInput(a=a))
 
+    @pytest.mark.filterwarnings("error")
+    def test_graded_parts_stay_finite(self, exchange):
+        # H = 1e308 I is finite, but H + gamma H gamma is not: the graded
+        # parts warned and came out NaN, and the pairing ended in ValueError.
+        # Formed as halves they keep H's bits, and the exponential of its
+        # 1-norm, past 2^1022, is refused by name
+        t = exchange.lifted(1, 1e308)
+        inp = PairingInput(a=np.eye(2, dtype=complex))
+        front, minus_h, da = jlo._Prepared(t, inp).graded
+        assert np.array_equal(minus_h, -t.hamiltonian)
+        assert np.array_equal(front, t.gamma) and not da.any()
+        for call in (pairing, pairing_gaussian, pairing_series):
+            with pytest.raises(Overflow, match="matrix 1-norm 1.000e\\+308"):
+                call(t, inp)
+
     def test_pairing_validates_once(self, exchange, monkeypatch):
         calls = []
         validate = PairingInput.validate
@@ -403,7 +418,7 @@ class TestPairing:
             return expm(m, **kw)
 
         fft = np.fft.fft
-        monkeypatch.setattr(jlo, "expm", recorded)
+        monkeypatch.setattr(linalg, "expm", recorded)
         monkeypatch.setattr(np.fft, "fft", lambda v: ffts.append(v.size) or fft(v))
         _, trunc, _ = pairing_series(exchange, inp)
         assert trunc > 16
@@ -499,7 +514,7 @@ def _exchange(q):
 def _rule_value(prep, nodes):
     """The ``nodes``-point Gauss-Hermite rule on the graded integrand, at every node."""
     ts, ws = np.polynomial.hermite.hermgauss(nodes)
-    values = jlo._stacked_traces(*jlo._graded_parts(prep))(ts)
+    values = linalg.exp_traces(*prep.graded, 1j * ts)
     return complex(ws @ values) / math.sqrt(math.pi)
 
 
@@ -545,13 +560,9 @@ class TestRuleBound:
     )
     @pytest.mark.parametrize("route", [pairing_gaussian, pairing])
     def test_no_rule_raises_before_any_exponential(self, monkeypatch, q, message, route):
-        calls = []
-
-        def counted(*args, **kw):
-            calls.append(args)
-            return expm(*args, **kw)
-
-        monkeypatch.setattr(jlo, "expm", counted)
+        # every exponential, stacked or single, runs the Taylor core
+        calls, taylor = [], linalg._taylor
+        monkeypatch.setattr(linalg, "_taylor", lambda x: calls.append(x) or taylor(x))
         t, inp = _exchange(q)
         with pytest.raises(NoConvergence, match=message):
             route(t, inp)
@@ -559,21 +570,20 @@ class TestRuleBound:
 
     def test_one_level_fixes_both_routes(self, exchange, monkeypatch):
         # at tol 1e-12 the series stops at level 2K = 28 and the quadrature
-        # takes the 15-node rule: 8 exponentials at its nodes t >= 0; the
-        # series then takes one stack at the samples of its circles
+        # takes the 15-node rule: one stack of 8 exponentials at its nodes
+        # t >= 0; the series then takes one stack at the samples of its circles
         inp = PairingInput(a=exchange.gamma.copy())
         _, circles = jlo._Prepared(exchange, inp).series_plan(32, 1e-12)
-        nodes = []
-        stacked = jlo._stacked_traces
+        shapes = []
 
-        def recorded(*parts):
-            values = stacked(*parts)
-            return lambda ts: nodes.append(ts) or values(ts)
+        def recorded(m, **kw):
+            shapes.append(m.shape)
+            return expm(m, **kw)
 
-        monkeypatch.setattr(jlo, "_stacked_traces", recorded)
+        monkeypatch.setattr(linalg, "expm", recorded)
         res = pairing(exchange, inp, tol=1e-12)
         assert res.truncation_level == 28
-        assert [ts.size for ts in nodes] == [8, sum(c.points for c in circles)]
+        assert shapes == [(8, 2, 2), (sum(c.points for c in circles), 2, 2)]
         assert abs(res.value - 2.0) <= 1e-12
 
 
@@ -599,7 +609,7 @@ class TestGaussHermite:
             shapes.append(m.shape)
             return expm(m, **kw)
 
-        monkeypatch.setattr(jlo, "expm", recorded)
+        monkeypatch.setattr(linalg, "expm", recorded)
         inp = PairingInput(a=exchange.gamma.copy())
         for tol, nodes in ((1e-10, 14), (1e-12, 15), (1e-6, 10)):
             shapes.clear()
@@ -637,8 +647,8 @@ class TestGaussHermite:
     def test_graded_integrand_is_even(self, kind, dim, g, seed):
         t, inp = _heat_data_of_kind(kind, dim, g, seed)
         ts = np.polynomial.hermite.hermgauss(64)[0][32:]
-        values = jlo._stacked_traces(*jlo._graded_parts(jlo._Prepared(t, inp)))
-        plus, minus = values(ts), values(-ts)
+        graded = jlo._Prepared(t, inp).graded
+        plus, minus = linalg.exp_traces(*graded, 1j * ts), linalg.exp_traces(*graded, -1j * ts)
         assert np.max(np.abs(plus - minus)) <= 1e-14 * np.max(np.abs(plus))
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -653,7 +663,7 @@ class TestGaussHermite:
         t, inp = _heat_data_of_kind(kind, dim, g, seed)
         prep = jlo._Prepared(t, inp)
         ts, ws = np.polynomial.hermite.hermgauss(prep.level(1e-10) + 1)
-        values = jlo._stacked_traces(prep.h, prep.da, prep.front)(ts)
+        values = linalg.exp_traces(prep.front, -prep.h, prep.da, 1j * ts)
         full = complex(ws @ values) / math.sqrt(math.pi)
         assert abs(pairing_gaussian(t, inp) - full) <= 1e-14 * max(1.0, abs(full))
 
@@ -702,12 +712,12 @@ class TestGaussHermite:
             shapes.append(m.shape)
             return expm(m, **kw)
 
-        monkeypatch.setattr(jlo, "expm", recorded)
-        stacked = jlo._stacked_traces(h, da, front)(ts)
+        monkeypatch.setattr(linalg, "expm", recorded)
+        stacked = linalg.exp_traces(front, -h, da, 1j * ts)
         assert shapes == [(128, 6, 6)]
-        monkeypatch.setattr(jlo, "_STACK_ENTRIES", 1)
+        monkeypatch.setattr(linalg, "_STACK_ENTRIES", 1)
         shapes.clear()
-        sliced = jlo._stacked_traces(h, da, front)(ts)
+        sliced = linalg.exp_traces(front, -h, da, 1j * ts)
         assert shapes == [(1, 6, 6)] * 128
         assert np.array_equal(stacked, per_node)
         assert np.array_equal(sliced, per_node)

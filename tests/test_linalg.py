@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,33 @@ class TestExpm:
         for m in (big, np.stack([np.eye(2), big, np.zeros((2, 2))])):
             with pytest.raises(Overflow):
                 expm(m, norm_cap=1e3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "big, norm",
+        [
+            (-4.5e307 * np.eye(2), "4.500e+307"),
+            (np.array([[1e308, 0.0], [1e308, 0.0]]), "inf"),
+            (np.diag([1.5e308 + 1.5e308j, 1.0]), "inf"),
+        ],
+        ids=["past-2^1022", "column-sum-overflows", "modulus-overflows"],
+    )
+    def test_scaling_past_the_float_range(self, big, norm):
+        # 2^s is not finite: a stack scaled such a slice to 0 and took its
+        # exponential as I, with a RuntimeWarning, and a single matrix raised
+        # a bare OverflowError.  Only the middle slice of the stack is too large
+        message = re.escape(f"matrix 1-norm {norm}: its scaling 2^s leaves the float range")
+        for m in (big, np.stack([np.eye(2), big, np.zeros((2, 2))])):
+            with pytest.raises(Overflow, match=message):
+                expm(m, norm_cap=np.inf)
+
+    @pytest.mark.filterwarnings("error")
+    def test_scaling_at_the_float_range(self):
+        # 1-norm 2^1022 takes the last finite scaling, 2^1023
+        edge = -(2.0**1022) * np.eye(2)
+        assert np.array_equal(expm(edge, norm_cap=np.inf), np.zeros((2, 2)))
+        got = expm(np.stack([np.eye(2), edge]), norm_cap=np.inf)
+        assert np.array_equal(got, [expm(np.eye(2)), np.zeros((2, 2))])
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 2, 3), (2, 2, 2, 2), (4,)])
     def test_rejects_bad_shapes(self, shape):

@@ -154,6 +154,19 @@ class TestTripleRoundTrip:
         assert np.array_equal(t.group[0], np.eye(2))
         assert np.array_equal(t.group[2], g @ g)
 
+    @pytest.mark.filterwarnings("error")
+    def test_cyclic_powers_past_the_float_range(self):
+        # the powers of diag(1e308, 1) overflow: two RuntimeWarnings came
+        # before the error that names the first non-finite member
+        doc = {
+            "dim": 2,
+            "Q": [[0, 1], [1, 0]],
+            "gamma": [[1, 0], [0, -1]],
+            "group": {"cyclic": 3, "generator": [[1e308, 0], [0, 1]]},
+        }
+        with pytest.raises(ValueError, match=r"^group\[2\] contains non-finite entries$"):
+            triple_from_json(doc)
+
     def test_split_parsing(self):
         doc = {
             "dim": 2,

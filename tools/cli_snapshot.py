@@ -188,6 +188,28 @@ def cases():
             ("endpoint-bad-a-eps-overflow", ["endpoint", "--eps-grid=1e200:1e201:2"],
              not_involution),
             ("beta-scan-bad-a-negative-beta", ["beta-scan", "--beta-list=-1,1"], not_involution)]
+    # an exponential whose scaling 2^s leaves the float range (1-norm past
+    # 2^1022; eps = 6e153 and 1e150 stay inside it), graded parts
+    # (h + gamma h gamma)/2 whose sum overflows while H is finite, and cyclic
+    # group powers past the float range
+    ex = dict(exchange, Q=mat(SX), a=mat(SZ), q=mat(np.zeros((2, 2))),
+              regularizer=mat(np.diag([1.0, 0.0])))
+    ex_one = dict(ex, a=mat(np.eye(2)))
+    zero_mode = {"dim": 3, "Q": mat(7e153 * np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]])),
+                 "gamma": mat(np.diag([1.0, 1.0, -1.0])), "tuple": [mat(np.eye(3))] * 2}
+    out += [(f"endpoint-scaling-eps-{eps}", ["endpoint", f"--eps-grid=0:{eps}:2",
+                                             "--lambda-grid=0:0:1"], ex)
+            for eps in ("7.07e153", "6e153", "1e150")]
+    out += [("sweep-scaling-overflow", ["sweep", "--lambda-grid=0:0.7:2"],
+             dict(ex_one, q=mat(1e154 * SX))),
+            ("beta-scan-graded-overflow", ["beta-scan", "--beta-list=1e308"], ex_one),
+            ("sweep-graded-overflow", ["sweep", "--lambda-grid=1:1:1"],
+             dict(ex_one, q=mat(1e154 * SX))),
+            ("endpoint-graded-overflow", ["endpoint", "--eps-grid=0:1e154:3"],
+             dict(ex_one, regularizer=mat(np.eye(2)))),
+            ("jlo-scaling-overflow", ["jlo"], zero_mode),
+            ("index-cyclic-powers-overflow", ["index"],
+             dict(ex, group={"cyclic": 3, "generator": mat(np.diag([1e308, 1.0]))}))]
     return out + [("n2-two-levels-split-pair-moving-input", ["split-pair"], moving),
                   ("missing-input", ["pair", "--input=missing.json"], None),
                   ("usage-unknown-command", ["nonsense"], None),
