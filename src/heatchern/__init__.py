@@ -62,6 +62,7 @@ from .expectations import (
     check_insert_identity,
     duhamel_commutator,
     expectation_value,
+    expectation_values,
     heat_expectation,
 )
 from .cochains import (

@@ -1,9 +1,15 @@
 """The cyclic cochain complex: evaluable cochains and their operators.
 
 Cochains are closures, not stored tensors: a cochain evaluates lazily at
-(level n, tuple of n+1 matrices, group index).  The operators here wrap
-evaluators; none of them precompute anything.  Class membership (D, C, N)
-is declared and spot-checked, never proven.
+(level n, tuple of n+1 matrices, group index), or at a list of tuples of
+one level (``Cochain.many``).  The operators here wrap evaluators and
+store no values.  Each passes all its faces, rotations or insertions for
+all its tuples down as one batch, and sums each tuple's terms in a fixed
+order, so a batch gets the bits of one-at-a-time calls.  The package's
+heat-expectation cochains evaluate a batch with one stacked exponential
+per level (``expectations.expectation_values``).  A cochain built from a
+plain evaluator loops over a batch.  Class membership (D, C, N) is
+declared and spot-checked, never proven.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ClassViolation, DimensionMismatch
-from .expectations import expectation_value
+from .expectations import _once_per_object, expectation_values
 from .models import random_even_element
 from .triples import SpectralTriple, ValidationReport
 
@@ -36,6 +42,17 @@ __all__ = [
 ]
 
 _CLASS_RANK = {"D": 0, "C": 1, "N": 2}
+# Most complex entries of the tuples one batch of samples sends down (1 MiB
+# of arguments).  The faces, rotations and insertions a batch expands into
+# are a small multiple of it, so a large sample count is evaluated in
+# bounded memory, as one tuple at a time was.
+_BATCH_ENTRIES = 2**16
+
+
+def _batch_size(n: int, dim: int) -> int:
+    """How many tuples of n+1 dim x dim arguments one batch takes: at least
+    one, and ``_BATCH_ENTRIES`` entries when more than one."""
+    return max(1, _BATCH_ENTRIES // ((n + 1) * dim * dim))
 
 
 @dataclass
@@ -46,32 +63,65 @@ class Cochain:
     n+1 matrices at group index g.  ``cclass`` declares membership: D for
     no vanishing constraint, C for vanishing when any argument past the
     zeroth is the identity, N when the zeroth argument counts as well.
+    ``many`` evaluates a list of tuples at one level: a cochain built here
+    passes the whole list down as one batch, and one built from a plain
+    evaluator loops over it.
     """
 
     evaluator: Callable[[int, tuple, int], complex]
     group: list[np.ndarray]
     max_level: int
     cclass: str = "C"
+    _many: Callable[[int, list, int], list] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.cclass not in _CLASS_RANK:
             raise ValueError(f"unknown class {self.cclass!r}")
 
     def __call__(self, n: int, mats, g: int = 0) -> complex:
+        return self.many(n, [mats], g)[0]
+
+    def many(self, n: int, tuples, g: int = 0) -> list[complex]:
+        """[f_n(mats; g) for mats in tuples], with the bits of each call alone."""
         if n < 0 or n > self.max_level:
             raise DimensionMismatch(
                 f"level {n} outside [0, {self.max_level}]"
             )
-        mats = tuple(mats)
-        if len(mats) != n + 1:
-            raise DimensionMismatch(
-                f"level {n} needs {n + 1} arguments, got {len(mats)}"
-            )
-        return self.evaluator(n, mats, g)
+        tuples = [tuple(mats) for mats in tuples]
+        for mats in tuples:
+            if len(mats) != n + 1:
+                raise DimensionMismatch(
+                    f"level {n} needs {n + 1} arguments, got {len(mats)}"
+                )
+        if self._many is None:
+            return [self.evaluator(n, mats, g) for mats in tuples]
+        return self._many(n, tuples, g) if tuples else []
 
     def conj_group_inv(self, a, g: int):
         u = self.group[g]
         return u.conj().T @ a @ u
+
+
+def _batched(many, group, max_level: int, cclass: str) -> Cochain:
+    """The cochain evaluated by ``many(n, tuples, g)``, a list of values; its
+    ``evaluator`` is a batch of one."""
+    f = Cochain(lambda n, mats, g: many(n, [mats], g)[0], group, max_level, cclass)
+    f._many = many
+    return f
+
+
+def _signed_sums(vals, count: int, signs) -> list[complex]:
+    """Per consecutive run of len(signs) values, sum_j signs[j] * value_j,
+    accumulated from 0 in order; ``count`` runs."""
+    out = []
+    for i in range(count):
+        tot = 0.0 + 0.0j
+        for j, sign in enumerate(signs):
+            tot += sign * vals[i * len(signs) + j]
+        out.append(tot)
+    return out
 
 
 def _require_class(f: Cochain, needed: str, op: str):
@@ -90,14 +140,16 @@ def _lazy_annihilator_check(f: Cochain, op: str):
     """
     done = [f.cclass == "N"]
 
-    def ensure(n, mats, g):
+    def ensure(n, tuples, g):
         if done[0]:
             return
         done[0] = True
+        mats = tuples[0]
         dim = f.group[0].shape[0]
         probe = (np.eye(dim, dtype=complex),) + mats[1:]
-        scale = abs(f(n, mats, g)) + 1.0
-        val = abs(f(n, probe, g))
+        value, probed = f.many(n, [mats, probe], g)
+        scale = abs(value) + 1.0
+        val = abs(probed)
         if val > 1e-8 * scale:
             raise ClassViolation(
                 f"{op} needs an identity-annihilating (class N) cochain; "
@@ -112,27 +164,32 @@ def op_T(f: Cochain) -> Cochain:
     """Cyclic transposition (Tf)(a_0..a_n;g) = (-1)^n f(a_n^{g^-1}, a_0..a_{n-1};g)."""
     ensure = _lazy_annihilator_check(f, "T")
 
-    def ev(n, mats, g):
-        ensure(n, mats, g)
-        rot = (f.conj_group_inv(mats[-1], g),) + mats[:-1]
-        return (-1) ** n * f(n, rot, g)
+    def many(n, tuples, g):
+        ensure(n, tuples, g)
+        rots = [(f.conj_group_inv(mats[-1], g),) + mats[:-1] for mats in tuples]
+        return [(-1) ** n * v for v in f.many(n, rots, g)]
 
-    return Cochain(ev, f.group, f.max_level, "N")
+    return _batched(many, f.group, f.max_level, "N")
 
 
 def op_A(f: Cochain) -> Cochain:
-    """Cyclic antisymmetrization, the sum of all powers of T at each level."""
+    """Cyclic antisymmetrization, the sum of all powers of T at each level.
+
+    Every power of every tuple goes down as one batch; a tuple's conjugated
+    arguments are formed once and shared by its powers.
+    """
     ensure = _lazy_annihilator_check(f, "A")
 
-    def ev(n, mats, g):
-        ensure(n, mats, g)
-        tot = 0.0 + 0.0j
-        for j in range(n + 1):
-            head = tuple(f.conj_group_inv(a, g) for a in mats[n + 1 - j :])
-            tot += (-1) ** (n * j) * f(n, head + mats[: n + 1 - j], g)
-        return tot
+    def many(n, tuples, g):
+        ensure(n, tuples, g)
+        rots = []
+        for mats in tuples:
+            conj = [f.conj_group_inv(a, g) for a in mats[1:]]
+            rots += [tuple(conj[n - j :]) + mats[: n + 1 - j] for j in range(n + 1)]
+        signs = [(-1) ** (n * j) for j in range(n + 1)]
+        return _signed_sums(f.many(n, rots, g), len(tuples), signs)
 
-    return Cochain(ev, f.group, f.max_level, "N")
+    return _batched(many, f.group, f.max_level, "N")
 
 
 def op_U(f: Cochain) -> Cochain:
@@ -140,20 +197,20 @@ def op_U(f: Cochain) -> Cochain:
     dim = f.group[0].shape[0]
     out_class = "N" if f.cclass in ("C", "N") else "D"
 
-    def ev(n, mats, g):
-        return f(n + 1, (np.eye(dim, dtype=complex),) + mats, g)
+    def many(n, tuples, g):
+        ident = np.eye(dim, dtype=complex)
+        return f.many(n + 1, [(ident,) + mats for mats in tuples], g)
 
-    return Cochain(ev, f.group, f.max_level - 1, out_class)
+    return _batched(many, f.group, f.max_level - 1, out_class)
 
 
-def _face(f: Cochain, r: int, m: int, mats, g: int) -> complex:
-    """The signed face (V(r) f)_m: adjacent product at r, or the wrap at r = m."""
+def _face(f: Cochain, r: int, m: int, mats, g: int) -> tuple:
+    """The arguments of the face (V(r) f)_m, of sign (-1)^r: the adjacent
+    product at r, or the wrap at r = m."""
     if r <= m - 1:
-        merged = mats[:r] + (mats[r] @ mats[r + 1],) + mats[r + 2 :]
-        return (-1) ** r * f(m - 1, merged, g)
+        return mats[:r] + (mats[r] @ mats[r + 1],) + mats[r + 2 :]
     if r == m:
-        merged = (f.conj_group_inv(mats[m], g) @ mats[0],) + mats[1:m]
-        return (-1) ** m * f(m - 1, merged, g)
+        return (f.conj_group_inv(mats[m], g) @ mats[0],) + mats[1:m]
     raise DimensionMismatch(f"V({r}) undefined at output level {m}")
 
 
@@ -166,25 +223,28 @@ def op_V(r: int, f: Cochain) -> Cochain:
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
 
-    def ev(m, mats, g):
-        return _face(f, r, m, mats, g)
+    def many(m, tuples, g):
+        faces = [_face(f, r, m, mats, g) for mats in tuples]
+        return [(-1) ** r * v for v in f.many(m - 1, faces, g)]
 
-    return Cochain(ev, f.group, f.max_level + 1, "D")
+    return _batched(many, f.group, f.max_level + 1, "D")
 
 
 def op_b(f: Cochain) -> Cochain:
-    """Hochschild coboundary, the sum of the faces V(0..m); raises the level by one."""
+    """Hochschild coboundary, the sum of the faces V(0..m); raises the level by one.
+
+    Every face of every tuple goes down as one batch.
+    """
     _require_class(f, "C", "b")
 
-    def ev(m, mats, g):
+    def many(m, tuples, g):
         if m < 1:
             raise DimensionMismatch("b has no component at level 0")
-        tot = 0.0 + 0.0j
-        for r in range(m + 1):
-            tot += _face(f, r, m, mats, g)
-        return tot
+        faces = [_face(f, r, m, mats, g) for mats in tuples for r in range(m + 1)]
+        signs = [(-1) ** r for r in range(m + 1)]
+        return _signed_sums(f.many(m - 1, faces, g), len(tuples), signs)
 
-    return Cochain(ev, f.group, f.max_level + 1, "C")
+    return _batched(many, f.group, f.max_level + 1, "C")
 
 
 def op_B(f: Cochain) -> Cochain:
@@ -198,15 +258,15 @@ def _coboundary(f: Cochain, sign_B: int) -> Cochain:
     bf = op_b(f)
     Bf = op_B(f)
 
-    def ev(m, mats, g):
-        tot = 0.0 + 0.0j
+    def many(m, tuples, g):
+        tots = [0.0 + 0.0j] * len(tuples)
         if m <= Bf.max_level:
-            tot = Bf(m, mats, g) if sign_B > 0 else -Bf(m, mats, g)
+            tots = [v if sign_B > 0 else -v for v in Bf.many(m, tuples, g)]
         if m >= 1:
-            tot += bf(m, mats, g)
-        return tot
+            tots = [tot + v for tot, v in zip(tots, bf.many(m, tuples, g))]
+        return tots
 
-    return Cochain(ev, f.group, f.max_level + 1, "C")
+    return _batched(many, f.group, f.max_level + 1, "C")
 
 
 def op_partial(f: Cochain) -> Cochain:
@@ -240,11 +300,16 @@ def random_cochain(t: SpectralTriple, seed: int, max_level: int = 6) -> Cochain:
     def pi(a):
         return a - (np.trace(a) / dim) * ident
 
-    def ev(n, mats, g):
-        verts = [cs[0] @ mats[0]] + [cs[j] @ pi(mats[j]) for j in range(1, n + 1)]
-        return expectation_value(t, verts, g)
+    def many(n, tuples, g):
+        # one vertex per (slot, argument object)
+        slots = [_once_per_object(lambda a: cs[0] @ a)] + [
+            _once_per_object(lambda a, c=c: c @ pi(a)) for c in cs[1 : n + 1]
+        ]
+        return expectation_values(
+            t, [[slots[j](a) for j, a in enumerate(mats)] for mats in tuples], g
+        )
 
-    return Cochain(ev, t.group, max_level, "C")
+    return _batched(many, t.group, max_level, "C")
 
 
 def _random_even_tuple(t: SpectralTriple, rng, n: int):
@@ -337,16 +402,21 @@ def norm_profile(
 ) -> CochainNormProfile:
     """Sampled sup of |f_n| over unit-norm gamma-even tuples, per level.
 
-    No levels or ``samples`` < 1 raise ValueError: the profile would be empty.
+    A level's samples go to ``f.many`` as batches of ``_batch_size``, one
+    per group element, drawn in order.  No levels or ``samples`` < 1 raise
+    ValueError: the profile would be empty.
     """
     _require_samples(levels, samples)
     rng = np.random.default_rng(seed)
     prof = CochainNormProfile()
     for n in levels:
         best = 0.0
-        for _ in range(samples):
-            mats = _random_even_tuple(t, rng, n)
-            for g in range(len(t.group)):
-                best = max(best, abs(f(n, mats, g)))
+        per_batch = _batch_size(n, t.dim)
+        for lo in range(0, samples, per_batch):
+            tuples = [_random_even_tuple(t, rng, n) for _ in range(min(per_batch, samples - lo))]
+            by_group = [f.many(n, tuples, g) for g in range(len(t.group))]
+            for k in range(len(tuples)):
+                for vals in by_group:
+                    best = max(best, abs(vals[k]))
         prof.levels.append((n, best))
     return prof

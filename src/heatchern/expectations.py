@@ -24,7 +24,11 @@ yields every level at once.  M is built in the eigenbasis of H and conditioned t
   block.
 
 The cost is one exponential of order (n+1) dim; ``MAX_BLOCK_ORDER`` bounds
-it before anything is allocated.  For the levels <x0, x, ..., x>_n of
+it before anything is allocated.  ``expectation_values`` takes many vertex
+lists at once: the matrices of one length are exponentiated as stacks of
+at most ``linalg._STACK_ENTRIES`` entries, whose slices keep the bits of
+single exponentials, so a cochain's faces and rotations cost one call
+where each took its own.  For the levels <x0, x, ..., x>_n of
 ``repeated_expectation_series`` no block matrix is formed: by Duhamel they
 are the Taylor coefficients of F(z) = Tr(gamma U(g) x0 e^{-H + z x}), with
 the Hoelder bound |<x0, x, ..., x>_n| <= ||x0|| ||x||^n Tr(e^{-H}) / n!, and
@@ -49,6 +53,7 @@ import numpy as np
 from .errors import BadExponent, ComplexityCap, DimensionMismatch
 from .linalg import (
     as_matrix,
+    _per_stack,
     cauchy_circles,
     circle_levels,
     exp_traces,
@@ -72,6 +77,7 @@ __all__ = [
     "beta_fn",
     "heat_expectation",
     "expectation_value",
+    "expectation_values",
     "check_insert_identity",
     "check_cyclic",
     "check_d_invariance",
@@ -88,6 +94,10 @@ MAX_BLOCK_ORDER = 2048
 # of their exponentials: MAX_SAMPLES^3, that of one exponential at the
 # block order budget.  Their stacks hold ``linalg._STACK_ENTRIES`` entries.
 MAX_SAMPLES = 2048
+# Most entries of one (points, dim, dim) array of the Monte Carlo's vertex
+# products (256 KiB, 256 points at dim 8): each chunk of a block runs its
+# GEMMs while its products stay in cache.
+_MC_CHUNK_ENTRIES = 2**14
 
 
 @dataclass
@@ -130,11 +140,29 @@ class ExpectationValue:
             raise ValueError("estimated_error must be nonnegative")
 
 
-def _front_and_rest(t, mats: list[np.ndarray], g: int):
+def _once_per_object(fn):
+    """``fn`` memoized by the identity of its argument, for one batch.  The
+    memo holds each argument, so an id stays its object's."""
+    done = {}
+
+    def call(a):
+        if id(a) not in done:
+            done[id(a)] = (a, fn(a))
+        return done[id(a)][1]
+
+    return call
+
+
+def _checked_vertices(t, mats: list[np.ndarray]) -> list[np.ndarray]:
     if not mats:
         raise DimensionMismatch("need at least one vertex")
     for k, m in enumerate(mats):
         _check_shape(f"vertex[{k}]", m, t.dim)
+    return mats
+
+
+def _front_and_rest(t, mats: list[np.ndarray], g: int):
+    _checked_vertices(t, mats)
     return t.twist(g) @ mats[0], list(mats[1:])
 
 
@@ -170,54 +198,80 @@ def _check_sample_budget(points: int, dim: int):
         )
 
 
-def _bidiagonal_row(d: np.ndarray, xs: list[np.ndarray]) -> np.ndarray:
-    """First block row of exp(M): diag(d) on the diagonal blocks, xs on the superdiagonal."""
-    dim = d.size
-    order = (len(xs) + 1) * dim
-    m = np.zeros((order, order), dtype=complex)
-    m[np.diag_indices(order)] = np.tile(d, len(xs) + 1)
-    for k, x in enumerate(xs):
-        m[k * dim : (k + 1) * dim, (k + 1) * dim : (k + 2) * dim] = x
-    return expm(m, norm_cap=np.inf)[:dim]
+def _top_column(x: np.ndarray) -> float:
+    """The largest squared column 2-norm of x."""
+    return float((np.abs(x) ** 2).sum(axis=0).max())
 
 
-def _balance(n: int, xs) -> float:
+def _balance(n: int, xs, column=_top_column, norm=opnorm) -> float:
     """c = max(1, n / (e max_j ||x_j||)), 1 when every x_j is 0.
 
     The largest column 2-norm is a lower bound on ||x_j||: when its square
     passes (n / e)^2 by more than its rounding, c is 1 exactly and no SVD
-    runs.
+    runs.  ``column`` and ``norm`` give a vertex's squared column bound and
+    its norm; a batch passes lookups that take each once per vertex.
     """
-    top_column = max((float((np.abs(x) ** 2).sum(axis=0).max()) for x in xs), default=0.0)
+    top_column = max((column(x) for x in xs), default=0.0)
     if top_column >= (n / math.e) ** 2 * (1.0 + 1e-8):
         return 1.0
-    x_norm = max((opnorm(x) for x in xs), default=0.0)
+    x_norm = max((norm(x) for x in xs), default=0.0)
     return max(1.0, n / (math.e * x_norm)) if x_norm > 0 else 1.0
 
 
-def _simplex_levels(t, front, rest) -> tuple[np.ndarray, np.ndarray]:
-    """<front-vertex, rest_1, ..., rest_k> for every k = 0..n, in one exponential.
+def _simplex_levels(t, pairs, with_mags: bool = False):
+    """<front, rest_1, ..., rest_k> for every k = 0..n, for each (front, rest)
+    of ``pairs``; every rest has the same length n.
 
-    ``front`` already carries the grading and group factors.  Returns the
-    values and, per level, the sum of the moduli of the summands of the
-    final trace, which scales the kernel's rounding error.
+    Each front already carries the grading and group factors.  Returns the
+    values, shape (len(pairs), n+1), and, when ``with_mags``, per level the
+    sum of the moduli of the summands of the final trace, which scales the
+    kernel's rounding error (else None).  Each pair's bidiagonal matrix is
+    exponentiated in stacks of at most ``linalg._STACK_ENTRIES`` entries
+    (one matrix when it alone holds more); a slice of a stack has the bits
+    of that matrix's own exponential, so each pair gets the bits a call on
+    it alone gets.  ``_check_block_order`` runs, and the stack size is
+    fixed, before any allocation.  A vertex may recur, within a rest and
+    across pairs: each distinct object (keyed by identity) is converted to
+    the eigenbasis once, and its column bound and ``_balance`` SVD are taken
+    once.
     """
     lam, basis = t.heat_data()
     dim = lam.size
-    n = len(rest)
+    n = len(pairs[0][1])
     _check_block_order(n, dim)
+    order = (n + 1) * dim
+    per_stack = _per_stack(order * order)
     vh = basis.conj().T
-    # keyed by identity and converted once each: a vertex may recur
-    eig = {key: vh @ x @ basis for key, x in {id(x): x for x in rest}.items()}
-    c = _balance(n, eig.values())
+    to_eig = _once_per_object(lambda x: vh @ x @ basis)
+    column, norm = _once_per_object(_top_column), _once_per_object(opnorm)
+    # each pair's distinct vertices in order of first appearance, as a call
+    # on that pair alone takes them
+    cs = [
+        _balance(n, [to_eig(x) for x in {id(x): x for x in rest}.values()], column, norm)
+        for _, rest in pairs
+    ]
     lam_min = float(lam.min())
-    sup = {key: c * x for key, x in eig.items()}
-    row = _bidiagonal_row(-(lam - lam_min), [sup[id(x)] for x in rest])
-    row = row.reshape(dim, n + 1, dim)
-    fe = vh @ front @ basis
-    scale = np.exp(-lam_min - np.arange(n + 1) * math.log(c))
-    vals = scale * np.einsum("ij,jki->k", fe, row)
-    mags = scale * np.einsum("ij,jki->k", np.abs(fe), np.abs(row))
+    diag = np.tile(-(lam - lam_min), n + 1)
+    vals = np.empty((len(pairs), n + 1), dtype=complex)
+    mags = np.empty((len(pairs), n + 1)) if with_mags else None
+    for lo in range(0, len(pairs), per_stack):
+        chunk = pairs[lo : lo + per_stack]
+        m = np.zeros((len(chunk), order, order), dtype=complex)
+        m[:, np.arange(order), np.arange(order)] = diag
+        for i, (_, rest) in enumerate(chunk):
+            for k, x in enumerate(rest):
+                block = slice(k * dim, (k + 1) * dim), slice((k + 1) * dim, (k + 2) * dim)
+                m[(i,) + block] = cs[lo + i] * to_eig(x)
+        # a lone matrix takes the single path, which spares the stack's masks
+        e = expm(m if len(chunk) > 1 else m[0], norm_cap=np.inf)
+        rows = e.reshape(len(chunk), order, order)[:, :dim]
+        for i, (front, _) in enumerate(chunk):
+            fe = to_eig(front)
+            scale = np.exp(-lam_min - np.arange(n + 1) * math.log(cs[lo + i]))
+            row = rows[i].reshape(dim, n + 1, dim)
+            vals[lo + i] = scale * np.einsum("ij,jki->k", fe, row)
+            if with_mags:
+                mags[lo + i] = scale * np.einsum("ij,jki->k", np.abs(fe), np.abs(row))
     return vals, mags
 
 
@@ -226,13 +280,15 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
 
     Simplex points are normalized i.i.d. exponentials (uniform on the
     unit simplex).  They are drawn in blocks of at most 4096 points, and
-    of at most ``MAX_BLOCK_ORDER``^2 // dim^2, so that each (points, dim,
-    dim) array holds no more entries than one budgeted block matrix.
-    In the eigenbasis of H each e^{-s_j H} scales columns, and every point
-    shares the vertex x_j: so each vertex step is one GEMM of the
-    (points*dim, dim) stack by x_j, then the in-place column scaling.
-    Each entry is the length-dim dot product a per-point product takes;
-    the tests hold the result to the bits of the per-point products.
+    of at most ``MAX_BLOCK_ORDER``^2 // dim^2.  A block's vertex products
+    run in chunks of at most ``_MC_CHUNK_ENTRIES`` entries per (points,
+    dim, dim) array (one point when dim^2 alone is more), so each chunk's
+    products stay in cache.  In the eigenbasis of H each e^{-s_j H} scales
+    columns, and every point shares the vertex x_j: so each vertex step is
+    one GEMM of the chunk's (points*dim, dim) stack by x_j, then the
+    in-place column scaling.  Each entry is the length-dim dot product a
+    per-point product takes; the tests hold the result to the bits of the
+    per-point products.
     The variance is each block's sum of |v - block mean|^2, combined
     across blocks by Chan's pairwise update, so it does not cancel when
     the samples barely vary; the mean is the plain sum over samples.
@@ -247,16 +303,21 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     sq_dev = 0.0  # sum of |v - mean|^2 over the samples done
     done = 0
     block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // dim**2))
+    chunk = max(1, _MC_CHUNK_ENTRIES // dim**2)
     while done < samples:
         m = min(block, samples - done)
         e = rng.exponential(size=(m, n + 1))
         s = e / e.sum(axis=1, keepdims=True)
         ker = np.exp(-s[:, :, None] * lam[None, None, :])
-        cur = mats[0][None, :, :] * ker[:, 0, :][:, None, :]
-        for j in range(1, n + 1):
-            cur = (cur.reshape(m * dim, dim) @ mats[j]).reshape(m, dim, dim)
-            cur *= ker[:, j, :][:, None, :]
-        vals = np.trace(cur, axis1=1, axis2=2)
+        vals = np.empty(m, dtype=complex)
+        for lo in range(0, m, chunk):
+            k = ker[lo : lo + chunk]
+            p = k.shape[0]
+            cur = mats[0][None, :, :] * k[:, 0, :][:, None, :]
+            for j in range(1, n + 1):
+                cur = (cur.reshape(p * dim, dim) @ mats[j]).reshape(p, dim, dim)
+                cur *= k[:, j, :][:, None, :]
+            vals[lo : lo + p] = np.trace(cur, axis1=1, axis2=2)
         block_sum = complex(vals.sum())
         block_mean = block_sum / m
         sq_dev += float((np.abs(vals - block_mean) ** 2).sum())
@@ -274,10 +335,30 @@ def expectation_value(t, mats, g: int = 0) -> complex:
 
     ``t`` is any ``HeatData``: a SpectralTriple, a SplitTriple or a lift.
     """
-    mats = [as_matrix(m) for m in mats]
-    front, rest = _front_and_rest(t, mats, g)
-    vals, _ = _simplex_levels(t, front, rest)
-    return complex(vals[-1])
+    return expectation_values(t, [mats], g)[0]
+
+
+def expectation_values(t, lists, g: int = 0) -> list[complex]:
+    """``expectation_value`` on each vertex list of ``lists``, with its bits.
+
+    The lists are checked in order, each as ``expectation_value`` checks
+    its own, and those of one length share one ``_simplex_levels`` call: a
+    stacked exponential, and one eigenbasis conversion per distinct vertex
+    object.  An input object that recurs is converted (``as_matrix``)
+    once, and a first vertex that recurs is multiplied by gamma U(g) once.
+    """
+    matrix = _once_per_object(as_matrix)
+    twisted = _once_per_object(lambda x: t.twist(g) @ x)
+    groups = {}
+    for i, mats in enumerate(lists):
+        mats = _checked_vertices(t, [matrix(m) for m in mats])
+        groups.setdefault(len(mats), []).append((i, twisted(mats[0]), mats[1:]))
+    out = [0j] * sum(map(len, groups.values()))
+    for members in groups.values():
+        vals, _ = _simplex_levels(t, [(front, rest) for _, front, rest in members])
+        for (i, _, _), v in zip(members, vals[:, -1]):
+            out[i] = complex(v)
+    return out
 
 
 def repeated_expectation_series(t, x0, x, max_n: int, g: int = 0) -> list[complex]:
@@ -335,8 +416,8 @@ def heat_expectation(
     """
     front, rest = _front_and_rest(t, _vertex_list(x), g)
     if method == "exact":
-        vals, mags = _simplex_levels(t, front, rest)
-        val, err = complex(vals[-1]), 1e-13 * float(mags[-1])
+        vals, mags = _simplex_levels(t, [(front, rest)], with_mags=True)
+        val, err = complex(vals[0, -1]), 1e-13 * float(mags[0, -1])
     elif method == "quadrature":
         if samples < 1:
             raise ValueError(f"Monte Carlo needs samples >= 1, got {samples}")
@@ -347,29 +428,39 @@ def heat_expectation(
 
 
 def check_insert_identity(t: SpectralTriple, x, g: int = 0) -> float:
-    """|<x_0..x_n> - sum_j <x_0..x_{j-1}, I, x_j..x_n>| over inserts j=1..n+1."""
+    """|<x_0..x_n> - sum_j <x_0..x_{j-1}, I, x_j..x_n>| over inserts j=1..n+1.
+
+    Every term is one list of a single ``expectation_values`` call.
+    """
     verts = _vertex_list(x)
     ident = np.eye(t.dim, dtype=complex)
+    inserts = [verts[:j] + [ident] + verts[j:] for j in range(1, len(verts) + 1)]
+    *vals, lhs = expectation_values(t, inserts + [verts], g)
     rhs = 0.0 + 0.0j
-    for j in range(1, len(verts) + 1):
-        rhs += expectation_value(t, verts[:j] + [ident] + verts[j:], g)
-    return abs(expectation_value(t, verts, g) - rhs)
+    for v in vals:
+        rhs += v
+    return abs(lhs - rhs)
 
 
 def check_cyclic(t: SpectralTriple, x, g: int = 0) -> float:
     """|<x_0..x_n> - <gamma U(g)* x_n U(g) gamma, x_0..x_{n-1}>|."""
     verts = _vertex_list(x)
     rotated = t.conj_gamma(t.conj_group_inv(verts[-1], g))
-    return abs(expectation_value(t, verts, g) - expectation_value(t, [rotated] + verts[:-1], g))
+    lhs, rhs = expectation_values(t, [verts, [rotated] + verts[:-1]], g)
+    return abs(lhs - rhs)
 
 
 def check_d_invariance(t: SpectralTriple, x, g: int = 0) -> float:
-    """|sum_j <x_0^gamma,..,x_{j-1}^gamma, dx_j, x_{j+1},..,x_n>|."""
+    """|sum_j <x_0^gamma,..,x_{j-1}^gamma, dx_j, x_{j+1},..,x_n>|.
+
+    Every term is one list of a single ``expectation_values`` call.
+    """
     verts = _vertex_list(x)
+    graded = [t.conj_gamma(v) for v in verts[:-1]]
+    lists = [graded[:j] + [derivative(t, verts[j])] + verts[j + 1 :] for j in range(len(verts))]
     tot = 0.0 + 0.0j
-    for j in range(len(verts)):
-        mats = [t.conj_gamma(v) for v in verts[:j]] + [derivative(t, verts[j])] + verts[j + 1 :]
-        tot += expectation_value(t, mats, g)
+    for v in expectation_values(t, lists, g):
+        tot += v
     return abs(tot)
 
 

@@ -20,9 +20,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cochains import Cochain, norm_profile, op_partial
+from .cochains import Cochain, _batched, _signed_sums, norm_profile, op_partial
 from .errors import BadExponent, ComplexityCap, DimensionMismatch, Overflow, ValidationFailure
-from .expectations import MAX_BLOCK_ORDER, expectation_value
+from .expectations import MAX_BLOCK_ORDER, _once_per_object, expectation_values
 from .jlo import PairingInput, _gaussian, _Prepared, _require_valid_input, jlo_component
 from .linalg import as_matrix, opnorm
 from .triples import (
@@ -192,10 +192,13 @@ def _check_grid_points(name: str, points: int):
 
 def _grid(name: str, values) -> list[float]:
     """The points of a lambda or eps grid as sorted floats; DimensionMismatch
-    "<name> has no points" when there are none."""
+    "<name> has no points" when there are none, and ComplexityCap
+    (``_check_grid_points``) when there are more than the budget, before
+    any pairing."""
     grid = sorted(float(x) for x in values)
     if not grid:
         raise DimensionMismatch(f"{name} has no points")
+    _check_grid_points(name, len(grid))
     return grid
 
 
@@ -287,49 +290,60 @@ def L_cochain(f: DeformationFamily, lam: float) -> Cochain:
     L_n(a_0..a_n;g) is the sum over commutator insertions
     <a_0, .., [qdot, a_j], .., da_n> minus the sum over velocity-vertex
     insertions <a_0, .., da_j, d(qdot), da_{j+1}, ..>_{n+1}, everything
-    built from the deformed triple at lambda.
+    built from the deformed triple at lambda.  A batch of tuples takes one
+    ``expectation_values`` call, and its terms are summed in that order.
     """
     t_lam = deform_triple(f, lam)
     qdot = f.q_dot_at(lam)
     dl_qdot = t_lam.Q @ qdot + qdot @ t_lam.Q
 
-    def ev(n, mats, g):
-        dmats = [t_lam.derive(a) for a in mats]
-        tot = 0.0 + 0.0j
-        for j in range(1, n + 1):
-            verts = (
-                [mats[0]]
-                + dmats[1:j]
-                + [qdot @ mats[j] - mats[j] @ qdot]
-                + dmats[j + 1 :]
-            )
-            tot += expectation_value(t_lam, verts, g)
-        for j in range(0, n + 1):
-            verts = [mats[0]] + dmats[1 : j + 1] + [dl_qdot] + dmats[j + 1 :]
-            tot -= expectation_value(t_lam, verts, g)
-        return tot
+    def many(n, tuples, g):
+        d = _once_per_object(t_lam.derive)
+        lists = []
+        for mats in tuples:
+            dmats = [d(a) for a in mats]
+            lists += [
+                [mats[0]] + dmats[1:j] + [qdot @ mats[j] - mats[j] @ qdot] + dmats[j + 1 :]
+                for j in range(1, n + 1)
+            ]
+            lists += [
+                [mats[0]] + dmats[1 : j + 1] + [dl_qdot] + dmats[j + 1 :] for j in range(n + 1)
+            ]
+        vals = expectation_values(t_lam, lists, g)
+        out = []
+        for i in range(0, len(vals), 2 * n + 1):
+            tot = 0.0 + 0.0j
+            for v in vals[i : i + n]:
+                tot += v
+            for v in vals[i + n : i + 2 * n + 1]:
+                tot -= v
+            out.append(tot)
+        return out
 
-    return Cochain(ev, t_lam.group, 32, "C")
+    return _batched(many, t_lam.group, 32, "C")
 
 
 def h_cochain(f: DeformationFamily, lam: float) -> Cochain:
     """The odd class-C cochain whose coboundary is L(lambda).
 
     h_n(a_0..a_n;g) = - sum_k (-1)^k <a_0, da_1, .., da_k, qdot,
-    da_{k+1}, .., da_n;g>_{n+1} over the deformed triple.
+    da_{k+1}, .., da_n;g>_{n+1} over the deformed triple.  A batch of
+    tuples takes one ``expectation_values`` call.
     """
     t_lam = deform_triple(f, lam)
     qdot = f.q_dot_at(lam)
 
-    def ev(n, mats, g):
-        dmats = [t_lam.derive(a) for a in mats]
-        tot = 0.0 + 0.0j
-        for k in range(0, n + 1):
-            verts = [mats[0]] + dmats[1 : k + 1] + [qdot] + dmats[k + 1 :]
-            tot += (-1) ** k * expectation_value(t_lam, verts, g)
-        return -tot
+    def many(n, tuples, g):
+        d = _once_per_object(t_lam.derive)
+        lists = []
+        for mats in tuples:
+            dmats = [d(a) for a in mats]
+            lists += [[mats[0]] + dmats[1 : k + 1] + [qdot] + dmats[k + 1 :] for k in range(n + 1)]
+        signs = [(-1) ** k for k in range(n + 1)]
+        vals = expectation_values(t_lam, lists, g)
+        return [-tot for tot in _signed_sums(vals, len(tuples), signs)]
 
-    return Cochain(ev, t_lam.group, 32, "C")
+    return _batched(many, t_lam.group, 32, "C")
 
 
 def coboundary_relation_residual(
@@ -342,8 +356,13 @@ def coboundary_relation_residual(
     """max |L_n(tuple) - (bh + Bh)_n(tuple)| over seeded gamma-even tuples."""
     L = L_cochain(f, lam)
     ph = op_partial(h_cochain(f, lam))
-    gap = Cochain(lambda n, mats, g: L(n, mats, g) - ph(n, mats, g), L.group, L.max_level, "D")
-    prof = norm_profile(gap, f.base, levels, seed=seed, samples=samples)
+
+    def gap(n, tuples, g):
+        return [a - b for a, b in zip(L.many(n, tuples, g), ph.many(n, tuples, g))]
+
+    prof = norm_profile(
+        _batched(gap, L.group, L.max_level, "D"), f.base, levels, seed=seed, samples=samples
+    )
     return max(v for _, v in prof.levels)
 
 

@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .cochains import Cochain, op_partial
+from .cochains import Cochain, _batch_size, _batched, op_partial
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -60,7 +60,12 @@ from .errors import (
     PairingInputInvalid,
     ValidationFailure,
 )
-from .expectations import _check_sample_budget, expectation_value
+from .expectations import (
+    _check_sample_budget,
+    _once_per_object,
+    expectation_value,
+    expectation_values,
+)
 from .linalg import (
     Circle,
     as_matrix,
@@ -302,6 +307,10 @@ def _vertices(t: HeatData, mats, check_even: bool = True) -> list[np.ndarray]:
     return [mats[0]] + [t.derive(a) for a in mats[1:]]
 
 
+def _element(m) -> np.ndarray:
+    return m.matrix if hasattr(m, "matrix") else as_matrix(m)
+
+
 def jlo_component(
     t: HeatData,
     n: int,
@@ -310,19 +319,25 @@ def jlo_component(
     check_even: bool = True,
 ) -> complex:
     """tau_n(a_0..a_n;g) = <a_0, da_1, ..., da_n; g>."""
-    mats = [m.matrix if hasattr(m, "matrix") else as_matrix(m) for m in a_list]
+    mats = [_element(m) for m in a_list]
     if len(mats) != n + 1:
         raise DimensionMismatch(f"level {n} needs {n + 1} elements, got {len(mats)}")
     return expectation_value(t, _vertices(t, mats, check_even), g)
 
 
 def jlo_cochain(t: HeatData, max_level: int = 32) -> Cochain:
-    """The character packaged as an even class-C cochain."""
+    """The character packaged as an even class-C cochain.
 
-    def ev(n, mats, g):
-        return jlo_component(t, n, mats, g, check_even=False)
+    A batch of tuples is one ``expectation_values`` call, and an argument
+    object that recurs across the batch is differentiated once.
+    """
 
-    return Cochain(ev, t.group, max_level, "C")
+    def many(n, tuples, g):
+        d = _once_per_object(lambda a: t.derive(_element(a)))
+        return expectation_values(t, [[_element(mats[0])] + [d(a) for a in mats[1:]]
+                                      for mats in tuples], g)
+
+    return _batched(many, t.group, max_level, "C")
 
 
 def generating_functional(t: HeatData, inp: PairingInput, z: complex) -> complex:
@@ -552,7 +567,8 @@ def coboundary_pairing_residual(
     """|series pairing of (b + B) applied to the cochain| with a scalar input.
 
     For m > 1 the block sum over matrix entries is carried out literally,
-    which costs m^{2n+1} evaluations per level; keep m small.
+    which costs m^{2n+1} evaluations per level; keep m small.  The tuples
+    of a level go to the coboundary in batches of ``cochains._batch_size``.
     """
     _require_valid_input(t, inp)
     pf = op_partial(cochain)
@@ -568,10 +584,11 @@ def coboundary_pairing_residual(
             for i in range(inp.m)
         ]
         # idx[0] varies fastest; the summation order fixes the rounding
-        for rev in itertools.product(range(inp.m), repeat=n + 1):
-            idx = rev[::-1]
-            mats = tuple(
-                blocks[idx[j]][idx[(j + 1) % (n + 1)]] for j in range(n + 1)
-            )
-            total += coeff * pf(n, mats, inp.g)
+        tuples = (
+            tuple(blocks[idx[j]][idx[(j + 1) % (n + 1)]] for j in range(n + 1))
+            for idx in (rev[::-1] for rev in itertools.product(range(inp.m), repeat=n + 1))
+        )
+        while batch := list(itertools.islice(tuples, _batch_size(n, d))):
+            for v in pf.many(n, batch, inp.g):
+                total += coeff * v
     return abs(total)

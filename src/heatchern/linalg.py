@@ -405,6 +405,12 @@ def circle_errors(circles, rounding: float, step: int = 1) -> list[float]:
     return out
 
 
+def _per_stack(entries: int) -> int:
+    """How many matrices of ``entries`` entries one stack of exponentials
+    takes: as many as ``_STACK_ENTRIES`` holds, and at least one."""
+    return max(1, _STACK_ENTRIES // entries)
+
+
 def exp_traces(front, base, x, zs, shifts=None) -> np.ndarray:
     """Tr(front exp(base + z x - shift I)) for each sample z, with its shift
     when ``shifts`` is given.
@@ -419,7 +425,7 @@ def exp_traces(front, base, x, zs, shifts=None) -> np.ndarray:
     in range (1104 and about e^592 at the last node of the exchange triple
     with ||Q|| = 16).  ``expm`` raises Overflow for a 1-norm past 2^1022.
     """
-    per_stack = max(1, _STACK_ENTRIES // base.size)
+    per_stack = _per_stack(base.size)
     out = np.empty(zs.size, dtype=complex)
     for i in range(0, zs.size, per_stack):
         m = base + zs[i : i + per_stack, None, None] * x

@@ -427,6 +427,30 @@ def test_sweep_validates_its_input_once_per_request(name, monkeypatch):
         assert row["value"] == pairing_gaussian(point, inp)
 
 
+@pytest.mark.parametrize("name", ["sweep", "coupling"])
+def test_library_grid_over_budget_refused_before_any_pairing(name, monkeypatch):
+    # only the CLI and endpoint_grid used to check the points budget: a
+    # library sweep ran one pairing per point of any grid
+    from heatchern import jlo, split
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a pairing ran on a grid over budget")
+
+    for mod in (jlo, homotopy, split):
+        monkeypatch.setattr(mod, "_gaussian", unreachable)
+    zero = zero_mode_triple()
+    q = random_odd_element(zero, np.random.default_rng(97))
+    fam = linear_family(zero, 0.3 * q / opnorm(q))
+    grid = np.linspace(0.0, 1.0, 2049)
+    run = {
+        "sweep": lambda: sweep_invariant(fam, PairingInput(a=np.eye(3, dtype=complex)), grid),
+        "coupling": lambda: coupling_sweep(unreachable, PairingInput(a=np.eye(4)), grid),
+    }[name]
+    with pytest.raises(ComplexityCap) as err:
+        run()
+    assert str(err.value) == "lambda_grid has 2049 points, which exceeds budget 2048"
+
+
 class TestSweepTable:
     def test_csv_round_structure(self, exchange):
         inp = PairingInput(a=exchange.gamma.copy())

@@ -5,7 +5,8 @@
 SRC is the directory holding the ``heatchern`` package (``src`` in a checkout).
 Each case runs ``heatchern.cli.main`` in process; OUT.json maps its name to
 ``[exit code, stdout, stderr]``, where the stdout of a case that writes
-``--output`` ends with that file.  The inputs are built here with numpy alone,
+``--output`` ends with that file.  Each case shows every warning it raises,
+as a run in a fresh process does.  The inputs are built here with numpy alone,
 so two trees see the same bytes: run it on both and ``diff`` the files.  The
 cases cover every command, valid and failing inputs, trivial, z2, cyclic and
 split groups, and every writer: standard output and ``--output``, JSON and CSV.
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,7 +234,11 @@ def snapshot(src, out):
                     Path(f"in{k}.json").write_text(json.dumps(doc))
                     argv = argv[:1] + [f"--input=in{k}.json"] + argv[1:]
                 stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                # "always": a warning an earlier case raised from the same
+                # line is shown again, as a fresh process would show it
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("always")
                     code = cli.main(argv)
                 text = stdout.getvalue() + "".join(
                     Path(a.removeprefix("--output=")).read_text()
