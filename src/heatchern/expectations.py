@@ -38,14 +38,18 @@ pairing's sampler, with one shift per circle.  ``MAX_SAMPLES`` bounds them
 before any exponential.  The bidiagonal exponential of each level alone is
 their reference.
 A seeded Monte-Carlo quadrature over the simplex provides an independent
-route at every instance: per block of simplex points it stacks the
-products x_0 e^{-s_0 H} ... x_j e^{-s_j H} as one (points*dim, dim)
-matrix, so each vertex costs one GEMM and one column scaling.
+route at every instance.  Per chunk of simplex points it keeps the products
+x_0 e^{-s_0 H} ... x_j e^{-s_j H} as one (row, point, column) array, so each
+vertex costs one GEMM of its (dim*points, dim) matrix and one column
+scaling by a contiguous (point, column) block of kernels.  The kernels come
+from one rank-1 product and one exponential per block, and the last vertex's
+kernel scales only the diagonal the trace reads.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,14 +285,22 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     Simplex points are normalized i.i.d. exponentials (uniform on the
     unit simplex).  They are drawn in blocks of at most 4096 points, and
     of at most ``MAX_BLOCK_ORDER``^2 // dim^2.  A block's vertex products
-    run in chunks of at most ``_MC_CHUNK_ENTRIES`` entries per (points,
-    dim, dim) array (one point when dim^2 alone is more), so each chunk's
+    run in chunks of at most ``_MC_CHUNK_ENTRIES`` entries per (dim, points,
+    dim) array (one point when dim^2 alone is more), so each chunk's
     products stay in cache.  In the eigenbasis of H each e^{-s_j H} scales
-    columns, and every point shares the vertex x_j: so each vertex step is
-    one GEMM of the chunk's (points*dim, dim) stack by x_j, then the
-    in-place column scaling.  Each entry is the length-dim dot product a
-    per-point product takes; the tests hold the result to the bits of the
-    per-point products.
+    columns, and every point shares the vertex x_j.  So the products are
+    kept as (row, point, column): each vertex step is one GEMM of the
+    chunk's (dim*points, dim) matrix by x_j, then the in-place scaling by
+    the kernels ker[j], a contiguous (point, column) array broadcast over
+    the rows.  ker[j, point, column] = e^{-s_j lam_c} comes from one rank-1
+    product (a single rounding per entry, as s_j lam_c alone) and one
+    exponential per block; x_0 is repeated over a chunk's points once per
+    call.  The trace reads only the diagonal, so the last vertex's kernel
+    scales only that: sum_i C[i, point, i] ker[n, point, i], summed over a
+    contiguous (point, dim) array as ``np.trace`` sums its diagonal.  Each
+    entry is the same length-dim dot product, each scaling the same product
+    and each trace the same sum as the per-point products take; the tests
+    hold the result to their bits.
     The variance is each block's sum of |v - block mean|^2, combined
     across blocks by Chan's pairwise update, so it does not cancel when
     the samples barely vary; the mean is the plain sum over samples.
@@ -304,20 +316,28 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     done = 0
     block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // dim**2))
     chunk = max(1, _MC_CHUNK_ENTRIES // dim**2)
+    # x_0 over one chunk's points, as (row, point, column)
+    x0 = np.repeat(mats[0][:, None, :], min(chunk, block), axis=1)
+    # contiguous (point, dim): its row sums keep np.trace's pairwise order
+    diag = np.empty((min(chunk, block), dim), dtype=complex)
     while done < samples:
         m = min(block, samples - done)
         e = rng.exponential(size=(m, n + 1))
         s = e / e.sum(axis=1, keepdims=True)
-        ker = np.exp(-s[:, :, None] * lam[None, None, :])
+        # ker[j, point, column] = e^{-s_j lam}: one product per entry
+        ker = s.T.reshape(-1, 1) @ (-lam)[None]
+        ker = np.exp(ker, out=ker).reshape(n + 1, m, dim)
         vals = np.empty(m, dtype=complex)
         for lo in range(0, m, chunk):
-            k = ker[lo : lo + chunk]
-            p = k.shape[0]
-            cur = mats[0][None, :, :] * k[:, 0, :][:, None, :]
+            k = ker[:, lo : lo + chunk]
+            p = k.shape[1]
+            cur = x0[:, :p] * k[0] if n else x0[:, :p]
             for j in range(1, n + 1):
-                cur = (cur.reshape(p * dim, dim) @ mats[j]).reshape(p, dim, dim)
-                cur *= k[:, j, :][:, None, :]
-            vals[lo : lo + p] = np.trace(cur, axis1=1, axis2=2)
+                cur = (cur.reshape(dim * p, dim) @ mats[j]).reshape(dim, p, dim)
+                if j < n:
+                    cur *= k[j]
+            np.multiply(np.diagonal(cur, axis1=0, axis2=2), k[n], out=diag[:p])
+            vals[lo : lo + p] = diag[:p].sum(axis=1)
         block_sum = complex(vals.sum())
         block_mean = block_sum / m
         sq_dev += float((np.abs(vals - block_mean) ** 2).sum())
@@ -399,6 +419,20 @@ def _vertex_list(x) -> list[np.ndarray]:
     return (x if isinstance(x, VertexSet) else VertexSet(list(x))).vertices
 
 
+def _sample_count(samples) -> int:
+    """``samples`` as a Python int: TypeError unless it is an integer (a
+    bool is not), ValueError below 1, which has no mean."""
+    try:
+        if isinstance(samples, bool):
+            raise TypeError
+        count = operator.index(samples)
+    except TypeError:
+        raise TypeError(f"Monte Carlo samples must be an integer, got {samples!r}") from None
+    if count < 1:
+        raise ValueError(f"Monte Carlo needs samples >= 1, got {count}")
+    return count
+
+
 def heat_expectation(
     t,
     x,
@@ -411,17 +445,16 @@ def heat_expectation(
 
     ``x`` may be a VertexSet (carrying types) or a plain list of matrices
     (untyped).  ``method`` selects the exact block exponential or seeded
-    Monte-Carlo simplex quadrature; the quadrature raises ValueError for
-    ``samples`` < 1, which has no mean.
+    Monte-Carlo simplex quadrature; the quadrature raises TypeError when
+    ``samples`` is not an integer (a bool, a float, NaN) and ValueError when
+    it is below 1, which has no mean.
     """
     front, rest = _front_and_rest(t, _vertex_list(x), g)
     if method == "exact":
         vals, mags = _simplex_levels(t, [(front, rest)], with_mags=True)
         val, err = complex(vals[0, -1]), 1e-13 * float(mags[0, -1])
     elif method == "quadrature":
-        if samples < 1:
-            raise ValueError(f"Monte Carlo needs samples >= 1, got {samples}")
-        val, err = _monte_carlo(t, front, rest, samples, seed)
+        val, err = _monte_carlo(t, front, rest, _sample_count(samples), seed)
     else:
         raise ValueError(f"unknown method {method!r}")
     return ExpectationValue(value=val, method=method, estimated_error=err)

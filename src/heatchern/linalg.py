@@ -86,7 +86,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -100,7 +100,7 @@ def opnorm(m) -> float:
     to the process's stderr, and one of NaN entries does not converge.
     """
     a = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         return math.inf
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
@@ -235,7 +235,7 @@ def _expm_stack(a: np.ndarray, norm_cap: float) -> np.ndarray:
     """
     if a.shape[1] != a.shape[2]:
         raise DimensionMismatch(f"matrix stack must be (k, n, n), got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix stack contains non-finite entries")
     # an overflowing 1-norm is inf, and log2(0) = -inf gives s = 0
     with np.errstate(over="ignore", divide="ignore"):

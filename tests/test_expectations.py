@@ -489,3 +489,72 @@ class TestBounds:
             VertexSet(
                 [np.eye(3), np.eye(3)], [VertexType(0, 1.0), VertexType(1.0, 0)]
             )
+
+
+class TestMonteCarloChunks:
+    """The Monte Carlo's chunks and its last-vertex diagonal keep the bits of
+    the stacked per-point products, whatever the chunk size and the vertices."""
+
+    @staticmethod
+    def assert_matches(t, verts, g, samples, seed):
+        ev = heat_expectation(t, verts, g, method="quadrature", samples=samples, seed=seed)
+        assert (ev.value, ev.estimated_error) == stacked_monte_carlo(t, verts, g, samples, seed)
+
+    @pytest.mark.parametrize("dim,group", [(2, "trivial"), (3, "z2"), (5, "trivial"), (9, "z2")])
+    def test_small_chunks(self, monkeypatch, dim, group):
+        # 64 entries: 7 points a chunk at dim 3, so 4096 leaves a ragged 1;
+        # one point a chunk at dim 9
+        monkeypatch.setattr(expectations, "_MC_CHUNK_ENTRIES", 64)
+        t = random_triple(dim, seed=dim, group=group)
+        rng = np.random.default_rng(dim)
+        for n in range(4):
+            for samples in (1, 7, 4097):
+                self.assert_matches(t, rand_mats(rng, dim, n + 1), len(t.group) - 1, samples, n)
+
+    @pytest.mark.parametrize("dim,group", [(3, "trivial"), (4, "z2"), (8, "trivial")])
+    def test_one_chunk_per_block(self, monkeypatch, dim, group):
+        monkeypatch.setattr(expectations, "_MC_CHUNK_ENTRIES", 2**20)
+        t = random_triple(dim, seed=dim, group=group)
+        rng = np.random.default_rng(dim)
+        for n in range(4):
+            for samples in (1, 7, 4097):
+                self.assert_matches(t, rand_mats(rng, dim, n + 1), len(t.group) - 1, samples, n)
+
+    def test_one_point_per_chunk(self):
+        # dim^2 = 16900 entries exceed a chunk, which then holds one point
+        dim = 130
+        assert dim**2 > expectations._MC_CHUNK_ENTRIES
+        t = random_triple(dim, seed=1)
+        rng = np.random.default_rng(dim)
+        for n in range(3):
+            self.assert_matches(t, rand_mats(rng, dim, n + 1), 0, 3, n)
+
+    @pytest.mark.parametrize("group", ["trivial", "z2"])
+    @pytest.mark.parametrize("n", range(4))
+    def test_vertices_with_exact_zeros(self, group, n):
+        dim = 4
+        t = random_triple(dim, seed=7, group=group)
+        eye = np.eye(dim, dtype=complex)
+        special = [eye, np.zeros((dim, dim)), np.diag([1.0, -2.0, 0.5j, 3.0 - 1j]),
+                   t.gamma, -eye]
+        for a in range(len(special)):
+            verts = [special[(a + i) % len(special)] for i in range(n + 1)]
+            self.assert_matches(t, verts, len(t.group) - 1, 4097, a)
+
+
+class TestMonteCarloSamples:
+    @pytest.mark.parametrize("samples", [float("nan"), 2.5, 1000.0, True])
+    def test_samples_must_be_an_integer(self, rng, samples):
+        # NaN returned NaN +- NaN, 2.5 and 1000.0 failed inside numpy, True ran once
+        t = random_triple(3, seed=2)
+        with pytest.raises(TypeError, match="samples must be an integer"):
+            heat_expectation(t, rand_mats(rng, 3, 2), method="quadrature", samples=samples)
+
+    def test_numpy_integer_samples(self, rng):
+        # np.int64 samples used to make the value an np.complex128
+        t = random_triple(3, seed=2)
+        mats = rand_mats(rng, 3, 2)
+        ev = heat_expectation(t, mats, method="quadrature", samples=np.int64(5), seed=1)
+        ref = heat_expectation(t, mats, method="quadrature", samples=5, seed=1)
+        assert type(ev.value) is complex and type(ev.estimated_error) is float
+        assert (ev.value, ev.estimated_error) == (ref.value, ref.estimated_error)
