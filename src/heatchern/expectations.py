@@ -11,17 +11,17 @@ the same integral with beta H, so the plane-beta value is
 ``beta**n * expectation_value(t.lifted(1, beta), mats)``.
 The simplex integral e^{-s_0 H} x_1 ... x_n e^{-s_n H} is the (0, n) block
 of exp(M), where M is block upper-bidiagonal with -H on the diagonal
-blocks and x_1..x_n on the superdiagonal (Van Loan, IEEE TAC 23, 1978);
-block (0, k) gives level k with the first k vertices, so one exponential
-yields every level at once.  M is built in the eigenbasis of H and conditioned twice:
+blocks and x_1..x_n on the superdiagonal (Van Loan, IEEE TAC 23, 1978).
+Only that corner block is read: each vertex list gives one value, traced
+against x_0.  M is built in the eigenbasis of H and conditioned twice:
 
 - shift: the diagonal is -(lambda - lambda_min), and the result is
   multiplied back by e^{-lambda_min}, so small expectations keep their
   relative accuracy;
-- balance: the superdiagonal is c x_j and block k is divided by c^k,
-  with c = max(1, n / (e max_j ||x_j||)).  Without it the deep blocks,
-  of size ||x||^k / k!, carry only the absolute accuracy of the largest
-  block.
+- balance: the superdiagonal is c x_j and the corner block is divided by
+  c^n, with c = max(1, n / (e max_j ||x_j||)).  Without it the deep
+  blocks, of size ||x||^k / k!, carry only the absolute accuracy of the
+  largest block.
 
 The cost is one exponential of order (n+1) dim; ``MAX_BLOCK_ORDER`` bounds
 it before anything is allocated.  ``expectation_values`` takes many vertex
@@ -171,8 +171,8 @@ def _front_and_rest(t, mats: list[np.ndarray], g: int):
 
 
 def _check_block_order(n: int, dim: int):
-    """Raise ComplexityCap when levels 0..n at ``dim`` need one exponential
-    of block order (n+1) dim above ``MAX_BLOCK_ORDER``.
+    """Raise ComplexityCap when a level-n vertex list at ``dim`` needs one
+    exponential of block order (n+1) dim above ``MAX_BLOCK_ORDER``.
 
     ``_simplex_levels`` checks here before it allocates.
     """
@@ -223,13 +223,14 @@ def _balance(n: int, xs, column=_top_column, norm=opnorm) -> float:
 
 
 def _simplex_levels(t, pairs, with_mags: bool = False):
-    """<front, rest_1, ..., rest_k> for every k = 0..n, for each (front, rest)
-    of ``pairs``; every rest has the same length n.
+    """<front, rest_1, ..., rest_n> for each (front, rest) of ``pairs``;
+    every rest has the same length n.
 
     Each front already carries the grading and group factors.  Returns the
-    values, shape (len(pairs), n+1), and, when ``with_mags``, per level the
-    sum of the moduli of the summands of the final trace, which scales the
-    kernel's rounding error (else None).  Each pair's bidiagonal matrix is
+    values, shape (len(pairs),), read off the corner block (0, n) of each
+    exponential, and, when ``with_mags``, per pair the sum of the moduli of
+    the summands of the final trace, which scales the kernel's rounding
+    error (else None).  Each pair's bidiagonal matrix is
     exponentiated in stacks of at most ``linalg._STACK_ENTRIES`` entries
     (one matrix when it alone holds more); a slice of a stack has the bits
     of that matrix's own exponential, so each pair gets the bits a call on
@@ -256,8 +257,8 @@ def _simplex_levels(t, pairs, with_mags: bool = False):
     ]
     lam_min = float(lam.min())
     diag = np.tile(-(lam - lam_min), n + 1)
-    vals = np.empty((len(pairs), n + 1), dtype=complex)
-    mags = np.empty((len(pairs), n + 1)) if with_mags else None
+    vals = np.empty(len(pairs), dtype=complex)
+    mags = np.empty(len(pairs)) if with_mags else None
     for lo in range(0, len(pairs), per_stack):
         chunk = pairs[lo : lo + per_stack]
         m = np.zeros((len(chunk), order, order), dtype=complex)
@@ -268,14 +269,13 @@ def _simplex_levels(t, pairs, with_mags: bool = False):
                 m[(i,) + block] = cs[lo + i] * to_eig(x)
         # a lone matrix takes the single path, which spares the stack's masks
         e = expm(m if len(chunk) > 1 else m[0], norm_cap=np.inf)
-        rows = e.reshape(len(chunk), order, order)[:, :dim]
+        corners = e.reshape(len(chunk), order, order)[:, :dim, n * dim :]
         for i, (front, _) in enumerate(chunk):
-            fe = to_eig(front)
-            scale = np.exp(-lam_min - np.arange(n + 1) * math.log(cs[lo + i]))
-            row = rows[i].reshape(dim, n + 1, dim)
-            vals[lo + i] = scale * np.einsum("ij,jki->k", fe, row)
+            fe, corner = to_eig(front), corners[i]
+            scale = np.exp(-lam_min - n * math.log(cs[lo + i]))
+            vals[lo + i] = scale * np.einsum("ij,ji->", fe, corner)
             if with_mags:
-                mags[lo + i] = scale * np.einsum("ij,jki->k", np.abs(fe), np.abs(row))
+                mags[lo + i] = scale * np.einsum("ij,ji->", np.abs(fe), np.abs(corner))
     return vals, mags
 
 
@@ -376,7 +376,7 @@ def expectation_values(t, lists, g: int = 0) -> list[complex]:
     out = [0j] * sum(map(len, groups.values()))
     for members in groups.values():
         vals, _ = _simplex_levels(t, [(front, rest) for _, front, rest in members])
-        for (i, _, _), v in zip(members, vals[:, -1]):
+        for (i, _, _), v in zip(members, vals):
             out[i] = complex(v)
     return out
 
@@ -419,17 +419,17 @@ def _vertex_list(x) -> list[np.ndarray]:
     return (x if isinstance(x, VertexSet) else VertexSet(list(x))).vertices
 
 
-def _sample_count(samples) -> int:
-    """``samples`` as a Python int: TypeError unless it is an integer (a
-    bool is not), ValueError below 1, which has no mean."""
+def _checked_int(value, name: str, least: int) -> int:
+    """The Monte Carlo's ``name`` as a Python int: TypeError unless it is an
+    integer (a bool is not), ValueError below ``least``."""
     try:
-        if isinstance(samples, bool):
+        if isinstance(value, bool):
             raise TypeError
-        count = operator.index(samples)
+        count = operator.index(value)
     except TypeError:
-        raise TypeError(f"Monte Carlo samples must be an integer, got {samples!r}") from None
-    if count < 1:
-        raise ValueError(f"Monte Carlo needs samples >= 1, got {count}")
+        raise TypeError(f"Monte Carlo {name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"Monte Carlo needs {name} >= {least}, got {count}")
     return count
 
 
@@ -445,16 +445,18 @@ def heat_expectation(
 
     ``x`` may be a VertexSet (carrying types) or a plain list of matrices
     (untyped).  ``method`` selects the exact block exponential or seeded
-    Monte-Carlo simplex quadrature; the quadrature raises TypeError when
-    ``samples`` is not an integer (a bool, a float, NaN) and ValueError when
-    it is below 1, which has no mean.
+    Monte-Carlo simplex quadrature.  Before any draw the quadrature raises
+    TypeError when ``samples`` or ``seed`` is not an integer (a bool, a
+    float, NaN), and ValueError when ``samples`` is below 1, which has no
+    mean, or ``seed`` below 0.
     """
     front, rest = _front_and_rest(t, _vertex_list(x), g)
     if method == "exact":
         vals, mags = _simplex_levels(t, [(front, rest)], with_mags=True)
-        val, err = complex(vals[0, -1]), 1e-13 * float(mags[0, -1])
+        val, err = complex(vals[0]), 1e-13 * float(mags[0])
     elif method == "quadrature":
-        val, err = _monte_carlo(t, front, rest, _sample_count(samples), seed)
+        count, seed = _checked_int(samples, "samples", 1), _checked_int(seed, "seed", 0)
+        val, err = _monte_carlo(t, front, rest, count, seed)
     else:
         raise ValueError(f"unknown method {method!r}")
     return ExpectationValue(value=val, method=method, estimated_error=err)

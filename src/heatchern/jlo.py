@@ -477,12 +477,12 @@ def pairing_series(
     prep = _prepared(t, inp)
     top, circles = prep.series_plan(max_level, tol)
     log_s, x = prep.bound
-    zs = np.concatenate([c.nodes(2) for c in circles])
+    zs = np.concatenate([c.nodes() for c in circles])
     values = exp_traces(*prep.graded, zs)
     log_c = [math.log(abs(pairing_coefficient(k))) for k in range(top + 1)]
-    terms = circle_levels(values, circles, log_c, step=2)
+    terms = circle_levels(values, circles, log_c)
     total = sum((-1) ** k * terms[k] for k in range(top + 1))
-    errors = circle_errors(circles, _SAMPLE_ROUNDING, step=2)
+    errors = circle_errors(circles, _SAMPLE_ROUNDING)
     sampled = sum(_exp(log_s + w + e) for w, e in zip(log_c, errors))
     return total, 2 * top, _tail_after(top, log_s, x) + sampled
 
@@ -567,22 +567,23 @@ def coboundary_pairing_residual(
     """|series pairing of (b + B) applied to the cochain| with a scalar input.
 
     For m > 1 the block sum over matrix entries is carried out literally,
-    which costs m^{2n+1} evaluations per level; keep m small.  The tuples
-    of a level go to the coboundary in batches of ``cochains._batch_size``.
+    which costs m^{2n+1} evaluations per level; keep m small.  The m x m
+    blocks of ``a`` are split once, and the tuples of a level go to the
+    coboundary in batches of ``cochains._batch_size``.
     """
     _require_valid_input(t, inp)
     pf = op_partial(cochain)
     d = t.dim
+    blocks = [
+        [inp.a[i * d : (i + 1) * d, j * d : (j + 1) * d] for j in range(inp.m)]
+        for i in range(inp.m)
+    ]
     total = 0.0 + 0.0j
     for k in range(0, max_level // 2 + 1):
         n = 2 * k
         if n > pf.max_level:
             break
         coeff = pairing_coefficient(k)
-        blocks = [
-            [inp.a[i * d : (i + 1) * d, j * d : (j + 1) * d] for j in range(inp.m)]
-            for i in range(inp.m)
-        ]
         # idx[0] varies fastest; the summation order fixes the rounding
         tuples = (
             tuple(blocks[idx[j]][idx[(j + 1) % (n + 1)]] for j in range(n + 1))

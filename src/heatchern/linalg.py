@@ -24,8 +24,10 @@ over its bound: least near u = n, and Poisson-like in n around u.  So one
 circle serves a band of levels, and the levels split into bands with one
 radius each (Bornemann, Found. Comput. Math. 11, 2011).  ``cauchy_circles``
 plans the bands, radii and point counts from the bound alone, before any
-sample is taken; ``circle_levels`` reads the coefficients off the samples,
-and ``circle_errors`` bounds their rounding and aliasing.
+sample is taken, and each of its circles carries the plan's step (2 for an
+even F read in w = z^2); the nodes, ``circle_levels``, which reads the
+coefficients off the samples, and ``circle_errors``, which bounds their
+rounding and aliasing, take it from the circles.
 
 Residual checks ||x|| <= tol need no SVD when ``norm_certified`` decides
 them: ||x||_2 <= ||x||_F, so ||x||_F <= tol/2 proves the check.  The
@@ -263,7 +265,9 @@ class Circle:
     give the Taylor coefficients ``lo``..``hi`` of G(w) = F(w^{1/step}).
 
     ``spread`` = radius y is the exponent of the bound S e^{spread} on |F|
-    there, y the growth rate of the Hoelder bound.
+    there, y the growth rate of the Hoelder bound.  ``step`` is that of the
+    plan, set by ``cauchy_circles``: the nodes, ``circle_levels`` and
+    ``circle_errors`` read it here.
     """
 
     lo: int
@@ -271,11 +275,13 @@ class Circle:
     radius: float
     spread: float
     points: int
+    step: int
 
-    def nodes(self, step: int = 1) -> np.ndarray:
+    def nodes(self) -> np.ndarray:
         """The samples' z = radius e^{2 pi i j / (step points)}, j < points:
         the points-th roots of unity in w = z^step, scaled to the circle."""
-        return self.radius * np.exp(2j * np.pi * np.arange(self.points) / (step * self.points))
+        n = self.points
+        return self.radius * np.exp(2j * np.pi * np.arange(n) / (self.step * n))
 
 
 def _log_aliased(u: float, above: int, below: int) -> float:
@@ -324,10 +330,11 @@ def cauchy_circles(norm: float, log_weights, step: int = 1) -> list[Circle]:
 
     Plain arithmetic on the bound: no sample is taken.  With ``norm`` 0 or
     K = 0 only level 0 can be nonzero, and one sample at z = 0 gives it.
+    Every circle carries ``step``.
     """
     top = len(log_weights) - 1
     if norm == 0.0 or top == 0:
-        return [Circle(0, 0, 0.0, 0.0, 1)]
+        return [Circle(0, 0, 0.0, 0.0, 1, step)]
     # plain floats: a pairing's plan has a few dozen levels, where numpy's
     # per-call overhead would outweigh the arithmetic
     n = [step * k for k in range(top + 1)]
@@ -359,15 +366,16 @@ def cauchy_circles(norm: float, log_weights, step: int = 1) -> list[Circle]:
         points = hi - lo + 1
         while _log_aliased(u, step * (lo + points), step * (hi - points)) > math.log(_ALIAS_MASS):
             points += 1
-        circles.append(Circle(lo, hi, u / norm, u, points))
+        circles.append(Circle(lo, hi, u / norm, u, points, step))
         lo = hi + 1
     return circles
 
 
-def circle_levels(values, circles, log_weights, step: int = 1) -> np.ndarray:
+def circle_levels(values, circles, log_weights) -> np.ndarray:
     """Coefficients k = 0..len(log_weights)-1 of G, each times
     e^{log_weights[k]}, from ``values``, the samples of F at the nodes of
-    ``circles`` in order: one FFT per circle.
+    ``circles`` in order: one FFT per circle, whose own ``step`` fixes the
+    factor r^{-step k}.
 
     The factor and r^{-n} are applied in logarithms, so a coefficient in the
     float range comes out even where r^{-n} alone is not.  Coefficients no
@@ -382,26 +390,28 @@ def circle_levels(values, circles, log_weights, step: int = 1) -> np.ndarray:
         k = np.arange(c.lo, c.hi + 1)
         log_r = math.log(c.radius) if c.hi else 0.0
         with np.errstate(divide="ignore"):  # a zero coefficient stays 0
-            out[k] = np.exp(np.log(spectrum[k % c.points]) + log_weights[k] - step * k * log_r)
+            log_k = np.log(spectrum[k % c.points]) + log_weights[k] - c.step * k * log_r
+            out[k] = np.exp(log_k)
     return out
 
 
-def circle_errors(circles, rounding: float, step: int = 1) -> list[float]:
+def circle_errors(circles, rounding: float) -> list[float]:
     """Per coefficient lo..hi of each circle, in order: the log of a bound on
     its error over S, when each sample errs by at most ``rounding`` times
     the bound S e^u on |F|.
 
-    Both the rounding and the coefficients aliased into level n = step k
-    reach it through the factor e^u r^{-n}.  The aliased ones weigh the
-    Poisson(u) mass at and beyond step (k + points) and at and below
-    step (k - points): at most ``_ALIAS_MASS``, which ``cauchy_circles``
-    checks at the band's end levels, where both tails are largest.
+    Both the rounding and the coefficients aliased into level n = step k,
+    with the circle's own ``step``, reach it through the factor e^u r^{-n}.
+    The aliased ones weigh the Poisson(u) mass at and beyond step (k +
+    points) and at and below step (k - points): at most ``_ALIAS_MASS``,
+    which ``cauchy_circles`` checks at the band's end levels, where both
+    tails are largest.
     """
     log_error = math.log(rounding + _ALIAS_MASS)
     out = []
     for c in circles:
         log_r = math.log(c.radius) if c.hi else 0.0
-        out += [c.spread - step * k * log_r + log_error for k in range(c.lo, c.hi + 1)]
+        out += [c.spread - c.step * k * log_r + log_error for k in range(c.lo, c.hi + 1)]
     return out
 
 

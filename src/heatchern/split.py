@@ -16,9 +16,8 @@ preconditions, so an m x m block input is served like a scalar one.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,18 +289,3 @@ def build_n2_susy_example(
     require_valid_split(s)
     gens = {"Q1": q1, "Q2": q2, "Qt1": qt1, "Qt2": qt2, "J": jop, "P": pop}
     return s, gens
-
-
-def n2_index_table(s: SplitTriple, gens: dict, taus, thetas) -> SweepTable:
-    """Tr(gamma U(tau, theta) e^{-H}) over a (tau, theta) grid.
-
-    Purely diagnostic: reports the table and the spread along tau rows
-    (2 pi periodicity in tau holds when P has integer spectrum).
-    """
-    grid = list(itertools.product(sorted(map(float, taus)), sorted(map(float, thetas))))
-    # one copy whose group is the grid, so H is eigendecomposed once
-    su = replace(s, group=[expm(1j * (tau * gens["P"] + th * gens["J"])) for tau, th in grid])
-    tab = SweepTable(columns=["tau", "theta", "value"])
-    for k, (tau, theta) in enumerate(grid):
-        tab.add_row(tau=tau, theta=theta, value=su.heat_trace(k))
-    return tab

@@ -558,3 +558,26 @@ class TestMonteCarloSamples:
         ref = heat_expectation(t, mats, method="quadrature", samples=5, seed=1)
         assert type(ev.value) is complex and type(ev.estimated_error) is float
         assert (ev.value, ev.estimated_error) == (ref.value, ref.estimated_error)
+
+    @pytest.mark.parametrize("seed", [float("nan"), 2.5, True])
+    def test_seed_must_be_an_integer(self, rng, monkeypatch, seed):
+        # True ran as seed 1, 2.5 and NaN failed inside numpy's SeedSequence
+        t = random_triple(3, seed=2)
+        mats = rand_mats(rng, 3, 2)
+        monkeypatch.setattr(expectations, "_monte_carlo", None)  # no draw is reached
+        with pytest.raises(TypeError, match=f"seed must be an integer, got {seed!r}"):
+            heat_expectation(t, mats, method="quadrature", samples=5, seed=seed)
+
+    def test_seed_must_be_nonnegative(self, rng, monkeypatch):
+        t = random_triple(3, seed=2)
+        mats = rand_mats(rng, 3, 2)
+        monkeypatch.setattr(expectations, "_monte_carlo", None)
+        with pytest.raises(ValueError, match="seed >= 0, got -1"):
+            heat_expectation(t, mats, method="quadrature", samples=5, seed=-1)
+
+    def test_numpy_integer_seed(self, rng):
+        t = random_triple(3, seed=2)
+        mats = rand_mats(rng, 3, 2)
+        ev = heat_expectation(t, mats, method="quadrature", samples=5, seed=np.int64(9))
+        ref = heat_expectation(t, mats, method="quadrature", samples=5, seed=9)
+        assert (ev.value, ev.estimated_error) == (ref.value, ref.estimated_error)

@@ -136,6 +136,19 @@ class TestPairing:
         with pytest.raises(ValueError, match="max_level 343 exceeds 342"):
             pairing_series(exchange, PairingInput(a=exchange.gamma.copy()), max_level=343)
 
+    @pytest.mark.parametrize("scale", [1.0, 8.0])
+    def test_series_circles_carry_their_step(self, exchange, scale):
+        # the series reads the even J(-iz) in w = z^2: its plan fixes step 2,
+        # and each circle's nodes are the 2*points-th roots of unity, halved
+        t = SpectralTriple(dim=2, Q=scale * exchange.Q, gamma=exchange.gamma,
+                           group=exchange.group)
+        _, circles = jlo._Prepared(t, PairingInput(a=t.gamma.copy())).series_plan(342, 1e-12)
+        assert len(circles) > 1
+        for c in circles:
+            assert c.step == 2
+            half_turns = np.exp(1j * np.pi * np.arange(c.points) / c.points)
+            assert np.array_equal(c.nodes(), c.radius * half_turns)
+
     def test_series_levels_stop_at_sample_budget(self, exchange, monkeypatch):
         # the exchange series truncates at level 28, read off circles of 29
         # samples at dim 2: a budget of 29 samples serves it, 28 refuse it

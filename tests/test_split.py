@@ -15,6 +15,7 @@ from heatchern.errors import (
 from heatchern.jlo import (
     PairingInput,
     coboundary_pairing_residual,
+    equivariant_index,
     gauss_hermite_transform,
     generating_functional,
     jlo_cochain,
@@ -29,7 +30,6 @@ from heatchern.split import (
     build_n2_susy_example,
     coupling_sweep,
     d1,
-    n2_index_table,
     split_jlo_component,
     split_pairing,
     validate_split,
@@ -473,32 +473,25 @@ class TestN2Model:
         s, gens = build_n2_susy_example(taus=(0.0,), thetas=(0.0,))
         assert len(s.group) == 1  # (0, 0) collapses to the identity
 
-    def test_index_table_diagnostics(self):
-        s, gens = build_n2_susy_example(levels=((1.0, 1.0), (2.0, 1.0)))
-        taus = [0.0, math.pi, 2 * math.pi]
-        tab = n2_index_table(s, gens, taus, [0.0, 0.5])
-        assert len(tab.rows) == 6
-        # integer momentum spectrum: 2 pi periodicity in tau
-        by_theta = {}
-        for r in tab.rows:
-            by_theta.setdefault(r["theta"], {})[r["tau"]] = r["value"]
-        for theta, vals in by_theta.items():
-            assert abs(vals[0.0] - vals[2 * math.pi]) < 1e-10
-
-    def test_index_table_is_the_heat_trace(self):
-        # oracle: the hand-written trace the table used before it went
-        # through heat_trace; same eigenbasis, same arithmetic, same bits
-        s, gens = build_n2_susy_example(levels=((1.0, 0.5), (2.0, 1.0)))
-        taus, thetas = [0.7, 0.0, math.pi], [0.5, 0.0, -1.2]
-        tab = n2_index_table(s, gens, taus, thetas)
+    def test_equivariant_index_over_the_tau_theta_grid(self):
+        # oracle: the hand-written Tr(gamma U(tau, theta) e^{-H}) in the
+        # eigenbasis of H; same arithmetic as heat_trace, same bits
+        taus, thetas = (0.0, math.pi, 2 * math.pi), (0.0, 0.5)
+        s, gens = build_n2_susy_example(
+            levels=((1.0, 1.0), (2.0, 1.0)), taus=taus, thetas=thetas
+        )
+        grid = [(tau, theta) for tau in taus for theta in thetas]
+        assert len(s.group) == len(grid)  # (0, 0) is the identity, group[0]
         lam, v = s.heat_data()
-        expected = []
-        for tau in sorted(taus):
-            for theta in sorted(thetas):
-                u = expm(1j * (tau * gens["P"] + theta * gens["J"]))
-                w = v.conj().T @ (s.gamma @ u) @ v
-                expected.append((tau, theta, complex(np.sum(np.diag(w) * np.exp(-lam)))))
-        assert [(r["tau"], r["theta"], r["value"]) for r in tab.rows] == expected
+        index = {}
+        for g, (tau, theta) in enumerate(grid):
+            u = expm(1j * (tau * gens["P"] + theta * gens["J"]))
+            w = v.conj().T @ (s.gamma @ u) @ v
+            index[tau, theta] = equivariant_index(s, g)
+            assert index[tau, theta] == complex(np.sum(np.diag(w) * np.exp(-lam)))
+        # integer momentum spectrum: 2 pi periodicity in tau
+        for theta in thetas:
+            assert abs(index[0.0, theta] - index[2 * math.pi, theta]) < 1e-10
 
 
 class TestZeroMomentumStructure:

@@ -9,7 +9,8 @@ Each case runs ``heatchern.cli.main`` in process; OUT.json maps its name to
 as a run in a fresh process does.  The inputs are built here with numpy alone,
 so two trees see the same bytes: run it on both and ``diff`` the files.  The
 cases cover every command, valid and failing inputs, trivial, z2, cyclic and
-split groups, and every writer: standard output and ``--output``, JSON and CSV.
+split groups, every writer (standard output and ``--output``, JSON and CSV), and the
+exact engine's balanced deep levels.
 """
 
 import contextlib
@@ -212,11 +213,24 @@ def cases():
             ("jlo-scaling-overflow", ["jlo"], zero_mode),
             ("index-cyclic-powers-overflow", ["index"],
              dict(ex, group={"cyclic": 3, "generator": mat(np.diag([1e308, 1.0]))}))]
-    return out + [("n2-two-levels-split-pair-moving-input", ["split-pair"], moving),
-                  ("missing-input", ["pair", "--input=missing.json"], None),
-                  ("usage-unknown-command", ["nonsense"], None),
-                  ("usage-bad-tol", ["pair", "--tol=0"], exchange),
-                  ("selftest-seed-0", ["selftest", "--seed=0", "--output=selftest.json"], None)]
+    out += [("n2-two-levels-split-pair-moving-input", ["split-pair"], moving),
+            ("missing-input", ["pair", "--input=missing.json"], None),
+            ("usage-unknown-command", ["nonsense"], None),
+            ("usage-bad-tol", ["pair", "--tol=0"], exchange),
+            ("selftest-seed-0", ["selftest", "--seed=0", "--output=selftest.json"], None)]
+    # the exact engine's deep levels on unit-norm gamma-even arguments: with
+    # ||da|| <= 2 < n / e the balance c exceeds 1, so the blocks are rescaled
+    for dim, seed, group, g in [(3, 2, "trivial", 0), (3, 3, "z2", 1)]:
+        doc, _, gamma, rng = random_triple(dim, seed, group)
+        for n in range(3, 7):
+            args = []
+            for _ in range(n + 1):
+                raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                even = (raw + gamma @ raw @ gamma) / 2
+                args.append(mat(even / np.linalg.norm(even, 2)))
+            out.append((f"d{dim}-{group}-jlo-exact-level-{n}",
+                        ["jlo", "--method=exact", f"--group-index={g}"], dict(doc, tuple=args)))
+    return out
 
 
 def snapshot(src, out):
