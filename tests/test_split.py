@@ -473,25 +473,34 @@ class TestN2Model:
         s, gens = build_n2_susy_example(taus=(0.0,), thetas=(0.0,))
         assert len(s.group) == 1  # (0, 0) collapses to the identity
 
-    def test_equivariant_index_over_the_tau_theta_grid(self):
-        # oracle: the hand-written Tr(gamma U(tau, theta) e^{-H}) in the
-        # eigenbasis of H; same arithmetic as heat_trace, same bits
+    @staticmethod
+    def _index_grid():
         taus, thetas = (0.0, math.pi, 2 * math.pi), (0.0, 0.5)
         s, gens = build_n2_susy_example(
             levels=((1.0, 1.0), (2.0, 1.0)), taus=taus, thetas=thetas
         )
         grid = [(tau, theta) for tau in taus for theta in thetas]
         assert len(s.group) == len(grid)  # (0, 0) is the identity, group[0]
+        return s, gens, grid
+
+    def test_index_table_diagnostics(self):
+        s, gens, grid = self._index_grid()
+        index = {tt: equivariant_index(s, g) for g, tt in enumerate(grid)}
+        assert len(index) == 6
+        # integer momentum spectrum: 2 pi periodicity in tau
+        for theta in (0.0, 0.5):
+            assert abs(index[0.0, theta] - index[2 * math.pi, theta]) < 1e-10
+
+    def test_index_table_is_the_heat_trace(self):
+        # oracle: the hand-written Tr(gamma U(tau, theta) e^{-H}) in the
+        # eigenbasis of H; same arithmetic as heat_trace, same bits
+        s, gens, grid = self._index_grid()
         lam, v = s.heat_data()
-        index = {}
         for g, (tau, theta) in enumerate(grid):
             u = expm(1j * (tau * gens["P"] + theta * gens["J"]))
             w = v.conj().T @ (s.gamma @ u) @ v
-            index[tau, theta] = equivariant_index(s, g)
-            assert index[tau, theta] == complex(np.sum(np.diag(w) * np.exp(-lam)))
-        # integer momentum spectrum: 2 pi periodicity in tau
-        for theta in thetas:
-            assert abs(index[0.0, theta] - index[2 * math.pi, theta]) < 1e-10
+            oracle = complex(np.sum(np.diag(w) * np.exp(-lam)))
+            assert equivariant_index(s, g) == oracle
 
 
 class TestZeroMomentumStructure:
