@@ -18,7 +18,12 @@ class BadExponent(HeatChernError):
 
 
 class Overflow(HeatChernError):
-    """Input norm exceeds the configured cap for the matrix exponential."""
+    """A number leaves the float range, or passes a configured cap.
+
+    Raised when a 1-norm exceeds the cap of ``linalg.expm`` or its scaling
+    2^s passes 2^1022, when H has non-finite entries, when a regularizer
+    eps^2 Z*Z overflows, and when the series bound ||da||^2 / 4 does.
+    """
 
 
 class ComplexityCap(HeatChernError):

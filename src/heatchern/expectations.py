@@ -232,7 +232,7 @@ def _simplex_levels(t, pairs, with_mags: bool = False):
     the summands of the final trace, which scales the kernel's rounding
     error (else None).  Each pair's bidiagonal matrix is
     exponentiated in stacks of at most ``linalg._STACK_ENTRIES`` entries
-    (one matrix when it alone holds more); a slice of a stack has the bits
+    (a stack of one when one matrix alone holds more); a slice has the bits
     of that matrix's own exponential, so each pair gets the bits a call on
     it alone gets.  ``_check_block_order`` runs, and the stack size is
     fixed, before any allocation.  A vertex may recur, within a rest and
@@ -267,9 +267,7 @@ def _simplex_levels(t, pairs, with_mags: bool = False):
             for k, x in enumerate(rest):
                 block = slice(k * dim, (k + 1) * dim), slice((k + 1) * dim, (k + 2) * dim)
                 m[(i,) + block] = cs[lo + i] * to_eig(x)
-        # a lone matrix takes the single path, which spares the stack's masks
-        e = expm(m if len(chunk) > 1 else m[0], norm_cap=np.inf)
-        corners = e.reshape(len(chunk), order, order)[:, :dim, n * dim :]
+        corners = expm(m, norm_cap=np.inf)[:, :dim, n * dim :]
         for i, (front, _) in enumerate(chunk):
             fe, corner = to_eig(front), corners[i]
             scale = np.exp(-lam_min - n * math.log(cs[lo + i]))

@@ -208,10 +208,14 @@ def regularity_report(f: DeformationFamily, lambda_grid) -> SweepTable:
     Reports the minimal Kato constant a(M) curve summary against the base
     Q (a at M = 0 and the least finite a), the smoothing-scale norms of q
     at the window edges, and the deviation of the declared velocity from the
-    symmetric difference quotient.  Report-only; nothing is enforced.
+    symmetric difference quotient.  Report-only; nothing is enforced.  The
+    points keep the caller's order (``qdot_continuity`` compares each with
+    the one before it), and more than the grid budget raise ComplexityCap
+    (``_check_grid_points``) before any of them is computed.
     """
     t = f.base
     grid = [float(x) for x in lambda_grid]
+    _check_grid_points("lambda_grid", len(grid))
     tab = SweepTable(
         columns=[
             "lambda",
@@ -310,15 +314,7 @@ def L_cochain(f: DeformationFamily, lam: float) -> Cochain:
                 [mats[0]] + dmats[1 : j + 1] + [dl_qdot] + dmats[j + 1 :] for j in range(n + 1)
             ]
         vals = expectation_values(t_lam, lists, g)
-        out = []
-        for i in range(0, len(vals), 2 * n + 1):
-            tot = 0.0 + 0.0j
-            for v in vals[i : i + n]:
-                tot += v
-            for v in vals[i + n : i + 2 * n + 1]:
-                tot -= v
-            out.append(tot)
-        return out
+        return _signed_sums(vals, len(tuples), [1] * n + [-1] * (n + 1))
 
     return _batched(many, t_lam.group, 32, "C")
 

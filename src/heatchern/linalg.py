@@ -6,10 +6,11 @@ exponential, Schatten norms, divided differences of the exponential
 evaluated through the exponential of an upper-bidiagonal matrix, and Taylor
 coefficients read off samples on circles.  The exponential scales its
 argument to 1-norm at most 0.5, evaluates the degree-18 Taylor polynomial
-there by Paterson-Stockmeyer (7 matrix products) and squares back.  It also
-takes a stack of matrices, shape (k, n, n), and returns for each slice the
-bits a call on that slice alone returns.  A 1-norm past 2^1022, whose
-scaling 2^s leaves the float range, raises Overflow before any arithmetic.
+there by Paterson-Stockmeyer (7 matrix products) and squares back.  It has
+one path, for a stack of matrices, shape (k, n, n), with a scaling per
+slice; one matrix is a stack of one, so each slice gets the bits a call on
+that slice alone gets.  A 1-norm past 2^1022, whose scaling 2^s leaves the
+float range, raises Overflow before any arithmetic.
 ``exp_traces`` samples Tr(F e^{B + zX}) through such stacks: it is the one
 sampler of the Gauss-Hermite nodes of a pairing, the circle samples of its
 series, and the levels of ``repeated_expectation_series``.  All
@@ -164,42 +165,48 @@ def eig_hermitian(m, tol: float = 1e-10) -> HermitianEigenSystem:
 def expm(m, norm_cap: float = 1e3) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a Taylor core.
 
-    The argument is scaled by 2^-s to 1-norm at most 0.5, the degree-18
-    Taylor polynomial is evaluated there (``_taylor``) and squared s times.
-    ``m`` is one square matrix or a stack of them, shape (k, n, n).  Each
-    slice of a stack gets its own scaling and the same core, so it equals
-    bit for bit the exponential of that slice alone.  Accurate to ~1e-13
-    relative for inputs of 1-norm up to a few tens.  Raises Overflow when a
-    1-norm exceeds ``norm_cap``, or passes 2^1022 (``_check_scaling``),
-    whatever the cap; a stack raises when any one slice does.
+    ``m`` is one square matrix or a stack of them, shape (k, n, n); one
+    matrix is taken as a stack of one and returned as a matrix.  Each slice
+    is scaled by its own 2^-s to 1-norm at most 0.5, the degree-18 Taylor
+    polynomial is evaluated there (``_taylor``) and squared s times, so a
+    slice of a stack equals bit for bit the exponential of that slice alone.
+    The zero matrix takes s = 0 and gets exactly I.  Accurate to ~1e-13
+    relative for inputs of 1-norm up to a few tens.  Raises Overflow, before
+    any arithmetic, when a 1-norm exceeds ``norm_cap``, or passes 2^1022
+    whatever the cap: its scaling 2^s then leaves the float range, and
+    scaling by 2^-s = 0 would take the exponential as I.  A stack raises
+    when any one slice does.
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim == 3:
-        return _expm_stack(a, norm_cap)
-    a = as_matrix(a)
-    with np.errstate(over="ignore"):  # an overflowing 1-norm is inf
-        nrm = float(np.linalg.norm(a, 1))
-    if nrm > norm_cap:
-        raise Overflow(f"matrix 1-norm {nrm:.3e} exceeds cap {norm_cap:.3e}")
-    if nrm == 0.0:
-        return np.eye(a.shape[0], dtype=complex)
-    log_scale = np.log2(nrm / _TAYLOR_THETA)
-    _check_scaling(log_scale, nrm)
-    s = max(0, int(np.ceil(log_scale)))
-    out = _taylor(a / (2.0**s))
-    for _ in range(s):
+    single = a.ndim != 3
+    if single:
+        a = as_matrix(a)[None]
+    elif a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"matrix stack must be (k, n, n), got shape {a.shape}")
+    elif not np.isfinite(a).all():
+        raise ValueError("matrix stack contains non-finite entries")
+    # an overflowing 1-norm is inf, and log2(0) = -inf gives s = 0
+    with np.errstate(over="ignore", divide="ignore"):
+        nrm = np.linalg.norm(a, 1, axis=(1, 2))
+        log_scale = np.log2(nrm / _TAYLOR_THETA)
+    worst = float(nrm.max(initial=0.0))
+    if worst > norm_cap:
+        raise Overflow(f"matrix 1-norm {worst:.3e} exceeds cap {norm_cap:.3e}")
+    if not log_scale.max(initial=-np.inf) <= _MAX_SQUARINGS:
+        raise Overflow(f"matrix 1-norm {worst:.3e}: its scaling 2^s leaves the float range")
+    s = np.maximum(0.0, np.ceil(log_scale)).astype(int)
+    out = _taylor(a / (2.0**s)[:, None, None])
+    most = int(s.max(initial=0))
+    least = int(s.min(initial=most))
+    # every slice takes the least count of squarings at once (the samples
+    # of one circle mostly share their scaling); only the rest are masked
+    for _ in range(least):
         out = out @ out
-    return out
-
-
-def _check_scaling(log_scale: float, nrm: float):
-    """Raise Overflow, before any arithmetic on the matrix, when the scaling
-    2^s of ``expm``, s = ceil(``log_scale``), leaves the float range: a
-    1-norm ``nrm`` past 2^1022, or one that is itself inf.  Scaling by
-    2^-s = 0 would take the exponential as I.
-    """
-    if not log_scale <= _MAX_SQUARINGS:
-        raise Overflow(f"matrix 1-norm {nrm:.3e}: its scaling 2^s leaves the float range")
+    for j in range(least, most):
+        live = s > j
+        sq = out[live]
+        out[live] = sq @ sq
+    return out[0] if single else out
 
 
 def _taylor(x: np.ndarray) -> np.ndarray:
@@ -226,36 +233,6 @@ def _taylor(x: np.ndarray) -> np.ndarray:
             block += x4 @ out
         block[..., diag, diag] += c[0]
         out = block
-    return out
-
-
-def _expm_stack(a: np.ndarray, norm_cap: float) -> np.ndarray:
-    """``expm`` on each slice of a (k, n, n) stack, with the same arithmetic.
-
-    The single-matrix path keeps its own scalar scaling, which at small n
-    is cheaper than the masks a stack needs.
-    """
-    if a.shape[1] != a.shape[2]:
-        raise DimensionMismatch(f"matrix stack must be (k, n, n), got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix stack contains non-finite entries")
-    # an overflowing 1-norm is inf, and log2(0) = -inf gives s = 0
-    with np.errstate(over="ignore", divide="ignore"):
-        nrm = np.linalg.norm(a, 1, axis=(1, 2))
-        log_scale = np.log2(nrm / _TAYLOR_THETA)
-    worst = float(nrm.max(initial=0.0))
-    if worst > norm_cap:
-        raise Overflow(f"matrix 1-norm {worst:.3e} exceeds cap {norm_cap:.3e}")
-    _check_scaling(float(log_scale.max(initial=-np.inf)), worst)
-    s = np.maximum(0.0, np.ceil(log_scale)).astype(int)
-    out = _taylor(a / (2.0**s)[:, None, None])
-    for j in range(int(s.max(initial=0))):
-        live = s > j
-        if live.all():  # the samples of one circle mostly share their scaling
-            out = out @ out
-        else:
-            sq = out[live]
-            out[live] = sq @ sq
     return out
 
 

@@ -31,6 +31,7 @@ from .homotopy import SweepTable, _grid
 from .jlo import (
     PairingInput,
     PairingResult,
+    _element,
     _gaussian,
     _Prepared,
     _require_valid_input,
@@ -153,7 +154,7 @@ def d1(s: SplitTriple, a) -> np.ndarray:
 
 def split_jlo_component(s: SplitTriple, n: int, a_list, g: int = 0) -> complex:
     """tau_n = <a_0, d1 a_1, ..., d1 a_n; g> on zero-momentum arguments."""
-    mats = [m.matrix if hasattr(m, "matrix") else as_matrix(m) for m in a_list]
+    mats = [_element(m) for m in a_list]
     s.check_algebra(mats)
     return jlo_component(s, n, mats, g)
 

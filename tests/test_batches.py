@@ -106,7 +106,7 @@ class TestExpectationValues:
         shapes = recording_expm(monkeypatch)
         monkeypatch.setattr(linalg, "_STACK_ENTRIES", 2 * 12 * 12)
         assert expectation_values(t, lists) == want
-        assert shapes == [(2, 12, 12), (2, 12, 12), (12, 12)]
+        assert shapes == [(2, 12, 12), (2, 12, 12), (1, 12, 12)]
 
     def test_empty_batch(self):
         t = random_triple(2, seed=1)

@@ -104,6 +104,22 @@ class TestRegularityReport:
         for row in tab.rows:
             assert row["kato_a_at_0"] == pytest.approx(abs(row["lambda"]), abs=1e-6)
 
+    def test_grid_over_budget_refused_before_any_bisection(self, family, monkeypatch):
+        # the one lambda grid without a budget: each point runs a Kato bisection
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point ran on a grid over budget")
+
+        monkeypatch.setattr(homotopy, "kato_constants", unreachable)
+        monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+        with pytest.raises(ComplexityCap) as err:
+            regularity_report(family, np.linspace(-0.5, 0.5, 2049))
+        assert str(err.value) == "lambda_grid has 2049 points, which exceeds budget 2048"
+
+    def test_grid_keeps_the_callers_order(self, family):
+        # qdot_continuity compares each point with the one before it as given
+        tab = regularity_report(family, [0.3, -0.2, 0.1])
+        assert [row["lambda"] for row in tab.rows] == [0.3, -0.2, 0.1]
+
 
 class TestSweep:
     def test_constant_family_zero_spread(self, exchange):

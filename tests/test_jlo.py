@@ -26,7 +26,12 @@ from heatchern.jlo import (
     pairing_gaussian,
     pairing_series,
 )
-from heatchern.models import random_even_element, random_involution, random_triple
+from heatchern.models import (
+    random_even_element,
+    random_involution,
+    random_odd_element,
+    random_triple,
+)
 from heatchern.split import build_n2_susy_example
 from heatchern.triples import SpectralTriple, derivative
 
@@ -767,6 +772,29 @@ class TestClosedFormAtScale:
         assert abs(res.series_value - exact) <= res.tail_bound
         assert set(orders) == {m * dim}
         assert peak < 16 * ((res.truncation_level + 1) * m * dim) ** 2
+
+    # seeds whose closed form is not 0, so a pairing of 0 cannot pass
+    @pytest.mark.parametrize("dim, seed", [(24, 24), (48, 49), (96, 97)])
+    def test_sweep_matches_the_closed_form(self, dim, seed):
+        # q = 0.35 ||Q|| q^ as in C09: every point of the sweep is a
+        # Gauss-Hermite pairing of a deformed triple, held to C07's 1e-8
+        t, inp = _unit_da_pair(dim, 1, seed=seed)
+        q = random_odd_element(t, np.random.default_rng(seed + 1))
+        fam = homotopy.linear_family(t, 0.35 * opnorm(t.Q) * q / opnorm(q), interval=(-0.6, 0.6))
+        tab = homotopy.sweep_invariant(fam, inp, np.linspace(-0.5, 0.5, 3))
+        exact = complex(np.trace(t.twist(0) @ inp.a))
+        assert abs(exact) >= 1 and len(tab.rows) == 3
+        for row in tab.rows:
+            assert abs(row["value"] - exact) <= 1e-8
+
+    @pytest.mark.parametrize("dim, seed", [(24, 24), (48, 49), (96, 97)])
+    def test_beta_planes_match_the_closed_form(self, dim, seed):
+        t, inp = _unit_da_pair(dim, 1, seed=seed)
+        tab = homotopy.beta_independence(t, inp, [0.5, 2.0])
+        exact = complex(np.trace(t.twist(0) @ inp.a))
+        assert abs(exact) >= 1 and [row["beta"] for row in tab.rows] == [0.5, 2.0]
+        for row in tab.rows:
+            assert abs(row["value"] - exact) <= 1e-8
 
     def test_no_block_engine(self):
         assert not hasattr(linalg, "expm_toeplitz_row")

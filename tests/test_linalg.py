@@ -57,6 +57,13 @@ class TestExpm:
     def test_zero(self):
         assert np.allclose(expm(np.zeros((4, 4))), np.eye(4))
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_zero_is_the_identity_bit_for_bit(self, n):
+        # s = 0 and the Taylor core at 0: exactly I, with +0 off the diagonal
+        got = expm(np.zeros((n, n)))
+        assert got.shape == (n, n) and got.dtype == complex
+        assert got.tobytes() == np.eye(n, dtype=complex).tobytes()
+
     def test_diagonal(self):
         d = np.array([0.3, -1.2, 2.0])
         assert np.allclose(expm(np.diag(d)), np.diag(np.exp(d)), atol=1e-14)
