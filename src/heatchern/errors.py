@@ -22,7 +22,8 @@ class Overflow(HeatChernError):
 
     Raised when a 1-norm exceeds the cap of ``linalg.expm`` or its scaling
     2^s passes 2^1022, when H has non-finite entries, when a regularizer
-    eps^2 Z*Z overflows, and when the series bound ||da||^2 / 4 does.
+    eps^2 Z*Z overflows, when the series bound ||da||^2 / 4 does, and
+    when the corner of an exact expectation's exponential does.
     """
 
 

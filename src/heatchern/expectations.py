@@ -24,11 +24,12 @@ against x_0.  M is built in the eigenbasis of H and conditioned twice:
   largest block.
 
 The cost is one exponential of order (n+1) dim; ``MAX_BLOCK_ORDER`` bounds
-it before anything is allocated.  ``expectation_values`` takes many vertex
-lists at once: the matrices of one length are exponentiated as stacks of
-at most ``linalg._STACK_ENTRIES`` entries, whose slices keep the bits of
-single exponentials, so a cochain's faces and rotations cost one call
-where each took its own.  For the levels <x0, x, ..., x>_n of
+it before anything is allocated.  A corner past the float range raises
+Overflow.  ``expectation_values`` takes many vertex lists at once: the
+matrices of one length are exponentiated as stacks of at most
+``linalg._STACK_ENTRIES`` entries, whose slices keep the bits of single
+exponentials, so a cochain's faces and rotations cost one call where each
+took its own.  For the levels <x0, x, ..., x>_n of
 ``repeated_expectation_series`` no block matrix is formed: by Duhamel they
 are the Taylor coefficients of F(z) = Tr(gamma U(g) x0 e^{-H + z x}), with
 the Hoelder bound |<x0, x, ..., x>_n| <= ||x0|| ||x||^n Tr(e^{-H}) / n!, and
@@ -37,13 +38,30 @@ one FFT per circle.  The samples come from ``linalg.exp_traces``, the
 pairing's sampler, with one shift per circle.  ``MAX_SAMPLES`` bounds them
 before any exponential.  The bidiagonal exponential of each level alone is
 their reference.
+
+Graded zeros take no exponential.  When gamma is diagonal with entries
+exactly +-1 and every eigenvector of H lies exactly in one of its sectors
+(``HeatData._sectors``), a vertex in the eigenbasis is even when its
+entries across the sectors are all exactly 0, odd when those within one
+are, and otherwise neither.  If the front gamma U(g) x_0 and every vertex
+are even or odd, with an odd number of odd ones, the value is +0j.  So is
+the full computation's, bit for bit: M then has an exact zero pattern
+(block (k, l) even or odd as the product of x_{k+1}..x_l), the Taylor
+polynomial and the squarings keep it, since each of its zero entries is a
+sum of products with an exact 0 factor, and every summand of the trace
+against the front has such a factor.  The character's odd levels are
+such lists.
+
 A seeded Monte-Carlo quadrature over the simplex provides an independent
 route at every instance.  Per chunk of simplex points it keeps the products
 x_0 e^{-s_0 H} ... x_j e^{-s_j H} as one (row, point, column) array, so each
 vertex costs one GEMM of its (dim*points, dim) matrix and one column
 scaling by a contiguous (point, column) block of kernels.  The kernels come
 from one rank-1 product and one exponential per block, and the last vertex's
-kernel scales only the diagonal the trace reads.
+kernel scales only the diagonal the trace reads.  The simplex normalization
+and the diagonal's sums reduce rows of n + 1 and dim entries, where
+numpy's per-row overhead dominates ``sum``; ``_row_sums`` does them as a
+few column adds in numpy's own pairwise order, with the same bits.
 """
 
 from __future__ import annotations
@@ -54,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadExponent, ComplexityCap, DimensionMismatch
+from .errors import BadExponent, ComplexityCap, DimensionMismatch, Overflow
 from .linalg import (
     as_matrix,
     _per_stack,
@@ -203,8 +221,9 @@ def _check_sample_budget(points: int, dim: int):
 
 
 def _top_column(x: np.ndarray) -> float:
-    """The largest squared column 2-norm of x."""
-    return float((np.abs(x) ** 2).sum(axis=0).max())
+    """The largest squared column 2-norm of x; inf when a square overflows."""
+    with np.errstate(over="ignore"):
+        return float((np.abs(x) ** 2).sum(axis=0).max())
 
 
 def _balance(n: int, xs, column=_top_column, norm=opnorm) -> float:
@@ -222,6 +241,32 @@ def _balance(n: int, xs, column=_top_column, norm=opnorm) -> float:
     return max(1.0, n / (math.e * x_norm)) if x_norm > 0 else 1.0
 
 
+def _parity(xe: np.ndarray, cross: np.ndarray) -> int:
+    """+1 when every entry of xe that ``cross`` marks is exactly 0, -1 when
+    every other entry is, else 0."""
+    if not xe[cross].any():
+        return 1
+    return -1 if not xe[~cross].any() else 0
+
+
+def _graded_zeros(signs, pairs, eig) -> list[bool]:
+    """Per pair, whether the sector signs of the eigenbasis force its trace
+    to 0: every vertex, the front included, has a parity +-1 in the
+    eigenbasis (``eig``), and their product is -1.  None for ``signs``
+    decides none.  A distinct vertex object takes its parity once."""
+    if signs is None:
+        return [False] * len(pairs)
+    cross = signs[:, None] != signs[None, :]
+    parity = _once_per_object(lambda x: _parity(eig(x), cross))
+    out = []
+    for front, rest in pairs:
+        p = parity(front)
+        for x in rest:
+            p *= parity(x) if p else 0
+        out.append(p == -1)
+    return out
+
+
 def _simplex_levels(t, pairs, with_mags: bool = False):
     """<front, rest_1, ..., rest_n> for each (front, rest) of ``pairs``;
     every rest has the same length n.
@@ -230,15 +275,18 @@ def _simplex_levels(t, pairs, with_mags: bool = False):
     values, shape (len(pairs),), read off the corner block (0, n) of each
     exponential, and, when ``with_mags``, per pair the sum of the moduli of
     the summands of the final trace, which scales the kernel's rounding
-    error (else None).  Each pair's bidiagonal matrix is
-    exponentiated in stacks of at most ``linalg._STACK_ENTRIES`` entries
-    (a stack of one when one matrix alone holds more); a slice has the bits
-    of that matrix's own exponential, so each pair gets the bits a call on
-    it alone gets.  ``_check_block_order`` runs, and the stack size is
-    fixed, before any allocation.  A vertex may recur, within a rest and
-    across pairs: each distinct object (keyed by identity) is converted to
-    the eigenbasis once, and its column bound and ``_balance`` SVD are taken
-    once.
+    error (else None).  A pair the grading makes 0 (``_graded_zeros``,
+    from ``HeatData._sectors``) gets value +0j and magnitude 0.0 with no
+    balance and no exponential: the bits its exponential would give.  Each
+    other pair's bidiagonal matrix is exponentiated in stacks of at most
+    ``linalg._STACK_ENTRIES`` entries (a stack of one when one matrix alone
+    holds more); a slice has the bits of that matrix's own exponential, so
+    each pair gets the bits a call on it alone gets.  ``_check_block_order``
+    runs, and the stack size is fixed, before any allocation.  A corner
+    that leaves the float range raises Overflow.  A vertex may recur,
+    within a rest and across pairs: each distinct object (keyed by
+    identity) is converted to the eigenbasis once, and its parity, column
+    bound and ``_balance`` SVD are taken once.
     """
     lam, basis = t.heat_data()
     dim = lam.size
@@ -248,33 +296,73 @@ def _simplex_levels(t, pairs, with_mags: bool = False):
     per_stack = _per_stack(order * order)
     vh = basis.conj().T
     to_eig = _once_per_object(lambda x: vh @ x @ basis)
+    live = [i for i, zero in enumerate(_graded_zeros(t._sectors, pairs, to_eig)) if not zero]
     column, norm = _once_per_object(_top_column), _once_per_object(opnorm)
     # each pair's distinct vertices in order of first appearance, as a call
     # on that pair alone takes them
-    cs = [
-        _balance(n, [to_eig(x) for x in {id(x): x for x in rest}.values()], column, norm)
-        for _, rest in pairs
-    ]
+    cs = {
+        i: _balance(n, [to_eig(x) for x in {id(x): x for x in pairs[i][1]}.values()], column, norm)
+        for i in live
+    }
     lam_min = float(lam.min())
     diag = np.tile(-(lam - lam_min), n + 1)
-    vals = np.empty(len(pairs), dtype=complex)
-    mags = np.empty(len(pairs)) if with_mags else None
-    for lo in range(0, len(pairs), per_stack):
-        chunk = pairs[lo : lo + per_stack]
+    vals = np.zeros(len(pairs), dtype=complex)
+    mags = np.zeros(len(pairs)) if with_mags else None
+    for lo in range(0, len(live), per_stack):
+        chunk = live[lo : lo + per_stack]
         m = np.zeros((len(chunk), order, order), dtype=complex)
         m[:, np.arange(order), np.arange(order)] = diag
-        for i, (_, rest) in enumerate(chunk):
-            for k, x in enumerate(rest):
+        for j, i in enumerate(chunk):
+            for k, x in enumerate(pairs[i][1]):
                 block = slice(k * dim, (k + 1) * dim), slice((k + 1) * dim, (k + 2) * dim)
-                m[(i,) + block] = cs[lo + i] * to_eig(x)
-        corners = expm(m, norm_cap=np.inf)[:, :dim, n * dim :]
-        for i, (front, _) in enumerate(chunk):
-            fe, corner = to_eig(front), corners[i]
-            scale = np.exp(-lam_min - n * math.log(cs[lo + i]))
-            vals[lo + i] = scale * np.einsum("ij,ji->", fe, corner)
+                m[(j,) + block] = cs[i] * to_eig(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            corners = expm(m, norm_cap=np.inf)[:, :dim, n * dim :]
+        if not np.isfinite(corners).all():
+            raise Overflow(f"the level-{n} simplex exponential leaves the float range")
+        for j, i in enumerate(chunk):
+            fe, corner = to_eig(pairs[i][0]), corners[j]
+            scale = np.exp(-lam_min - n * math.log(cs[i]))
+            vals[i] = scale * np.einsum("ij,ji->", fe, corner)
             if with_mags:
-                mags[lo + i] = scale * np.einsum("ij,ji->", np.abs(fe), np.abs(corner))
+                mags[i] = scale * np.einsum("ij,ji->", np.abs(fe), np.abs(corner))
     return vals, mags
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` of a C-contiguous (rows, columns) array, with its
+    bits, as a few column adds.
+
+    numpy sums each row from +0 in its pairwise order, and over short rows
+    its per-row overhead is most of the cost.  A row of fewer than 8 doubles
+    is summed left to right.  From 8 doubles it keeps 8 accumulators (4
+    complex ones) over blocks of 8 doubles, combines them as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), or (c0+c1)+(c2+c3), and adds the
+    remaining columns left to right.  Rows above 128 doubles, which numpy
+    splits in halves, take ``sum`` itself.
+    """
+    per = 2 if a.dtype.kind == "c" else 1  # doubles per entry
+    cols = a.shape[1]
+    if cols * per > 128:
+        return a.sum(axis=1)
+    if cols * per < 8:
+        out = a[:, 0] + 0.0
+        for j in range(1, cols):
+            out += a[:, j]
+        return out
+    k = 8 // per
+    full = cols - cols % k
+    acc = a[:, :k].copy()
+    for lo in range(k, full, k):
+        acc += a[:, lo : lo + k]
+    parts = [acc[:, i] for i in range(k)]
+    while len(parts) > 1:
+        parts = [parts[i] + parts[i + 1] for i in range(0, len(parts), 2)]
+    out = parts[0]
+    for j in range(full, cols):
+        out += a[:, j]
+    out += 0.0  # the row's sum is added to +0, so a -0 comes out as +0
+    return out
 
 
 def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, float]:
@@ -314,14 +402,15 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     done = 0
     block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // dim**2))
     chunk = max(1, _MC_CHUNK_ENTRIES // dim**2)
-    # x_0 over one chunk's points, as (row, point, column)
+    # x_0 over one chunk's points, as (row, point, column), and room for x_0 K_0
     x0 = np.repeat(mats[0][:, None, :], min(chunk, block), axis=1)
+    x0k0 = np.empty(x0.size, dtype=complex)
     # contiguous (point, dim): its row sums keep np.trace's pairwise order
     diag = np.empty((min(chunk, block), dim), dtype=complex)
     while done < samples:
         m = min(block, samples - done)
         e = rng.exponential(size=(m, n + 1))
-        s = e / e.sum(axis=1, keepdims=True)
+        s = e / _row_sums(e)[:, None]
         # ker[j, point, column] = e^{-s_j lam}: one product per entry
         ker = s.T.reshape(-1, 1) @ (-lam)[None]
         ker = np.exp(ker, out=ker).reshape(n + 1, m, dim)
@@ -329,13 +418,15 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
         for lo in range(0, m, chunk):
             k = ker[:, lo : lo + chunk]
             p = k.shape[1]
-            cur = x0[:, :p] * k[0] if n else x0[:, :p]
+            cur = x0[:, :p]
+            if n:
+                cur = np.multiply(cur, k[0], out=x0k0[: cur.size].reshape(cur.shape))
             for j in range(1, n + 1):
                 cur = (cur.reshape(dim * p, dim) @ mats[j]).reshape(dim, p, dim)
                 if j < n:
                     cur *= k[j]
             np.multiply(np.diagonal(cur, axis1=0, axis2=2), k[n], out=diag[:p])
-            vals[lo : lo + p] = diag[:p].sum(axis=1)
+            vals[lo : lo + p] = _row_sums(diag[:p])
         block_sum = complex(vals.sum())
         block_mean = block_sum / m
         sq_dev += float((np.abs(vals - block_mean) ** 2).sum())

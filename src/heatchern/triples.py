@@ -239,6 +239,26 @@ class HeatData:
             self._heat = (es.eigenvalues, es.eigenvectors)
         return self._heat
 
+    @cached_property
+    def _sectors(self) -> np.ndarray | None:
+        """The gamma sector, +1 or -1, of each eigenvector of H, or None.
+
+        Taken once per instance, the first time the exact engine asks, so
+        ``heat_data`` alone costs nothing more.  The signs exist only when
+        gamma is diagonal with entries exactly +-1 and each eigenvector v
+        satisfies gamma v == +-v bit for bit, that is, vanishes exactly
+        off one sector; otherwise None.
+        """
+        basis = self.heat_data()[1]
+        d = np.diagonal(self.gamma)
+        if not (np.array_equal(self.gamma, np.diag(d)) and np.all((d == 1) | (d == -1))):
+            return None
+        gv = d[:, None] * basis
+        plus = (gv == basis).all(axis=0)
+        if not (plus | (gv == -basis).all(axis=0)).all():
+            return None
+        return np.where(plus, 1, -1)
+
     def lifted(self, m: int = 1, beta_plane: float = 1.0):
         """The same data on C^m (x) C^dim with every generator scaled by sqrt(beta).
 

@@ -813,9 +813,12 @@ class TestErrors:
              ("Overflow", SCALING.format("4.900e+307"))),
             ({"group": {"cyclic": 3, "generator": [[1e308, 0], [0, 1]]}}, ["index"], 3,
              ("ValueError", "group[2] contains non-finite entries")),
+            ({"Q": [[0, 0.7], [0.7, 0]], "tuple": [I2, [[1.3e200, 0], [0, 1.6e200]],
+                                                   [[1.6e200, 0], [0, 1.3e200]]]}, ["jlo"], 2,
+             ("Overflow", "the level-2 simplex exponential leaves the float range")),
         ],
         ids=["endpoint-scaling", "sweep-scaling", "beta-scan-graded", "sweep-graded",
-             "endpoint-graded", "jlo-scaling", "index-cyclic-powers"],
+             "endpoint-graded", "jlo-scaling", "index-cyclic-powers", "jlo-exact-corner"],
     )
     def test_overflow_ends_in_one_error_object(
         self, tmp_path, capfd, fields, argv, code, error
@@ -824,7 +827,9 @@ class TestErrors:
         # (endpoint, sweep: exit 0, the sweep with a warning) or raised a
         # bare OverflowError (jlo); graded parts (h + gamma h gamma)/2
         # overflowed with two warnings, then exited 3 with a ValueError; and
-        # the cyclic powers warned before their error.  Warnings are shown
+        # the cyclic powers warned before their error.  The exact engine's
+        # squarings overflowed to a NaN corner, printed with exit 0 after
+        # warnings from the column bound and the matmuls.  Warnings are shown
         # on stderr as in a plain run, so stderr must be the error alone
         path = write(tmp_path, "o.json", {**EXCHANGE, **fields})
         with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,11 +21,17 @@ from heatchern.expectations import (
     check_insert_identity,
     duhamel_commutator,
     expectation_value,
+    expectation_values,
     heat_expectation,
     repeated_expectation_series,
 )
 from heatchern.linalg import opnorm
-from heatchern.models import exchange_triple, random_triple
+from heatchern.models import (
+    exchange_triple,
+    random_even_element,
+    random_odd_element,
+    random_triple,
+)
 from heatchern.triples import SpectralTriple, VertexType, derivative
 
 
@@ -581,3 +588,134 @@ class TestMonteCarloSamples:
         ev = heat_expectation(t, mats, method="quadrature", samples=5, seed=np.int64(9))
         ref = heat_expectation(t, mats, method="quadrature", samples=5, seed=9)
         assert (ev.value, ev.estimated_error) == (ref.value, ref.estimated_error)
+
+
+def _bits(z) -> tuple[str, str]:
+    """The bits of a complex number, signs of zeros included."""
+    z = complex(z)
+    return float.hex(z.real), float.hex(z.imag)
+
+
+def _graded_lists(t, rng, levels):
+    """Vertex lists of every parity pattern at each level: gamma-even and
+    gamma-odd vertices, and a first vertex with no parity."""
+    even = [random_even_element(t, rng) for _ in range(3)]
+    odd = [random_odd_element(t, rng) for _ in range(3)]
+    raw = rand_mats(rng, t.dim, 1)[0]
+    lists = []
+    for n in levels:
+        for code in range(2 ** (n + 1)):
+            lists.append([(odd if code >> j & 1 else even)[j % 3] for j in range(n + 1)])
+        lists.append([raw] + even[:n])
+    return lists
+
+
+class TestGradedZeros:
+    """A vertex list whose grading makes its trace 0 takes no exponential and
+    keeps the bits of the full computation."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        counts = {"expm": 0, "svd": 0}
+        expm, svd = expectations.expm, np.linalg.svd
+
+        def count(name, fn):
+            def call(*args, **kw):
+                counts[name] += 1
+                return fn(*args, **kw)
+            return call
+
+        monkeypatch.setattr(expectations, "expm", count("expm", expm))
+        monkeypatch.setattr(np.linalg, "svd", count("svd", svd))
+        return counts
+
+    def test_graded_zero_takes_no_exponential_and_no_balance(self, monkeypatch):
+        # ||x|| = 0.1 < 1/e: the full path balances it with an SVD
+        t = random_triple(4, seed=3, group="z2")
+        rng = np.random.default_rng(4)
+        odd = random_odd_element(t, rng)
+        verts = [random_even_element(t, rng), 0.1 * odd / opnorm(odd)]
+        counts = self.counting(monkeypatch)
+        ev = heat_expectation(t, verts, 1)
+        assert counts == {"expm": 0, "svd": 0}
+        assert _bits(ev.value) == _bits(0j) and _bits(ev.estimated_error) == _bits(0.0)
+        monkeypatch.setattr(t, "_sectors", None)
+        full = heat_expectation(t, verts, 1)
+        assert counts["expm"] == 1 and counts["svd"] >= 1
+        assert (_bits(full.value), full.estimated_error) == (_bits(ev.value), ev.estimated_error)
+
+    @pytest.mark.parametrize("dim, group", [(1, "trivial"), (2, "z2"), (3, "trivial"),
+                                            (4, "z2"), (5, "trivial"), (6, "z2")])
+    def test_same_bits_as_the_full_path(self, monkeypatch, dim, group):
+        t = random_triple(dim, seed=dim, group=group)
+        lists = _graded_lists(t, np.random.default_rng(dim), range(5))
+        for g in range(len(t.group)):
+            got = [heat_expectation(t, verts, g) for verts in lists]
+            zeros = [v == 0 for v in expectation_values(t, lists, g)]
+            assert any(zeros) and not all(zeros)
+            with monkeypatch.context() as m:
+                m.setattr(t, "_sectors", None)
+                full = [heat_expectation(t, verts, g) for verts in lists]
+                batch = expectation_values(t, lists, g)
+            for a, b, v in zip(got, full, batch):
+                assert _bits(a.value) == _bits(b.value) == _bits(v)
+                assert _bits(a.estimated_error) == _bits(b.estimated_error)
+
+    def test_graded_zeros_are_counted(self, monkeypatch):
+        # of the 2^(n+1) + 1 lists per level, the odd counts of odd vertices
+        # are 0: half of the pure ones, none with a vertex of no parity
+        t = random_triple(5, seed=7, group="z2")
+        lists = _graded_lists(t, np.random.default_rng(8), (0, 1, 2, 3))
+        shapes = []
+        expm = expectations.expm
+        monkeypatch.setattr(expectations, "expm",
+                            lambda m, *a, **kw: shapes.append(np.shape(m)) or expm(m, *a, **kw))
+        vals = expectation_values(t, lists, 1)
+        assert sum(s[0] for s in shapes) == sum(2**n + 1 for n in range(4))
+        assert sum(v == 0 for v in vals) == sum(2**n for n in range(4))
+
+    def test_rotated_triple_takes_the_full_path(self, monkeypatch):
+        # a grading that is not diagonal has no sector signs; every list is
+        # exponentiated, and the odd ones stay within rounding of 0
+        t = random_triple(4, seed=5, group="z2")
+        w, _ = np.linalg.qr(rand_mats(np.random.default_rng(6), 4, 1)[0])
+        rot = lambda m: w @ m @ w.conj().T  # noqa: E731
+        r = SpectralTriple(dim=4, Q=rot(t.Q), gamma=rot(t.gamma), group=[rot(u) for u in t.group])
+        assert r._sectors is None
+        graded = _graded_lists(t, np.random.default_rng(7), (1, 2))
+        lists = [[rot(x) for x in verts] for verts in graded]
+        counts = self.counting(monkeypatch)
+        vals = expectation_values(r, lists, 1)
+        assert counts["expm"] == 2 and all(v != 0 for v in vals)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e308])
+    def test_graded_zero_past_the_float_range(self, scale):
+        # its column bound overflowed with a warning, and from a 1-norm of
+        # 2^1022 its exponential raised Overflow; its value is 0 all the same
+        x = scale * np.array([[0, 1], [1, 0]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = heat_expectation(exchange_triple(), [np.eye(2), x])
+        assert _bits(ev.value) == _bits(0j) and ev.estimated_error == 0.0
+
+    def test_mixed_eigenvectors_have_no_sectors(self):
+        # gamma is diag(1, -1), but H = Q^2 mixes the sectors
+        t = SpectralTriple(dim=2, Q=np.array([[1.0, 1.0], [1.0, 1.0]]),
+                           gamma=np.diag([1.0, -1.0]), group=[np.eye(2)])
+        assert t._sectors is None
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_row_sums_keep_the_bits_of_sum(self, dtype):
+        # short rows, the 8-double blocks with a remainder, and rows numpy
+        # splits in halves; -0 entries and rows of -0 alone
+        rng = np.random.default_rng(1)
+        for cols in list(range(1, 70)) + [100, 129]:
+            a = rng.normal(size=(9, cols)) * np.exp(8 * rng.normal(size=(9, cols)))
+            if dtype is complex:
+                a = a + 1j * rng.normal(size=(9, cols))
+            a[rng.random(a.shape) < 0.2] = -0.0
+            a[0] = -0.0
+            ref, got = a.sum(axis=1), expectations._row_sums(a)
+            assert [_bits(z) for z in ref] == [_bits(z) for z in got]

@@ -230,6 +230,9 @@ def cases():
                 args.append(mat(even / np.linalg.norm(even, 2)))
             out.append((f"d{dim}-{group}-jlo-exact-level-{n}",
                         ["jlo", "--method=exact", f"--group-index={g}"], dict(doc, tuple=args)))
+    # an exact corner past the float range: its squarings overflow
+    big = [mat(np.eye(2)), mat(1e200 * np.diag([1.3, 1.6])), mat(1e200 * np.diag([1.6, 1.3]))]
+    out.append(("jlo-exact-corner-overflow", ["jlo"], dict(exchange, Q=mat(0.7 * SX), tuple=big)))
     return out
 
 
