@@ -22,20 +22,22 @@ bound (``linalg.cauchy_circles``), one FFT per circle, and it reports the
 tail with the circles' rounding and aliasing.  J is even in t, so both
 routes sample it on the gamma-graded parts of H, da and gamma U(g) a
 (``_Prepared.graded``): the quadrature at z = i t for the nodes t >= 0
-only, the series on circles in w = z^2.  Both take their samples from
+only, the series on circles in w = z^2.  Their samples come from
 ``linalg.exp_traces``, the one sampler of Tr(F e^{B + zX}), which the
-levels of ``expectations.repeated_expectation_series`` share.  The two
-routes therefore share the bound, the plan K, the graded parts and the
-sampler; the closed form Tr(gamma U(g) a) of a plain pairing shares none
-of them, and the tests hold both routes to it.  A plan past
-``_NODE_CAP`` nodes, or one whose numpy rule is not finite, raises
-NoConvergence before any exponential.
+levels of ``expectations.repeated_expectation_series`` share; a pairing
+takes the nodes and the circle samples in one call of it, and each route
+reads its own slice.  The two routes therefore share the bound, the plan
+K, the graded parts and the samples; the closed form Tr(gamma U(g) a) of
+a plain pairing shares none of them, and the tests hold both routes to
+it.  A plan past ``_NODE_CAP`` nodes, or one whose numpy rule is not
+finite, raises NoConvergence before any exponential.
 ``_Prepared`` holds the work both routes share and validates nothing:
 validation belongs to the entry point, once per request.  ``pairing``
 validates its input once, fixes both plans and checks the series' sample
-budget before either route takes an exponential, and shares that pass with
-both routes for the duration of the call.  A sweep validates its input
-once and builds one pass per point.
+budget before any exponential, samples both routes' z's in one
+``exp_traces`` call, and shares that pass with both routes for the
+duration of the call.  A route called alone takes its own one call.  A
+sweep validates its input once and builds one pass per point.
 
 No function here takes a simplex plane: the plane-beta character is that of
 the lift ``t.lifted(1, beta)``, a cocycle whose pairing is beta-independent
@@ -162,7 +164,8 @@ def _require_valid_input(t: HeatData, inp: PairingInput):
 class _Prepared:
     """The work the routes of one pairing share: the lift with its H, da and
     the front factor gamma U(g) a, their graded parts as the operands of
-    the sampler (``graded``), and the plan of both routes.
+    the sampler (``graded``), the plan of both routes, and the samples
+    ``pairing`` takes for both in one call (``take``, ``traces``).
 
     It only prepares: the caller validates (t, inp) first, once per
     request, as ``_prepared`` does for a single pairing and each sweep does
@@ -180,7 +183,7 @@ class _Prepared:
         self.h = self.lift.hamiltonian
         self.da = self.lift.derive(inp.a)
         self.front = self.lift.twist(inp.g) @ inp.a
-        self._levels, self._plans = {}, {}
+        self._levels, self._plans, self._taken = {}, {}, {}
 
     @cached_property
     def bound(self) -> tuple[float, float]:
@@ -265,6 +268,38 @@ class _Prepared:
                 f"Gauss-Hermite rule: the {nodes}-node rule that tol {tol} needs is not finite"
             )
         return rule
+
+    def nodes(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """The samples z = i t of ``pairing_gaussian`` at the nodes t >= 0 of
+        ``rule(tol)``, and their weights 2 w_j (w_j at the centre of an odd
+        rule)."""
+        ts, ws = self.rule(tol)
+        half = ts.size // 2
+        weights = 2.0 * ws[half:]
+        if ts.size % 2:
+            weights[0] = ws[half]
+        return 1j * ts[half:], weights
+
+    def take(self, plans: dict) -> None:
+        """Sample the z's of every route plan in ``plans`` (key -> z's) in one
+        ``exp_traces`` call, for ``traces`` to hand each plan its slice.
+
+        A slice of a stack of exponentials has the bits of its own
+        exponential (``linalg.expm``), so each route reads the values its own
+        call would give.
+        """
+        values = exp_traces(*self.graded, np.concatenate(list(plans.values())))
+        start = 0
+        for key, zs in plans.items():
+            self._taken[key] = values[start : start + zs.size]
+            start += zs.size
+
+    def traces(self, key, zs: np.ndarray) -> np.ndarray:
+        """Tr(f exp(-h + z da)) on the graded parts at the z's ``zs`` of the
+        route plan ``key``: the slice ``take`` sampled for it, else one
+        ``exp_traces`` call of its own."""
+        taken = self._taken.pop(key, None)
+        return exp_traces(*self.graded, zs) if taken is None else taken
 
 
 # The prepared pass of the ``pairing`` call in progress, if any.
@@ -430,12 +465,8 @@ def pairing_gaussian(t: HeatData, inp: PairingInput, tol: float = 1e-10) -> comp
 def _gaussian(prep: _Prepared, tol: float) -> complex:
     """``pairing_gaussian`` on a prepared pass whose input is already validated."""
     _check_tol(tol)
-    ts, ws = prep.rule(tol)
-    half = ts.size // 2
-    weights = 2.0 * ws[half:]
-    if ts.size % 2:
-        weights[0] = ws[half]
-    values = exp_traces(*prep.graded, 1j * ts[half:])
+    zs, weights = prep.nodes(tol)
+    values = prep.traces(("rule", tol), zs)
     # a Python sum: a BLAS dot here changes the CPU state in which perfbench's
     # gauge kernel runs, and with it every normalized time
     return sum(w * v for w, v in zip(weights, values)) / math.sqrt(math.pi)
@@ -477,14 +508,18 @@ def pairing_series(
     prep = _prepared(t, inp)
     top, circles = prep.series_plan(max_level, tol)
     log_s, x = prep.bound
-    zs = np.concatenate([c.nodes() for c in circles])
-    values = exp_traces(*prep.graded, zs)
+    values = prep.traces(("series", max_level, tol), _circle_nodes(circles))
     log_c = [math.log(abs(pairing_coefficient(k))) for k in range(top + 1)]
     terms = circle_levels(values, circles, log_c)
     total = sum((-1) ** k * terms[k] for k in range(top + 1))
     errors = circle_errors(circles, _SAMPLE_ROUNDING)
     sampled = sum(_exp(log_s + w + e) for w, e in zip(log_c, errors))
     return total, 2 * top, _tail_after(top, log_s, x) + sampled
+
+
+def _circle_nodes(circles) -> np.ndarray:
+    """The series' samples z: the nodes of each circle, in order."""
+    return np.concatenate([c.nodes() for c in circles])
 
 
 def _exp(v: float) -> float:
@@ -531,16 +566,19 @@ def pairing(
     average (pairing + index)/2 under a = 2p - I.
 
     The input is validated once (``_prepared``), and both plans are fixed
-    before either route takes an exponential (``_Prepared``): the series'
-    level and circles, with its sample budget checked, then the
-    quadrature's rule.
+    before any exponential (``_Prepared``): the series' level and circles,
+    with its sample budget checked, then the quadrature's rule.  Then one
+    ``exp_traces`` call samples the quadrature's nodes and the series'
+    circles together (``_Prepared.take``), and each route reads its slice,
+    with the bits its own call would give.
     """
     _check_max_level(max_level)
     prep = _prepared(t, inp)
     _check_tol(tol)  # before either plan is read off tol
     series_tol = min(tol, 1e-12)
-    prep.series_plan(max_level, series_tol)
-    prep.rule(tol)
+    _, circles = prep.series_plan(max_level, series_tol)
+    zs, _ = prep.nodes(tol)
+    prep.take({("rule", tol): zs, ("series", max_level, series_tol): _circle_nodes(circles)})
     token = _ACTIVE.set(prep)
     try:
         quad = pairing_gaussian(t, inp, tol=tol)

@@ -12,8 +12,9 @@ slice; one matrix is a stack of one, so each slice gets the bits a call on
 that slice alone gets.  A 1-norm past 2^1022, whose scaling 2^s leaves the
 float range, raises Overflow before any arithmetic.
 ``exp_traces`` samples Tr(F e^{B + zX}) through such stacks: it is the one
-sampler of the Gauss-Hermite nodes of a pairing, the circle samples of its
-series, and the levels of ``repeated_expectation_series``.  All
+sampler of the Gauss-Hermite nodes of a pairing and the circle samples of
+its series, both in one call, and of the levels of
+``repeated_expectation_series``.  All
 functions are pure; inputs are never mutated.
 
 The Taylor coefficients f_n of an entire F(z) = sum_n f_n z^n with the
@@ -188,16 +189,18 @@ def expm(m, norm_cap: float = 1e3) -> np.ndarray:
     # an overflowing 1-norm is inf, and log2(0) = -inf gives s = 0
     with np.errstate(over="ignore", divide="ignore"):
         nrm = np.linalg.norm(a, 1, axis=(1, 2))
-        log_scale = np.log2(nrm / _TAYLOR_THETA)
-    worst = float(nrm.max(initial=0.0))
+        s = np.maximum(0.0, np.ceil(np.log2(nrm / _TAYLOR_THETA)))
+    # the checks and the squaring counts on Python floats: a reduction of a
+    # short array costs more than its list
+    worst = max(nrm.tolist(), default=0.0)
     if worst > norm_cap:
         raise Overflow(f"matrix 1-norm {worst:.3e} exceeds cap {norm_cap:.3e}")
-    if not log_scale.max(initial=-np.inf) <= _MAX_SQUARINGS:
+    counts = s.tolist()
+    most = max(counts, default=0.0)
+    if not most <= _MAX_SQUARINGS:
         raise Overflow(f"matrix 1-norm {worst:.3e}: its scaling 2^s leaves the float range")
-    s = np.maximum(0.0, np.ceil(log_scale)).astype(int)
     out = _taylor(a / (2.0**s)[:, None, None])
-    most = int(s.max(initial=0))
-    least = int(s.min(initial=most))
+    most, least = int(most), int(min(counts, default=most))
     # every slice takes the least count of squarings at once (the samples
     # of one circle mostly share their scaling); only the rest are masked
     for _ in range(least):
@@ -403,8 +406,9 @@ def exp_traces(front, base, x, zs, shifts=None) -> np.ndarray:
     when ``shifts`` is given.
 
     The one sampler of the functional Tr(F e^{B + zX}): the pairing's
-    quadrature nodes (z = i t), its series' circle samples, and the
-    shifted circles of ``repeated_expectation_series``.  The exponentials
+    quadrature nodes (z = i t) and its series' circle samples, taken in
+    one call by ``jlo.pairing``, and the shifted circles of
+    ``repeated_expectation_series``.  The exponentials
     are taken as stacks of at most ``_STACK_ENTRIES`` complex entries, a
     bound fixed before any stack is built.  They take no 1-norm cap: the
     callers' plans fix the samples, and at the quadrature's largest nodes

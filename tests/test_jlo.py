@@ -32,7 +32,7 @@ from heatchern.models import (
     random_odd_element,
     random_triple,
 )
-from heatchern.split import build_n2_susy_example
+from heatchern.split import build_n2_susy_example, split_pairing
 from heatchern.triples import SpectralTriple, derivative
 
 
@@ -588,8 +588,8 @@ class TestRuleBound:
 
     def test_one_level_fixes_both_routes(self, exchange, monkeypatch):
         # at tol 1e-12 the series stops at level 2K = 28 and the quadrature
-        # takes the 15-node rule: one stack of 8 exponentials at its nodes
-        # t >= 0; the series then takes one stack at the samples of its circles
+        # takes the 15-node rule: one stack holds the 8 exponentials at its
+        # nodes t >= 0 and those at the samples of the series' circles
         inp = PairingInput(a=exchange.gamma.copy())
         _, circles = jlo._Prepared(exchange, inp).series_plan(32, 1e-12)
         shapes = []
@@ -601,7 +601,7 @@ class TestRuleBound:
         monkeypatch.setattr(linalg, "expm", recorded)
         res = pairing(exchange, inp, tol=1e-12)
         assert res.truncation_level == 28
-        assert shapes == [(8, 2, 2), (sum(c.points for c in circles), 2, 2)]
+        assert shapes == [(8 + sum(c.points for c in circles), 2, 2)]
         assert abs(res.value - 2.0) <= 1e-12
 
 
@@ -803,6 +803,86 @@ class TestClosedFormAtScale:
     def test_no_block_engine(self):
         assert not hasattr(linalg, "expm_toeplitz_row")
         assert not hasattr(expectations, "_toeplitz_row")
+
+
+def _one_call_case(kind, dim):
+    """A pairing's heat data and input: a plain, a z2 (g = 1), an m = 2 or a split one."""
+    if kind == "split":
+        s, _ = build_n2_susy_example(levels=((1.0, 0.5), (2.5, 0.5)), taus=(0.0, 0.7))
+        return s, PairingInput(a=random_involution(s, np.random.default_rng(dim)))
+    if kind == "z2":
+        t = random_triple(dim, seed=dim, group="z2")
+        return t, PairingInput(a=random_involution(t, np.random.default_rng(dim)), g=1)
+    m = 2 if kind == "m2" else 1
+    return _unit_da_pair(dim // m, m, seed=dim + 1)
+
+
+def _counted_expm(monkeypatch):
+    """The shape of every ``expm`` call the samplers make, in order."""
+    shapes = []
+
+    def recorded(m, **kw):
+        shapes.append(m.shape)
+        return expm(m, **kw)
+
+    monkeypatch.setattr(linalg, "expm", recorded)
+    return shapes
+
+
+def _hexes(*values):
+    """Real and imaginary parts as ``float.hex``, so equality is bit for bit."""
+    return [float.hex(x) for v in values for x in (complex(v).real, complex(v).imag)]
+
+
+class TestOneSampleCall:
+    # a pairing samples the quadrature's nodes and the series' circles in one
+    # exp_traces call; a slice of a stack has the bits of its own exponential
+
+    @pytest.mark.parametrize("kind, dim", [("plain", 2), ("plain", 5), ("z2", 4), ("z2", 9),
+                                           ("m2", 6), ("split", 8)])
+    def test_routes_keep_their_bits(self, kind, dim):
+        t, inp = _one_call_case(kind, dim)
+        res = pairing(t, inp)
+        quad = pairing_gaussian(t, inp)
+        series, trunc, tail = pairing_series(t, inp)
+        assert res.truncation_level == trunc
+        assert _hexes(res.value, res.series_value, res.tail_bound) == _hexes(quad, series, tail)
+
+    @pytest.mark.parametrize("kind, dim", [("plain", 2), ("plain", 12), ("plain", 48),
+                                           ("z2", 12), ("m2", 48), ("split", 8)])
+    def test_one_exponential_call_per_pairing(self, kind, dim, monkeypatch):
+        t, inp = _one_call_case(kind, dim)
+        shapes = _counted_expm(monkeypatch)
+        (split_pairing if kind == "split" else pairing)(t, inp)
+        assert len(shapes) == 1
+        # each route called alone still takes its own single call
+        for alone in (pairing_gaussian, pairing_series):
+            shapes.clear()
+            alone(t, inp)
+            assert len(shapes) == 1
+
+    def test_union_splits_at_the_stack_budget(self, monkeypatch):
+        # at dim 96 one stack takes 7 exponentials: the union of the samples
+        # spans several stacks, cut elsewhere than either route's own, and
+        # keeps the bits of each route alone
+        t, inp = _unit_da_pair(96, 1, seed=97)
+        prep = jlo._Prepared(t, inp)
+        nodes = prep.nodes(1e-10)[0].size
+        points = sum(c.points for c in prep.series_plan(32, 1e-12)[1])
+        per_stack = linalg._per_stack(96 * 96)
+        assert per_stack == 7 and nodes + points > per_stack
+
+        def stacks(n):
+            return [min(per_stack, n - i) for i in range(0, n, per_stack)]
+
+        shapes = _counted_expm(monkeypatch)
+        res = pairing(t, inp)
+        assert [k for k, _, _ in shapes] == stacks(nodes + points)
+        shapes.clear()
+        quad = pairing_gaussian(t, inp)
+        series, _, tail = pairing_series(t, inp)
+        assert [k for k, _, _ in shapes] == stacks(nodes) + stacks(points)
+        assert _hexes(res.value, res.series_value, res.tail_bound) == _hexes(quad, series, tail)
 
 
 class TestCoboundaryPairing:

@@ -17,7 +17,13 @@ reach:
 
 Each runs on the trivial and z2 triples of ``models.random_triple`` at dims
 1-12, at every group element, and on one unitarily rotated triple, whose
-grading is not diagonal.
+grading is not diagonal.  The pairings take ``pairing`` (value, series
+value, tail bound and Connes value) and ``pairing_gaussian`` and
+``pairing_series`` each alone, on a ``models.random_involution`` of the
+trivial and z2 triples at dims 2-12 and every group element, of an m = 2
+lift at dim 3, of a split triple (``build_n2_susy_example``), and of a
+dim-96 triple scaled to ||da|| = 1, whose samples fill more than one stack
+of exponentials.
 """
 
 import json
@@ -83,6 +89,40 @@ def triple_cases(hc, models, name, t, seed):
     return out
 
 
+def pairing_cases(hc, name, t, inp):
+    """(name, values) of both pairing routes, together and alone, at ``inp``."""
+    res = hc.pairing(t, inp)
+    series, trunc, tail = hc.pairing_series(t, inp)
+    return [(f"{name}-pairing", hexes([res.value, res.series_value, res.tail_bound,
+                                       res.connes_value, res.truncation_level])),
+            (f"{name}-gaussian", hexes([hc.pairing_gaussian(t, inp)])),
+            (f"{name}-series", hexes([series, trunc, tail]))]
+
+
+def pairings(hc, models):
+    """(name, values) of the pairing cases."""
+    out = []
+    for dim in range(2, 13):
+        for group in ("trivial", "z2"):
+            t = hc.random_triple(dim, seed=dim, group=group)
+            a = models.random_involution(t, np.random.default_rng(dim))
+            for g in range(len(t.group)):
+                out += pairing_cases(hc, f"d{dim}-{group}-g{g}", t, hc.PairingInput(a=a, g=g))
+    t = hc.random_triple(3, seed=54, group="z2")
+    a = models.random_involution(t.lifted(2), np.random.default_rng(55))
+    out += pairing_cases(hc, "d3-z2-m2", t, hc.PairingInput(a=a, m=2))
+    s, _ = hc.build_n2_susy_example(levels=((1.0, 0.5), (2.5, 0.5)), taus=(0.0, 0.7))
+    a = models.random_involution(s, np.random.default_rng(8))
+    for g in range(len(s.group)):
+        out += pairing_cases(hc, f"split-g{g}", s, hc.PairingInput(a=a, g=g))
+    t = hc.random_triple(96, seed=97)
+    a = models.random_involution(t, np.random.default_rng(97))
+    q = t.Q / np.linalg.norm(t.derive(a), 2)
+    t = hc.SpectralTriple(dim=96, Q=q, gamma=t.gamma, group=list(t.group))
+    out += pairing_cases(hc, "d96-unit-da", t, hc.PairingInput(a=a))
+    return out
+
+
 def record(src, out):
     sys.path.insert(0, str(Path(src).resolve()))
     import heatchern as hc
@@ -96,6 +136,7 @@ def record(src, out):
     triples.append(("d4-z2-rotated", rotated(hc, hc.random_triple(4, seed=4, group="z2"), 4), 4))
     for name, t, seed in triples:
         result.update(triple_cases(hc, models, name, t, seed))
+    result.update(pairings(hc, models))
     Path(out).write_text(json.dumps(result, indent=1) + "\n")
 
 
