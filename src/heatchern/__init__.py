@@ -7,9 +7,9 @@ deformation sweeps, endpoint regularization, and split structures.
 
 All public functions are pure: they never mutate their inputs and may be
 called concurrently.  Randomized routines take explicit seeds.  A
-``HeatData`` caches its eigenbasis and lifts on the instance, the
-Gauss-Hermite rules and the CLI parser are cached per process, and the
-prepared pass of a ``pairing`` call lives in a context variable.
+``HeatData`` caches its eigenbasis and lifts on the instance, and the
+Gauss-Hermite rules and the CLI parser are cached per process; the
+prepared pass of a pairing is passed as an argument and ends with its call.
 """
 
 __version__ = "0.1.0"

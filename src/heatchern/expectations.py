@@ -78,6 +78,7 @@ from .linalg import (
     _per_stack,
     cauchy_circles,
     circle_levels,
+    circle_nodes,
     exp_traces,
     expm,
     opnorm,
@@ -494,7 +495,7 @@ def repeated_expectation_series(t, x0, x, max_n: int, g: int = 0) -> list[comple
     counts = [c.points for c in circles]
     _check_sample_budget(sum(counts), lam.size)
     shifts = np.repeat([c.spread for c in circles], counts)
-    zs = np.concatenate([c.nodes() for c in circles])
+    zs = circle_nodes(circles)
     lam_min = float(lam.min())
     values = exp_traces(vh @ front @ basis, np.diag(lam_min - lam), xe, zs, shifts)
     log_weights = np.full(max_n + 1, -lam_min)

@@ -24,20 +24,21 @@ routes sample it on the gamma-graded parts of H, da and gamma U(g) a
 (``_Prepared.graded``): the quadrature at z = i t for the nodes t >= 0
 only, the series on circles in w = z^2.  Their samples come from
 ``linalg.exp_traces``, the one sampler of Tr(F e^{B + zX}), which the
-levels of ``expectations.repeated_expectation_series`` share; a pairing
-takes the nodes and the circle samples in one call of it, and each route
-reads its own slice.  The two routes therefore share the bound, the plan
-K, the graded parts and the samples; the closed form Tr(gamma U(g) a) of
-a plain pairing shares none of them, and the tests hold both routes to
-it.  A plan past ``_NODE_CAP`` nodes, or one whose numpy rule is not
-finite, raises NoConvergence before any exponential.
+levels of ``expectations.repeated_expectation_series`` share.  Each route
+runs in three steps: it plans its z's, samples them (``_Prepared.sample``)
+and reads its value off the samples.  The two routes therefore share the
+bound, the plan K, the graded parts and the sampler; the closed form
+Tr(gamma U(g) a) of a plain pairing shares none of them, and the tests
+hold both routes to it.  A plan past ``_NODE_CAP`` nodes, or one whose
+numpy rule is not finite, raises NoConvergence before any exponential.
 ``_Prepared`` holds the work both routes share and validates nothing:
 validation belongs to the entry point, once per request.  ``pairing``
 validates its input once, fixes both plans and checks the series' sample
 budget before any exponential, samples both routes' z's in one
-``exp_traces`` call, and shares that pass with both routes for the
-duration of the call.  A route called alone takes its own one call.  A
-sweep validates its input once and builds one pass per point.
+``exp_traces`` call, and hands each reader its slice with the plan it
+fixed.  A route called alone validates, plans, samples and reads with one
+call of its own.  A sweep validates its input once and builds one pass per
+point.  A pass is only ever an argument, so none outlives its call.
 
 No function here takes a simplex plane: the plane-beta character is that of
 the lift ``t.lifted(1, beta)``, a cocycle whose pairing is beta-independent
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -74,6 +74,7 @@ from .linalg import (
     cauchy_circles,
     circle_errors,
     circle_levels,
+    circle_nodes,
     exp_traces,
     expm,
     opnorm,
@@ -164,26 +165,24 @@ def _require_valid_input(t: HeatData, inp: PairingInput):
 class _Prepared:
     """The work the routes of one pairing share: the lift with its H, da and
     the front factor gamma U(g) a, their graded parts as the operands of
-    the sampler (``graded``), the plan of both routes, and the samples
-    ``pairing`` takes for both in one call (``take``, ``traces``).
+    the sampler (``graded``), the plan of both routes, and the sampler
+    itself (``sample``).
 
     It only prepares: the caller validates (t, inp) first, once per
     request, as ``_prepared`` does for a single pairing and each sweep does
-    for its whole grid.  ``pairing`` makes its pass active for the duration
-    of its call; ``pairing_gaussian`` and ``pairing_series`` take the active
-    one when it was built on their (t, inp).  So no validation outlives the
-    request that made it, and neither does ``a_norm``, ||a||: a sweep takes
-    it once, beside its validation, and a pass built without it takes its
-    own.
+    for its whole grid, and hands the pass on as an argument.  So no
+    validation outlives the request that made it, and neither does
+    ``a_norm``, ||a||: a sweep takes it once, beside its validation, and a
+    pass built without it takes its own.
     """
 
     def __init__(self, t: HeatData, inp: PairingInput, a_norm: float | None = None):
-        self.t, self.inp, self.a_norm = t, inp, a_norm
+        self.inp, self.a_norm = inp, a_norm
         self.lift = t.lifted(inp.m)
         self.h = self.lift.hamiltonian
         self.da = self.lift.derive(inp.a)
         self.front = self.lift.twist(inp.g) @ inp.a
-        self._levels, self._plans, self._taken = {}, {}, {}
+        self._levels = {}
 
     @cached_property
     def bound(self) -> tuple[float, float]:
@@ -221,10 +220,15 @@ class _Prepared:
 
     def level(self, tol: float) -> int:
         """The plan of both routes: the least K below ``_NODE_CAP`` whose
-        tail ``_tail_after(K)`` is below ``tol``, or ``_NODE_CAP`` if none is."""
+        tail ``_tail_after(K)`` is below ``tol``, or ``_NODE_CAP`` if none is.
+
+        The scan resumes at the K of a larger tol already planned: no level
+        before that K has its tail below the larger tol, so none has it
+        below ``tol`` either, whether or not the tail falls monotonically.
+        """
         if tol not in self._levels:
             log_s, x = self.bound
-            top = 0
+            top = max((k for known, k in self._levels.items() if known > tol), default=0)
             while top < _NODE_CAP and _tail_after(top, log_s, x) >= tol:
                 top += 1
             self._levels[tol] = top
@@ -240,20 +244,19 @@ class _Prepared:
         they follow ||da||, not K.  Raises ComplexityCap, before any
         exponential, when they exceed the sample budget.
         """
-        key = (max_level, tol)
-        if key not in self._plans:
-            top = min(self.level(tol), max_level // 2)
-            _, x = self.bound
-            weights = [k * math.log(x) - math.lgamma(k + 1) if k else 0.0 for k in range(top + 1)]
-            self._plans[key] = top, cauchy_circles(2.0 * math.sqrt(x), weights, step=2)
-        top, circles = self._plans[key]
+        top = min(self.level(tol), max_level // 2)
+        _, x = self.bound
+        weights = [k * math.log(x) - math.lgamma(k + 1) if k else 0.0 for k in range(top + 1)]
+        circles = cauchy_circles(2.0 * math.sqrt(x), weights, step=2)
         _check_sample_budget(sum(c.points for c in circles), self.lift.dim)
         return top, circles
 
-    def rule(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """The (K+1)-node Gauss-Hermite rule of ``pairing_gaussian``, K =
-        ``level(tol)``.  Raises NoConvergence, before any exponential, when
-        that exceeds ``_NODE_CAP`` nodes or the rule is not finite.
+    def nodes(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """The plan of ``pairing_gaussian``: the (K+1)-node Gauss-Hermite
+        rule, K = ``level(tol)``, folded to its samples z = i t at the nodes
+        t >= 0 and their weights 2 w_j (w_j at the centre of an odd rule).
+        Raises NoConvergence, before any exponential, when that exceeds
+        ``_NODE_CAP`` nodes or the rule is not finite.
         """
         nodes = self.level(tol) + 1
         if nodes > _NODE_CAP:
@@ -267,51 +270,29 @@ class _Prepared:
             raise NoConvergence(
                 f"Gauss-Hermite rule: the {nodes}-node rule that tol {tol} needs is not finite"
             )
-        return rule
-
-    def nodes(self, tol: float) -> tuple[np.ndarray, np.ndarray]:
-        """The samples z = i t of ``pairing_gaussian`` at the nodes t >= 0 of
-        ``rule(tol)``, and their weights 2 w_j (w_j at the centre of an odd
-        rule)."""
-        ts, ws = self.rule(tol)
+        ts, ws = rule
         half = ts.size // 2
         weights = 2.0 * ws[half:]
         if ts.size % 2:
             weights[0] = ws[half]
         return 1j * ts[half:], weights
 
-    def take(self, plans: dict) -> None:
-        """Sample the z's of every route plan in ``plans`` (key -> z's) in one
-        ``exp_traces`` call, for ``traces`` to hand each plan its slice.
+    def sample(self, *zs: np.ndarray) -> list[np.ndarray]:
+        """Tr(f exp(-h + z da)) on the graded parts at each array of z's in
+        ``zs``, all in one ``exp_traces`` call: one slice per array.
 
         A slice of a stack of exponentials has the bits of its own
-        exponential (``linalg.expm``), so each route reads the values its own
-        call would give.
+        exponential (``linalg.expm``), so each slice holds the values a call
+        on its array alone gives.
         """
-        values = exp_traces(*self.graded, np.concatenate(list(plans.values())))
-        start = 0
-        for key, zs in plans.items():
-            self._taken[key] = values[start : start + zs.size]
-            start += zs.size
-
-    def traces(self, key, zs: np.ndarray) -> np.ndarray:
-        """Tr(f exp(-h + z da)) on the graded parts at the z's ``zs`` of the
-        route plan ``key``: the slice ``take`` sampled for it, else one
-        ``exp_traces`` call of its own."""
-        taken = self._taken.pop(key, None)
-        return exp_traces(*self.graded, zs) if taken is None else taken
-
-
-# The prepared pass of the ``pairing`` call in progress, if any.
-_ACTIVE: ContextVar[_Prepared | None] = ContextVar("heatchern_pairing", default=None)
+        values = exp_traces(*self.graded, np.concatenate(zs))
+        ends = itertools.accumulate(z.size for z in zs)
+        return [values[end - z.size : end] for z, end in zip(zs, ends)]
 
 
 def _prepared(t: HeatData, inp: PairingInput) -> _Prepared:
-    """The active pass when it was built on this very (t, inp), else a new one
-    on a freshly validated input: the one validation of a single pairing."""
-    prep = _ACTIVE.get()
-    if prep is not None and prep.t is t and prep.inp is inp:
-        return prep
+    """A pass on a freshly validated (t, inp): the one validation of a
+    single pairing."""
     _require_valid_input(t, inp)
     return _Prepared(t, inp)
 
@@ -463,10 +444,18 @@ def pairing_gaussian(t: HeatData, inp: PairingInput, tol: float = 1e-10) -> comp
 
 
 def _gaussian(prep: _Prepared, tol: float) -> complex:
-    """``pairing_gaussian`` on a prepared pass whose input is already validated."""
+    """``pairing_gaussian`` on a prepared pass whose input is already
+    validated: it plans the rule, samples its nodes in one call of its own
+    and reads the value off them."""
     _check_tol(tol)
     zs, weights = prep.nodes(tol)
-    values = prep.traces(("rule", tol), zs)
+    (values,) = prep.sample(zs)
+    return _read_gaussian(weights, values)
+
+
+def _read_gaussian(weights: np.ndarray, values: np.ndarray) -> complex:
+    """The folded rule's value off its samples ``values``, with the
+    ``weights`` of its plan (``_Prepared.nodes``)."""
     # a Python sum: a BLAS dot here changes the CPU state in which perfbench's
     # gauge kernel runs, and with it every normalized time
     return sum(w * v for w, v in zip(weights, values)) / math.sqrt(math.pi)
@@ -507,19 +496,21 @@ def pairing_series(
     _check_tol(tol)
     prep = _prepared(t, inp)
     top, circles = prep.series_plan(max_level, tol)
+    (values,) = prep.sample(circle_nodes(circles))
+    return _read_series(prep, top, circles, values)
+
+
+def _read_series(prep: _Prepared, top: int, circles, values) -> tuple[complex, int, float]:
+    """``pairing_series``' (value, 2K, tail bound) off its samples ``values``
+    at the nodes of ``circles``, with K = ``top``: the plan
+    ``_Prepared.series_plan`` fixed."""
     log_s, x = prep.bound
-    values = prep.traces(("series", max_level, tol), _circle_nodes(circles))
     log_c = [math.log(abs(pairing_coefficient(k))) for k in range(top + 1)]
     terms = circle_levels(values, circles, log_c)
     total = sum((-1) ** k * terms[k] for k in range(top + 1))
     errors = circle_errors(circles, _SAMPLE_ROUNDING)
     sampled = sum(_exp(log_s + w + e) for w, e in zip(log_c, errors))
     return total, 2 * top, _tail_after(top, log_s, x) + sampled
-
-
-def _circle_nodes(circles) -> np.ndarray:
-    """The series' samples z: the nodes of each circle, in order."""
-    return np.concatenate([c.nodes() for c in circles])
 
 
 def _exp(v: float) -> float:
@@ -569,23 +560,20 @@ def pairing(
     before any exponential (``_Prepared``): the series' level and circles,
     with its sample budget checked, then the quadrature's rule.  Then one
     ``exp_traces`` call samples the quadrature's nodes and the series'
-    circles together (``_Prepared.take``), and each route reads its slice,
-    with the bits its own call would give.
+    circles together (``_Prepared.sample``), and each route's reader takes
+    its slice, with the bits its own call would give, and its plan.
     """
     _check_max_level(max_level)
     prep = _prepared(t, inp)
     _check_tol(tol)  # before either plan is read off tol
     series_tol = min(tol, 1e-12)
-    _, circles = prep.series_plan(max_level, series_tol)
-    zs, _ = prep.nodes(tol)
-    prep.take({("rule", tol): zs, ("series", max_level, series_tol): _circle_nodes(circles)})
-    token = _ACTIVE.set(prep)
-    try:
-        quad = pairing_gaussian(t, inp, tol=tol)
-        series, trunc, tail = pairing_series(t, inp, max_level=max_level, tol=series_tol)
-        index = equivariant_index(prep.lift, inp.g)
-    finally:
-        _ACTIVE.reset(token)
+    prep.level(tol)  # the rule's K first: the series' scan resumes there
+    top, circles = prep.series_plan(max_level, series_tol)
+    zs, weights = prep.nodes(tol)
+    quad_values, series_values = prep.sample(zs, circle_nodes(circles))
+    quad = _read_gaussian(weights, quad_values)
+    series, trunc, tail = _read_series(prep, top, circles, series_values)
+    index = equivariant_index(prep.lift, inp.g)
     return PairingResult(
         value=quad,
         series_value=series,

@@ -55,6 +55,7 @@ __all__ = [
     "cauchy_circles",
     "circle_errors",
     "circle_levels",
+    "circle_nodes",
     "eig_hermitian",
     "exp_traces",
     "expm",
@@ -131,10 +132,6 @@ class HermitianEigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def eig_hermitian(m, tol: float = 1e-10) -> HermitianEigenSystem:
@@ -262,6 +259,12 @@ class Circle:
         the points-th roots of unity in w = z^step, scaled to the circle."""
         n = self.points
         return self.radius * np.exp(2j * np.pi * np.arange(n) / (self.step * n))
+
+
+def circle_nodes(circles) -> np.ndarray:
+    """The samples z of a plan: the nodes of each of its circles, in order,
+    as ``circle_levels`` and ``circle_errors`` read them."""
+    return np.concatenate([c.nodes() for c in circles])
 
 
 def _log_aliased(u: float, above: int, below: int) -> float:

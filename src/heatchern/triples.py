@@ -514,12 +514,6 @@ class KatoCurve:
     def achievable_below_one(self) -> bool:
         return any(math.isfinite(a) and a < 1.0 for _, a in self.points)
 
-    def a_at(self, m_value: float) -> float:
-        for m, a in self.points:
-            if abs(m - m_value) < 1e-12:
-                return a
-        raise KeyError(f"M = {m_value} not on the grid")
-
 
 def kato_constants(t: SpectralTriple, q, m_grid=None) -> KatoCurve:
     """Minimal a(M) with q^2 - a^2 Q^2 - M^2 I negative semidefinite.

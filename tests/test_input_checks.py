@@ -22,7 +22,6 @@ from heatchern.models import random_triple, zero_mode_triple
 from heatchern.serialization import dumps_canonical, matrix_from_json
 from heatchern.split import build_n2_susy_example, coupling_sweep
 from heatchern.triples import (
-    KatoCurve,
     SpectralTriple,
     VertexType,
     algebraic_singular_integral,
@@ -103,9 +102,6 @@ CASES = {
     "regularity-no-type": (
         lambda t: regularity_exponents([]),
         DimensionMismatch, "need at least one vertex type"),
-    "kato-off-grid": (
-        lambda t: KatoCurve(points=[(0.0, 1.0)]).a_at(0.5),
-        KeyError, "M = 0.5 not on the grid"),
     "vertex-type-negative": (
         lambda t: VertexType(-0.1),
         BadExponent, "vertex type must be nonnegative"),

@@ -1,6 +1,9 @@
 import cmath
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -286,20 +289,40 @@ class TestPairing:
 
     @pytest.mark.parametrize("route", [pairing_gaussian, pairing_series])
     def test_routes_on_other_data_inside_a_pairing_validate(self, exchange, route, monkeypatch):
-        # a hook that calls a route on another input while a pairing runs
+        # a hook that calls a route on another input while a pairing samples
         # gets that input validated, not the pairing's prepared pass
-        gaussian, seen = jlo.pairing_gaussian, []
+        traces, seen = jlo.exp_traces, []
 
-        def hook(t, inp, **kw):
+        def hook(*args):
             with pytest.raises(PairingInputInvalid):
-                route(t, PairingInput(a=2.0 * np.eye(2)))
-            seen.append(inp)
-            return gaussian(t, inp, **kw)
+                route(exchange, PairingInput(a=2.0 * np.eye(2)))
+            seen.append(args[-1].size)
+            return traces(*args)
 
-        monkeypatch.setattr(jlo, "pairing_gaussian", hook)
+        monkeypatch.setattr(jlo, "exp_traces", hook)
         inp = PairingInput(a=exchange.gamma.copy())
         assert abs(pairing(exchange, inp).value - 2.0) < 1e-10
-        assert seen == [inp]
+        assert len(seen) == 1
+
+    def test_series_scan_resumes_at_the_rules_level(self, exchange, monkeypatch):
+        # K is 13 at tol 1e-10 (the rule) and 14 at 1e-12 (the series): the
+        # rule's scan takes levels 0..13, the series' resumes at 13, and its
+        # tail bound takes one more; restarting at 0 took 30 evaluations
+        calls, tail = [], jlo._tail_after
+        monkeypatch.setattr(jlo, "_tail_after", lambda k, *a: calls.append(k) or tail(k, *a))
+        res = pairing(exchange, PairingInput(a=exchange.gamma.copy()))
+        assert res.truncation_level == 28
+        assert calls == list(range(14)) + [13, 14, 14]
+
+    @pytest.mark.parametrize("kind", ["plain", "z2", "m2", "split"])
+    def test_resumed_level_is_the_least(self, kind):
+        # a smaller tol never needs a smaller K, so a scan resumed at a
+        # larger tol's K finds what a scan from 0 finds, the same K included
+        t, inp = _one_call_case(kind, 6)
+        tols = [1e-4, 1e-8, 1e-10, 0.99e-10, 1e-12, 0.99e-12, 1e-15]
+        resumed = jlo._Prepared(t, inp)
+        for tol in tols:
+            assert resumed.level(tol) == jlo._Prepared(t, inp).level(tol)
 
     def test_negative_level_rejected(self, exchange, monkeypatch):
         # a negative cap is refused before either route runs, instead of
@@ -883,6 +906,34 @@ class TestOneSampleCall:
         series, _, tail = pairing_series(t, inp)
         assert [k for k, _, _ in shapes] == stacks(nodes) + stacks(points)
         assert _hexes(res.value, res.series_value, res.tail_bound) == _hexes(quad, series, tail)
+
+
+class TestConcurrentPairings:
+    def test_threads_keep_their_bits(self):
+        # calls may run concurrently: two threads pairing different inputs
+        # each get the bits of a sequential call
+        cases = [_one_call_case("plain", 5), _one_call_case("z2", 9)]
+
+        def bits(t, inp):
+            res = pairing(t, inp)
+            return _hexes(res.value, res.series_value, res.tail_bound, res.connes_value,
+                          res.truncation_level)
+
+        expected = [bits(*case) for case in cases]
+        start = threading.Barrier(2)
+
+        def run(case):
+            start.wait(timeout=60)
+            return [bits(*case) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-pairing
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(run, cases, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[want] * 20 for want in expected]
 
 
 class TestCoboundaryPairing:

@@ -335,7 +335,7 @@ class TestKatoConstants:
 
     def test_identity_perturbation(self, exchange):
         curve = kato_constants(exchange, np.eye(2), m_grid=[0.0, 1.0])
-        assert curve.a_at(1.0) == pytest.approx(0.0, abs=1e-7)
+        assert curve.points[1] == (1.0, pytest.approx(0.0, abs=1e-7))
 
     def test_kernel_obstruction(self, zero_mode):
         # Q^2 has a kernel, so M = 0 forces a = inf for q = I

@@ -23,11 +23,16 @@ value, tail bound and Connes value) and ``pairing_gaussian`` and
 trivial and z2 triples at dims 2-12 and every group element, of an m = 2
 lift at dim 3, of a split triple (``build_n2_susy_example``), and of a
 dim-96 triple scaled to ||da|| = 1, whose samples fill more than one stack
-of exponentials.
+of exponentials.  The sweeps, which pair on one prepared pass per point,
+take ``sweep_invariant``, ``beta_independence``, ``endpoint_grid`` and
+``generating_functional`` on z2 triples at dims 3 and 6 at every group
+element, and ``coupling_sweep`` on a split family whose Q2 rotates.
 """
 
 import json
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +128,37 @@ def pairings(hc, models):
     return out
 
 
+def sweeps(hc, models):
+    """(name, values) of the sweeps and of the generating functional."""
+    out = []
+    lams, epss, betas = [-0.4, 0.0, 0.4], [0.0, 0.3, 0.6], [0.5, 1.0, 2.0]
+    for dim in (3, 6):
+        t = hc.random_triple(dim, seed=60 + dim, group="z2")
+        rng = np.random.default_rng(dim)
+        a = models.random_involution(t, rng)
+        q = models.random_odd_element(t, rng)
+        e = models.random_even_element(t, rng, group_invariant=True)
+        fam = hc.linear_family(t, 0.3 * q / np.linalg.norm(q, 2), regularizer=e @ e.conj().T)
+        for g in range(len(t.group)):
+            inp = hc.PairingInput(a=a, g=g)
+            at = f"d{dim}-z2-g{g}"
+            out += [(f"{at}-sweep", hexes(hc.sweep_invariant(fam, inp, lams).values())),
+                    (f"{at}-beta", hexes(hc.beta_independence(t, inp, betas).values())),
+                    (f"{at}-endpoint", hexes(hc.endpoint_grid(fam, epss, lams, inp).values())),
+                    (f"{at}-functional", hexes([hc.generating_functional(t, inp, z)
+                                                for z in (0.0, 0.7, 1.5j, 0.3 - 0.8j)]))]
+    s, gens = hc.build_n2_susy_example(levels=((1.0, 0.5), (2.0, 1.0)), taus=(0.7,),
+                                       thetas=(0.9,))
+
+    def rotated(lam):
+        return replace(s, Q2=math.cos(lam) * gens["Q2"] + math.sin(lam) * gens["Qt2"])
+
+    for g in range(len(s.group)):
+        inp = hc.PairingInput(a=s.gamma.copy(), g=g)
+        out.append((f"split-g{g}-coupling", hexes(hc.coupling_sweep(rotated, inp, lams).values())))
+    return out
+
+
 def record(src, out):
     sys.path.insert(0, str(Path(src).resolve()))
     import heatchern as hc
@@ -137,6 +173,7 @@ def record(src, out):
     for name, t, seed in triples:
         result.update(triple_cases(hc, models, name, t, seed))
     result.update(pairings(hc, models))
+    result.update(sweeps(hc, models))
     Path(out).write_text(json.dumps(result, indent=1) + "\n")
 
 
