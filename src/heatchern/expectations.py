@@ -62,6 +62,17 @@ kernel scales only the diagonal the trace reads.  The simplex normalization
 and the diagonal's sums reduce rows of n + 1 and dim entries, where
 numpy's per-row overhead dominates ``sum``; ``_row_sums`` does them as a
 few column adds in numpy's own pairwise order, with the same bits.
+The character's level-2 lists tau_2(a_0, da_1, da_2) are summed by
+sectors instead.  When H has sectors and the front is even and x_1, x_2
+odd in the eigenbasis, only the terms X_0[c,a] X_1[a,b] X_2[b,c] with a
+and c in one sector and b in the other survive: dim^3/4 of them on a
+balanced grading.  Their coefficients are formed once per call, and each
+chunk of points is one real GEMM per sector against the kernels
+e^{-s_0 lam_a - s_1 lam_b}.  The draws, the mean and the error formula are
+the chain's; the values differ from the chain's in their last bits.  Every
+other list keeps the chain and its bits, as does one whose coefficients
+would pass ``MAX_BLOCK_ORDER``^2 entries (dim above 256 on a balanced
+grading).
 """
 
 from __future__ import annotations
@@ -112,6 +123,8 @@ __all__ = [
 # Largest block order (n+1)*dim of one bidiagonal exponential.  A complex
 # matrix of this order takes 64 MiB, and expm holds a few at once: well
 # inside a 2 GiB address space.  The series levels form no block matrix.
+# Its square also bounds the Monte Carlo's blocks of points and its level-2
+# sector coefficients (``_graded_level_two``).
 MAX_BLOCK_ORDER = 2048
 # Most samples the circles of one series take, and most work points * dim^3
 # of their exponentials: MAX_SAMPLES^3, that of one exponential at the
@@ -119,7 +132,8 @@ MAX_BLOCK_ORDER = 2048
 MAX_SAMPLES = 2048
 # Most entries of one (points, dim, dim) array of the Monte Carlo's vertex
 # products (256 KiB, 256 points at dim 8): each chunk of a block runs its
-# GEMMs while its products stay in cache.
+# GEMMs while its products stay in cache.  A chunk of the sector kernels W
+# of ``_graded_values``, real, holds as many bytes.
 _MC_CHUNK_ENTRIES = 2**14
 
 
@@ -366,52 +380,38 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, float]:
-    """Monte-Carlo over the simplex; error is three standard errors.
+def _chain_values(lam: np.ndarray, mats: list[np.ndarray], block: int):
+    """The per-point values of the vertex chain x_0 e^{-s_0 H} ... x_n e^{-s_n H}:
+    a function of a block's simplex points s, shape (points, n + 1).
 
-    Simplex points are normalized i.i.d. exponentials (uniform on the
-    unit simplex).  They are drawn in blocks of at most 4096 points, and
-    of at most ``MAX_BLOCK_ORDER``^2 // dim^2.  A block's vertex products
-    run in chunks of at most ``_MC_CHUNK_ENTRIES`` entries per (dim, points,
-    dim) array (one point when dim^2 alone is more), so each chunk's
-    products stay in cache.  In the eigenbasis of H each e^{-s_j H} scales
-    columns, and every point shares the vertex x_j.  So the products are
-    kept as (row, point, column): each vertex step is one GEMM of the
-    chunk's (dim*points, dim) matrix by x_j, then the in-place scaling by
-    the kernels ker[j], a contiguous (point, column) array broadcast over
-    the rows.  ker[j, point, column] = e^{-s_j lam_c} comes from one rank-1
-    product (a single rounding per entry, as s_j lam_c alone) and one
-    exponential per block; x_0 is repeated over a chunk's points once per
-    call.  The trace reads only the diagonal, so the last vertex's kernel
-    scales only that: sum_i C[i, point, i] ker[n, point, i], summed over a
-    contiguous (point, dim) array as ``np.trace`` sums its diagonal.  Each
-    entry is the same length-dim dot product, each scaling the same product
-    and each trace the same sum as the per-point products take; the tests
-    hold the result to their bits.
-    The variance is each block's sum of |v - block mean|^2, combined
-    across blocks by Chan's pairwise update, so it does not cancel when
-    the samples barely vary; the mean is the plain sum over samples.
+    A block's vertex products run in chunks of at most
+    ``_MC_CHUNK_ENTRIES`` entries per (dim, points, dim) array (one point
+    when dim^2 alone is more), so each chunk's products stay in cache.  In
+    the eigenbasis of H each e^{-s_j H} scales columns, and every point
+    shares the vertex x_j.  So the products are kept as (row, point,
+    column): each vertex step is one GEMM of the chunk's (dim*points, dim)
+    matrix by x_j, then the in-place scaling by the kernels ker[j], a
+    contiguous (point, column) array broadcast over the rows.
+    ker[j, point, column] = e^{-s_j lam_c} comes from one rank-1 product (a
+    single rounding per entry, as s_j lam_c alone) and one exponential per
+    block; x_0 is repeated over a chunk's points once per call.  The trace
+    reads only the diagonal, so the last vertex's kernel scales only that:
+    sum_i C[i, point, i] ker[n, point, i], summed over a contiguous (point,
+    dim) array as ``np.trace`` sums its diagonal.  Each entry is the same
+    length-dim dot product, each scaling the same product and each trace
+    the same sum as the per-point products take; the tests hold the result
+    to their bits.
     """
-    lam, basis = t.heat_data()
-    dim = lam.size
-    n = len(rest)
-    rng = np.random.default_rng(seed)
-    mats = [basis.conj().T @ m @ basis for m in [front] + rest]
-    measure = 1.0 / math.factorial(n)
-    tot = 0.0 + 0.0j
-    sq_dev = 0.0  # sum of |v - mean|^2 over the samples done
-    done = 0
-    block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // dim**2))
+    dim, n = lam.size, len(mats) - 1
     chunk = max(1, _MC_CHUNK_ENTRIES // dim**2)
     # x_0 over one chunk's points, as (row, point, column), and room for x_0 K_0
     x0 = np.repeat(mats[0][:, None, :], min(chunk, block), axis=1)
     x0k0 = np.empty(x0.size, dtype=complex)
     # contiguous (point, dim): its row sums keep np.trace's pairwise order
     diag = np.empty((min(chunk, block), dim), dtype=complex)
-    while done < samples:
-        m = min(block, samples - done)
-        e = rng.exponential(size=(m, n + 1))
-        s = e / _row_sums(e)[:, None]
+
+    def values(s: np.ndarray) -> np.ndarray:
+        m = s.shape[0]
         # ker[j, point, column] = e^{-s_j lam}: one product per entry
         ker = s.T.reshape(-1, 1) @ (-lam)[None]
         ker = np.exp(ker, out=ker).reshape(n + 1, m, dim)
@@ -428,6 +428,113 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
                     cur *= k[j]
             np.multiply(np.diagonal(cur, axis1=0, axis2=2), k[n], out=diag[:p])
             vals[lo : lo + p] = _row_sums(diag[:p])
+        return vals
+
+    return values
+
+
+def _graded_values(lam: np.ndarray, mats: list[np.ndarray], signs: np.ndarray):
+    """``_chain_values`` up to rounding, for a level-2 list whose front is
+    gamma-even and whose x_1 and x_2 are gamma-odd in the eigenbasis, with
+    one real GEMM per sector and chunk of points.
+
+    In the eigenbasis a point's value is the sum over the sectors sigma of
+    sum_{c, a in sigma, b not in sigma} C[c, a, b] e^{-s_0 lam_a - s_1 lam_b}
+    e^{-s_2 lam_c}, with C[c, a, b] = X_0[c, a] X_1[a, b] X_2[b, c]: the
+    grading makes every other term 0.  Each sector's C is formed once per
+    call, as a real ((a, b), c) matrix whose columns hold each c's real and
+    imaginary parts side by side.  A chunk of points takes W = exp(L s), one
+    rank-2 product and one exponential per entry, with L's rows -lam_a and
+    -lam_b; then W @ C, read as complex (point, c), is scaled by
+    e^{-s_2 lam_c} and summed over c.  A chunk's W has at most
+    2 ``_MC_CHUNK_ENTRIES`` doubles, the bytes of the chain's chunk.  Both
+    sectors have |sigma| |not sigma| columns of W, and C has dim
+    |sigma| |not sigma| complex entries in all.  The sums are the chain's,
+    in another order: the values move in their last bits.
+    """
+    sectors = [np.flatnonzero(signs == 1), np.flatnonzero(signs == -1)]
+    x0, x1, x2 = mats
+    parts = []
+    for a, b in (sectors, sectors[::-1]):
+        # coef[a, b, c] = X_0[c, a] X_1[a, b] X_2[b, c]
+        coef = np.multiply(x0[np.ix_(a, a)].T[:, None, :], x1[np.ix_(a, b)][:, :, None],
+                           order="C")
+        coef *= x2[np.ix_(b, a)][None]
+        rates = -np.stack([np.repeat(lam[a], b.size), np.tile(lam[b], a.size)])
+        parts.append((a, rates, coef.reshape(a.size * b.size, a.size).view(float)))
+    width = sectors[0].size * sectors[1].size
+    chunk = max(1, 2 * _MC_CHUNK_ENTRIES // width)
+    w = np.empty((chunk, width))
+
+    def values(s: np.ndarray) -> np.ndarray:
+        m = s.shape[0]
+        s01 = np.ascontiguousarray(s[:, :2])
+        vals = np.zeros(m, dtype=complex)
+        for c, rates, coef in parts:
+            # e^{-s_2 lam_c}: one product per entry
+            k2 = s[:, 2:] @ (-lam[c])[None]
+            k2 = np.exp(k2, out=k2)
+            for lo in range(0, m, chunk):
+                p = min(chunk, m - lo)
+                wp = np.matmul(s01[lo : lo + p], rates, out=w[:p])
+                np.exp(wp, out=wp)
+                out = (wp @ coef).view(complex)
+                out *= k2[lo : lo + p]
+                vals[lo : lo + p] += _row_sums(out)
+        return vals
+
+    return values
+
+
+def _graded_level_two(t, mats: list[np.ndarray]) -> np.ndarray | None:
+    """The sector signs of ``t`` when ``mats`` is a level-2 list whose
+    eigenbasis parities (``_parity``) are (+1, -1, -1), the pattern of
+    tau_2(a_0, da_1, da_2), and its coefficients fit in ``MAX_BLOCK_ORDER``^2
+    entries; else None."""
+    signs = t._sectors
+    if signs is None or len(mats) != 3:
+        return None
+    if (signs == 1).sum() * (signs == -1).sum() * signs.size > MAX_BLOCK_ORDER**2:
+        return None
+    cross = signs[:, None] != signs[None, :]
+    return signs if [_parity(x, cross) for x in mats] == [1, -1, -1] else None
+
+
+def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, float]:
+    """Monte-Carlo over the simplex; error is three standard errors.
+
+    Simplex points are normalized i.i.d. exponentials (uniform on the
+    unit simplex).  They are drawn in blocks of at most 4096 points, and
+    of at most ``MAX_BLOCK_ORDER``^2 // dim^2.  Each block's per-point
+    values come from ``_chain_values``, or, for a level-2 list that
+    ``_graded_level_two`` accepts (the character's tau_2(a_0, da_1, da_2)
+    when the eigenvectors of H lie in gamma's sectors), from
+    ``_graded_values``: the same draws and the same terms, summed in
+    another order, so those values move in their last bits from the
+    chain's.  The variance is each block's sum of |v - block mean|^2,
+    combined across blocks by Chan's pairwise update, so it does not
+    cancel when the samples barely vary; the mean is the plain sum over
+    samples.
+    """
+    lam, basis = t.heat_data()
+    dim = lam.size
+    n = len(rest)
+    rng = np.random.default_rng(seed)
+    mats = [basis.conj().T @ m @ basis for m in [front] + rest]
+    measure = 1.0 / math.factorial(n)
+    tot = 0.0 + 0.0j
+    sq_dev = 0.0  # sum of |v - mean|^2 over the samples done
+    done = 0
+    block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // dim**2))
+    signs = _graded_level_two(t, mats)
+    if signs is None:
+        point_values = _chain_values(lam, mats, block)
+    else:
+        point_values = _graded_values(lam, mats, signs)
+    while done < samples:
+        m = min(block, samples - done)
+        e = rng.exponential(size=(m, n + 1))
+        vals = point_values(e / _row_sums(e)[:, None])
         block_sum = complex(vals.sum())
         block_mean = block_sum / m
         sq_dev += float((np.abs(vals - block_mean) ** 2).sum())

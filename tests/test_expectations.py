@@ -719,3 +719,170 @@ class TestRowSums:
             a[0] = -0.0
             ref, got = a.sum(axis=1), expectations._row_sums(a)
             assert [_bits(z) for z in ref] == [_bits(z) for z in got]
+
+
+def _character_list(t, rng):
+    """[a_0, da_1, da_2] on gamma-even a_j: the parities (+1, -1, -1) of
+    tau_2, which the Monte Carlo sums by sectors."""
+    a = [random_even_element(t, rng, unit=False) for _ in range(3)]
+    return [a[0], derivative(t, a[1]), derivative(t, a[2])]
+
+
+def _simplex_draws(samples, seed, dim):
+    """The Monte Carlo's level-2 simplex points, block by block, and the
+    block count."""
+    rng = np.random.default_rng(seed)
+    block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // dim**2))
+    parts = []
+    for lo in range(0, samples, block):
+        e = rng.exponential(size=(min(block, samples - lo), 3))
+        parts.append(e / e.sum(axis=1, keepdims=True))
+    return np.concatenate(parts), len(parts)
+
+
+def graded_rounding_bounds(t, verts, g, samples, seed):
+    """Bounds on how far the sector sums of a level-2 Monte Carlo may lie
+    from the chain's, in the value and in ``estimated_error``.
+
+    Both sum the terms X_0[c,a] e^{-s_0 l_a} X_1[a,b] e^{-s_1 l_b}
+    X_2[b,c] e^{-s_2 l_c} of a point, rounded differently.  To first order
+    in the unit roundoff u each rounds a term by at most u times its modulus
+    times: the chain 3 dim (two length-dim products and the trace's sum)
+    plus 9 (complex products and scalings) plus s_j l for each kernel's
+    product; the sectors w = |sigma||not sigma| (the real GEMM) plus dim
+    (the sum over c) plus 10 plus 3 l_max (W's rank-2 product and k2).
+    Twice the sum, kappa = 2 (w + 4 dim + 19 + 4 l_max) u, covers the
+    second-order terms, so |v_p - v'_p| <= kappa M_p with M_p the sum of
+    the terms' moduli at point p.  The mean's sums, pairwise within blocks
+    and then over blocks, add at most (20 + log2 samples + blocks) u of
+    sum_p M_p on each side.  sqrt(sum_p |v_p - mean|^2) is 1-Lipschitz in
+    the values (in the 2-norm), and each side's deviations round by at
+    most the same summation factor of M_p + mean M: that bounds the
+    error's move, with the factor again for the squares' sums.
+    """
+    lam, v = t.heat_data()
+    dim, u = lam.size, 2.0**-53
+    mags = [np.abs(v.conj().T @ m @ v) for m in [t.twist(g) @ verts[0]] + verts[1:]]
+    s, blocks = _simplex_draws(samples, seed, dim)
+    big = []
+    for lo in range(0, samples, 256):
+        k = [np.exp(-s[lo : lo + 256, j, None] * lam) for j in range(3)]
+        front = (mags[0][None] * k[0][:, None, :]) @ mags[1]
+        big.append(np.einsum("pcb,pb,bc,pc->p", front, k[1], mags[2], k[2]))
+    big = np.concatenate(big)
+    signs = t._sectors
+    width = int((signs == 1).sum() * (signs == -1).sum())
+    kappa = 2.0 * (width + 4 * dim + 19 + 4 * float(np.abs(lam).max())) * u
+    summing = (20 + math.log2(samples) + blocks) * u
+    value = 0.5 * (kappa + 2 * summing) * big.sum() / samples
+    spread = np.sqrt(np.sum((big + big.mean()) ** 2))
+    error = 1.5 * ((kappa * np.sqrt(np.sum(big**2)) + 2 * summing * spread) / samples)
+    return value, error
+
+
+class TestGradedMonteCarlo:
+    """A level-2 list of parities (+1, -1, -1) on a triple with sectors is
+    summed by sectors: the chain's value and error up to rounding, and the
+    chain for every other list."""
+
+    @pytest.mark.parametrize("chunk_entries", [64, 2**20])
+    @pytest.mark.parametrize("group", ["trivial", "z2"])
+    @pytest.mark.parametrize("dim", list(range(2, 13)) + [24, 48])
+    def test_matches_the_stacked_product(self, monkeypatch, dim, group, chunk_entries):
+        # 64 entries: W's chunks of 128 doubles hold 128 points at dim 2, 3
+        # at dim 12 (width 36) and one at dims 24 and 48, with ragged last
+        # chunks between; 2^20: one chunk per block
+        monkeypatch.setattr(expectations, "_MC_CHUNK_ENTRIES", chunk_entries)
+        t = random_triple(dim, seed=dim, group=group)
+        verts = _character_list(t, np.random.default_rng(dim))
+        for g in range(len(t.group)):
+            for samples in (1, 7, 4097):
+                ev = heat_expectation(t, verts, g, method="quadrature", samples=samples,
+                                      seed=samples)
+                value, error = stacked_monte_carlo(t, verts, g, samples, samples)
+                value_bound, error_bound = graded_rounding_bounds(t, verts, g, samples, samples)
+                assert abs(ev.value - value) <= value_bound
+                assert abs(ev.estimated_error - error) <= error_bound
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        dim=st.integers(2, 8),
+        group=st.sampled_from(["trivial", "z2"]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_exact_agrees_with_monte_carlo(self, dim, group, seed):
+        # as TestSymmetries' check on graded lists: a miss counts only if one
+        # redraw at seed + 1 misses too
+        t = random_triple(dim, seed=seed % 1000, group=group)
+        verts = [m / opnorm(m) for m in _character_list(t, np.random.default_rng(seed))]
+        for g in range(len(t.group)):
+            exact = expectation_value(t, verts, g)
+
+            def within(s):
+                mc = heat_expectation(t, verts, g, method="quadrature", samples=20_000, seed=s)
+                return abs(mc.value - exact) <= mc.estimated_error + 1e-15
+
+            assert within(seed) or within(seed + 1)
+
+    def test_which_lists_take_the_sectors(self, monkeypatch):
+        taken = []
+        for name in ("_graded_values", "_chain_values"):
+            fn = getattr(expectations, name)
+            monkeypatch.setattr(expectations, name,
+                                lambda *a, name=name, fn=fn: taken.append(name) or fn(*a))
+
+        def path(t, verts, g=0):
+            taken.clear()
+            heat_expectation(t, verts, g, method="quadrature", samples=3)
+            (name,) = taken
+            return name == "_graded_values"
+
+        rng = np.random.default_rng(5)
+        t = random_triple(6, seed=5, group="z2")
+        even = [random_even_element(t, rng) for _ in range(3)]
+        odd = [random_odd_element(t, rng) for _ in range(3)]
+        raw = rand_mats(rng, 6, 1)[0]
+        # the character's pattern, at every group element
+        assert path(t, _character_list(t, rng)) and path(t, _character_list(t, rng), 1)
+        assert path(t, [even[0], odd[0], odd[1]])
+        # not graded, all even, another pattern of parities, a zero vertex
+        assert not path(t, [even[0], odd[0], raw])
+        assert not path(t, [raw, odd[0], odd[1]])
+        assert not path(t, even)
+        assert not path(t, [odd[0], odd[1], even[0]])
+        assert not path(t, [even[0], odd[0], np.zeros((6, 6))])
+        # levels other than 2
+        assert not path(t, [even[0], odd[0]])
+        assert not path(t, [even[0], odd[0], odd[1], even[1]])
+        assert not path(t, [even[0]] + odd + [odd[0]])
+        # a triple without sectors: a grading that is not diagonal
+        w, _ = np.linalg.qr(rand_mats(np.random.default_rng(6), 6, 1)[0])
+        rot = lambda m: w @ m @ w.conj().T  # noqa: E731
+        r = SpectralTriple(dim=6, Q=rot(t.Q), gamma=rot(t.gamma), group=[rot(u) for u in t.group])
+        assert r._sectors is None
+        assert not path(r, [rot(x) for x in (even[0], odd[0], odd[1])])
+
+    def test_coefficients_past_the_block_budget_keep_the_chain(self, monkeypatch):
+        # dim * |sigma| |not sigma| entries of C: 4 * 2 * 2 = 16 fit in
+        # MAX_BLOCK_ORDER^2 = 16, 5 * 3 * 2 = 30 do not
+        monkeypatch.setattr(expectations, "MAX_BLOCK_ORDER", 4)
+        for dim, graded in [(4, True), (5, False)]:
+            t = random_triple(dim, seed=dim)
+            lam, v = t.heat_data()
+            mats = [v.conj().T @ m @ v for m in _character_list(t, np.random.default_rng(dim))]
+            assert (expectations._graded_level_two(t, mats) is not None) == graded
+
+    def test_peak_memory_at_dim_64(self):
+        # C holds 16 * 64 * 32 * 32 bytes (1 MiB) and a sector's product as
+        # much again while it forms; W's chunk 256 KiB, the kernels of one
+        # block 1024 * 32 doubles per sector.  The chain's peak is 4.2 MiB.
+        t = random_triple(64, seed=5)
+        verts = _character_list(t, np.random.default_rng(64))
+        t.heat_data()
+        tracemalloc.start()
+        try:
+            heat_expectation(t, verts, method="quadrature", samples=4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20

@@ -11,10 +11,15 @@ Every run is a fresh process with its own working directory.
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, the change in the median beside the parent's
-interquartile range, and in how many pairs the change was better.
-Throughput and latencies are printed normalized (perfbench's nominal
-machine speed) and raw (wall-clock seconds).  Exits 1 when a run fails or
-reports a failed request.
+interquartile range, and in how many pairs the change was better.  Two
+verdicts follow.  ``claim`` is "yes" when a gain may be claimed: the change
+was better in at least nine tenths of the pairs, and its median is better
+than the parent's by more than the parent's interquartile range.
+``bound`` is "ok" when the change's median is worse than the parent's by
+no more than the metric's ``bound`` (a fraction of the parent's median),
+else "WORSE".  Throughput and latencies are printed normalized (perfbench's
+nominal machine speed) and raw (wall-clock seconds), each with both
+verdicts.  Exits 1 when a run fails or reports a failed request.
 """
 
 from __future__ import annotations
@@ -63,21 +68,31 @@ def summary(values) -> str:
             f"[{quantile(values, 0.25):.6g}, {quantile(values, 0.75):.6g}]")
 
 
-def report(parent: list[dict], change: list[dict], better: dict):
+def verdicts(a: list[float], b: list[float], sense: str, bound: float):
+    """(wins, change - parent in the median, parent IQR, claim, within bound)
+    of the parent's runs ``a`` and the change's runs ``b``, pair by pair."""
+    sign = 1.0 if sense == "higher" else -1.0
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    delta = statistics.median(b) - statistics.median(a)
+    iqr = quantile(a, 0.75) - quantile(a, 0.25)
+    claim = 10 * wins >= 9 * len(a) and sign * delta > iqr
+    within = -sign * delta <= bound * abs(statistics.median(a))
+    return wins, delta, iqr, claim, within
+
+
+def report(parent: list[dict], change: list[dict], metrics: list[dict]):
     print(f"{'metric':22s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} "
-          f"{'change - parent':>16s} {'parent IQR':>11s} wins")
-    for name, sense in better.items():
-        for key in (name, f"raw:{name}"):
+          f"{'change - parent':>16s} {'parent IQR':>11s} {'wins':>6s} claim bound")
+    for m in metrics:
+        for key in (m["name"], f"raw:{m['name']}"):
             if key not in parent[0]:
                 continue
             a = [r[key] for r in parent]
             b = [r[key] for r in change]
-            sign = 1.0 if sense == "higher" else -1.0
-            wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
-            delta = statistics.median(b) - statistics.median(a)
-            iqr = quantile(a, 0.75) - quantile(a, 0.25)
+            wins, delta, iqr, claim, within = verdicts(a, b, m["better"], m["bound"])
             print(f"{key:22s} {summary(a):34s} {summary(b):34s} {delta:16.4g} {iqr:11.4g} "
-                  f"{wins}/{len(a)}")
+                  f"{f'{wins}/{len(a)}':>6s} {'yes' if claim else 'no':5s} "
+                  f"{'ok' if within else 'WORSE'}")
 
 
 def main(argv=None) -> int:
@@ -92,8 +107,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     trees = (args.parent.resolve(), args.change.resolve())
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = ([], [])
     for i in range(args.pairs):
         order = (0, 1) if i % 2 == 0 else (1, 0)
@@ -102,7 +116,7 @@ def main(argv=None) -> int:
         a, b = runs[0][-1]["throughput_rps"], runs[1][-1]["throughput_rps"]
         print(f"pair {i + 1}/{args.pairs} ({'parent' if order[0] == 0 else 'change'} first): "
               f"throughput_rps {a:.4g} -> {b:.4g}", flush=True)
-    report(*runs, better)
+    report(*runs, metrics)
     return 0
 
 

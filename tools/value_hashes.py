@@ -12,6 +12,9 @@ reach:
 - ``expectation_values`` on lists of gamma-even and gamma-odd vertices
   (pure parity), and on lists with a vertex of no parity (mixed);
 - ``heat_expectation``: exact (value and error) and a small quadrature;
+- the quadrature of graded level-2 lists [a_0, da_1, da_2], over more than
+  one block of samples, on the trivial and z2 triples at dims 3, 6 and 12
+  at every group element;
 - ``jlo_component`` at levels 0-6;
 - the cocycle and coboundary-relation residuals, and ``norm_profile``.
 
@@ -94,6 +97,22 @@ def triple_cases(hc, models, name, t, seed):
     return out
 
 
+def graded_quadratures(hc, models):
+    """(name, values) of the quadrature on the character's level-2 lists."""
+    out = []
+    for dim in (3, 6, 12):
+        for group in ("trivial", "z2"):
+            t = hc.random_triple(dim, seed=dim, group=group)
+            rng = np.random.default_rng(30 + dim)
+            a = [models.random_even_element(t, rng) for _ in range(3)]
+            verts = [a[0], t.derive(a[1]), t.derive(a[2])]
+            for g in range(len(t.group)):
+                ev = hc.heat_expectation(t, verts, g, method="quadrature", samples=4097, seed=g)
+                out.append((f"d{dim}-{group}-g{g}-quadrature-graded",
+                            hexes([ev.value, ev.estimated_error])))
+    return out
+
+
 def pairing_cases(hc, name, t, inp):
     """(name, values) of both pairing routes, together and alone, at ``inp``."""
     res = hc.pairing(t, inp)
@@ -172,6 +191,7 @@ def record(src, out):
     triples.append(("d4-z2-rotated", rotated(hc, hc.random_triple(4, seed=4, group="z2"), 4), 4))
     for name, t, seed in triples:
         result.update(triple_cases(hc, models, name, t, seed))
+    result.update(graded_quadratures(hc, models))
     result.update(pairings(hc, models))
     result.update(sweeps(hc, models))
     Path(out).write_text(json.dumps(result, indent=1) + "\n")
