@@ -59,20 +59,24 @@ vertex costs one GEMM of its (dim*points, dim) matrix and one column
 scaling by a contiguous (point, column) block of kernels.  The kernels come
 from one rank-1 product and one exponential per block, and the last vertex's
 kernel scales only the diagonal the trace reads.  The simplex normalization
-and the diagonal's sums reduce rows of n + 1 and dim entries, where
-numpy's per-row overhead dominates ``sum``; ``_row_sums`` does them as a
-few column adds in numpy's own pairwise order, with the same bits.
+and the diagonal's sums reduce n + 1 and dim entries per point, where
+numpy's per-row overhead dominates ``sum``; ``_pairwise_sums`` does them as
+a few adds of whole rows or columns in numpy's own pairwise order, with the
+same bits, and leaves a block's points as one (n + 1, points) array.
 The character's level-2 lists tau_2(a_0, da_1, da_2) are summed by
 sectors instead.  When H has sectors and the front is even and x_1, x_2
 odd in the eigenbasis, only the terms X_0[c,a] X_1[a,b] X_2[b,c] with a
 and c in one sector and b in the other survive: dim^3/4 of them on a
-balanced grading.  Their coefficients are formed once per call, and each
-chunk of points is one real GEMM per sector against the kernels
-e^{-s_0 lam_a - s_1 lam_b}.  The draws, the mean and the error formula are
-the chain's; the values differ from the chain's in their last bits.  Every
-other list keeps the chain and its bits, as does one whose coefficients
-would pass ``MAX_BLOCK_ORDER``^2 entries (dim above 256 on a balanced
-grading).
+balanced grading.  Their coefficients are formed once per call.  The
+points run along the contiguous axis: per chunk and sector, one product
+and one exponential give the kernels e^{-s_0 lam_a - s_1 lam_b} and
+e^{-s_2 lam_c} as (kernel, point) rows, and one real GEMM of the
+coefficients against the first gives rows that the second scales and that
+are summed over c, a whole row of points at a time.  The points, the mean
+and the error formula are the chain's; the values differ from the chain's
+in their last bits.  Every other list keeps the chain and its bits, as
+does one whose coefficients would pass ``MAX_BLOCK_ORDER``^2 entries (dim
+above 256 on a balanced grading).
 """
 
 from __future__ import annotations
@@ -132,8 +136,9 @@ MAX_BLOCK_ORDER = 2048
 MAX_SAMPLES = 2048
 # Most entries of one (points, dim, dim) array of the Monte Carlo's vertex
 # products (256 KiB, 256 points at dim 8): each chunk of a block runs its
-# GEMMs while its products stay in cache.  A chunk of the sector kernels W
-# of ``_graded_values``, real, holds as many bytes.
+# GEMMs while its products stay in cache.  A chunk of ``_graded_values``
+# holds as many bytes in each sector's kernels W, (|sigma| |not sigma|,
+# points) reals: 2048 points at dim 8.
 _MC_CHUNK_ENTRIES = 2**14
 
 
@@ -346,36 +351,45 @@ def _simplex_levels(t, pairs, with_mags: bool = False):
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=1)`` of a C-contiguous (rows, columns) array, with its
-    bits, as a few column adds.
+    bits, as a few column adds (``_pairwise_sums`` of its columns)."""
+    return _pairwise_sums(a.T, 2 if a.dtype.kind == "c" else 1)
+
+
+def _pairwise_sums(a: np.ndarray, per: int) -> np.ndarray:
+    """The sum of a[0], a[1], ... elementwise, each entry with the bits of
+    numpy's ``sum`` along a row of a.shape[0] entries of ``per`` doubles.
 
     numpy sums each row from +0 in its pairwise order, and over short rows
-    its per-row overhead is most of the cost.  A row of fewer than 8 doubles
-    is summed left to right.  From 8 doubles it keeps 8 accumulators (4
-    complex ones) over blocks of 8 doubles, combines them as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), or (c0+c1)+(c2+c3), and adds the
-    remaining columns left to right.  Rows above 128 doubles, which numpy
-    splits in halves, take ``sum`` itself.
+    its per-row overhead is most of the cost, so here each step is one add
+    of whole slices.  A row of fewer than 8 doubles is summed left to right.
+    From 8 doubles it keeps 8 accumulators (4 complex ones) over blocks of
+    8 doubles, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), or
+    (c0+c1)+(c2+c3), and adds the remaining entries left to right.  A row
+    above 128 doubles is split in halves, the first a multiple of 8 doubles.
+    A complex entry's two parts may lie anywhere in ``a``'s trailing axes,
+    with ``per`` = 2: numpy adds them separately.
     """
-    per = 2 if a.dtype.kind == "c" else 1  # doubles per entry
-    cols = a.shape[1]
-    if cols * per > 128:
-        return a.sum(axis=1)
-    if cols * per < 8:
-        out = a[:, 0] + 0.0
-        for j in range(1, cols):
-            out += a[:, j]
-        return out
-    k = 8 // per
-    full = cols - cols % k
-    acc = a[:, :k].copy()
-    for lo in range(k, full, k):
-        acc += a[:, lo : lo + k]
-    parts = [acc[:, i] for i in range(k)]
-    while len(parts) > 1:
-        parts = [parts[i] + parts[i + 1] for i in range(0, len(parts), 2)]
-    out = parts[0]
-    for j in range(full, cols):
-        out += a[:, j]
+    rows = a.shape[0]
+    if rows * per > 128:
+        half = rows * per // 2
+        half = (half - half % 8) // per
+        out = _pairwise_sums(a[:half], per) + _pairwise_sums(a[half:], per)
+    elif rows * per < 8:
+        out = a[0] + 0.0
+        for j in range(1, rows):
+            out += a[j]
+    else:
+        k = 8 // per
+        full = rows - rows % k
+        acc = a[:k] + a[k : 2 * k] if full > k else a[:k]
+        for lo in range(2 * k, full, k):
+            acc += a[lo : lo + k]
+        parts = list(acc)
+        while len(parts) > 1:
+            parts = [parts[i] + parts[i + 1] for i in range(0, len(parts), 2)]
+        out = parts[0]
+        for j in range(full, rows):
+            out += a[j]
     out += 0.0  # the row's sum is added to +0, so a -0 comes out as +0
     return out
 
@@ -433,54 +447,71 @@ def _chain_values(lam: np.ndarray, mats: list[np.ndarray], block: int):
     return values
 
 
+def _simplex_points(e: np.ndarray) -> np.ndarray:
+    """The simplex points of draws e, shape (points, n + 1), as a contiguous
+    (n + 1, points) array: e / _row_sums(e)[:, None] transposed, with its
+    bits, by the same adds along rows."""
+    s = e.T.copy()
+    s /= _pairwise_sums(s, 1)
+    return s
+
+
 def _graded_values(lam: np.ndarray, mats: list[np.ndarray], signs: np.ndarray):
     """``_chain_values`` up to rounding, for a level-2 list whose front is
-    gamma-even and whose x_1 and x_2 are gamma-odd in the eigenbasis, with
-    one real GEMM per sector and chunk of points.
+    gamma-even and whose x_1 and x_2 are gamma-odd in the eigenbasis: a
+    function of a block's simplex points s, a contiguous (3, points) array.
 
     In the eigenbasis a point's value is the sum over the sectors sigma of
     sum_{c, a in sigma, b not in sigma} C[c, a, b] e^{-s_0 lam_a - s_1 lam_b}
     e^{-s_2 lam_c}, with C[c, a, b] = X_0[c, a] X_1[a, b] X_2[b, c]: the
     grading makes every other term 0.  Each sector's C is formed once per
-    call, as a real ((a, b), c) matrix whose columns hold each c's real and
-    imaginary parts side by side.  A chunk of points takes W = exp(L s), one
-    rank-2 product and one exponential per entry, with L's rows -lam_a and
-    -lam_b; then W @ C, read as complex (point, c), is scaled by
-    e^{-s_2 lam_c} and summed over c.  A chunk's W has at most
-    2 ``_MC_CHUNK_ENTRIES`` doubles, the bytes of the chain's chunk.  Both
-    sectors have |sigma| |not sigma| columns of W, and C has dim
-    |sigma| |not sigma| complex entries in all.  The sums are the chain's,
-    in another order: the values move in their last bits.
+    call, as a real (c, (a, b)) matrix whose rows hold each c's real and
+    imaginary parts in turn.
+
+    The points run along the contiguous axis.  Per chunk of points and per
+    sector, one product ``rates @ s`` (one rounding per entry, as a rank-2
+    or a rank-1 product alone) and one exponential give
+    W = e^{-s_0 lam_a - s_1 lam_b}, shape (|sigma| |not sigma|, points), and
+    K = e^{-s_2 lam_c}, shape (|sigma|, points).  Then one real GEMM C @ W
+    gives each c's real and imaginary rows, which are scaled by K's row of
+    that c and summed over c in the order of ``_row_sums``.  A sector's W
+    holds at most 2 ``_MC_CHUNK_ENTRIES`` doubles, the bytes of the chain's
+    chunk; C has dim |sigma| |not sigma| complex entries in all.  The sums
+    are the chain's, in another order: the values move from the chain's in
+    their last bits.
     """
     sectors = [np.flatnonzero(signs == 1), np.flatnonzero(signs == -1)]
     x0, x1, x2 = mats
+    width = sectors[0].size * sectors[1].size
     parts = []
     for a, b in (sectors, sectors[::-1]):
         # coef[a, b, c] = X_0[c, a] X_1[a, b] X_2[b, c]
         coef = np.multiply(x0[np.ix_(a, a)].T[:, None, :], x1[np.ix_(a, b)][:, :, None],
                            order="C")
         coef *= x2[np.ix_(b, a)][None]
-        rates = -np.stack([np.repeat(lam[a], b.size), np.tile(lam[b], a.size)])
-        parts.append((a, rates, coef.reshape(a.size * b.size, a.size).view(float)))
-    width = sectors[0].size * sectors[1].size
+        # rates @ s: the exponents -lam_a s_0 - lam_b s_1 of W, then -lam_c s_2
+        rates = np.zeros((width + a.size, 3))
+        rates[:width, 0], rates[:width, 1] = -np.repeat(lam[a], b.size), -np.tile(lam[b], a.size)
+        rates[width:, 2] = -lam[a]
+        parts.append((rates, np.ascontiguousarray(coef.reshape(width, a.size).view(float).T)))
     chunk = max(1, 2 * _MC_CHUNK_ENTRIES // width)
-    w = np.empty((chunk, width))
+    most = max(map(len, sectors))
+    wk, cw = np.empty((width + most) * chunk), np.empty(2 * most * chunk)
 
-    def values(s: np.ndarray) -> np.ndarray:
-        m = s.shape[0]
-        s01 = np.ascontiguousarray(s[:, :2])
+    def values(points: np.ndarray) -> np.ndarray:
+        m = points.shape[1]
         vals = np.zeros(m, dtype=complex)
-        for c, rates, coef in parts:
-            # e^{-s_2 lam_c}: one product per entry
-            k2 = s[:, 2:] @ (-lam[c])[None]
-            k2 = np.exp(k2, out=k2)
-            for lo in range(0, m, chunk):
-                p = min(chunk, m - lo)
-                wp = np.matmul(s01[lo : lo + p], rates, out=w[:p])
-                np.exp(wp, out=wp)
-                out = (wp @ coef).view(complex)
-                out *= k2[lo : lo + p]
-                vals[lo : lo + p] += _row_sums(out)
+        re_im = vals.view(float).reshape(m, 2).T  # its parts as (2, points) rows
+        for lo in range(0, m, chunk):
+            s = points[:, lo : lo + chunk]
+            p = s.shape[1]
+            for rates, coef in parts:
+                ex = np.matmul(rates, s, out=wk[: len(rates) * p].reshape(-1, p))
+                np.exp(ex, out=ex)
+                out = np.matmul(coef, ex[:width], out=cw[: len(coef) * p].reshape(-1, p))
+                out = out.reshape(-1, 2, p)
+                out *= ex[width:, None]
+                re_im[:, lo : lo + p] += _pairwise_sums(out, 2)
         return vals
 
     return values
@@ -504,17 +535,19 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     """Monte-Carlo over the simplex; error is three standard errors.
 
     Simplex points are normalized i.i.d. exponentials (uniform on the
-    unit simplex).  They are drawn in blocks of at most 4096 points, and
-    of at most ``MAX_BLOCK_ORDER``^2 // dim^2.  Each block's per-point
-    values come from ``_chain_values``, or, for a level-2 list that
-    ``_graded_level_two`` accepts (the character's tau_2(a_0, da_1, da_2)
-    when the eigenvectors of H lie in gamma's sectors), from
-    ``_graded_values``: the same draws and the same terms, summed in
-    another order, so those values move in their last bits from the
-    chain's.  The variance is each block's sum of |v - block mean|^2,
-    combined across blocks by Chan's pairwise update, so it does not
-    cancel when the samples barely vary; the mean is the plain sum over
-    samples.
+    unit simplex), drawn by ``standard_exponential``: the bits of
+    ``exponential`` at scale 1.  They are drawn in blocks of at most 4096
+    points, and of at most ``MAX_BLOCK_ORDER``^2 // dim^2, and a block's
+    points are one contiguous (n + 1, points) array (``_simplex_points``).
+    Its per-point values come from ``_chain_values``, which reads the
+    transpose, or, for a level-2 list that ``_graded_level_two`` accepts
+    (the character's tau_2(a_0, da_1, da_2) when the eigenvectors of H lie
+    in gamma's sectors), from ``_graded_values``: the same points and the
+    same terms, summed in another order, so those values move in their
+    last bits from the chain's.  The variance is each block's sum of
+    |v - block mean|^2, combined across blocks by Chan's pairwise update,
+    so it does not cancel when the samples barely vary; the mean is the
+    plain sum over samples.
     """
     lam, basis = t.heat_data()
     dim = lam.size
@@ -528,13 +561,15 @@ def _monte_carlo(t, front, rest, samples: int, seed: int) -> tuple[complex, floa
     block = max(1, min(4096, samples, MAX_BLOCK_ORDER**2 // dim**2))
     signs = _graded_level_two(t, mats)
     if signs is None:
-        point_values = _chain_values(lam, mats, block)
+        chain = _chain_values(lam, mats, block)
+
+        def point_values(s):
+            return chain(s.T)
     else:
         point_values = _graded_values(lam, mats, signs)
     while done < samples:
         m = min(block, samples - done)
-        e = rng.exponential(size=(m, n + 1))
-        vals = point_values(e / _row_sums(e)[:, None])
+        vals = point_values(_simplex_points(rng.standard_exponential(size=(m, n + 1))))
         block_sum = complex(vals.sum())
         block_mean = block_sum / m
         sq_dev += float((np.abs(vals - block_mean) ** 2).sum())

@@ -217,21 +217,22 @@ def _taylor(x: np.ndarray) -> np.ndarray:
     cubic sum_{i<4} X^i / (4j+i)! (B_4 stops at X^2).  That is 7 matrix
     products against Horner's 17.  The products act slice by slice and
     every other step is elementwise, so a slice of a stack gets the bits
-    of a call on that slice alone.
+    of a call on that slice alone.  c_0 is added to each slice's diagonal
+    through a strided view of the flattened slices.
     """
-    diag = np.arange(x.shape[-1])
+    n = x.shape[-1]
     x2 = x @ x
     powers = (x, x2, x2 @ x)
     x4 = x2 @ x2
     out = None
     for j in range(_TAYLOR_TERMS // 4, -1, -1):
         c = _TAYLOR_COEFFS[4 * j : 4 * j + 4]
-        block = c[1] * x
+        block = np.multiply(c[1], x, order="C")  # so the diagonal view writes into it
         for ci, p in zip(c[2:], powers[1:]):
             block += ci * p
         if out is not None:
             block += x4 @ out
-        block[..., diag, diag] += c[0]
+        block.reshape(x.shape[:-2] + (n * n,))[..., :: n + 1] += c[0]
         out = block
     return out
 

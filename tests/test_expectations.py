@@ -886,3 +886,143 @@ class TestGradedMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+
+def _graded_setup(dim, group, g):
+    """The eigenvalues, the eigenbasis matrices of the character's level-2
+    list at group element g and the sector signs, on the seeded triple."""
+    t = random_triple(dim, seed=dim, group=group)
+    verts = _character_list(t, np.random.default_rng(dim))
+    lam, v = t.heat_data()
+    mats = [v.conj().T @ m @ v for m in [t.twist(g) @ verts[0]] + verts[1:]]
+    assert expectations._graded_level_two(t, mats) is not None
+    return lam, mats, t._sectors
+
+
+def _chain_points(lam, mats, s):
+    """The chain's per-point values at simplex points s, shape (points, 3),
+    as stacked per-point products, and each point's sum of the moduli of
+    its terms."""
+    ker = np.exp(-s[:, :, None] * lam)
+    cur = mats[0][None] * ker[:, 0][:, None, :]
+    mod = np.abs(mats[0])[None] * ker[:, 0][:, None, :]
+    for j in (1, 2):
+        cur = (cur @ mats[j]) * ker[:, j][:, None, :]
+        mod = (mod @ np.abs(mats[j])) * ker[:, j][:, None, :]
+    return np.trace(cur, axis1=1, axis2=2), np.trace(mod, axis1=1, axis2=2)
+
+
+class TestGradedChunks:
+    """The sector sums keep a chunk's points along the contiguous axis: each
+    chunk, the ragged last one too, gives the values it gives alone, each
+    point within rounding of the chain's, from the chain's points bit for
+    bit; the draws and the chain keep their bits."""
+
+    @pytest.mark.parametrize("group", ["trivial", "z2"])
+    @pytest.mark.parametrize("dim", [3, 5, 7, 8, 9, 12])
+    def test_chunks_of_a_block(self, monkeypatch, dim, group):
+        # 64 entries: a sector's W takes 128 // width points, 64 at dim 3,
+        # 10 at dim 7 (|sigma| 4, |not sigma| 3), 8 at dim 8, 6 at dim 9 and
+        # 3 at dim 12; 4097 points leave a ragged last chunk at each
+        monkeypatch.setattr(expectations, "_MC_CHUNK_ENTRIES", 64)
+        for g in range(2 if group == "z2" else 1):
+            lam, mats, signs = _graded_setup(dim, group, g)
+            width = int((signs == 1).sum() * (signs == -1).sum())
+            chunk = 128 // width
+            kappa = 2.0 * (width + 4 * dim + 19 + 4 * float(np.abs(lam).max())) * 2.0**-53
+            values = expectations._graded_values(lam, mats, signs)
+            for m in (1, 7, 4097):
+                e = np.random.default_rng(m).standard_exponential(size=(m, 3))
+                points = expectations._simplex_points(e)
+                got = values(points)
+                assert m < chunk or m % chunk != 0
+                alone = [values(expectations._simplex_points(e[lo : lo + chunk]))
+                         for lo in range(0, m, chunk)]
+                assert got.tobytes() == np.concatenate(alone).tobytes()
+                # the bound of ``graded_rounding_bounds``, point by point
+                ref, mod = _chain_points(lam, mats, points.T)
+                assert np.all(np.abs(got - ref) <= kappa * mod)
+
+    @pytest.mark.parametrize("graded", [True, False])
+    @pytest.mark.parametrize("dim", [3, 8, 9])
+    def test_points_are_the_row_sums_quotients(self, monkeypatch, dim, graded):
+        # every block's points, on either path, against e / _row_sums(e);
+        # the blocks hold the run's draws in order
+        seen, points = [], expectations._simplex_points
+        monkeypatch.setattr(expectations, "_simplex_points",
+                            lambda e: seen.append((e, points(e))) or seen[-1][1])
+        t = random_triple(dim, seed=dim, group="z2")
+        verts = _character_list(t, np.random.default_rng(dim))
+        if not graded:
+            verts = verts[:2]
+        heat_expectation(t, verts, 1, method="quadrature", samples=4097, seed=4)
+        assert [len(e) for e, _ in seen] == [4096, 1]
+        for e, s in seen:
+            assert s.flags.c_contiguous and s.shape == (len(verts), len(e))
+            assert s.tobytes() == (e / expectations._row_sums(e)[:, None]).T.tobytes()
+        draws = np.random.default_rng(4)
+        for e, _ in seen:
+            assert e.tobytes() == draws.exponential(size=e.shape).tobytes()
+
+    @pytest.mark.parametrize("cols", range(1, 7))
+    def test_simplex_points_keep_the_bits(self, cols):
+        rng = np.random.default_rng(cols)
+        for m in (1, 7, 4097):
+            e = rng.standard_exponential(size=(m, cols))
+            before = e.tobytes()
+            s = expectations._simplex_points(e)
+            assert s.tobytes() == (e / expectations._row_sums(e)[:, None]).T.tobytes()
+            # a one-point block's transpose is contiguous too: it is copied
+            assert e.tobytes() == before
+
+    @pytest.mark.parametrize("seed", [0, 5, 71])
+    def test_standard_exponential_draws_the_exponentials_bits(self, seed):
+        # the Monte Carlo's block shapes in sequence at levels 0-5: blocks of
+        # 4096, the budget's 3851 and 2621 at dims 33 and 40, ragged last ones
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in range(6):
+            for m in (4096, 4096, 3851, 2621, 1, 7, 905):
+                x = a.standard_exponential(size=(m, n + 1))
+                assert x.tobytes() == b.exponential(size=(m, n + 1)).tobytes()
+
+    @pytest.mark.parametrize("chunk_entries", [64, 2**14])
+    def test_chain_keeps_its_bits(self, monkeypatch, chunk_entries):
+        # lists on a triple with sectors that the sector sums refuse
+        monkeypatch.setattr(expectations, "_MC_CHUNK_ENTRIES", chunk_entries)
+        monkeypatch.setattr(expectations, "_graded_values", None)
+        t = random_triple(6, seed=5, group="z2")
+        rng = np.random.default_rng(6)
+        even = [random_even_element(t, rng) for _ in range(3)]
+        odd = [random_odd_element(t, rng) for _ in range(2)]
+        raw = rand_mats(rng, 6, 1)[0]
+        lists = [[even[0], odd[0], raw], even, [odd[0], odd[1], even[0]], [even[0], odd[0]],
+                 [even[0], odd[0], odd[1], even[1]]]
+        for verts in lists:
+            for g in range(2):
+                for samples in (1, 7, 4097):
+                    ev = heat_expectation(t, verts, g, method="quadrature", samples=samples,
+                                          seed=samples)
+                    ref = stacked_monte_carlo(t, verts, g, samples, samples)
+                    assert (ev.value, ev.estimated_error) == ref
+
+
+class TestPairwiseSums:
+    @pytest.mark.parametrize("rows", list(range(1, 20)) + [63, 64, 65, 100, 129, 200, 300])
+    def test_complex_parts_in_trailing_axes(self, rows):
+        # (rows, 2, points) reals with per = 2 sum as the complex rows of
+        # their transpose: the sector sums' layout; from 65 rows numpy
+        # splits a row in halves, from 129 twice
+        rng = np.random.default_rng(rows)
+        a = rng.normal(size=(rows, 2, 5)) * np.exp(8 * rng.normal(size=(rows, 2, 5)))
+        a[rng.random(a.shape) < 0.2] = -0.0
+        z = np.ascontiguousarray((a[:, 0] + 1j * a[:, 1]).T)
+        ref = z.sum(axis=1)
+        got = expectations._pairwise_sums(a, 2)
+        assert got.tobytes() == np.stack([ref.real, ref.imag]).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 8, 9, 17, 128, 129, 130, 300])
+    def test_real_rows(self, rows):
+        rng = np.random.default_rng(rows)
+        a = rng.normal(size=(rows, 4)) * np.exp(8 * rng.normal(size=(rows, 4)))
+        ref = np.ascontiguousarray(a.T).sum(axis=1)
+        assert expectations._pairwise_sums(a, 1).tobytes() == ref.tobytes()

@@ -137,6 +137,21 @@ class TestExpm:
             assert np.array_equal(_taylor(x[k]), got[k])
         assert np.array_equal(got[4], ident)
 
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_taylor_core_of_any_layout(self, dim):
+        # c_0 goes onto the diagonal through a view of the flattened slices,
+        # whatever the layout of the input: Fortran order and transposes
+        zero = np.zeros((2, dim, dim), dtype=complex, order="F")
+        assert _taylor(zero).tobytes() == np.stack([np.eye(dim, dtype=complex)] * 2).tobytes()
+        assert _taylor(zero[0]).tobytes() == np.eye(dim, dtype=complex).tobytes()
+        rng = np.random.default_rng(dim)
+        x = 0.1 * np.stack([random_matrix(rng, dim) for _ in range(3)])
+        ref = _taylor(x)
+        transposed = np.swapaxes(np.ascontiguousarray(np.swapaxes(x, 1, 2)), 1, 2)
+        for y in (np.asfortranarray(x), transposed):
+            assert np.abs(_taylor(y) - ref).max() <= 1e-15
+        assert np.abs(expm(np.asfortranarray(x[0])) - expm(x[0])).max() <= 1e-15
+
     def test_overflow(self):
         big = 1e4 * np.eye(2)
         for m in (big, np.stack([np.eye(2), big, np.zeros((2, 2))])):

@@ -19,7 +19,8 @@ than the parent's by more than the parent's interquartile range.
 no more than the metric's ``bound`` (a fraction of the parent's median),
 else "WORSE".  Throughput and latencies are printed normalized (perfbench's
 nominal machine speed) and raw (wall-clock seconds), each with both
-verdicts.  Exits 1 when a run fails or reports a failed request.
+verdicts.  Exits 1 when a run fails or reports a failed request, and 2
+when any metric's ``bound`` verdict, normalized or raw, is WORSE.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ def verdicts(a: list[float], b: list[float], sense: str, bound: float):
     return wins, delta, iqr, claim, within
 
 
-def report(parent: list[dict], change: list[dict], metrics: list[dict]):
+def report(parent: list[dict], change: list[dict], metrics: list[dict]) -> bool:
+    """Print the table; True when every ``bound`` verdict is ok."""
+    all_within = True
     print(f"{'metric':22s} {'parent median [q1, q3]':34s} {'change median [q1, q3]':34s} "
           f"{'change - parent':>16s} {'parent IQR':>11s} {'wins':>6s} claim bound")
     for m in metrics:
@@ -90,9 +93,11 @@ def report(parent: list[dict], change: list[dict], metrics: list[dict]):
             a = [r[key] for r in parent]
             b = [r[key] for r in change]
             wins, delta, iqr, claim, within = verdicts(a, b, m["better"], m["bound"])
+            all_within &= within
             print(f"{key:22s} {summary(a):34s} {summary(b):34s} {delta:16.4g} {iqr:11.4g} "
                   f"{f'{wins}/{len(a)}':>6s} {'yes' if claim else 'no':5s} "
                   f"{'ok' if within else 'WORSE'}")
+    return all_within
 
 
 def main(argv=None) -> int:
@@ -116,8 +121,7 @@ def main(argv=None) -> int:
         a, b = runs[0][-1]["throughput_rps"], runs[1][-1]["throughput_rps"]
         print(f"pair {i + 1}/{args.pairs} ({'parent' if order[0] == 0 else 'change'} first): "
               f"throughput_rps {a:.4g} -> {b:.4g}", flush=True)
-    report(*runs, metrics)
-    return 0
+    return 0 if report(*runs, metrics) else 2
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ reach:
   (pure parity), and on lists with a vertex of no parity (mixed);
 - ``heat_expectation``: exact (value and error) and a small quadrature;
 - the quadrature of graded level-2 lists [a_0, da_1, da_2], over more than
-  one block of samples, on the trivial and z2 triples at dims 3, 6 and 12
-  at every group element;
+  one block of samples, on the trivial and z2 triples at dims 3, 6, 7, 8,
+  12 and 24 at every group element; at dims 7, 8 and 24 the 5000 samples
+  leave a ragged last chunk of points in each block;
 - ``jlo_component`` at levels 0-6;
 - the cocycle and coboundary-relation residuals, and ``norm_profile``.
 
@@ -100,14 +101,15 @@ def triple_cases(hc, models, name, t, seed):
 def graded_quadratures(hc, models):
     """(name, values) of the quadrature on the character's level-2 lists."""
     out = []
-    for dim in (3, 6, 12):
+    for dim, samples in [(3, 4097), (6, 4097), (12, 4097), (7, 5000), (8, 5000), (24, 5000)]:
         for group in ("trivial", "z2"):
             t = hc.random_triple(dim, seed=dim, group=group)
             rng = np.random.default_rng(30 + dim)
             a = [models.random_even_element(t, rng) for _ in range(3)]
             verts = [a[0], t.derive(a[1]), t.derive(a[2])]
             for g in range(len(t.group)):
-                ev = hc.heat_expectation(t, verts, g, method="quadrature", samples=4097, seed=g)
+                ev = hc.heat_expectation(t, verts, g, method="quadrature", samples=samples,
+                                         seed=g)
                 out.append((f"d{dim}-{group}-g{g}-quadrature-graded",
                             hexes([ev.value, ev.estimated_error])))
     return out
