@@ -1,15 +1,19 @@
+import importlib.util
 import json
+import os
+import struct
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from heatchern import cli
 from heatchern.cli import main
-from heatchern.errors import ComplexityCap
+from heatchern.errors import ComplexityCap, DimensionMismatch
 from heatchern.models import zero_mode_triple
 from heatchern.serialization import dumps_canonical, triple_to_json
 
@@ -1035,3 +1039,252 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["command"] == "validate"
+
+
+def _json_reference(text):
+    """``cli._load_json`` on ``text`` as it read documents with json alone."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise DimensionMismatch("input JSON is nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise DimensionMismatch(f"input JSON must be an object, got {type(doc).__name__}")
+    return doc
+
+
+def _outcome(load, arg):
+    """("value", doc) or ("error", type name, message)."""
+    try:
+        return ("value", load(arg))
+    except (ValueError, DimensionMismatch) as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def _past_64_bits_as_floats(value):
+    """``value`` with each integer outside [-2^63, 2^64) as a float, the one
+    way orjson's values differ from json's."""
+    if isinstance(value, dict):
+        return {k: _past_64_bits_as_floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_past_64_bits_as_floats(v) for v in value]
+    if type(value) is int and not -(2**63) <= value < 2**64:
+        return float(value)
+    return value
+
+
+def _orjson_value(value):
+    """json's value as orjson gives it.  A literal past the float range makes
+    orjson refuse the document, and json decodes all of it."""
+    try:
+        return _past_64_bits_as_floats(value)
+    except OverflowError:
+        return value
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types, floats bit for bit and keys in order."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def _depth(value) -> int:
+    """How deep lists nest in ``value``, counted without recursion."""
+    depth = 0
+    while isinstance(value, list):
+        depth += 1
+        value = value[0] if value else None
+    return depth
+
+
+def _snapshot_texts():
+    """The input texts of ``tools/cli_snapshot.py``, by case name."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    return {name: doc if isinstance(doc, str) else json.dumps(doc)
+            for name, _, doc in snapshot.cases() if doc is not None}
+
+
+DEEP = "[" * 1500 + "]" * 1500  # past json's recursion limit, within orjson's stack budget
+TOO_DEEP = {"error": {"type": "DimensionMismatch", "message": "input JSON is nested too deeply"}}
+PAIRED = dict(EXCHANGE, a=[[1, 0], [0, -1]])
+
+
+def _with_raw(key, raw):
+    """PAIRED's text with ``key`` set to the raw JSON text ``raw``."""
+    return json.dumps(dict(PAIRED, **{key: "@"})).replace('"@"', raw)
+
+
+class TestDecoderParity:
+    """``_load_json`` decodes with orjson; every document gives json's value,
+    floats bit for bit, or json's error, but for the declared divergences."""
+
+    EDGE_CASES = {
+        "nan": '{"x": NaN}',
+        "infinities": '{"x": [Infinity, -Infinity]}',
+        "nan-tol": '{"dim": 2, "tol": NaN}',
+        "1e400": '{"x": 1e400}',
+        "-1e400": '{"x": [-1e400]}',
+        "1e-400": '{"x": 1e-400}',
+        "-0": '{"x": -0}',
+        "-0.0": '{"x": -0.0}',
+        "smallest-subnormal": '{"x": [5e-324, 4.9406564584124654e-324, 2.2250738585072011e-308]}',
+        "bom": '\ufeff{"x": 1}',
+        "lone-high-surrogate": '{"x": "\\ud800"}',
+        "lone-low-surrogate": '{"x": "a\\udc00b"}',
+        "surrogate-pair": '{"x": "\\ud83d\\ude00"}',
+        "duplicate-key": '{"x": 1, "y": 2, "x": [3]}',
+        "trailing-comma-object": '{"x": 1,}',
+        "trailing-comma-list": '{"x": [1, 2,]}',
+        "leading-zero": '{"x": 012}',
+        "leading-zero-fraction": '{"x": -01.5}',
+        "top-level-list": "[1, 2]",
+        "top-level-scalar": "3",
+        "top-level-string": '"x"',
+        "top-level-null": "null",
+        "top-level-nan": "NaN",
+        "empty": "",
+        "whitespace": ' \t\n\r{"x" : [ 1 , 2 ] }\n',
+        "control-character": '{"x": "\x01"}',
+        "unclosed": '{"x": [1, 2}',
+        "2^63-1": f'{{"x": {2**63 - 1}}}',
+        "2^63": f'{{"x": {2**63}}}',
+        "-2^63": f'{{"x": {-(2**63)}}}',
+        "-2^63-1": f'{{"x": {-(2**63) - 1}}}',
+        "2^64-1": f'{{"x": {2**64 - 1}}}',
+        "2^64": f'{{"x": {2**64}}}',
+        "2^64+1": f'{{"x": [{2**64 + 1}, {-(2**64) - 1}]}}',
+        "10^20+1": f'{{"dim": {10**20 + 1}}}',
+        "10^400": '{"x": 1' + "0" * 400 + "}",
+        "10^400-beside-2^64": f'{{"x": [{2**64}, 1{"0" * 400}]}}',
+        "deep-unused": _with_raw("note", DEEP),
+        "deep-top-level": "[" * 100_000 + "]" * 100_000,
+    }
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        rng = np.random.default_rng(35)
+        bits = rng.integers(0, 2**64, size=2000, dtype=np.uint64).view(np.float64)
+        finite = [float(x) for x in bits if np.isfinite(x)]
+        texts = {
+            **_snapshot_texts(),
+            **self.EDGE_CASES,
+            "random-bit-patterns": json.dumps({"x": finite}),
+            "random-normals": json.dumps({"x": rng.normal(size=500).tolist()}),
+            "17-digit-forms": json.dumps({"x": [float(f"{x:.17g}") for x in rng.random(500)]}),
+        }
+        return texts
+
+    def test_every_document_reads_as_json_reads_it(self, tmp_path, corpus):
+        mismatched = []
+        for k, (name, text) in enumerate(corpus.items()):
+            p = tmp_path / f"in{k}.json"
+            p.write_text(text)
+            want = _outcome(_json_reference, p.read_text())
+            got = _outcome(cli._load_json, str(p))
+            if want == ("error", "DimensionMismatch", TOO_DEEP["error"]["message"]) and \
+                    text.count("[") < 2000:
+                # declared: a nesting past json's limit decodes, and main
+                # reports it only where a command reads it
+                ok = got[0] == "value" and isinstance(got[1], dict)
+            elif want[0] == "value":
+                ok = got[0] == "value" and _same(got[1], _orjson_value(want[1]))
+            else:
+                ok = got == want
+            if not ok:
+                mismatched.append(name)
+        assert mismatched == []
+
+    def test_corpus_holds_the_snapshot_inputs(self, corpus):
+        assert {"nan", "1e400", "bom", "lone-high-surrogate", "d2-trivial-pair"} <= set(corpus)
+        assert len(corpus) > 240
+
+    @pytest.mark.parametrize("literal", [2**64, 2**64 + 1, -(2**63) - 1, 10**20 + 1])
+    def test_integer_past_64_bits_is_a_float(self, tmp_path, literal):
+        # declared: json kept the integer
+        p = tmp_path / "big.json"
+        p.write_text(f'{{"x": {literal}}}')
+        doc = cli._load_json(str(p))
+        assert type(doc["x"]) is float and doc["x"] == float(literal)
+        assert type(json.loads(p.read_text())["x"]) is int
+
+    def test_dim_past_64_bits_prints_as_its_float(self, tmp_path, capsys):
+        # declared: the same exit code and error type, the value rounded
+        p = tmp_path / "dim.json"
+        p.write_text(_with_raw("dim", str(10**20 + 1)))
+        assert run_main(["pair", "--input", str(p)]) == 3
+        n = 100000000000000000000
+        assert json.loads(capsys.readouterr().err) == {"error": {
+            "type": "DimensionMismatch", "message": f"Q has shape (2, 2), expected ({n}, {n})"}}
+
+    def test_benchmark_sized_documents_go_to_orjson(self):
+        # a dim-48 input with six [re, im] matrices, the largest sweep input
+        zero = [[[0.0, 0.0]] * 48] * 48
+        text = json.dumps({"dim": 48, **{k: zero for k in "Q gamma a q r s".split()}})
+        assert len(text) > 2**17
+        assert cli._orjson_fits(text)
+        assert not cli._orjson_fits("[" * 70_000 + "]" * 70_000)
+        assert not cli._orjson_fits('{"k":' * 30_000)
+
+
+class TestDeepDocuments:
+    """A nesting past json's recursion limit decodes now; a command that
+    reads into it reports "nested too deeply", exit 3, as json did."""
+
+    @pytest.mark.parametrize("key", ["Q", "dim", "gamma", "a"])
+    def test_read_nesting_exit_three(self, tmp_path, capsys, key):
+        p = tmp_path / "deep.json"
+        p.write_text(_with_raw(key, DEEP))
+        assert run_main(["pair", "--input", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == dumps_canonical(TOO_DEEP) + "\n"
+
+    def test_deep_cyclic_order_exit_three(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text(_with_raw("group", '{"cyclic": ' + DEEP + ', "generator": [[1, 0], [0, 1]]}'))
+        assert run_main(["index", "--input", str(p)]) == 3
+        assert capsys.readouterr().err == dumps_canonical(TOO_DEEP) + "\n"
+
+    def test_nesting_read_at_its_top_only(self, tmp_path, capsys):
+        # declared: the command names what it finds where Q's rows should be
+        p = tmp_path / "deep.json"
+        p.write_text(_with_raw("Q", '{"k":' * 1500 + "1" + "}" * 1500))
+        assert run_main(["pair", "--input", str(p)]) == 3
+        assert json.loads(capsys.readouterr().err) == {"error": {
+            "type": "DimensionMismatch", "message": "cannot parse complex scalar from 'k'"}}
+
+    def test_unused_nesting_is_accepted(self, tmp_path, capsys):
+        # declared: json refused the whole document, exit 3
+        deep, plain = tmp_path / "deep.json", tmp_path / "plain.json"
+        deep.write_text(_with_raw("note", DEEP))
+        plain.write_text(json.dumps(PAIRED))
+        assert _depth(cli._load_json(str(deep))["note"]) == 1500
+        assert run_main(["pair", "--input", str(deep)]) == 0
+        out = capsys.readouterr().out
+        assert run_main(["pair", "--input", str(plain)]) == 0
+        assert out == capsys.readouterr().out
+
+    def test_nesting_past_orjson_stack_budget_exit_three(self, tmp_path):
+        # orjson recurses on the C stack with no limit: 200 000 nested lists
+        # would kill the process, so such a text goes to json.  A separate
+        # process, so that a crash fails this test alone.
+        p = tmp_path / "deeper.json"
+        p.write_text(_with_raw("note", "[" * 200_000 + "]" * 200_000))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "heatchern", "index", "--input", str(p)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == dumps_canonical(TOO_DEEP) + "\n"

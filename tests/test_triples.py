@@ -238,11 +238,12 @@ class TestCMu:
             numeric_c_mu(1.0)
 
     def test_import_leaves_the_integrator_unloaded(self):
-        # only algebraic_singular_integral imports scipy, so the package needs numpy alone
+        # only algebraic_singular_integral imports scipy, and the CLI imports
+        # orjson when it reads an input, so the package needs numpy alone
         src = str(Path(heatchern.__file__).resolve().parents[1])
         code = (
             "import sys, heatchern, heatchern.cli; "
-            "print([m for m in ('scipy.integrate', 'scipy.special') if m in sys.modules])"
+            "print([m for m in ('scipy.integrate', 'scipy.special', 'orjson') if m in sys.modules])"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],

@@ -9,8 +9,8 @@ Each case runs ``heatchern.cli.main`` in process; OUT.json maps its name to
 as a run in a fresh process does.  The inputs are built here with numpy alone,
 so two trees see the same bytes: run it on both and ``diff`` the files.  The
 cases cover every command, valid and failing inputs, trivial, z2, cyclic and
-split groups, every writer (standard output and ``--output``, JSON and CSV), and the
-exact engine's balanced deep levels.
+split groups, every writer (standard output and ``--output``, JSON and CSV), the
+exact engine's balanced deep levels, and the JSON decoder's edge cases.
 """
 
 import contextlib
@@ -75,7 +75,7 @@ def split_model(levels, broken=False):
 
 
 def cases():
-    """(name, argv, input document or None) in a fixed order."""
+    """(name, argv, input) in a fixed order; the input is a document, its raw text or None."""
     out, bases = [], {}
     for dim, seed, group in [(2, 1, "trivial"), (3, 2, "trivial"), (3, 3, "z2"),
                              (5, 4, "z2"), (4, 5, "cyclic"), (3, 6, "bad")]:
@@ -233,6 +233,28 @@ def cases():
     # an exact corner past the float range: its squarings overflow
     big = [mat(np.eye(2)), mat(1e200 * np.diag([1.3, 1.6])), mat(1e200 * np.diag([1.6, 1.3]))]
     out.append(("jlo-exact-corner-overflow", ["jlo"], dict(exchange, Q=mat(0.7 * SX), tuple=big)))
+    # the decoder's edge cases, most as raw text: NaN and 1e400 literals, a
+    # BOM, a duplicate key, a lone surrogate, an integer past 64 bits, and
+    # nestings past json's recursion limit where a command does and does not
+    # read them
+    paired = dict(exchange, a=mat(SZ))
+    text = json.dumps(paired)
+    deep = "[" * 1500 + "]" * 1500
+
+    def replaced(key, value):
+        return json.dumps({**paired, key: "@"}).replace('"@"', value)
+
+    out += [("decode-nan-tol", ["pair"], dict(paired, tol=float("nan"))),
+            ("decode-1e400-entry", ["pair"], replaced("a", "[[1e400, 0], [0, -1]]")),
+            ("decode-bom", ["pair"], "\ufeff" + text),
+            ("decode-duplicate-key", ["pair"], text[:-1] + ', "a": [[1, 0], [0, 1]]}'),
+            ("decode-lone-surrogate-unread", ["pair"], dict(paired, note="\ud800")),
+            ("decode-dim-past-64-bits", ["pair"], replaced("dim", str(10**20 + 1))),
+            ("decode-deep-Q", ["pair"], replaced("Q", deep)),
+            ("decode-deep-dim", ["pair"], replaced("dim", deep)),
+            ("decode-deep-unused", ["pair"], replaced("note", deep)),
+            ("decode-deep-object-Q", ["pair"],
+             replaced("Q", '{"k":' * 1500 + "1" + "}" * 1500))]
     return out
 
 
@@ -248,7 +270,7 @@ def snapshot(src, out):
         try:
             for k, (name, argv, doc) in enumerate(cases()):
                 if doc is not None:
-                    Path(f"in{k}.json").write_text(json.dumps(doc))
+                    Path(f"in{k}.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
                     argv = argv[:1] + [f"--input=in{k}.json"] + argv[1:]
                 stdout, stderr = io.StringIO(), io.StringIO()
                 # "always": a warning an earlier case raised from the same
