@@ -32,7 +32,6 @@ from .linalg import (
     HermitianEigenSystem,
     eig_hermitian,
     expm,
-    schatten_norm,
     simplex_exp,
 )
 from .triples import (
@@ -56,7 +55,6 @@ from .expectations import (
     VertexSet,
     beta_fn,
     bound_expectation,
-    bounded_vertex_bound,
     check_cyclic,
     check_d_invariance,
     check_insert_identity,
@@ -68,7 +66,6 @@ from .expectations import (
 from .cochains import (
     Cochain,
     CochainNormProfile,
-    check_cochain_invariants,
     cocycle_residual,
     norm_profile,
     op_A,
@@ -78,7 +75,6 @@ from .cochains import (
     op_V,
     op_b,
     op_partial,
-    op_partial_bar,
     random_cochain,
 )
 from .jlo import (
@@ -87,7 +83,6 @@ from .jlo import (
     coboundary_pairing_residual,
     equivariant_index,
     generating_functional,
-    involution_from_idempotent,
     jlo_cochain,
     jlo_component,
     pairing,
@@ -106,16 +101,13 @@ from .homotopy import (
     jlo_lambda_fd_residual,
     L_cochain,
     linear_family,
-    regularity_report,
     sweep_invariant,
 )
 from .split import (
-    SplitAlgebraElement,
     SplitTriple,
     build_n2_susy_example,
     coupling_sweep,
     d1,
-    split_jlo_component,
     split_pairing,
     validate_split,
     zero_momentum_project,

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ClassViolation, DimensionMismatch
 from .expectations import _once_per_object, expectation_values
 from .models import random_even_element
-from .triples import SpectralTriple, ValidationReport
+from .triples import SpectralTriple
 
 __all__ = [
     "Cochain",
@@ -34,10 +34,8 @@ __all__ = [
     "op_b",
     "op_B",
     "op_partial",
-    "op_partial_bar",
     "random_cochain",
     "cocycle_residual",
-    "check_cochain_invariants",
     "norm_profile",
 ]
 
@@ -253,30 +251,20 @@ def op_B(f: Cochain) -> Cochain:
     return op_A(op_U(f))
 
 
-def _coboundary(f: Cochain, sign_B: int) -> Cochain:
-    """b + B, or b - B when sign_B is negative."""
+def op_partial(f: Cochain) -> Cochain:
+    """The coboundary b + B of entire cyclic cohomology."""
     bf = op_b(f)
     Bf = op_B(f)
 
     def many(m, tuples, g):
         tots = [0.0 + 0.0j] * len(tuples)
         if m <= Bf.max_level:
-            tots = [v if sign_B > 0 else -v for v in Bf.many(m, tuples, g)]
+            tots = Bf.many(m, tuples, g)
         if m >= 1:
             tots = [tot + v for tot, v in zip(tots, bf.many(m, tuples, g))]
         return tots
 
     return _batched(many, f.group, f.max_level + 1, "C")
-
-
-def op_partial(f: Cochain) -> Cochain:
-    """The coboundary b + B of entire cyclic cohomology."""
-    return _coboundary(f, 1)
-
-
-def op_partial_bar(f: Cochain) -> Cochain:
-    """The companion coboundary b - B (also nilpotent); no pairing attached."""
-    return _coboundary(f, -1)
 
 
 def random_cochain(t: SpectralTriple, seed: int, max_level: int = 6) -> Cochain:
@@ -316,11 +304,6 @@ def _random_even_tuple(t: SpectralTriple, rng, n: int):
     return tuple(random_even_element(t, rng) for _ in range(n + 1))
 
 
-def _require_samples(levels, samples: int):
-    if samples < 1 or len(levels) == 0:
-        raise ValueError(f"need samples >= 1 and a level, got {samples} and {levels!r}")
-
-
 def cocycle_residual(
     f: Cochain,
     t: SpectralTriple,
@@ -333,64 +316,11 @@ def cocycle_residual(
     return max(v for _, v in prof.levels)
 
 
-def check_cochain_invariants(
-    f: Cochain,
-    t: SpectralTriple,
-    seed: int = 0,
-    levels=(1, 2),
-    samples: int = 3,
-) -> ValidationReport:
-    """Spot-check declared class vanishing and the diagonal invariance.
-
-    Violations are reported with the witnessing level and slot; this is a
-    diagnostic, not a proof of membership.  No levels or ``samples`` < 1
-    raise ValueError, since a check of nothing would pass.
-    """
-    _require_samples(levels, samples)
-    rng = np.random.default_rng(seed)
-    rep = ValidationReport()
-    ident = np.eye(t.dim, dtype=complex)
-    for n in levels:
-        for k in range(samples):
-            mats = _random_even_tuple(t, rng, n)
-            if f.cclass in ("C", "N"):
-                for slot in range(1, n + 1):
-                    probe = mats[:slot] + (ident,) + mats[slot + 1 :]
-                    rep.add(
-                        f"class-{f.cclass} vanishing, level {n}, slot {slot}, sample {k}",
-                        abs(f(n, probe, 0)),
-                        1e-10,
-                    )
-            if f.cclass == "N":
-                probe = (ident,) + mats[1:]
-                rep.add(
-                    f"class-N vanishing, level {n}, slot 0, sample {k}",
-                    abs(f(n, probe, 0)),
-                    1e-10,
-                )
-            for g in range(len(t.group)):
-                conj = tuple(t.conj_group_inv(a, g) for a in mats)
-                rep.add(
-                    f"diagonal invariance, level {n}, g {g}, sample {k}",
-                    abs(f(n, conj, g) - f(n, mats, g)),
-                    1e-10,
-                )
-    return rep
-
-
 @dataclass
 class CochainNormProfile:
     """Sampled lower bounds to the level norms, for entire-decay monitoring."""
 
     levels: list[tuple[int, float]] = field(default_factory=list)
-
-    def decay_sequence(self):
-        """n^(1/2) ||f_n||^(1/n) over the sampled levels with n >= 1."""
-        return [
-            (n, float(np.sqrt(n) * v ** (1.0 / n)))
-            for n, v in self.levels
-            if n >= 1 and v > 0
-        ]
 
 
 def norm_profile(
@@ -406,7 +336,8 @@ def norm_profile(
     per group element, drawn in order.  No levels or ``samples`` < 1 raise
     ValueError: the profile would be empty.
     """
-    _require_samples(levels, samples)
+    if samples < 1 or len(levels) == 0:
+        raise ValueError(f"need samples >= 1 and a level, got {samples} and {levels!r}")
     rng = np.random.default_rng(seed)
     prof = CochainNormProfile()
     for n in levels:

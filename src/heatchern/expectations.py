@@ -121,7 +121,6 @@ __all__ = [
     "check_d_invariance",
     "duhamel_commutator",
     "bound_expectation",
-    "bounded_vertex_bound",
 ]
 
 # Largest block order (n+1)*dim of one bidiagonal exponential.  A complex
@@ -783,17 +782,5 @@ def bound_expectation(
     for v, vt in zip(x.vertices, x.types):
         prod *= sobolev_norm(t, v, -vt.beta, vt.alpha)
     bound = m1 * m2 ** (n + 1) / math.gamma((n + 1) * reg.eta_global) * prod
-    value = expectation_value(t, x.vertices, g)
-    return bound, bool(abs(value) <= bound * (1.0 + 1e-12))
-
-
-def bounded_vertex_bound(t: SpectralTriple, x: VertexSet, g: int = 0) -> tuple[float, bool]:
-    """Sharper bound Tr(e^{-Q^2}) prod ||x_j|| / n! for bounded vertices."""
-    lam, _ = t.heat_data()
-    n = x.level
-    prod = 1.0
-    for v in x.vertices:
-        prod *= opnorm(v)
-    bound = float(np.sum(np.exp(-lam))) * prod / math.factorial(n)
     value = expectation_value(t, x.vertices, g)
     return bound, bool(abs(value) <= bound * (1.0 + 1e-12))

@@ -14,7 +14,6 @@ regularizer moves them.  Each point is then a prepared pass alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -25,21 +24,13 @@ from .errors import BadExponent, ComplexityCap, DimensionMismatch, Overflow, Val
 from .expectations import MAX_BLOCK_ORDER, _once_per_object, expectation_values
 from .jlo import PairingInput, _gaussian, _Prepared, _require_valid_input, jlo_component
 from .linalg import as_matrix, opnorm
-from .triples import (
-    SpectralTriple,
-    ValidationReport,
-    _check_shape,
-    kato_constants,
-    sobolev_norm,
-    validate_triple,
-)
+from .triples import SpectralTriple, ValidationReport, _check_shape, validate_triple
 
 __all__ = [
     "DeformationFamily",
     "SweepTable",
     "linear_family",
     "deform_triple",
-    "regularity_report",
     "sweep_invariant",
     "L_cochain",
     "h_cochain",
@@ -142,8 +133,8 @@ class SweepTable:
         )
 
     def to_jsonable(self) -> dict:
-        """Columns and rows with each complex cell as [re, im]; a table with
-        a "value" column also carries its ``spread``."""
+        """Columns and rows with each complex cell as [re, im], and the
+        ``spread`` of the "value" column."""
         out_rows = []
         for r in self.rows:
             row = {}
@@ -151,10 +142,7 @@ class SweepTable:
                 val = r.get(c)
                 row[c] = [val.real, val.imag] if isinstance(val, complex) else val
             out_rows.append(row)
-        out = {"columns": list(self.columns), "rows": out_rows}
-        if "value" in self.columns:
-            out["spread"] = self.spread()
-        return out
+        return {"columns": list(self.columns), "rows": out_rows, "spread": self.spread()}
 
     def to_csv_rows(self) -> list[list]:
         complex_cols = {
@@ -200,70 +188,6 @@ def _grid(name: str, values) -> list[float]:
         raise DimensionMismatch(f"{name} has no points")
     _check_grid_points(name, len(grid))
     return grid
-
-
-def regularity_report(f: DeformationFamily, lambda_grid) -> SweepTable:
-    """Per-lambda diagnostics: relative bounds, norms, velocity checks.
-
-    Reports the minimal Kato constant a(M) curve summary against the base
-    Q (a at M = 0 and the least finite a), the smoothing-scale norms of q
-    at the window edges, and the deviation of the declared velocity from the
-    symmetric difference quotient.  Report-only; nothing is enforced.  The
-    points keep the caller's order (``qdot_continuity`` compares each with
-    the one before it), and more than the grid budget raise ComplexityCap
-    (``_check_grid_points``) before any of them is computed.
-    """
-    t = f.base
-    grid = [float(x) for x in lambda_grid]
-    _check_grid_points("lambda_grid", len(grid))
-    tab = SweepTable(
-        columns=[
-            "lambda",
-            "kato_a_at_0",
-            "kato_min_a",
-            "q_norm",
-            "qdot_norm",
-            "fd_vs_qdot",
-            "q_norm_eps_0",
-            "q_norm_eps_01",
-            "q_norm_eps_09",
-            "q_norm_eps_1",
-            "qdot_continuity",
-        ]
-    )
-    prev_qdot = None
-    for lam in grid:
-        qm = f.q_at(lam)
-        qd = f.q_dot_at(lam)
-        curve = kato_constants(t, qm)
-        finite = [a for _, a in curve.points if math.isfinite(a)]
-        h = f.FD_STEP
-        fd = (f.q_at(lam + h) - f.q_at(lam - h)) / (2.0 * h)
-        # (0,1)- and (-1,0)-scale gaps between velocity and quotient
-        fd_gap = sobolev_norm(t, fd - qd, 0, 1) + sobolev_norm(t, fd - qd, -1, 0)
-        cont = (
-            sobolev_norm(t, qd - prev_qdot, 0, 1)
-            + sobolev_norm(t, qd - prev_qdot, -1, 0)
-            if prev_qdot is not None
-            else 0.0
-        )
-        tab.add_row(
-            **{
-                "lambda": lam,
-                "kato_a_at_0": curve.points[0][1],
-                "kato_min_a": min(finite) if finite else math.inf,
-                "q_norm": opnorm(qm),
-                "qdot_norm": opnorm(qd),
-                "fd_vs_qdot": fd_gap,
-                "q_norm_eps_0": sobolev_norm(t, qm, 0, 1),
-                "q_norm_eps_01": sobolev_norm(t, qm, -0.1, 0.9),
-                "q_norm_eps_09": sobolev_norm(t, qm, -0.9, 0.1),
-                "q_norm_eps_1": sobolev_norm(t, qm, -1, 0),
-                "qdot_continuity": cont,
-            }
-        )
-        prev_qdot = qd
-    return tab
 
 
 def sweep_invariant(

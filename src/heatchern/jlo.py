@@ -93,7 +93,6 @@ __all__ = [
     "pairing",
     "equivariant_index",
     "coboundary_pairing_residual",
-    "involution_from_idempotent",
     "gauss_hermite_transform",
 ]
 
@@ -114,12 +113,6 @@ def pairing_coefficient(n: int) -> float:
     through n = ``_MAX_LEVEL`` / 2.
     """
     return (-1) ** n * (math.factorial(2 * n) // math.factorial(n)) / 4**n
-
-
-def involution_from_idempotent(p) -> np.ndarray:
-    """The square root of unity a = 2p - I attached to an idempotent p."""
-    pm = as_matrix(p, "p")
-    return 2.0 * pm - np.eye(pm.shape[0], dtype=complex)
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 Everything downstream (simplex transforms, pairings, sweeps) reduces to the
 operations here: Hermitian eigendecomposition, a general matrix
-exponential, Schatten norms, divided differences of the exponential
+exponential, divided differences of the exponential
 evaluated through the exponential of an upper-bidiagonal matrix, and Taylor
 coefficients read off samples on circles.  The exponential scales its
 argument to 1-norm at most 0.5, evaluates the degree-18 Taylor polynomial
@@ -62,7 +62,6 @@ __all__ = [
     "norm_certified",
     "opnorm",
     "simplex_exp",
-    "schatten_norm",
 ]
 
 _TAYLOR_THETA = 0.5  # scale target for the Taylor core
@@ -458,17 +457,3 @@ def simplex_exp(points, beta: float = 1.0) -> float:
     )
     val = expm(b, norm_cap=np.inf)[0, n].real
     return float(beta**n * np.exp(-beta * shift) * val)
-
-
-def schatten_norm(m, p) -> float:
-    """Schatten p-norm (sum of singular values to the p-th power)^(1/p).
-
-    p = inf gives the operator norm; p = 1 the trace norm.
-    """
-    a = as_matrix(m)
-    if p != np.inf and p < 1:
-        raise BadExponent(f"Schatten exponent must be >= 1, got {p}")
-    sv = np.linalg.svd(a, compute_uv=False)
-    if p == np.inf:
-        return float(sv[0]) if sv.size else 0.0
-    return float(np.sum(sv**p) ** (1.0 / p))

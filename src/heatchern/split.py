@@ -31,22 +31,18 @@ from .homotopy import SweepTable, _grid
 from .jlo import (
     PairingInput,
     PairingResult,
-    _element,
     _gaussian,
     _Prepared,
     _require_valid_input,
-    jlo_component,
     pairing,
 )
 from .linalg import as_matrix, eig_hermitian, expm, opnorm
-from .triples import AlgebraElement, CheckResult, HeatData, ValidationReport, _check_shape
+from .triples import CheckResult, HeatData, ValidationReport, _check_shape
 
 __all__ = [
     "SplitTriple",
-    "SplitAlgebraElement",
     "validate_split",
     "d1",
-    "split_jlo_component",
     "split_pairing",
     "coupling_sweep",
     "build_n2_susy_example",
@@ -98,16 +94,6 @@ class SplitTriple(HeatData):
                 )
 
 
-class SplitAlgebraElement(AlgebraElement):
-    """A gamma-even zero-momentum observable."""
-
-    def validate(self, s: SplitTriple) -> ValidationReport:
-        rep = super().validate(s)
-        m, p = self.matrix, s.momentum
-        rep.add_norm(f"{self.label or 'element'} zero-momentum", p @ m - m @ p, s.tol)
-        return rep
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def validate_split(s: SplitTriple) -> ValidationReport:
     """All structural invariants of the splitting, with residuals."""
@@ -150,13 +136,6 @@ def d1(s: SplitTriple, a) -> np.ndarray:
     """The partial derivative [Q1, a]."""
     am = _check_shape("a", as_matrix(a, "a"), s.dim)
     return s.Q1 @ am - am @ s.Q1
-
-
-def split_jlo_component(s: SplitTriple, n: int, a_list, g: int = 0) -> complex:
-    """tau_n = <a_0, d1 a_1, ..., d1 a_n; g> on zero-momentum arguments."""
-    mats = [_element(m) for m in a_list]
-    s.check_algebra(mats)
-    return jlo_component(s, n, mats, g)
 
 
 def split_pairing(

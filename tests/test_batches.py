@@ -24,7 +24,6 @@ from heatchern.cochains import (
     op_V,
     op_b,
     op_partial,
-    op_partial_bar,
     random_cochain,
 )
 from heatchern.errors import ClassViolation, ComplexityCap
@@ -127,7 +126,6 @@ def operator_trees():
         ("b", op_b),
         ("B", op_B),
         ("partial", op_partial),
-        ("partial_bar", op_partial_bar),
         ("bb", lambda f: op_b(op_b(f))),
         ("partial_partial", lambda f: op_partial(op_partial(f))),
     ]

@@ -3,7 +3,6 @@ import pytest
 
 from heatchern.cochains import (
     Cochain,
-    check_cochain_invariants,
     cocycle_residual,
     norm_profile,
     op_A,
@@ -13,11 +12,9 @@ from heatchern.cochains import (
     op_V,
     op_b,
     op_partial,
-    op_partial_bar,
     random_cochain,
 )
 from heatchern.errors import ClassViolation, DimensionMismatch
-from heatchern.expectations import expectation_value
 from heatchern.models import random_triple, zero_mode_triple
 
 
@@ -144,19 +141,12 @@ class TestCoboundaries:
         assert abs(op_partial(op_partial(G))(m, mats, 1)) < 1e-10
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_partial_bar_squared(self, setup, m):
-        t, G, fN, even = setup
-        mats = even(m + 1)
-        assert abs(op_partial_bar(op_partial_bar(G))(m, mats, 0)) < 1e-10
-
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_partial_and_partial_bar_differ_in_the_sign_of_B(self, setup, m):
+    def test_partial_is_b_plus_B(self, setup, m):
         t, G, fN, even = setup
         mats = even(m + 1)
         b, B = op_b(G)(m, mats, 1), op_B(G)(m, mats, 1)
         assert abs(B) > 1e-6
         assert op_partial(G)(m, mats, 1) == b + B
-        assert op_partial_bar(G)(m, mats, 1) == b - B
 
     def test_b_preserves_class_C(self, setup):
         t, G, fN, even = setup
@@ -191,14 +181,11 @@ class TestRandomCochain:
 
     def test_diagonal_invariance(self, setup):
         t, G, fN, even = setup
-        rep = check_cochain_invariants(G, t, seed=5, levels=(1, 2), samples=2)
-        assert rep.passed
-
-    def test_wrong_class_detected(self, setup):
-        t, G, fN, even = setup
-        liar = Cochain(G.evaluator, G.group, G.max_level, "N")
-        rep = check_cochain_invariants(liar, t, seed=5, levels=(1,), samples=1)
-        assert not rep.passed
+        for n in (1, 2):
+            mats = even(n + 1)
+            for g in range(len(t.group)):
+                conj = tuple(t.conj_group_inv(a, g) for a in mats)
+                assert abs(G(n, conj, g) - G(n, mats, g)) < 1e-10
 
     def test_T_raises_on_non_annihilating(self, setup):
         t, G, fN, even = setup
@@ -250,11 +237,6 @@ class TestLevelsAboveMaxLevel:
         with pytest.raises(DimensionMismatch, match=r"^level 4 outside \[0, 3\]$"):
             norm_profile(f, t, levels=(3, 4))
 
-    def test_invariant_check_raises(self, cut):
-        f, t = cut
-        with pytest.raises(DimensionMismatch, match=r"^level 4 outside \[0, 3\]$"):
-            check_cochain_invariants(f, t, levels=(1, 4))
-
 
 class TestEmptySampling:
     # a check that samples nothing used to read 0.0 or pass, on a non-cocycle
@@ -275,12 +257,6 @@ class TestEmptySampling:
         with pytest.raises(ValueError, match="need samples >= 1 and a level"):
             cocycle_residual(f, t, **kw)
 
-    @pytest.mark.parametrize("kw", [{"samples": 0}, {"levels": ()}], ids=["zero", "no-level"])
-    def test_invariant_check_raises(self, non_cocycle, kw):
-        f, t = non_cocycle
-        with pytest.raises(ValueError, match="need samples >= 1 and a level"):
-            check_cochain_invariants(f, t, **kw)
-
 
 class TestNormProfile:
     def test_profile_decays(self, setup):
@@ -288,5 +264,3 @@ class TestNormProfile:
         prof = norm_profile(G, t, levels=(1, 2, 3, 4), seed=6, samples=4)
         values = dict(prof.levels)
         assert values[4] < values[1]
-        seq = prof.decay_sequence()
-        assert len(seq) == 4

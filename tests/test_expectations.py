@@ -15,7 +15,6 @@ from heatchern.expectations import (
     VertexSet,
     beta_fn,
     bound_expectation,
-    bounded_vertex_bound,
     check_cyclic,
     check_d_invariance,
     check_insert_identity,
@@ -466,19 +465,6 @@ class TestBounds:
         bound, ok = bound_expectation(zero_mode, x, mu=0.5)
         assert ok
         assert bound >= abs(zero_mode.heat_trace(0))
-
-    def test_sharper_bounded_form(self, rng):
-        t = random_triple(4, seed=33)
-        mats = rand_mats(rng, 4, 3)
-        x = VertexSet(mats)
-        loose, ok_loose = bound_expectation(t, x, mu=0.5)
-        sharp, ok_sharp = bounded_vertex_bound(t, x)
-        assert ok_loose and ok_sharp
-        lam, _ = t.heat_data()
-        expected = float(np.sum(np.exp(-lam))) / math.factorial(2)
-        for m in mats:
-            expected *= opnorm(m)
-        assert sharp == pytest.approx(expected, rel=1e-12)
 
     def test_character_vertex_set(self, rng):
         t = random_triple(4, seed=34)

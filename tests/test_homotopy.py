@@ -23,7 +23,6 @@ from heatchern.homotopy import (
     h_cochain,
     jlo_lambda_fd_residual,
     linear_family,
-    regularity_report,
     sweep_invariant,
 )
 from heatchern.jlo import PairingInput, jlo_component, pairing_gaussian
@@ -89,36 +88,6 @@ class TestDeform:
             "regularizer commutes with group[0]",
             "regularizer commutes with group[1]",
         ]
-
-
-class TestRegularityReport:
-    def test_small_linear_family(self, family):
-        tab = regularity_report(family, np.linspace(-0.5, 0.5, 5))
-        for row in tab.rows:
-            assert row["fd_vs_qdot"] < 1e-8  # exact velocity on a linear family
-
-    def test_scaling_family(self, exchange):
-        # q(lambda) = lambda Q gives the minimal constant |lambda| at M = 0
-        fam = linear_family(exchange, exchange.Q.copy(), interval=(-0.5, 0.5))
-        tab = regularity_report(fam, [-0.4, 0.2])
-        for row in tab.rows:
-            assert row["kato_a_at_0"] == pytest.approx(abs(row["lambda"]), abs=1e-6)
-
-    def test_grid_over_budget_refused_before_any_bisection(self, family, monkeypatch):
-        # the one lambda grid without a budget: each point runs a Kato bisection
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a point ran on a grid over budget")
-
-        monkeypatch.setattr(homotopy, "kato_constants", unreachable)
-        monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
-        with pytest.raises(ComplexityCap) as err:
-            regularity_report(family, np.linspace(-0.5, 0.5, 2049))
-        assert str(err.value) == "lambda_grid has 2049 points, which exceeds budget 2048"
-
-    def test_grid_keeps_the_callers_order(self, family):
-        # qdot_continuity compares each point with the one before it as given
-        tab = regularity_report(family, [0.3, -0.2, 0.1])
-        assert [row["lambda"] for row in tab.rows] == [0.3, -0.2, 0.1]
 
 
 class TestSweep:
@@ -475,17 +444,11 @@ class TestSweepTable:
         assert rows[0] == ["beta", "re(value)", "im(value)"]
         assert len(rows) == 3
 
-    def test_jsonable(self, exchange):
+    def test_jsonable(self, exchange, family):
         inp = PairingInput(a=exchange.gamma.copy())
         tab = beta_independence(exchange, inp, [0.5, 1.0])
         doc = tab.to_jsonable()
         assert doc["columns"] == ["beta", "value"]
         assert isinstance(doc["rows"][0]["value"], list)
-
-    def test_jsonable_without_value_column(self, family):
-        # regularity_report's table has no "value" column; it used to raise KeyError
-        doc = regularity_report(family, [-0.4, 0.2]).to_jsonable()
-        assert "spread" not in doc
-        assert [r["lambda"] for r in doc["rows"]] == [-0.4, 0.2]
         inp = PairingInput(a=np.eye(3, dtype=complex))
         assert sweep_invariant(family, inp, [0.0, 0.2]).to_jsonable()["spread"] < 1e-8

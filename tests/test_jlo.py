@@ -21,7 +21,6 @@ from heatchern.jlo import (
     equivariant_index,
     gauss_hermite_transform,
     generating_functional,
-    involution_from_idempotent,
     jlo_cochain,
     jlo_component,
     pairing,
@@ -389,11 +388,6 @@ class TestPairing:
         res = pairing(zero_mode, PairingInput(a=a))
         idx = equivariant_index(zero_mode)
         assert res.connes_value == pytest.approx((res.value + idx) / 2, abs=1e-12)
-
-    def test_involution_from_idempotent(self):
-        p = np.diag([1.0, 0.0, 1.0])
-        a = involution_from_idempotent(p)
-        assert np.allclose(a @ a, np.eye(3))
 
     def test_check_names_in_order(self):
         t = random_triple(3, seed=5, group="z2")

@@ -13,7 +13,6 @@ from heatchern.linalg import (
     eig_hermitian,
     expm,
     opnorm,
-    schatten_norm,
     simplex_exp,
 )
 
@@ -318,31 +317,3 @@ class TestSimplexExp:
     def test_bad_beta(self):
         with pytest.raises(BadExponent):
             simplex_exp([1.0, 2.0], 0.0)
-
-
-class TestSchattenNorm:
-    def test_identity_trace_norm(self):
-        assert schatten_norm(np.eye(3), 1) == pytest.approx(3.0)
-
-    @pytest.mark.parametrize("p", [1, 2, 3.5, np.inf])
-    def test_rank_one_projector(self, p):
-        v = np.array([1.0, 2.0, -1.0], dtype=complex)
-        v /= np.linalg.norm(v)
-        proj = np.outer(v, v.conj())
-        assert schatten_norm(proj, p) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_hoelder(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = random_matrix(rng, 4), random_matrix(rng, 4)
-        assert schatten_norm(a @ b, 1) <= schatten_norm(a, 2) * schatten_norm(
-            b, 2
-        ) * (1 + 1e-12)
-
-    def test_infinity_is_operator_norm(self, rng):
-        m = random_matrix(rng, 5)
-        assert schatten_norm(m, np.inf) == pytest.approx(opnorm(m), rel=1e-12)
-
-    def test_bad_exponent(self):
-        with pytest.raises(BadExponent):
-            schatten_norm(np.eye(2), 0.5)

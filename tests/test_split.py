@@ -19,18 +19,17 @@ from heatchern.jlo import (
     gauss_hermite_transform,
     generating_functional,
     jlo_cochain,
+    jlo_component,
     pairing,
     pairing_gaussian,
     pairing_series,
 )
 from heatchern.linalg import expm, opnorm
 from heatchern.split import (
-    SplitAlgebraElement,
     SplitTriple,
     build_n2_susy_example,
     coupling_sweep,
     d1,
-    split_jlo_component,
     split_pairing,
     validate_split,
     zero_momentum_project,
@@ -116,7 +115,7 @@ class TestD1:
 
 class TestSplitCharacter:
     def test_level_zero_identity(self, pauli_split):
-        val = split_jlo_component(pauli_split, 0, [np.eye(4)])
+        val = jlo_component(pauli_split, 0, [np.eye(4)])
         assert val == pytest.approx(pauli_split.heat_trace(0), abs=1e-13)
 
     def test_odd_components_vanish(self, pauli_split, rng):
@@ -125,15 +124,7 @@ class TestSplitCharacter:
             raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             even = (raw + pauli_split.conj_gamma(raw)) / 2
             mats.append(zero_momentum_project(pauli_split, even))
-        assert abs(split_jlo_component(pauli_split, 1, mats)) < 1e-12
-
-    def test_zero_momentum_guard(self):
-        s, gens = build_n2_susy_example(levels=((1.0, 0.5), (2.0, 1.0)))
-        rng = np.random.default_rng(3)
-        raw = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
-        even = (raw + s.conj_gamma(raw)) / 2
-        with pytest.raises(ZeroMomentumViolation):
-            split_jlo_component(s, 0, [even])
+        assert abs(jlo_component(pauli_split, 1, mats)) < 1e-12
 
     def test_cocycle(self, pauli_split, rng):
         tau = jlo_cochain(pauli_split)
@@ -255,13 +246,6 @@ class TestZeroMomentumPrecondition:
         s, _, _ = self.nonzero_momentum()
         with pytest.raises(DimensionMismatch, match=r"a is 2x2, expected m\*dim = 8"):
             split_pairing(s, PairingInput(a=SZ.copy()))
-
-    def test_split_jlo_component_wrong_shape(self):
-        # [P, a] used to be formed first and end in numpy's matmul ValueError
-        s, _ = build_n2_susy_example()
-        message = r"tuple\[0\] has shape \(2, 2\), expected \(4, 4\)"
-        with pytest.raises(DimensionMismatch, match=message):
-            split_jlo_component(s, 0, [np.eye(2)])
 
     def test_coupling_sweep_refuses(self):
         s, gens, inp = self.nonzero_momentum()
@@ -525,17 +509,3 @@ class TestZeroMomentumStructure:
         db = d1(s, b)
         rhs = s.Q1 @ db + db @ s.Q1
         assert opnorm(lhs - rhs) < 1e-10 * max(opnorm(rhs), 1.0)
-
-
-class TestSplitAlgebraElement:
-    def test_validation(self, pauli_split):
-        good = SplitAlgebraElement(np.kron(SZ, SZ), "a")
-        assert good.validate(pauli_split).passed
-        bad = SplitAlgebraElement(np.kron(SX, np.eye(2)), "odd")
-        assert not bad.validate(pauli_split).passed
-
-    def test_check_names_in_order(self, pauli_split):
-        rep = SplitAlgebraElement(np.kron(SZ, SZ), "a").validate(pauli_split)
-        assert [c.name for c in rep.checks] == ["a gamma-even", "a zero-momentum"]
-        rep = SplitAlgebraElement(np.kron(SZ, SZ)).validate(pauli_split)
-        assert [c.name for c in rep.checks] == ["element gamma-even", "element zero-momentum"]
